@@ -14,8 +14,9 @@
 //! that is the CI gate (`--smoke` runs the same assertions on the tiny
 //! profile). Two more gates pin the API contract itself:
 //!
-//! - `CascadePolicy::dmu(t)` executes **bit-identically** to the legacy
-//!   constructor threshold (predictions, flags, modeled time);
+//! - an explicit `CascadePolicy::dmu(t)` executes **bit-identically**
+//!   to the pipeline's constructor threshold `t` (predictions, flags,
+//!   modeled time);
 //! - the executor's measured per-stage traffic and accuracy equal the
 //!   tuner's calibration-set evaluation at the tuned gates.
 //!
@@ -73,8 +74,8 @@ struct CascadeParetoRecord {
     /// Modeled per-image cost of each stage (seconds).
     stage_unit_costs_s: Vec<f64>,
     gate_grid: Vec<f32>,
-    /// Gate: `CascadePolicy::dmu(t)` ran bit-identically to the legacy
-    /// constructor threshold.
+    /// Gate: `CascadePolicy::dmu(t)` ran bit-identically to the
+    /// constructor threshold `t`.
     dmu_bit_identical: bool,
     /// Gate: the executor's traffic/accuracy matched the tuner's
     /// calibration evaluation at the tuned gates.
@@ -130,8 +131,8 @@ fn main() {
     let labels = sys.test.labels();
     let lut = CostLut::mpic();
 
-    // Gate 1: dmu(t) is bit-identical to the legacy constructor threshold.
-    let legacy = sys.execute(id, &run_opts).expect("legacy threshold run");
+    // Gate 1: dmu(t) is bit-identical to the constructor threshold t.
+    let by_threshold = sys.execute(id, &run_opts).expect("threshold run");
     let via_cascade = sys
         .execute(
             id,
@@ -140,10 +141,10 @@ fn main() {
                 .with_cascade(CascadePolicy::dmu(sys.config.threshold)),
         )
         .expect("dmu cascade run");
-    let dmu_bit_identical = legacy.predictions == via_cascade.predictions
-        && legacy.flagged == via_cascade.flagged
-        && legacy.modeled_time_s == via_cascade.modeled_time_s
-        && legacy.degraded_count == via_cascade.degraded_count;
+    let dmu_bit_identical = by_threshold.predictions == via_cascade.predictions
+        && by_threshold.flagged == via_cascade.flagged
+        && by_threshold.modeled_time_s == via_cascade.modeled_time_s
+        && by_threshold.degraded_count == via_cascade.degraded_count;
 
     // Unconditional per-stage calibration profiles over the test set.
     let layers = sys.bnn.export_latent().len();

@@ -19,8 +19,8 @@
 //! gets a prediction**, and accuracy cannot fall below the standalone-BNN
 //! floor minus the (reported) degraded fraction.
 
-// The deprecated `run_parallel*` entry points must not creep back in:
-// every run goes through `execute` + `RunOptions`.
+// Every run goes through `execute` + `RunOptions`; no deprecated API
+// may creep in.
 #![deny(deprecated)]
 
 use mp_bench::{CliOptions, TextTable};

@@ -12,11 +12,12 @@
 //! [`RunOptions::with_cascade`](crate::run::RunOptions::with_cascade) /
 //! [`MultiPrecisionPipeline::execute`](crate::pipeline::MultiPrecisionPipeline::execute).
 //!
-//! The legacy threshold is the canonical 2-stage instance:
+//! The paper's threshold is the canonical 2-stage instance:
 //! [`CascadePolicy::dmu`]`(t)` ≡ "low-precision stage gated at `t`,
-//! float host terminal", and the executor routes that shape through the
-//! exact legacy code path, so it is **bit-identical** to
-//! `with_threshold(t)` — predictions, flags and fault accounting alike.
+//! float host terminal". It is also what a pipeline runs by default:
+//! [`MultiPrecisionPipeline::new`](crate::pipeline::MultiPrecisionPipeline::new)
+//! turns its threshold into `dmu(t)`, and the modeled executor walks
+//! every policy, 2-stage or deeper, through the same stage loop.
 //!
 //! Gate semantics are NaN-safe by construction: a stage accepts an
 //! image only when [`gate_accepts`] holds, and `NaN >= t` is `false`,
@@ -63,7 +64,7 @@ pub enum StageClassifier {
     /// [`RunOptions::with_precision`](crate::run::RunOptions::with_precision)
     /// selects (the 1-bit `HardwareBnn` by default). Using a symbolic
     /// first stage keeps one policy valid across precisions, exactly
-    /// like the legacy threshold was.
+    /// like the constructor threshold.
     Primary,
     /// An explicit quantized intermediate stage: the [`QuantBnn`]
     /// classifies the escalated subset, the DMU gates on its normalised
@@ -102,14 +103,15 @@ impl StageClassifier {
     }
 
     /// Modeled seconds per image on this stage, under `timing` with the
-    /// run precision `primary`.
+    /// run precision `primary`. A `Float32` primary is priced at the
+    /// 1-bit time, because the float32 corner's first stage runs the
+    /// 1-bit engine (and keeps nothing).
     pub fn unit_cost_s(&self, primary: &Precision, timing: &PipelineTiming) -> f64 {
         let lut = CostLut::mpic();
         match self {
             StageClassifier::Primary => match primary {
-                Precision::OneBit => timing.t_bnn_img_s,
+                Precision::OneBit | Precision::Float32 => timing.t_bnn_img_s,
                 Precision::Quantized(q) => timing.t_bnn_img_s * q.network_cost_factor(&lut),
-                Precision::Float32 => timing.t_fp_img_s,
             },
             StageClassifier::Quantized(q) => timing.t_bnn_img_s * q.network_cost_factor(&lut),
             StageClassifier::HostFloat => timing.t_fp_img_s,
@@ -234,9 +236,9 @@ impl CascadePolicy {
         Ok(Self { stages })
     }
 
-    /// The canonical 2-stage instance reproducing the paper's DMU
-    /// threshold **bit-identically**: the run's primary classifier
-    /// gated at `threshold`, then the float host.
+    /// The canonical 2-stage instance, the paper's DMU threshold: the
+    /// run's primary classifier gated at `threshold`, then the float
+    /// host.
     ///
     /// # Panics
     ///
@@ -256,10 +258,8 @@ impl CascadePolicy {
 
     /// `Some(t)` when this policy is exactly the DMU shape
     /// ([`dmu`](Self::dmu)`(t)`): the primary classifier gated at `t`,
-    /// then the terminal float host. The executor routes this shape
-    /// through the legacy threshold path, so it works under both
-    /// executors (including fault injection) and is bit-identical to
-    /// the deprecated `with_threshold(t)`.
+    /// then the terminal float host. It is the one shape the threaded
+    /// executor runs (fault injection included).
     pub fn dmu_threshold(&self) -> Option<f32> {
         match self.stages.as_slice() {
             [CascadeStage {
@@ -671,6 +671,9 @@ mod tests {
         assert_eq!(shape.stages[1].label, "float32");
         assert_eq!(shape.stages[1].gate, None);
         assert!((shape.stages[1].unit_cost_s - 0.03).abs() < 1e-15);
+        // The float32 corner's first stage runs the 1-bit engine.
+        let float = CascadePolicy::dmu(0.6).shape(&Precision::Float32, &timing);
+        assert_eq!(float.stages[0].unit_cost_s, timing.t_bnn_img_s);
     }
 
     #[test]

@@ -14,10 +14,9 @@ use mp_host::ArmHost;
 use mp_nn::train::{Adam, Optimizer, Trainer};
 use mp_nn::Network;
 use mp_tensor::init::TensorRng;
-use mp_tensor::{Parallelism, Shape, Tensor};
+use mp_tensor::{Shape, Tensor};
 
 use crate::dmu::Dmu;
-use crate::fault::{DegradationPolicy, FaultPlan};
 use crate::pipeline::{MultiPrecisionPipeline, PipelineResult, PipelineTiming};
 use crate::run::RunOptions;
 use crate::CoreError;
@@ -259,45 +258,6 @@ impl TrainedSystem {
         )
     }
 
-    /// Runs the multi-precision pipeline with host model `id` at the
-    /// configured threshold.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] on shape inconsistencies.
-    #[deprecated(since = "0.2.0", note = "use `execute` with `run_options`")]
-    pub fn run_pipeline(
-        &self,
-        id: ModelId,
-        timing: &PipelineTiming,
-    ) -> Result<PipelineResult, CoreError> {
-        self.execute(
-            id,
-            &RunOptions::new(*timing).with_host_accuracy(self.host_accuracy(id)),
-        )
-    }
-
-    /// Like [`run_pipeline`](Self::run_pipeline), sharding host
-    /// re-inference across `parallelism` worker threads.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] on shape inconsistencies.
-    #[deprecated(since = "0.2.0", note = "use `execute` with `run_options`")]
-    pub fn run_pipeline_with(
-        &self,
-        id: ModelId,
-        timing: &PipelineTiming,
-        parallelism: Parallelism,
-    ) -> Result<PipelineResult, CoreError> {
-        self.execute(
-            id,
-            &RunOptions::new(*timing)
-                .with_host_accuracy(self.host_accuracy(id))
-                .with_parallelism(parallelism),
-        )
-    }
-
     /// The trained host network for `id`.
     ///
     /// # Panics
@@ -310,34 +270,6 @@ impl TrainedSystem {
             .find(|(h, _, _)| *h == id)
             .map(|(_, net, _)| net)
             .expect("host model present")
-    }
-
-    /// Runs the *parallel* multi-precision pipeline with host model `id`
-    /// under an injected fault plan and degradation policy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] on shape inconsistencies, invalid
-    /// plan/policy, or real (non-injected) host errors — never for
-    /// recoverable injected faults.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `execute` with `run_options(..)?.with_faults(..)`"
-    )]
-    pub fn run_pipeline_chaos(
-        &self,
-        id: ModelId,
-        timing: &PipelineTiming,
-        plan: &FaultPlan,
-        policy: &DegradationPolicy,
-    ) -> Result<PipelineResult, CoreError> {
-        self.execute(
-            id,
-            &RunOptions::new(*timing)
-                .with_host_accuracy(self.host_accuracy(id))
-                .with_faults(plan.clone())
-                .with_degradation(*policy),
-        )
     }
 
     /// Paper-scale timing for host model `id`: the ZC702's measured

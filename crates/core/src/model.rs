@@ -145,8 +145,9 @@ pub fn interval_per_image_n(stage_times: &[f64], enter_fracs: &[f64]) -> f64 {
 /// accuracy on its entering subset (use the global stage accuracy for
 /// the eq.(2)-style estimate, the measured subset accuracy for the
 /// exact identity), and `E_s` the fraction of **all** images that
-/// stage `s − 1` would have classified correctly but escalated.
-/// Reduces to [`accuracy_eq2`] / [`accuracy_exact`] at one upgrade.
+/// stage `s − 1` would have classified correctly but escalated. Each
+/// upgrade is added as `acc + Acc_s · f_s − E_s`, left to right, so one
+/// upgrade reduces bit-for-bit to [`accuracy_eq2`] / [`accuracy_exact`].
 ///
 /// # Panics
 ///
@@ -168,7 +169,7 @@ pub fn accuracy_eq2_n(acc_stage0: f64, upgrades: &[(f64, f64, f64)]) -> f64 {
                 "upgrade {i} {name} must be in [0,1], got {v}"
             );
         }
-        acc += acc_s * enter_frac - err_frac;
+        acc = acc + acc_s * enter_frac - err_frac;
     }
     acc
 }
@@ -222,14 +223,28 @@ mod tests {
         assert!((accuracy_exact(0.785, 0.65, 0.251, 0.123) - (0.785 + gain)).abs() < 1e-12);
     }
 
+    /// Every `(n, wrong, right)` rerun count of a small grid, with the
+    /// rerun ratio formed the way `ConfusionQuadrants::rerun_ratio`
+    /// forms it (`wrong/n + right/n`).
+    fn rerun_grid() -> impl Iterator<Item = (usize, usize, usize, f64)> {
+        (1..=40usize).flat_map(|n| {
+            (0..=n).flat_map(move |wrong| {
+                (0..=n - wrong).map(move |right| {
+                    let d = n as f64;
+                    (n, wrong, right, wrong as f64 / d + right as f64 / d)
+                })
+            })
+        })
+    }
+
     #[test]
     fn eq1_n_reduces_to_two_stage_form() {
         let t_fp = 1.0 / 29.68;
         let t_bnn = 1.0 / 430.15;
-        for r in [0.0, 0.123, 0.251, 1.0] {
+        for (n, wrong, right, r) in rerun_grid() {
             let two = interval_per_image(t_fp, t_bnn, r);
-            let n = interval_per_image_n(&[t_bnn, t_fp], &[1.0, r]);
-            assert!((two - n).abs() < 1e-15, "r={r}: {two} vs {n}");
+            let cascade = interval_per_image_n(&[t_bnn, t_fp], &[1.0, r]);
+            assert_eq!(two, cascade, "n={n} wrong={wrong} right={right}");
         }
     }
 
@@ -242,9 +257,19 @@ mod tests {
 
     #[test]
     fn eq2_n_reduces_to_two_stage_form() {
-        let two = accuracy_exact(0.785, 0.65, 0.251, 0.123);
-        let n = accuracy_eq2_n(0.785, &[(0.65, 0.251, 0.123)]);
-        assert!((two - n).abs() < 1e-15);
+        for (n, wrong, right, r) in rerun_grid() {
+            let d = n as f64;
+            let err = right as f64 / d;
+            // Every BNN accuracy consistent with `right` correct reruns.
+            for correct in right..=n - wrong {
+                let acc_bnn = correct as f64 / d;
+                for acc_fp in [0.5, 0.814] {
+                    let two = accuracy_eq2(acc_bnn, acc_fp, r, err);
+                    let cascade = accuracy_eq2_n(acc_bnn, &[(acc_fp, r, err)]);
+                    assert_eq!(two, cascade, "n={n} c={correct} w={wrong} r={right}");
+                }
+            }
+        }
     }
 
     #[test]

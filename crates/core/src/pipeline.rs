@@ -2,20 +2,27 @@
 //!
 //! The FPGA (the [`HardwareBnn`] functional model) classifies every
 //! image; the DMU flags low-confidence classifications; the host network
-//! re-infers the flagged subset. All execution variants are driven by
+//! re-infers the flagged subset. That is the 2-stage
+//! [`CascadePolicy::dmu`], and every run executes one cascade policy:
+//! the [`RunOptions::with_cascade`] policy, or else `dmu` of the
+//! constructor threshold. All execution variants are driven by
 //! [`MultiPrecisionPipeline::execute`] with a [`RunOptions`] builder:
 //!
-//! - [`Concurrency::Modeled`] computes the functional result and a
-//!   **modelled** execution time that replays the paper's
+//! - [`Concurrency::Modeled`] walks the cascade stage by stage and
+//!   computes a **modelled** execution time that replays the paper's
 //!   `async(1)`/`wait(1)` batch overlap: while the FPGA processes batch
 //!   `i`, the host re-infers the images flagged in batch `i−1`;
-//! - [`Concurrency::Threaded`] actually executes the two sides on
-//!   separate threads connected by a **bounded** channel, demonstrating
-//!   the concurrent structure of Fig. 2 (its wall-clock time reflects
-//!   this machine, not the ZC702).
+//! - [`Concurrency::Threaded`] actually executes the two stages of the
+//!   `dmu` cascade on separate threads connected by a **bounded**
+//!   channel, demonstrating the concurrent structure of Fig. 2 (its
+//!   wall-clock time reflects this machine, not the ZC702).
+//!
+//! Both executors hand their routing to one result assembly, so every
+//! [`PipelineResult`] field means the same thing under either.
 //!
 //! The threaded executor is built for a *misbehaving* host:
-//! [`RunOptions::with_faults`] injects a seeded [`FaultPlan`] under a
+//! [`RunOptions::with_faults`] injects a seeded
+//! [`FaultPlan`](crate::fault::FaultPlan) under a
 //! [`RunOptions::with_degradation`] policy, and the pipeline guarantees
 //! that every image still receives a prediction — recoverable host
 //! faults (errors, latency spikes, even worker death) degrade the
@@ -35,16 +42,15 @@ use crossbeam::channel::{self, TrySendError};
 
 use mp_bnn::HardwareBnn;
 use mp_dataset::Dataset;
-use mp_int::{CostLut, QuantBnn};
 use mp_nn::Network;
 use mp_obs::{now_ns, schema, ObsEvent, Recorder};
-use mp_tensor::{nan_aware_argmax, Parallelism, Shape, ShapeError, Tensor};
+use mp_tensor::{nan_aware_argmax, Parallelism, ShapeError, Tensor};
 
 use crate::cascade::{gate_accepts, CascadePolicy, StageClassifier};
 use crate::dmu::{ConfusionQuadrants, Dmu};
 use crate::fault::{
     CircuitBreaker, DegradationPolicy, DegradationStats, FaultEvent, FaultInjector, FaultKind,
-    FaultPlan, HostFault, INJECTED_DEATH_MSG,
+    HostFault, INJECTED_DEATH_MSG,
 };
 use crate::model;
 use crate::run::{Concurrency, Precision, RunOptions};
@@ -88,8 +94,8 @@ impl PipelineTiming {
 /// stage, `accepted` how many its gate kept (the terminal stage accepts
 /// everything it receives). Host-side degradation under faults is *not*
 /// folded in here — it stays in
-/// [`PipelineResult::degraded_count`] — so the legacy threshold path
-/// and [`CascadePolicy::dmu`] report identical traffic under chaos.
+/// [`PipelineResult::degraded_count`] — so a faulted run reports the
+/// same traffic as a fault-free one.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct StageTraffic {
     /// Stage label (shared with [`Precision::label`] /
@@ -140,10 +146,9 @@ pub struct PipelineResult {
     /// Downstream service-time models (`mp-fleet`) replay batches from
     /// this mask without re-running inference.
     pub flagged: Vec<bool>,
-    /// Per-stage traffic and modeled unit cost, in cascade order. The
-    /// legacy threshold path reports its implicit 2-stage cascade here
-    /// (low-precision stage, then `float32`), so every run is
-    /// cascade-shaped to observers.
+    /// Per-stage traffic and modeled unit cost, in cascade order. A
+    /// threshold run reports its 2-stage cascade here (low-precision
+    /// stage, then `float32`).
     pub stage_traffic: Vec<StageTraffic>,
     /// Wall-clock seconds when run with [`Concurrency::Threaded`].
     pub wall_seconds: Option<f64>,
@@ -165,17 +170,20 @@ pub struct PipelineResult {
     pub fault_log: Vec<FaultEvent>,
 }
 
-/// The multi-precision system: BNN + DMU + threshold.
+/// The multi-precision system: BNN + DMU + a default decision policy.
 #[derive(Debug)]
 pub struct MultiPrecisionPipeline<'a> {
     hw: &'a HardwareBnn,
     dmu: &'a Dmu,
-    threshold: f32,
+    policy: CascadePolicy,
     parallelism: Parallelism,
 }
 
 impl<'a> MultiPrecisionPipeline<'a> {
-    /// Creates a pipeline at a DMU confidence `threshold`.
+    /// Creates a pipeline whose default decision policy is
+    /// [`CascadePolicy::dmu`]`(threshold)`: the BNN keeps images with
+    /// DMU confidence `>= threshold` and the host re-infers the rest.
+    /// [`RunOptions::with_cascade`] overrides it per run.
     ///
     /// Host re-inference runs sequentially by default; see
     /// [`with_parallelism`](Self::with_parallelism).
@@ -184,14 +192,10 @@ impl<'a> MultiPrecisionPipeline<'a> {
     ///
     /// Panics if `threshold` is outside `[0, 1]`.
     pub fn new(hw: &'a HardwareBnn, dmu: &'a Dmu, threshold: f32) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&threshold),
-            "threshold must be in [0,1]"
-        );
         Self {
             hw,
             dmu,
-            threshold,
+            policy: CascadePolicy::dmu(threshold),
             parallelism: Parallelism::sequential(),
         }
     }
@@ -207,11 +211,6 @@ impl<'a> MultiPrecisionPipeline<'a> {
         self
     }
 
-    /// The DMU confidence threshold.
-    pub fn threshold(&self) -> f32 {
-        self.threshold
-    }
-
     /// The host-side data parallelism.
     pub fn parallelism(&self) -> Parallelism {
         self.parallelism
@@ -220,14 +219,17 @@ impl<'a> MultiPrecisionPipeline<'a> {
     /// Runs the pipeline as configured by `opts` — the single entry
     /// point behind every execution variant.
     ///
-    /// With [`Concurrency::Modeled`] (the [`RunOptions::new`] default)
-    /// the full set runs BNN → DMU → host single-threaded and the
-    /// result carries the paper's modelled `async(1)`/`wait(1)` batch
-    /// time. With [`Concurrency::Threaded`] the FPGA simulator and the
-    /// host network run on separate threads connected by a channel
-    /// **bounded** by [`PipelineTiming::batch_size`], wall-clock time is
-    /// reported, and an injected [`FaultPlan`] exercises the degradation
-    /// machinery:
+    /// The run executes one [`CascadePolicy`]: the
+    /// [`RunOptions::with_cascade`] policy, or else the constructor's
+    /// [`CascadePolicy::dmu`]`(threshold)`. With [`Concurrency::Modeled`]
+    /// (the [`RunOptions::new`] default) the cascade runs stage by stage
+    /// single-threaded and the result carries the paper's modelled
+    /// `async(1)`/`wait(1)` batch time. With [`Concurrency::Threaded`]
+    /// the FPGA simulator and the host network run on separate threads
+    /// connected by a channel **bounded** by
+    /// [`PipelineTiming::batch_size`], wall-clock time is reported, and
+    /// an injected [`FaultPlan`](crate::fault::FaultPlan) exercises the
+    /// degradation machinery:
     ///
     /// - a stalled host back-pressures the producer (counted in
     ///   [`PipelineResult::backpressure_events`]) instead of queueing
@@ -246,101 +248,68 @@ impl<'a> MultiPrecisionPipeline<'a> {
     ///   [`CoreError::HostWorker`] in the fault log, every undelivered
     ///   flagged image falls back to the BNN, and the run completes.
     ///
-    /// Every image therefore always receives a prediction, and with
-    /// [`FaultPlan::none`] the two modes are functionally identical.
+    /// Every image therefore always receives a prediction, and without
+    /// faults the two modes are functionally identical.
     ///
     /// The recorder attached via [`RunOptions::with_recorder`] receives
-    /// the whole-run span, the BNN+DMU stage span, host-rerun batch
-    /// spans, per-image BNN / backoff / queue-depth histograms, the
-    /// outcome counters and the typed event log. Recording is strictly
-    /// passive: predictions and fault accounting are bit-identical with
-    /// any recorder, and the disabled [`mp_obs::NullRecorder`] costs one
-    /// branch per site.
+    /// the whole-run span, the BNN+DMU stage span, per-stage cascade
+    /// spans, host-rerun batch spans, per-image BNN / backoff /
+    /// queue-depth histograms, the outcome counters and the typed event
+    /// log. Recording is strictly passive: predictions and fault
+    /// accounting are bit-identical with any recorder, and the disabled
+    /// [`mp_obs::NullRecorder`] costs one branch per site.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] when the effective threshold
-    /// is outside `[0, 1]` or a fault plan is combined with
-    /// [`Concurrency::Modeled`]; otherwise [`CoreError`] on shape
-    /// inconsistencies, invalid plan/policy, or *real* (non-injected)
-    /// host inference errors — never for recoverable injected faults.
+    /// Returns [`CoreError::InvalidConfig`] for a fault plan under
+    /// [`Concurrency::Modeled`], a [`Precision::Float32`] run under any
+    /// policy but the dmu shape, and a [`Concurrency::Threaded`] run
+    /// with a non-dmu policy or a non-1-bit precision; otherwise
+    /// [`CoreError`] on shape inconsistencies, invalid plan/policy, or
+    /// *real* (non-injected) host inference errors — never for
+    /// recoverable injected faults.
     pub fn execute(
         &self,
         host: &Network,
         data: &Dataset,
         opts: &RunOptions<'_>,
     ) -> Result<PipelineResult, CoreError> {
-        let mut threshold = opts.threshold().unwrap_or(self.threshold);
-        // Cascade resolution: the dmu-shaped policy IS the legacy
-        // threshold (bit-identical by construction, both executors,
-        // faults included); anything deeper takes the N-stage executor.
-        let mut general_cascade: Option<&CascadePolicy> = None;
-        if let Some(policy) = opts.cascade() {
-            if opts.threshold().is_some() {
-                return Err(CoreError::InvalidConfig(
-                    "with_threshold and with_cascade are mutually exclusive; \
-                     the threshold is CascadePolicy::dmu(t)"
-                        .into(),
-                ));
-            }
-            match policy.dmu_threshold() {
-                Some(t) => threshold = t,
-                None => general_cascade = Some(policy),
-            }
-        }
-        if !(0.0..=1.0).contains(&threshold) {
-            return Err(CoreError::InvalidConfig(format!(
-                "threshold {threshold} outside [0,1]"
-            )));
-        }
+        let policy = opts.cascade().unwrap_or(&self.policy);
         let par = opts.parallelism().unwrap_or(self.parallelism);
         let rec = opts.recorder();
         let t_exec = rec.enabled().then(now_ns);
-        let result = if let Some(policy) = general_cascade {
-            if opts.concurrency() == Concurrency::Threaded {
-                return Err(CoreError::InvalidConfig(format!(
-                    "a {}-stage cascade requires the modeled executor \
-                     (only the 2-stage dmu shape runs threaded)",
-                    policy.len()
-                )));
-            }
-            if !opts.fault_plan().is_none() {
+        let result = match (opts.concurrency(), policy.dmu_threshold()) {
+            (Concurrency::Modeled, _) if !opts.fault_plan().is_none() => {
                 return Err(CoreError::InvalidConfig(
                     "fault injection requires the threaded executor \
                      (RunOptions::threaded or with_faults)"
                         .into(),
                 ));
             }
-            if matches!(opts.precision(), Precision::Float32) {
+            (Concurrency::Modeled, None) if matches!(opts.precision(), Precision::Float32) => {
                 return Err(CoreError::InvalidConfig(
                     "Precision::Float32 cannot anchor a multi-stage cascade: \
                      the DMU has no confidence signal for float logits"
                         .into(),
                 ));
             }
-            self.execute_cascade(host, data, opts, policy, par)?
-        } else {
-            match opts.concurrency() {
-                Concurrency::Modeled => {
-                    if !opts.fault_plan().is_none() {
-                        return Err(CoreError::InvalidConfig(
-                            "fault injection requires the threaded executor \
-                             (RunOptions::threaded or with_faults)"
-                                .into(),
-                        ));
-                    }
-                    self.execute_modeled(host, data, opts, threshold, par)?
-                }
-                Concurrency::Threaded => {
-                    if !opts.precision().is_one_bit() {
-                        return Err(CoreError::InvalidConfig(format!(
-                            "precision {} requires the modeled executor (the quantized \
-                             and float corners are priced analytically, not threaded)",
-                            opts.precision().label()
-                        )));
-                    }
-                    self.execute_threaded(host, data, opts, threshold, par)?
-                }
+            (Concurrency::Modeled, _) => self.execute_cascade(host, data, opts, policy, par)?,
+            (Concurrency::Threaded, None) => {
+                return Err(CoreError::InvalidConfig(format!(
+                    "a {}-stage cascade requires the modeled executor \
+                     (only the 2-stage dmu shape runs threaded)",
+                    policy.len()
+                )));
+            }
+            (Concurrency::Threaded, Some(_)) if !opts.precision().is_one_bit() => {
+                return Err(CoreError::InvalidConfig(format!(
+                    "precision {} requires the modeled executor (the quantized \
+                     and float corners are priced analytically, not threaded)",
+                    opts.precision().label()
+                )));
+            }
+            (Concurrency::Threaded, Some(threshold)) => {
+                self.execute_threaded(host, data, opts, policy, threshold, par)?
             }
         };
         if let Some(start) = t_exec {
@@ -350,137 +319,17 @@ impl<'a> MultiPrecisionPipeline<'a> {
         Ok(result)
     }
 
-    /// Runs the full set through BNN → DMU → host, with modelled timing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] on shape inconsistencies.
-    #[deprecated(since = "0.2.0", note = "use `execute` with `RunOptions`")]
-    pub fn run(
-        &self,
-        host: &Network,
-        data: &Dataset,
-        timing: &PipelineTiming,
-        host_global_accuracy: f64,
-    ) -> Result<PipelineResult, CoreError> {
-        self.execute(
-            host,
-            data,
-            &RunOptions::new(*timing).with_host_accuracy(host_global_accuracy),
-        )
-    }
-
-    /// Runs with the FPGA simulator and the host network on separate
-    /// threads.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] on shape inconsistencies.
-    #[deprecated(since = "0.2.0", note = "use `execute` with `RunOptions::threaded`")]
-    pub fn run_parallel(
-        &self,
-        host: &Network,
-        data: &Dataset,
-        timing: &PipelineTiming,
-        host_global_accuracy: f64,
-    ) -> Result<PipelineResult, CoreError> {
-        self.execute(
-            host,
-            data,
-            &RunOptions::new(*timing)
-                .threaded()
-                .with_host_accuracy(host_global_accuracy),
-        )
-    }
-
-    /// The chaos-ready parallel executor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] on shape inconsistencies, invalid
-    /// plan/policy, or real (non-injected) host inference errors.
-    #[deprecated(since = "0.2.0", note = "use `execute` with `RunOptions::with_faults`")]
-    pub fn run_parallel_with(
-        &self,
-        host: &Network,
-        data: &Dataset,
-        timing: &PipelineTiming,
-        host_global_accuracy: f64,
-        plan: &FaultPlan,
-        policy: &DegradationPolicy,
-    ) -> Result<PipelineResult, CoreError> {
-        self.execute(
-            host,
-            data,
-            &RunOptions::new(*timing)
-                .with_host_accuracy(host_global_accuracy)
-                .with_faults(plan.clone())
-                .with_degradation(*policy),
-        )
-    }
-
-    /// The [`Concurrency::Modeled`] executor body.
-    fn execute_modeled(
-        &self,
-        host: &Network,
-        data: &Dataset,
-        opts: &RunOptions<'_>,
-        threshold: f32,
-        par: Parallelism,
-    ) -> Result<PipelineResult, CoreError> {
-        let rec = opts.recorder();
-        let (stage, timing) = match opts.precision() {
-            Precision::OneBit => (
-                self.classify_and_flag(data, threshold, par, rec)?,
-                *opts.timing(),
-            ),
-            Precision::Quantized(quant) => {
-                let stage = self.classify_and_flag_quant(quant, data, threshold, par, rec)?;
-                // Quantized MACs take extra cycles; the MAC-weighted MPIC
-                // factor scales the BNN side of the batch-overlap model
-                // (exactly 1 at the 1-bit corner).
-                let factor = quant.network_cost_factor(&CostLut::mpic());
-                let t = opts.timing();
-                (
-                    stage,
-                    PipelineTiming::new(t.t_bnn_img_s * factor, t.t_fp_img_s, t.batch_size),
-                )
-            }
-            Precision::Float32 => {
-                // The float corner: the 1-bit stage still classifies (so
-                // BNN accuracy and DMU quadrants stay reported), but every
-                // image is flagged to the host — final predictions and
-                // throughput degenerate to the host model's.
-                let mut stage = self.classify_and_flag(data, threshold, par, rec)?;
-                stage.flag_all();
-                (stage, *opts.timing())
-            }
-        };
-        let rerun_indices: Vec<usize> = stage.flagged_indices();
-        let host_preds = infer_host_subset(host, data, &rerun_indices, par, rec)?;
-        self.finish(
-            data,
-            &timing,
-            opts.host_accuracy(),
-            opts.precision().label(),
-            stage,
-            rerun_indices,
-            host_preds,
-            None,
-            DegradationStats::default(),
-        )
-    }
-
-    /// The N-stage cascade executor ([`Concurrency::Modeled`] only).
+    /// The [`Concurrency::Modeled`] executor: walks `policy` stage by
+    /// stage.
     ///
     /// Each stage scores exactly the images escalated to it, the DMU
     /// estimates a confidence from the stage's normalised scores, and
     /// the stage's gate accepts via [`gate_accepts`] (NaN never
     /// passes — a poisoned confidence escalates). The terminal stage
-    /// accepts everything. Stage 0 always sees the full set, so the
-    /// BNN-side accounting (`bnn_accuracy`, DMU quadrants, `flagged`)
-    /// keeps its legacy meaning: correctness and acceptance of the
-    /// first stage.
+    /// accepts everything. Stage 0 always sees every image, so it scores
+    /// the dataset in place. Under [`Precision::Float32`] stage 0 still
+    /// runs the 1-bit engine, so BNN accuracy and DMU quadrants stay
+    /// reported, but keeps nothing: every image goes to the host.
     fn execute_cascade(
         &self,
         host: &Network,
@@ -490,199 +339,76 @@ impl<'a> MultiPrecisionPipeline<'a> {
         par: Parallelism,
     ) -> Result<PipelineResult, CoreError> {
         let rec = opts.recorder();
-        let n = data.len();
-        let labels = data.labels();
-        let shape = policy.shape(opts.precision(), opts.timing());
-        let stages = policy.stages();
-        let mut active: Vec<usize> = (0..n).collect();
-        let mut entered_masks: Vec<Vec<bool>> = Vec::with_capacity(stages.len());
-        let mut traffic: Vec<StageTraffic> = Vec::with_capacity(stages.len());
-        let mut final_preds: Vec<usize> = vec![0; n];
-        let mut stage0_preds: Vec<usize> = vec![0; n];
-        let mut kept0: Vec<bool> = vec![false; n];
-        let mut rerun_indices: Vec<usize> = Vec::new();
-        let mut host_preds: Vec<usize> = Vec::new();
-        let mut upgrades: Vec<(f64, f64, f64)> = Vec::new();
-        // Correct-at-previous-stage images that its gate escalated — the
-        // `E_s` loss term of the generalised eq. (2).
-        let mut escalated_correct_prev = 0usize;
-        let denom = n.max(1) as f64;
-        for (s, stage) in stages.iter().enumerate() {
-            let entered = active.len();
-            let mut entered_mask = vec![false; n];
-            for &i in &active {
-                entered_mask[i] = true;
-            }
-            let enter_frac = entered as f64 / denom;
+        let float_corner = matches!(opts.precision(), Precision::Float32);
+        let mut ledger = Ledger::new(data.labels());
+        let mut active: Vec<usize> = (0..data.len()).collect();
+        for (s, stage) in policy.stages().iter().enumerate() {
             let is_host = matches!(stage.classifier, StageClassifier::HostFloat);
-            let (preds_sub, conf_sub): (Vec<usize>, Vec<f32>) = if entered == 0 {
+            let t0 = (rec.enabled() && !active.is_empty()).then(now_ns);
+            let (preds, conf) = if active.is_empty() {
                 (Vec::new(), Vec::new())
+            } else if is_host {
+                let preds = infer_host_subset(host, data, &active, par, rec)?;
+                (preds, Vec::new())
             } else {
-                let t0 = rec.enabled().then(now_ns);
-                let scored = match &stage.classifier {
-                    StageClassifier::HostFloat => {
-                        let preds = infer_host_subset(host, data, &active, par, rec)?;
-                        (preds, Vec::new())
-                    }
-                    classifier => {
-                        let subset = data.select(&active)?;
-                        let scores = match classifier {
-                            StageClassifier::Primary => match opts.precision() {
-                                Precision::OneBit => self
-                                    .hw
-                                    .infer_batch_obs(subset.images(), par, rec)
-                                    .map_err(CoreError::fpga)?,
-                                Precision::Quantized(q) => q
-                                    .infer_batch_obs(subset.images(), par, rec)
-                                    .map_err(CoreError::fpga)?,
-                                // Rejected by `execute` before dispatch.
-                                Precision::Float32 => unreachable!(
-                                    "Float32 primary is rejected for multi-stage cascades"
-                                ),
-                            },
-                            StageClassifier::Quantized(q) => q
-                                .infer_batch_obs(subset.images(), par, rec)
-                                .map_err(CoreError::fpga)?,
-                            StageClassifier::HostFloat => unreachable!(),
-                        };
-                        let preds = Network::argmax_rows(&scores)?;
-                        let conf = self.dmu.predict_batch(&scores)?;
-                        (preds, conf)
-                    }
+                let subset;
+                let images = if s == 0 {
+                    data.images()
+                } else {
+                    subset = data.select(&active)?;
+                    subset.images()
                 };
-                if let Some(start) = t0 {
-                    rec.record_span(&schema::cascade_stage_span(s), start, now_ns());
+                let scores = match (&stage.classifier, opts.precision()) {
+                    (StageClassifier::Quantized(q), _)
+                    | (StageClassifier::Primary, Precision::Quantized(q)) => {
+                        q.infer_batch_obs(images, par, rec)
+                    }
+                    _ => self.hw.infer_batch_obs(images, par, rec),
                 }
-                scored
+                .map_err(CoreError::fpga)?;
+                let preds = Network::argmax_rows(&scores)?;
+                (preds, self.dmu.predict_batch(&scores)?)
             };
-            let mut next_active = Vec::new();
-            let mut accepted = 0usize;
-            let mut correct_in = 0usize;
-            let mut escalated_correct = 0usize;
-            for (j, &i) in active.iter().enumerate() {
-                let pred = preds_sub[j];
-                if s == 0 {
-                    stage0_preds[i] = pred;
+            if let Some(start) = t0 {
+                let end = now_ns();
+                if s == 0 && !is_host {
+                    rec.record_span(schema::SPAN_PIPELINE_BNN_STAGE, start, end);
                 }
-                let is_correct = pred == labels[i];
-                if is_correct {
-                    correct_in += 1;
-                }
-                let accept = match stage.gate {
-                    None => true,
-                    Some(g) => gate_accepts(conf_sub[j], g),
-                };
-                if accept {
-                    accepted += 1;
-                    final_preds[i] = pred;
-                    if s == 0 {
-                        kept0[i] = true;
-                    }
-                    if is_host {
-                        rerun_indices.push(i);
-                        host_preds.push(pred);
-                    }
-                } else {
-                    if is_correct {
-                        escalated_correct += 1;
-                    }
-                    next_active.push(i);
-                }
+                rec.record_span(&schema::cascade_stage_span(s), start, end);
             }
-            if s > 0 {
-                // Host stages use the caller's global host accuracy (the
-                // paper's optimistic eq. (2) form); other stages use
-                // their measured entering-subset accuracy.
-                let acc_s = if is_host {
-                    opts.host_accuracy()
-                } else if entered == 0 {
-                    0.0
-                } else {
-                    correct_in as f64 / entered as f64
-                };
-                upgrades.push((acc_s, enter_frac, escalated_correct_prev as f64 / denom));
-            }
-            escalated_correct_prev = escalated_correct;
-            traffic.push(StageTraffic {
-                label: shape.stages[s].label.clone(),
-                entered,
-                accepted,
-                entered_frac: enter_frac,
-                accepted_frac: accepted as f64 / denom,
-                unit_cost_s: shape.stages[s].unit_cost_s,
+            let keeps = !(s == 0 && float_corner);
+            let escalated = ledger.gate(&active, &preds, |j| {
+                keeps && stage.gate.is_none_or(|g| gate_accepts(conf[j], g))
             });
-            entered_masks.push(entered_mask);
-            active = next_active;
+            if is_host {
+                ledger.reruns.extend(active.iter().copied().zip(preds));
+            }
+            active = escalated;
         }
-        let bnn_correct: Vec<bool> = stage0_preds
-            .iter()
-            .zip(labels)
-            .map(|(p, l)| p == l)
-            .collect();
-        let quadrants = ConfusionQuadrants::tally(&bnn_correct, &kept0);
-        let bnn_accuracy = bnn_correct.iter().filter(|&&c| c).count() as f64 / denom;
-        let accuracy = final_preds
-            .iter()
-            .zip(labels)
-            .filter(|(p, l)| p == l)
-            .count() as f64
-            / denom;
-        let host_hits = rerun_indices
-            .iter()
-            .zip(&host_preds)
-            .filter(|(&i, &p)| p == labels[i])
-            .count();
-        let host_subset_accuracy = if rerun_indices.is_empty() {
-            None
-        } else {
-            Some(host_hits as f64 / rerun_indices.len() as f64)
-        };
-        let unit_costs: Vec<f64> = shape.stages.iter().map(|s| s.unit_cost_s).collect();
-        let modeled_time_s =
-            modeled_cascade_time(&entered_masks, &unit_costs, opts.timing().batch_size);
-        // Eq. (1) generalised: f_0 = 1 by convention (stage 0 always
-        // sees the full stream in steady state).
-        let mut analytic_fracs: Vec<f64> = traffic.iter().map(|t| t.entered_frac).collect();
-        analytic_fracs[0] = 1.0;
-        Ok(PipelineResult {
-            total_images: n,
-            accuracy,
-            bnn_accuracy,
-            host_subset_accuracy,
-            quadrants,
-            rerun_count: rerun_indices.len(),
-            modeled_time_s,
-            modeled_images_per_sec: n as f64 / modeled_time_s.max(f64::MIN_POSITIVE),
-            analytic_images_per_sec: 1.0
-                / model::interval_per_image_n(&unit_costs, &analytic_fracs),
-            analytic_accuracy_eq2: model::accuracy_eq2_n(bnn_accuracy, &upgrades),
-            predictions: final_preds,
-            flagged: kept0.iter().map(|&k| !k).collect(),
-            stage_traffic: traffic,
-            wall_seconds: None,
-            degraded_count: 0,
-            retries: 0,
-            breaker_trips: 0,
-            host_attempts: 0,
-            backpressure_events: 0,
-            virtual_backoff_s: 0.0,
-            fault_log: Vec::new(),
-        })
+        Ok(assemble(
+            opts,
+            policy,
+            ledger,
+            None,
+            DegradationStats::default(),
+        ))
     }
 
-    /// The [`Concurrency::Threaded`] executor body.
+    /// The [`Concurrency::Threaded`] executor: the dmu-shaped `policy`
+    /// gated at `threshold`.
     fn execute_threaded(
         &self,
         host: &Network,
         data: &Dataset,
         opts: &RunOptions<'_>,
+        policy: &CascadePolicy,
         threshold: f32,
         par: Parallelism,
     ) -> Result<PipelineResult, CoreError> {
         let timing = opts.timing();
-        let policy = opts.degradation_policy();
+        let degradation = opts.degradation_policy();
         let rec = opts.recorder();
-        policy.validate()?;
+        degradation.validate()?;
         let injector = FaultInjector::new(opts.fault_plan().clone())?;
         if injector.host_death_after().is_some() {
             // A planned kill is expected noise, not a crash report.
@@ -693,7 +419,7 @@ impl<'a> MultiPrecisionPipeline<'a> {
         // Satellite fix: bounded channel sized from the FPGA batch, so a
         // stalled host applies back-pressure instead of growing memory.
         let (tx, rx) = channel::bounded::<(usize, Tensor)>(timing.batch_size);
-        let policy = *policy;
+        let degradation = *degradation;
         let injector_ref = &injector;
         // The crossbeam stub channel exposes no occupancy, so the queue
         // depth is mirrored in an atomic — maintained only while a
@@ -702,12 +428,12 @@ impl<'a> MultiPrecisionPipeline<'a> {
         let depth_obs: Option<(&dyn Recorder, &AtomicUsize)> =
             rec.enabled().then_some((rec, &queue_depth));
         type WorkerJoin = Result<HostWorkerOutput, CoreError>;
-        let (stage, backpressure_events, worker_out) = std::thread::scope(
-            |scope| -> Result<(StageOutput, usize, WorkerJoin), CoreError> {
+        let (bnn_preds, kept, backpressure_events, worker_out) = std::thread::scope(
+            |scope| -> Result<(Vec<usize>, Vec<bool>, usize, WorkerJoin), CoreError> {
                 // Host worker: re-infers flagged images as they arrive,
                 // applying the degradation policy per image.
                 let worker = scope.spawn(move || -> Result<HostWorkerOutput, CoreError> {
-                    host_worker_loop(host, rx, injector_ref, &policy, par, depth_obs)
+                    host_worker_loop(host, rx, injector_ref, &degradation, par, depth_obs)
                 });
                 // "FPGA" side: the block-pipelined stage graph. The BNN
                 // runs the batched `IMG_BLOCK` fast path over one block
@@ -718,7 +444,8 @@ impl<'a> MultiPrecisionPipeline<'a> {
                 // overlap. Flagged images are still sent one at a time in
                 // index order, so the worker loop, fault arrival order,
                 // and channel backpressure semantics are unchanged.
-                let mut stage = StageOutput::with_capacity(n);
+                let mut bnn_preds = Vec::with_capacity(n);
+                let mut kept = Vec::with_capacity(n);
                 let mut backpressure_events = 0usize;
                 let mut worker_gone = false;
                 let classes = self.hw.topology().classes();
@@ -762,7 +489,8 @@ impl<'a> MultiPrecisionPipeline<'a> {
                         })?;
                         let p = self.dmu.predict_with_scratch(row, &mut feats);
                         let keep = gate_accepts(p, threshold);
-                        stage.push(pred, keep);
+                        bnn_preds.push(pred);
+                        kept.push(keep);
                         if !keep && !worker_gone {
                             let image = data.images().batch_item(i)?;
                             // Count the item before it becomes visible to
@@ -829,7 +557,7 @@ impl<'a> MultiPrecisionPipeline<'a> {
                         Err(CoreError::HostWorker(detail))
                     }
                 };
-                Ok((stage, backpressure_events, joined))
+                Ok((bnn_preds, kept, backpressure_events, joined))
             },
         )?;
         let mut stats = DegradationStats {
@@ -853,203 +581,41 @@ impl<'a> MultiPrecisionPipeline<'a> {
             // Real host inference errors keep their zero-fault contract.
             Err(other) => return Err(other),
         };
-        // Reconcile: flagged images with a successful host prediction
-        // are reruns; everything else flagged degrades to its BNN
+        // Reconcile: every flagged image entered the host stage (traffic
+        // counts gate decisions). Those with a successful host
+        // prediction are reruns; the rest degrade to their BNN
         // prediction.
         let mut delivered: Vec<Option<Result<usize, FaultKind>>> = vec![None; n];
         for (i, outcome) in outcomes {
             delivered[i] = Some(outcome);
         }
-        let mut rerun_indices = Vec::new();
-        let mut host_preds = Vec::new();
-        for i in stage.flagged_indices() {
-            match delivered[i] {
+        let mut ledger = Ledger::new(data.labels());
+        let all: Vec<usize> = (0..n).collect();
+        let flagged = ledger.gate(&all, &bnn_preds, |j| kept[j]);
+        let host_preds: Vec<usize> = flagged
+            .iter()
+            .map(|&i| match delivered[i] {
                 Some(Ok(p)) => {
-                    rerun_indices.push(i);
-                    host_preds.push(p);
+                    ledger.reruns.push((i, p));
+                    p
                 }
-                Some(Err(_)) => stats.degraded_count += 1,
+                Some(Err(_)) => {
+                    stats.degraded_count += 1;
+                    bnn_preds[i]
+                }
                 None => {
                     stats.degraded_count += 1;
                     stats.fault_log.push(FaultEvent::Fallback {
                         image: i,
                         kind: FaultKind::HostWorkerDeath,
                     });
+                    bnn_preds[i]
                 }
-            }
-        }
-        let wall = start.elapsed().as_secs_f64();
-        self.finish(
-            data,
-            timing,
-            opts.host_accuracy(),
-            opts.precision().label(),
-            stage,
-            rerun_indices,
-            host_preds,
-            Some(wall),
-            stats,
-        )
-    }
-
-    fn classify_and_flag(
-        &self,
-        data: &Dataset,
-        threshold: f32,
-        par: Parallelism,
-        rec: &dyn Recorder,
-    ) -> Result<StageOutput, CoreError> {
-        let t0 = rec.enabled().then(now_ns);
-        let scores = self
-            .hw
-            .infer_batch_obs(data.images(), par, rec)
-            .map_err(CoreError::fpga)?;
-        let preds = Network::argmax_rows(&scores)?;
-        let keep_flags = self.dmu.estimate_batch(&scores, threshold)?;
-        if let Some(start) = t0 {
-            rec.record_span(schema::SPAN_PIPELINE_BNN_STAGE, start, now_ns());
-        }
-        let mut stage = StageOutput::with_capacity(data.len());
-        for (p, k) in preds.into_iter().zip(keep_flags) {
-            stage.push(p, k);
-        }
-        Ok(stage)
-    }
-
-    /// [`classify_and_flag`](Self::classify_and_flag) with the
-    /// multi-precision integer path in place of the 1-bit engine: the
-    /// [`QuantBnn`] scores every image (normalised to the 1-bit scale,
-    /// so the DMU's confidence estimate transfers) and the DMU flags on
-    /// those scores.
-    fn classify_and_flag_quant(
-        &self,
-        quant: &QuantBnn,
-        data: &Dataset,
-        threshold: f32,
-        par: Parallelism,
-        rec: &dyn Recorder,
-    ) -> Result<StageOutput, CoreError> {
-        let t0 = rec.enabled().then(now_ns);
-        let scores = quant
-            .infer_batch_obs(data.images(), par, rec)
-            .map_err(CoreError::fpga)?;
-        let preds = Network::argmax_rows(&scores)?;
-        let keep_flags = self.dmu.estimate_batch(&scores, threshold)?;
-        if let Some(start) = t0 {
-            rec.record_span(schema::SPAN_PIPELINE_BNN_STAGE, start, now_ns());
-        }
-        let mut stage = StageOutput::with_capacity(data.len());
-        for (p, k) in preds.into_iter().zip(keep_flags) {
-            stage.push(p, k);
-        }
-        Ok(stage)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn finish(
-        &self,
-        data: &Dataset,
-        timing: &PipelineTiming,
-        host_global_accuracy: f64,
-        stage0_label: String,
-        stage: StageOutput,
-        rerun_indices: Vec<usize>,
-        host_preds: Vec<usize>,
-        wall_seconds: Option<f64>,
-        stats: DegradationStats,
-    ) -> Result<PipelineResult, CoreError> {
-        let n = data.len();
-        let labels = data.labels();
-        let bnn_correct: Vec<bool> = stage
-            .bnn_preds
-            .iter()
-            .zip(labels)
-            .map(|(p, l)| p == l)
+            })
             .collect();
-        let quadrants = ConfusionQuadrants::tally(&bnn_correct, &stage.kept);
-        // Merge host predictions over BNN predictions; degraded images
-        // keep their BNN prediction.
-        let mut final_preds = stage.bnn_preds.clone();
-        let mut host_hits = 0usize;
-        for (&idx, &pred) in rerun_indices.iter().zip(&host_preds) {
-            final_preds[idx] = pred;
-            if pred == labels[idx] {
-                host_hits += 1;
-            }
-        }
-        let accuracy = final_preds
-            .iter()
-            .zip(labels)
-            .filter(|(p, l)| p == l)
-            .count() as f64
-            / n.max(1) as f64;
-        let bnn_accuracy = bnn_correct.iter().filter(|&&c| c).count() as f64 / n.max(1) as f64;
-        // Satellite fix: `None` instead of a misleading `0.0` when
-        // nothing reran.
-        let host_subset_accuracy = if rerun_indices.is_empty() {
-            None
-        } else {
-            Some(host_hits as f64 / rerun_indices.len() as f64)
-        };
-        let modeled_time_s = modeled_batch_time(&stage.kept, timing);
-        let rerun_ratio = quadrants.rerun_ratio();
-        let flagged: Vec<bool> = stage.kept.iter().map(|&k| !k).collect();
-        // The legacy path's implicit 2-stage cascade, in the shared
-        // naming scheme. `timing` is already cost-factor scaled, so the
-        // stage-0 unit cost is simply its BNN time. Traffic counts gate
-        // decisions: degraded images still *entered* the host stage.
-        let flagged_count = flagged.iter().filter(|&&f| f).count();
-        let denom = n.max(1) as f64;
-        let stage_traffic = vec![
-            StageTraffic {
-                label: stage0_label,
-                entered: n,
-                accepted: n - flagged_count,
-                entered_frac: if n == 0 { 0.0 } else { 1.0 },
-                accepted_frac: (n - flagged_count) as f64 / denom,
-                unit_cost_s: timing.t_bnn_img_s,
-            },
-            StageTraffic {
-                label: Precision::Float32.label(),
-                entered: flagged_count,
-                accepted: flagged_count,
-                entered_frac: flagged_count as f64 / denom,
-                accepted_frac: flagged_count as f64 / denom,
-                unit_cost_s: timing.t_fp_img_s,
-            },
-        ];
-        Ok(PipelineResult {
-            total_images: n,
-            accuracy,
-            bnn_accuracy,
-            host_subset_accuracy,
-            quadrants,
-            rerun_count: rerun_indices.len(),
-            modeled_time_s,
-            modeled_images_per_sec: n as f64 / modeled_time_s.max(f64::MIN_POSITIVE),
-            analytic_images_per_sec: model::images_per_sec(
-                timing.t_fp_img_s,
-                timing.t_bnn_img_s,
-                rerun_ratio,
-            ),
-            analytic_accuracy_eq2: model::accuracy_eq2(
-                bnn_accuracy,
-                host_global_accuracy,
-                rerun_ratio,
-                quadrants.rerun_err_ratio(),
-            ),
-            predictions: final_preds,
-            flagged,
-            stage_traffic,
-            wall_seconds,
-            degraded_count: stats.degraded_count,
-            retries: stats.retries,
-            breaker_trips: stats.breaker_trips,
-            host_attempts: stats.host_attempts,
-            backpressure_events: stats.backpressure_events,
-            virtual_backoff_s: stats.virtual_backoff_s,
-            fault_log: stats.fault_log,
-        })
+        ledger.gate(&flagged, &host_preds, |_| true);
+        let wall = start.elapsed().as_secs_f64();
+        Ok(assemble(opts, policy, ledger, Some(wall), stats))
     }
 }
 
@@ -1283,43 +849,201 @@ fn record_result(rec: &dyn Recorder, r: &PipelineResult) {
     }
 }
 
-/// Per-image outputs of the BNN + DMU stage.
+/// Routing and gate tallies of one run, filled stage by stage by either
+/// executor and turned into its [`PipelineResult`] by [`assemble`].
 #[derive(Debug)]
-struct StageOutput {
-    bnn_preds: Vec<usize>,
-    kept: Vec<bool>,
+struct Ledger<'d> {
+    labels: &'d [usize],
+    /// Stage-0 prediction of every image.
+    stage0_preds: Vec<usize>,
+    /// Whether stage 0's gate kept each image.
+    kept0: Vec<bool>,
+    /// Prediction of the stage that accepted each image.
+    final_preds: Vec<usize>,
+    /// `entered[s][i]`: image `i` reached stage `s`.
+    entered: Vec<Vec<bool>>,
+    tallies: Vec<StageTally>,
+    /// `(image, prediction)` of every successful host re-inference.
+    reruns: Vec<(usize, usize)>,
 }
 
-impl StageOutput {
-    fn with_capacity(n: usize) -> Self {
+/// One stage's gate decisions, counted over the images that entered it.
+#[derive(Debug, Default)]
+struct StageTally {
+    entered: usize,
+    accepted: usize,
+    /// Entering images the stage classified correctly.
+    correct: usize,
+    /// Escalated images the stage classified wrongly / correctly.
+    escalated_wrong: usize,
+    escalated_right: usize,
+}
+
+impl<'d> Ledger<'d> {
+    fn new(labels: &'d [usize]) -> Self {
+        let n = labels.len();
         Self {
-            bnn_preds: Vec::with_capacity(n),
-            kept: Vec::with_capacity(n),
+            labels,
+            stage0_preds: vec![0; n],
+            kept0: vec![false; n],
+            final_preds: vec![0; n],
+            entered: Vec::new(),
+            tallies: Vec::new(),
+            reruns: Vec::new(),
         }
     }
 
-    fn push(&mut self, pred: usize, keep: bool) {
-        self.bnn_preds.push(pred);
-        self.kept.push(keep);
+    /// Records the next stage's gate decisions: `preds[j]` is its
+    /// prediction for image `active[j]` and `accepts(j)` its gate.
+    /// Returns the escalated images, in order.
+    fn gate(
+        &mut self,
+        active: &[usize],
+        preds: &[usize],
+        accepts: impl Fn(usize) -> bool,
+    ) -> Vec<usize> {
+        let first = self.tallies.is_empty();
+        let mut mask = vec![false; self.labels.len()];
+        let mut tally = StageTally {
+            entered: active.len(),
+            ..StageTally::default()
+        };
+        let mut escalated = Vec::new();
+        for (j, (&i, &pred)) in active.iter().zip(preds).enumerate() {
+            mask[i] = true;
+            let right = pred == self.labels[i];
+            let accept = accepts(j);
+            if first {
+                self.stage0_preds[i] = pred;
+                self.kept0[i] = accept;
+            }
+            tally.correct += usize::from(right);
+            if accept {
+                tally.accepted += 1;
+                self.final_preds[i] = pred;
+            } else {
+                if right {
+                    tally.escalated_right += 1;
+                } else {
+                    tally.escalated_wrong += 1;
+                }
+                escalated.push(i);
+            }
+        }
+        self.entered.push(mask);
+        self.tallies.push(tally);
+        escalated
     }
+}
 
-    /// Flags every image for host re-inference (the float32 corner).
-    fn flag_all(&mut self) {
-        self.kept.iter_mut().for_each(|k| *k = false);
-    }
-
-    fn flagged_indices(&self) -> Vec<usize> {
-        self.kept
+/// The one result assembly of both executors: DMU quadrants and BNN
+/// accuracy from stage 0, final accuracy from the accepting stages,
+/// [`modeled_cascade_time`], eqs. (1)/(2) over the stage tallies, and
+/// per-stage traffic.
+fn assemble(
+    opts: &RunOptions<'_>,
+    policy: &CascadePolicy,
+    ledger: Ledger<'_>,
+    wall_seconds: Option<f64>,
+    stats: DegradationStats,
+) -> PipelineResult {
+    let Ledger {
+        labels,
+        stage0_preds,
+        kept0,
+        final_preds,
+        entered,
+        tallies,
+        reruns,
+    } = ledger;
+    let n = labels.len();
+    let denom = n.max(1) as f64;
+    let frac = |count: usize| count as f64 / denom;
+    let bnn_correct: Vec<bool> = stage0_preds
+        .iter()
+        .zip(labels)
+        .map(|(p, l)| p == l)
+        .collect();
+    let bnn_accuracy = frac(bnn_correct.iter().filter(|&&c| c).count());
+    let accuracy = frac(
+        final_preds
             .iter()
-            .enumerate()
-            .filter_map(|(i, &k)| (!k).then_some(i))
-            .collect()
+            .zip(labels)
+            .filter(|(p, l)| p == l)
+            .count(),
+    );
+    let host_hits = reruns.iter().filter(|&&(i, p)| p == labels[i]).count();
+    // `None` rather than a misleading `0.0` when nothing reran.
+    let host_subset_accuracy = (!reruns.is_empty()).then(|| host_hits as f64 / reruns.len() as f64);
+    let shape = policy.shape(opts.precision(), opts.timing());
+    let unit_costs: Vec<f64> = shape.stages.iter().map(|s| s.unit_cost_s).collect();
+    let modeled_time_s = modeled_cascade_time(&entered, &unit_costs, opts.timing().batch_size);
+    // Eqs. (1)/(2) generalised. f_0 = 1 (stage 0 sees the full stream in
+    // steady state). For s ≥ 1, f_s adds the wrong and the right mass
+    // stage s−1 escalated, so f_1 is bit-for-bit the quadrant ratio
+    // R_rerun = F̄S̄ + FS̄ of the 2-stage forms.
+    let mut fracs = vec![1.0];
+    let mut upgrades = Vec::new();
+    for (s, pair) in tallies.windows(2).enumerate() {
+        let (prev, tally) = (&pair[0], &pair[1]);
+        let f = frac(prev.escalated_wrong) + frac(prev.escalated_right);
+        // Host stages use the caller's global host accuracy (the paper's
+        // optimistic eq. (2) form); other stages use their measured
+        // entering-subset accuracy.
+        let acc = if matches!(
+            policy.stages()[s + 1].classifier,
+            StageClassifier::HostFloat
+        ) {
+            opts.host_accuracy()
+        } else if tally.entered == 0 {
+            0.0
+        } else {
+            tally.correct as f64 / tally.entered as f64
+        };
+        fracs.push(f);
+        upgrades.push((acc, f, frac(prev.escalated_right)));
+    }
+    let stage_traffic = tallies
+        .iter()
+        .zip(shape.stages)
+        .map(|(t, stage)| StageTraffic {
+            label: stage.label,
+            entered: t.entered,
+            accepted: t.accepted,
+            entered_frac: frac(t.entered),
+            accepted_frac: frac(t.accepted),
+            unit_cost_s: stage.unit_cost_s,
+        })
+        .collect();
+    PipelineResult {
+        total_images: n,
+        accuracy,
+        bnn_accuracy,
+        host_subset_accuracy,
+        quadrants: ConfusionQuadrants::tally(&bnn_correct, &kept0),
+        rerun_count: reruns.len(),
+        modeled_time_s,
+        modeled_images_per_sec: n as f64 / modeled_time_s.max(f64::MIN_POSITIVE),
+        analytic_images_per_sec: 1.0 / model::interval_per_image_n(&unit_costs, &fracs),
+        analytic_accuracy_eq2: model::accuracy_eq2_n(bnn_accuracy, &upgrades),
+        predictions: final_preds,
+        flagged: kept0.iter().map(|&k| !k).collect(),
+        stage_traffic,
+        wall_seconds,
+        degraded_count: stats.degraded_count,
+        retries: stats.retries,
+        breaker_trips: stats.breaker_trips,
+        host_attempts: stats.host_attempts,
+        backpressure_events: stats.backpressure_events,
+        virtual_backoff_s: stats.virtual_backoff_s,
+        fault_log: stats.fault_log,
     }
 }
 
 /// Replays the paper's `async(1)`/`wait(1)` loop: iteration `i` runs
 /// FPGA batch `i` concurrently with host re-inference of the images
-/// flagged in batch `i−1`; a final host pass drains the last batch.
+/// flagged in batch `i−1`; a final host pass drains the last batch. This
+/// is the 2-stage `[all, flagged]` instance of [`modeled_cascade_time`].
 ///
 /// `kept[i]` is `true` where image `i` keeps its BNN prediction and
 /// `false` where it is flagged for host re-inference (the complement of
@@ -1327,31 +1051,15 @@ impl StageOutput {
 /// (`mp-serve` comparisons, `mp-fleet` replicas) can price a batch with
 /// the same model the pipeline reports.
 pub fn modeled_batch_time(kept: &[bool], timing: &PipelineTiming) -> f64 {
-    let n = kept.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let batch = timing.batch_size;
-    let flagged_per_batch: Vec<usize> = kept
-        .chunks(batch)
-        .map(|c| c.iter().filter(|&&k| !k).count())
-        .collect();
-    let fpga_time = |count: usize| count as f64 * timing.t_bnn_img_s;
-    let host_time = |flagged: usize| flagged as f64 * timing.t_fp_img_s;
-    let mut total = 0.0;
-    for (i, chunk) in kept.chunks(batch).enumerate() {
-        let host_side = if i > 0 {
-            host_time(flagged_per_batch[i - 1])
-        } else {
-            0.0
-        };
-        total += fpga_time(chunk.len()).max(host_side);
-    }
-    total += host_time(*flagged_per_batch.last().expect("non-empty"));
-    total
+    let flagged = kept.iter().map(|&k| !k).collect();
+    modeled_cascade_time(
+        &[vec![true; kept.len()], flagged],
+        &[timing.t_bnn_img_s, timing.t_fp_img_s],
+        timing.batch_size,
+    )
 }
 
-/// [`modeled_batch_time`] generalised to an N-stage cascade: the image
+/// The overlapped batch model of an N-stage cascade: the image
 /// stream is cut into windows of `batch_size`, and while stage `s`
 /// processes its share of window `w`, stage `s+1` processes its share
 /// of window `w−1` — the paper's `async(1)`/`wait(1)` overlap extended
@@ -1360,8 +1068,7 @@ pub fn modeled_batch_time(kept: &[bool], timing: &PipelineTiming) -> f64 {
 /// the `W + S − 1` ticks of the software pipeline.
 ///
 /// `entered[s][i]` is `true` where image `i` enters stage `s` (stage 0
-/// is all-true on a full run). Bit-identical to [`modeled_batch_time`]
-/// for the 2-stage `[all, flagged]` instance.
+/// is all-true on a full run).
 ///
 /// # Panics
 ///
@@ -1437,19 +1144,16 @@ fn infer_host_subset(
     Ok(preds)
 }
 
-/// Convenience: the per-image shape a dataset's host network expects.
-pub fn host_input_shape(data: &Dataset) -> Shape {
-    data.image_shape()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::silence_injected_panics;
+    use crate::fault::{silence_injected_panics, FaultPlan};
     use mp_bnn::{BnnClassifier, FinnTopology};
+    use mp_int::{CostLut, QuantBnn};
     use mp_nn::train::Model;
     use mp_nn::Mode;
     use mp_tensor::init::TensorRng;
+    use mp_tensor::Shape;
 
     fn tiny_system() -> (HardwareBnn, Dmu, Dataset, Network) {
         let (_, hw, dmu, data, host) = tiny_system_full();
@@ -1465,7 +1169,14 @@ mod tests {
             bnn.forward_mode(&x, Mode::Train).unwrap();
         }
         let hw = HardwareBnn::from_classifier(&bnn).unwrap();
-        let dmu = Dmu::with_weights(vec![0.1; 10], 0.0);
+        // Margin weights: confidences differ between images, so
+        // mid-range thresholds flag a strict subset.
+        let dmu = Dmu::with_weights(
+            vec![
+                2.0, -1.0, -0.5, -0.2, -0.1, -0.05, -0.02, -0.01, -0.005, -0.002,
+            ],
+            0.0,
+        );
         let spec = mp_dataset::SynthSpec::tiny();
         let data = spec.generate(40).unwrap();
         let host = Network::builder(Shape::nchw(1, 3, 8, 8))
@@ -1659,6 +1370,10 @@ mod tests {
             float.accuracy,
             "float corner accuracy is the host model's"
         );
+        // Stage 0 still runs the 1-bit engine, so it is priced at t_bnn
+        // and the modeled time is the all-flagged 1-bit run's.
+        assert_eq!(float.stage_traffic[0].unit_cost_s, timing().t_bnn_img_s);
+        assert_eq!(float.modeled_time_s, all_host.modeled_time_s);
     }
 
     #[test]
@@ -1905,29 +1620,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn execute_threshold_override_beats_constructor() {
-        // Pins the deprecated shim's contract: the raw value is stored
-        // and validated by `execute`, exactly as before 0.6.0.
-        let (hw, dmu, data, host) = tiny_system();
-        let at = |t: f32| {
-            MultiPrecisionPipeline::new(&hw, &dmu, t)
-                .execute(&host, &data, &modeled_opts())
-                .unwrap()
-        };
-        let base = at(1.0);
-        let overridden = MultiPrecisionPipeline::new(&hw, &dmu, 0.0)
-            .execute(&host, &data, &modeled_opts().with_threshold(1.0))
-            .unwrap();
-        assert_eq!(base.rerun_count, overridden.rerun_count);
-        assert_eq!(base.predictions, overridden.predictions);
-        let bad = MultiPrecisionPipeline::new(&hw, &dmu, 0.5)
-            .execute(&host, &data, &modeled_opts().with_threshold(3.0))
-            .unwrap_err();
-        assert!(matches!(bad, CoreError::InvalidConfig(_)));
-    }
-
-    #[test]
     fn dmu_cascade_is_bit_identical_to_threshold_path() {
         let (hw, dmu, data, host) = tiny_system();
         for t in [0.0f32, 0.4, 0.6, 1.0] {
@@ -1963,19 +1655,6 @@ mod tests {
         assert_eq!(legacy.flagged, cascade.flagged);
         assert_eq!(legacy.degraded_count, cascade.degraded_count);
         assert_eq!(legacy.fault_log, cascade.fault_log);
-    }
-
-    #[test]
-    fn cascade_and_threshold_are_mutually_exclusive() {
-        #![allow(deprecated)]
-        let (hw, dmu, data, host) = tiny_system();
-        let opts = modeled_opts()
-            .with_threshold(0.5)
-            .with_cascade(CascadePolicy::dmu(0.5));
-        let err = MultiPrecisionPipeline::new(&hw, &dmu, 0.5)
-            .execute(&host, &data, &opts)
-            .unwrap_err();
-        assert!(matches!(err, CoreError::InvalidConfig(_)));
     }
 
     fn three_stage_policy(bnn: &BnnClassifier, g0: f32, g1: f32) -> CascadePolicy {
@@ -2122,7 +1801,7 @@ mod tests {
     }
 
     #[test]
-    fn legacy_paths_report_two_stage_traffic() {
+    fn threshold_runs_report_two_stage_traffic() {
         let (hw, dmu, data, host) = tiny_system();
         let r = MultiPrecisionPipeline::new(&hw, &dmu, 0.6)
             .execute(&host, &data, &modeled_opts())
@@ -2138,25 +1817,98 @@ mod tests {
         assert_eq!(r.stage_traffic[1].unit_cost_s, t.t_fp_img_s);
     }
 
+    /// The paper's `async(1)`/`wait(1)` loop written out directly: batch
+    /// `i`'s FPGA time overlaps the host time of batch `i−1`'s flags,
+    /// then a final host pass drains the last batch.
+    fn paper_loop_time(kept: &[bool], t: &PipelineTiming) -> f64 {
+        let flagged: Vec<usize> = kept
+            .chunks(t.batch_size)
+            .map(|c| c.iter().filter(|&&k| !k).count())
+            .collect();
+        let mut total = 0.0;
+        for (i, chunk) in kept.chunks(t.batch_size).enumerate() {
+            let host = if i > 0 {
+                flagged[i - 1] as f64 * t.t_fp_img_s
+            } else {
+                0.0
+            };
+            total += (chunk.len() as f64 * t.t_bnn_img_s).max(host);
+        }
+        total + flagged.last().map_or(0.0, |&f| f as f64 * t.t_fp_img_s)
+    }
+
     #[test]
     fn modeled_cascade_time_matches_two_stage_model() {
-        let t = PipelineTiming::new(0.001, 0.01, 10);
-        // A few representative flag patterns.
-        for (n, stride) in [(20usize, 2usize), (35, 3), (7, 1), (40, 5)] {
-            let kept: Vec<bool> = (0..n).map(|i| i % stride != 0).collect();
-            let entered0 = vec![true; n];
-            let entered1: Vec<bool> = kept.iter().map(|&k| !k).collect();
-            let two = modeled_batch_time(&kept, &t);
-            let cascade = modeled_cascade_time(
-                &[entered0, entered1],
-                &[t.t_bnn_img_s, t.t_fp_img_s],
-                t.batch_size,
-            );
-            assert!(
-                (two - cascade).abs() < 1e-15,
-                "n={n} stride={stride}: {two} vs {cascade}"
-            );
+        // Every (n, batch, flagged count) of a small grid, with the flags
+        // at the front, at the back, and spread evenly.
+        for batch in [1usize, 3, 7, 10, 64] {
+            let t = PipelineTiming::new(1.0 / 430.15, 1.0 / 29.68, batch);
+            for n in 0..=40usize {
+                for flagged in 0..=n {
+                    let mut spread = vec![true; n];
+                    for k in 0..flagged {
+                        spread[k * n / flagged] = false;
+                    }
+                    let front = (0..n).map(|i| i >= flagged).collect();
+                    let back = (0..n).map(|i| i < n - flagged).collect();
+                    for kept in [front, back, spread] {
+                        let reference = paper_loop_time(&kept, &t);
+                        let masks = [vec![true; n], kept.iter().map(|&k| !k).collect()];
+                        let costs = [t.t_bnn_img_s, t.t_fp_img_s];
+                        let time = modeled_batch_time(&kept, &t);
+                        assert_eq!(time, reference, "batch={batch} kept={kept:?}");
+                        let time = modeled_cascade_time(&masks, &costs, batch);
+                        assert_eq!(time, reference, "batch={batch} kept={kept:?}");
+                    }
+                }
+            }
         }
+    }
+
+    /// A threshold run's eqs. (1)/(2) equal the paper's 2-stage closed
+    /// forms over its DMU quadrants, to the bit, under both executors
+    /// and at the precision corners.
+    #[test]
+    fn two_stage_analytics_match_closed_forms_exactly() {
+        let (bnn, hw, dmu, data, host) = tiny_system_full();
+        let layers = bnn.export_latent().len();
+        let quant = QuantBnn::from_classifier(
+            &bnn,
+            mp_int::NetworkPrecision::uniform(layers, 4, 4).unwrap(),
+        )
+        .unwrap();
+        let quant = Precision::Quantized(std::sync::Arc::new(quant));
+        let mut partial = 0;
+        for threshold in [0.0f32, 0.6, 0.7, 0.8, 0.9, 1.0] {
+            let pipeline = MultiPrecisionPipeline::new(&hw, &dmu, threshold);
+            for opts in [
+                modeled_opts(),
+                threaded_opts(),
+                modeled_opts().with_precision(quant.clone()),
+                modeled_opts().with_precision(Precision::Float32),
+            ] {
+                let r = pipeline.execute(&host, &data, &opts).unwrap();
+                let q = r.quadrants;
+                let t = r.stage_traffic[0].unit_cost_s;
+                let t_fp = opts.timing().t_fp_img_s;
+                let ctx = format!("threshold {threshold}, {}", opts.precision().label());
+                assert_eq!(
+                    r.analytic_images_per_sec,
+                    model::images_per_sec(t_fp, t, q.rerun_ratio()),
+                    "{ctx}"
+                );
+                assert_eq!(
+                    r.analytic_accuracy_eq2,
+                    model::accuracy_eq2(r.bnn_accuracy, 0.5, q.rerun_ratio(), q.rerun_err_ratio()),
+                    "{ctx}"
+                );
+                let flagged = r.flagged.iter().filter(|&&f| f).count();
+                if 0 < flagged && flagged < data.len() {
+                    partial += 1;
+                }
+            }
+        }
+        assert!(partial > 0, "no threshold flagged a strict subset");
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! The unified run configuration for the heterogeneous pipeline.
 //!
-//! Earlier revisions grew a method per execution variant
-//! (`run`, `run_parallel`, `run_parallel_with`, plus the
-//! `TrainedSystem::run_pipeline*` trio). [`RunOptions`] replaces them
-//! with one builder consumed by
+//! [`RunOptions`] is the one builder consumed by
 //! [`MultiPrecisionPipeline::execute`](crate::pipeline::MultiPrecisionPipeline::execute):
-//! pick a [`Concurrency`], optionally override the threshold and host
-//! parallelism, attach a fault plan / degradation policy, and plug in an
+//! pick a [`Concurrency`] and a [`Precision`], optionally install a
+//! [`CascadePolicy`] (the decision policy; the pipeline's constructor
+//! threshold is its `dmu` default) and a host parallelism override,
+//! attach a fault plan / degradation policy, and plug in an
 //! [`mp_obs::Recorder`] for zero-cost-when-disabled instrumentation.
 //!
 //! # Example
@@ -106,9 +105,9 @@ impl Precision {
 /// options built without [`with_recorder`](Self::with_recorder) are
 /// `RunOptions<'static>` (they point at the shared
 /// [`NULL_RECORDER`]).
+#[derive(Clone)]
 pub struct RunOptions<'r> {
     timing: PipelineTiming,
-    threshold: Option<f32>,
     cascade: Option<CascadePolicy>,
     parallelism: Option<Parallelism>,
     concurrency: Concurrency,
@@ -123,7 +122,6 @@ impl std::fmt::Debug for RunOptions<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RunOptions")
             .field("timing", &self.timing)
-            .field("threshold", &self.threshold)
             .field("cascade", &self.cascade)
             .field("parallelism", &self.parallelism)
             .field("concurrency", &self.concurrency)
@@ -136,26 +134,9 @@ impl std::fmt::Debug for RunOptions<'_> {
     }
 }
 
-impl Clone for RunOptions<'_> {
-    fn clone(&self) -> Self {
-        Self {
-            timing: self.timing,
-            threshold: self.threshold,
-            cascade: self.cascade.clone(),
-            parallelism: self.parallelism,
-            concurrency: self.concurrency,
-            precision: self.precision.clone(),
-            plan: self.plan.clone(),
-            policy: self.policy,
-            host_global_accuracy: self.host_global_accuracy,
-            recorder: self.recorder,
-        }
-    }
-}
-
 impl RunOptions<'static> {
     /// Options for a [`Concurrency::Modeled`] run at `timing`, with the
-    /// pipeline's own threshold and parallelism, no faults, the default
+    /// pipeline's own decision policy and parallelism, no faults, the default
     /// degradation policy, a host global accuracy of `0.0` (the eq. (2)
     /// prediction is meaningless until
     /// [`with_host_accuracy`](Self::with_host_accuracy) supplies the
@@ -163,7 +144,6 @@ impl RunOptions<'static> {
     pub fn new(timing: PipelineTiming) -> Self {
         Self {
             timing,
-            threshold: None,
             cascade: None,
             parallelism: None,
             concurrency: Concurrency::Modeled,
@@ -177,34 +157,11 @@ impl RunOptions<'static> {
 }
 
 impl<'r> RunOptions<'r> {
-    /// Overrides the pipeline's DMU confidence threshold for this run.
-    ///
-    /// Deprecated: the threshold is the 2-stage special case of the
-    /// cascade API — use
-    /// `with_cascade(CascadePolicy::dmu(threshold))`, which is
-    /// bit-identical. The raw value is still validated by
-    /// [`execute`](crate::pipeline::MultiPrecisionPipeline::execute),
-    /// exactly as before.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use with_cascade(CascadePolicy::dmu(threshold)) — the cascade is the \
-                first-class decision API"
-    )]
-    #[must_use]
-    pub fn with_threshold(mut self, threshold: f32) -> Self {
-        self.threshold = Some(threshold);
-        self
-    }
-
     /// Installs an N-stage confidence cascade as this run's decision
-    /// policy. The canonical 2-stage instance
-    /// [`CascadePolicy::dmu`]`(t)` reproduces the legacy threshold
-    /// bit-identically (and supports both executors, faults included);
-    /// deeper cascades run under [`Concurrency::Modeled`].
-    ///
-    /// Mutually exclusive with the deprecated `with_threshold` —
-    /// [`execute`](crate::pipeline::MultiPrecisionPipeline::execute)
-    /// rejects options carrying both.
+    /// policy, in place of the pipeline's constructor threshold. The
+    /// canonical 2-stage instance [`CascadePolicy::dmu`]`(t)` is that
+    /// threshold and runs under both executors, faults included; other
+    /// shapes run under [`Concurrency::Modeled`].
     #[must_use]
     pub fn with_cascade(mut self, cascade: CascadePolicy) -> Self {
         self.cascade = Some(cascade);
@@ -283,7 +240,6 @@ impl<'r> RunOptions<'r> {
     pub fn with_recorder<'s>(self, recorder: &'s dyn Recorder) -> RunOptions<'s> {
         RunOptions {
             timing: self.timing,
-            threshold: self.threshold,
             cascade: self.cascade,
             parallelism: self.parallelism,
             concurrency: self.concurrency,
@@ -298,11 +254,6 @@ impl<'r> RunOptions<'r> {
     /// The timing constants of the run.
     pub fn timing(&self) -> &PipelineTiming {
         &self.timing
-    }
-
-    /// The per-run threshold override, if any.
-    pub fn threshold(&self) -> Option<f32> {
-        self.threshold
     }
 
     /// The installed cascade policy, if any.
@@ -354,7 +305,7 @@ mod tests {
     fn defaults_are_modeled_and_null() {
         let opts = RunOptions::new(PipelineTiming::new(1e-3, 1e-2, 10));
         assert_eq!(opts.concurrency(), Concurrency::Modeled);
-        assert!(opts.threshold().is_none());
+        assert!(opts.cascade().is_none());
         assert!(opts.parallelism().is_none());
         assert!(opts.fault_plan().is_none());
         assert!(!opts.recorder().enabled());
@@ -404,16 +355,5 @@ mod tests {
             cloned.cascade().and_then(CascadePolicy::dmu_threshold),
             Some(0.7)
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_threshold_shim_still_stores_raw_value() {
-        // The shim must keep storing the raw f32 so `execute` stays the
-        // single validation point (see
-        // `execute_threshold_override_beats_constructor`).
-        let opts = RunOptions::new(PipelineTiming::new(1e-3, 1e-2, 10)).with_threshold(3.0);
-        assert_eq!(opts.threshold(), Some(3.0));
-        assert!(opts.cascade().is_none());
     }
 }

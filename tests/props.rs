@@ -13,7 +13,9 @@ use multiprec::core::fault::{
     silence_injected_panics, DegradationPolicy, FaultPlan, FleetFaultPlan,
 };
 use multiprec::core::model;
-use multiprec::core::{CascadePolicy, MultiPrecisionPipeline, PipelineTiming, RunOptions};
+use multiprec::core::{
+    gate_accepts, CascadePolicy, MultiPrecisionPipeline, PipelineTiming, RunOptions,
+};
 use multiprec::dataset::{Dataset, SynthSpec};
 use multiprec::fleet::{FleetConfig, FleetSim, PredictionCache, ReplicaSpec, RoutingPolicy};
 use multiprec::fpga::cycle_model::{divisors, engine_cycles};
@@ -243,10 +245,37 @@ fn chaos_fixture() -> &'static (HardwareBnn, Dmu, Dataset) {
             bnn.forward_mode(&x, Mode::Train).unwrap();
         }
         let hw = HardwareBnn::from_classifier(&bnn).unwrap();
-        let dmu = Dmu::with_weights(vec![0.1; 10], 0.0);
+        // Margin weights over the sorted standardised scores, so that
+        // confidences differ between images. Uniform weights score every
+        // image exactly 0.5, and every threshold then flags all or none.
+        let dmu = Dmu::with_weights(
+            vec![
+                2.0, -1.0, -0.5, -0.2, -0.1, -0.05, -0.02, -0.01, -0.005, -0.002,
+            ],
+            0.0,
+        );
         let data = SynthSpec::tiny().generate(40).unwrap();
         (hw, dmu, data)
     })
+}
+
+/// The chaos properties compare executors on partial flag sets: a
+/// mid-range threshold must flag some images but not all of them, and
+/// every confidence stays below 1 so that threshold 1.0 flags all.
+#[test]
+fn chaos_fixture_flags_a_strict_subset() {
+    let (hw, dmu, data) = chaos_fixture();
+    let scores = hw.infer_batch(data.images()).unwrap();
+    let conf = dmu.predict_batch(&scores).unwrap();
+    assert!(conf.iter().all(|&p| p < 1.0));
+    for t in [0.6f32, 0.9] {
+        let flagged = conf.iter().filter(|&&p| !gate_accepts(p, t)).count();
+        assert!(
+            0 < flagged && flagged < data.len(),
+            "threshold {t} flags {flagged} of {}",
+            data.len()
+        );
+    }
 }
 
 fn chaos_host() -> Network {
