@@ -24,7 +24,7 @@
 
 #![deny(deprecated)]
 
-use mp_bench::{CliOptions, TextTable};
+use mp_bench::{poisson_trace, CliOptions, TextTable};
 use mp_core::experiment::TrainedSystem;
 use mp_core::fault::FleetFaultPlan;
 use mp_core::{MultiPrecisionPipeline, PipelineTiming, RunOptions};
@@ -35,37 +35,6 @@ use mp_host::zoo::ModelId;
 use mp_obs::{schema, SharedRecorder, NULL_RECORDER};
 use mp_serve::Request;
 use serde::Serialize;
-
-/// SplitMix64-style hash of `(seed, index)` to a unit float — the same
-/// construction `serve_loadgen` and `StreamFaults` use.
-fn unit_hash(seed: u64, index: u64) -> f64 {
-    let mut z = seed
-        .wrapping_add(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(index.wrapping_mul(0xA24B_AED4_963E_E407));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// Deterministic open-loop trace with a (possibly time-varying) rate:
-/// exponential inter-arrival gaps at `rate_at(t)`, images cycling
-/// through the store.
-fn varying_trace(
-    seed: u64,
-    n: usize,
-    store_len: usize,
-    rate_at: impl Fn(f64) -> f64,
-) -> Vec<Request> {
-    let mut t = 0.0f64;
-    (0..n)
-        .map(|i| {
-            let u = unit_hash(seed, i as u64);
-            t += -(1.0 - u).max(1e-12).ln() / rate_at(t).max(1e-9);
-            Request::new(i as u64, i % store_len, t)
-        })
-        .collect()
-}
 
 /// One scenario's outcome for the JSON record.
 #[derive(Serialize)]
@@ -243,7 +212,7 @@ fn main() {
     // derive the real deadline (and hedge trigger) from it.
     let probe_cfg = FleetConfig::new(RoutingPolicy::JoinShortestQueue).with_deadline_s(1e3);
     let probe_sim = FleetSim::new(specs.clone(), probe_cfg, cache.clone()).expect("probe fleet");
-    let healthy_trace = varying_trace(opts.seed, n_req, store.len(), |_| offered_rate);
+    let healthy_trace = poisson_trace(opts.seed, n_req, store.len(), |_| offered_rate);
     let probe = probe_sim
         .run(&healthy_trace, &FleetFaultPlan::none(), &NULL_RECORDER)
         .expect("healthy probe run");
@@ -417,7 +386,7 @@ fn main() {
     // Scenario 3: a 4x burst for a tenth of the horizon under the
     // precision-aware policy — the FPGA tier saturates and spills to the
     // host replica; shedding is allowed but everything stays accounted.
-    let burst_trace = varying_trace(opts.seed ^ 0xB0B5, n_req, store.len(), |t| {
+    let burst_trace = poisson_trace(opts.seed ^ 0xB0B5, n_req, store.len(), |t| {
         if (0.4 * horizon..0.5 * horizon).contains(&t) {
             4.0 * 0.4 * aggregate
         } else {
@@ -458,7 +427,7 @@ fn main() {
 
     // Scenario 4: a diurnal (sinusoidal) rate under round-robin with a
     // seeded random kill/recover schedule.
-    let diurnal_trace = varying_trace(opts.seed ^ 0xD1A1, n_req, store.len(), |t| {
+    let diurnal_trace = poisson_trace(opts.seed ^ 0xD1A1, n_req, store.len(), |t| {
         let phase = 2.0 * std::f64::consts::PI * t / (0.5 * horizon).max(1e-9);
         0.45 * aggregate * (1.0 + 0.6 * phase.sin())
     });

@@ -17,11 +17,11 @@
 //! - at the highest rate, dynamic batching must beat a forced
 //!   batch-of-1 server on throughput (the whole point of coalescing).
 
-use mp_bench::{CliOptions, TextTable};
+use mp_bench::{poisson_trace, CliOptions, TextTable};
 use mp_core::experiment::TrainedSystem;
 use mp_core::{MultiPrecisionPipeline, PipelineTiming, RunOptions};
 use mp_host::zoo::ModelId;
-use mp_serve::{BatchServer, BatcherConfig, Request, ServeReport};
+use mp_serve::{BatchServer, BatcherConfig, ServeReport};
 use serde::Serialize;
 
 /// One arrival-rate point of the sweep.
@@ -54,31 +54,6 @@ struct Record {
     batch1_highest_rate_throughput_rps: f64,
     dynamic_highest_rate_throughput_rps: f64,
     dynamic_over_batch1: f64,
-}
-
-/// SplitMix64-style hash of `(seed, index)` to a unit float — the same
-/// construction `StreamFaults` uses for its deterministic draws.
-fn unit_hash(seed: u64, index: u64) -> f64 {
-    let mut z = seed
-        .wrapping_add(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(index.wrapping_mul(0xA24B_AED4_963E_E407));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// Deterministic open-loop Poisson trace: exponential inter-arrival
-/// gaps at `rate_rps`, images cycling through the store.
-fn poisson_trace(seed: u64, n: usize, rate_rps: f64, store_len: usize) -> Vec<Request> {
-    let mut t = 0.0f64;
-    (0..n)
-        .map(|i| {
-            let u = unit_hash(seed, i as u64);
-            t += -(1.0 - u).max(1e-12).ln() / rate_rps;
-            Request::new(i as u64, i % store_len, t)
-        })
-        .collect()
 }
 
 fn point_from(mult: f64, rate_rps: f64, report: &ServeReport) -> RatePoint {
@@ -144,7 +119,7 @@ fn main() {
     let mut points = Vec::new();
     for &mult in &mults {
         let rate = mult * capacity;
-        let trace = poisson_trace(opts.seed, n_req, rate, store.len());
+        let trace = poisson_trace(opts.seed, n_req, store.len(), |_| rate);
         let report = server.serve(&trace, &run_opts).expect("serve run");
         // Same trace, same seed ⇒ byte-identical replay.
         let replay = server.serve(&trace, &run_opts).expect("serve replay");
@@ -220,7 +195,7 @@ fn main() {
 
     // Dynamic batching vs forced batch-of-1 at the highest rate.
     let highest = *mults.last().unwrap() * capacity;
-    let trace = poisson_trace(opts.seed, n_req, highest, store.len());
+    let trace = poisson_trace(opts.seed, n_req, store.len(), |_| highest);
     let batch1_cfg = BatcherConfig::try_new(1, max_delay_s, queue_capacity).expect("valid config");
     let batch1 = BatchServer::new(&pipeline, host, store, batch1_cfg)
         .serve(&trace, &run_opts)

@@ -31,6 +31,7 @@ use std::path::PathBuf;
 use serde::Serialize;
 
 use mp_core::experiment::ExperimentConfig;
+use mp_serve::Request;
 
 /// Parses the common `--smoke` / `--seed N` flags.
 ///
@@ -200,6 +201,39 @@ pub fn results_dir() -> PathBuf {
 /// Formats a ratio as a percentage with one decimal.
 pub fn pct(x: f64) -> String {
     format!("{:.1}%", 100.0 * x)
+}
+
+/// Deterministic open-loop request trace for the serving load
+/// generators: exponential inter-arrival gaps at `rate_at(t)` requests
+/// per second (floored at 1e-9), drawn from a seeded hash, so the same
+/// `seed` gives the same trace. Request `i` has id `i` and asks for image
+/// `i % store_len`.
+pub fn poisson_trace(
+    seed: u64,
+    n: usize,
+    store_len: usize,
+    rate_at: impl Fn(f64) -> f64,
+) -> Vec<Request> {
+    let mut t = 0.0f64;
+    (0..n)
+        .map(|i| {
+            let u = unit_hash(seed, i as u64);
+            t += -(1.0 - u).max(1e-12).ln() / rate_at(t).max(1e-9);
+            Request::new(i as u64, i % store_len, t)
+        })
+        .collect()
+}
+
+/// SplitMix64-style hash of `(seed, index)` to a unit float — the same
+/// construction `StreamFaults` uses for its deterministic draws.
+fn unit_hash(seed: u64, index: u64) -> f64 {
+    let mut z = seed
+        .wrapping_add(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(index.wrapping_mul(0xA24B_AED4_963E_E407));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
 #[cfg(test)]

@@ -13,8 +13,9 @@
 //! - [`router`]: pluggable [`RoutingPolicy`] — round-robin,
 //!   join-shortest-queue, and precision-aware (cheap BNN replicas
 //!   first, spill to host-only replicas under load);
-//! - [`sim`]: the discrete-event engine ([`FleetSim`]) — per-replica
-//!   bounded admission queues (reusing `mp-serve`), replica crash /
+//! - [`sim`]: the discrete-event engine ([`FleetSim`]) — one
+//!   `mp_serve::Batcher` per replica (the dynamic batcher and bounded
+//!   admission queue `BatchServer` drives), replica crash /
 //!   slowdown / recovery from a seeded
 //!   [`FleetFaultPlan`](mp_core::FleetFaultPlan), explicit re-enqueue
 //!   or shed of orphaned requests, and hedged retries with

@@ -3,7 +3,8 @@
 
 use serde::Serialize;
 
-use mp_core::{PipelineTiming, RunOptions};
+use mp_core::PipelineTiming;
+use mp_serve::BatcherConfig;
 
 use crate::FleetError;
 
@@ -22,20 +23,19 @@ pub enum ReplicaKind {
 }
 
 /// Static description of one fleet replica: its service-time profile
-/// and its dynamic-batching / admission knobs (mirroring
-/// `mp_serve::BatcherConfig`).
+/// and its dynamic-batching / admission knobs (an
+/// `mp_serve::BatcherConfig`, the same type `BatchServer` takes).
 #[derive(Debug, Clone)]
 pub struct ReplicaSpec {
     name: String,
     kind: ReplicaKind,
     timing: PipelineTiming,
-    max_batch: usize,
-    max_delay_s: f64,
-    queue_capacity: usize,
+    batcher: BatcherConfig,
 }
 
 impl ReplicaSpec {
-    /// Creates a replica spec, validating the batching knobs.
+    /// Creates a replica spec, validating the batching knobs with
+    /// [`BatcherConfig::try_new`].
     ///
     /// # Errors
     ///
@@ -50,24 +50,13 @@ impl ReplicaSpec {
         max_delay_s: f64,
         queue_capacity: usize,
     ) -> Result<Self, FleetError> {
-        if max_batch == 0 {
-            return Err(FleetError::Config("max_batch must be positive".into()));
-        }
-        if queue_capacity == 0 {
-            return Err(FleetError::Config("queue_capacity must be positive".into()));
-        }
-        if !max_delay_s.is_finite() || max_delay_s < 0.0 {
-            return Err(FleetError::Config(format!(
-                "max_delay_s {max_delay_s} must be finite and non-negative"
-            )));
-        }
+        let batcher = BatcherConfig::try_new(max_batch, max_delay_s, queue_capacity)
+            .map_err(|e| FleetError::Config(e.to_string()))?;
         Ok(Self {
             name: name.into(),
             kind,
             timing,
-            max_batch,
-            max_delay_s,
-            queue_capacity,
+            batcher,
         })
     }
 
@@ -112,33 +101,17 @@ impl ReplicaSpec {
                 "t_fp_img_s {t_fp_img_s} must be finite and positive"
             )));
         }
+        // `try_new` turns a zero `max_batch` into a typed error;
+        // `PipelineTiming::new` would panic on it first.
+        let timing = PipelineTiming::new(t_fp_img_s, t_fp_img_s, max_batch.max(1));
         Self::try_new(
             name,
             ReplicaKind::HostOnly,
-            PipelineTiming::new(t_fp_img_s, t_fp_img_s, max_batch),
+            timing,
             max_batch,
             max_delay_s,
             queue_capacity,
         )
-    }
-
-    /// Builds a spec from a per-replica [`RunOptions`] — the timing the
-    /// options carry becomes the replica's service profile, and its
-    /// pipeline chunk size becomes the dynamic-batching bound.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`try_new`](Self::try_new).
-    pub fn from_options(
-        name: impl Into<String>,
-        kind: ReplicaKind,
-        opts: &RunOptions<'_>,
-        max_delay_s: f64,
-        queue_capacity: usize,
-    ) -> Result<Self, FleetError> {
-        let timing = *opts.timing();
-        let max_batch = timing.batch_size;
-        Self::try_new(name, kind, timing, max_batch, max_delay_s, queue_capacity)
     }
 
     /// The replica's display name.
@@ -156,20 +129,9 @@ impl ReplicaSpec {
         &self.timing
     }
 
-    /// Largest batch the replica dispatches.
-    pub fn max_batch(&self) -> usize {
-        self.max_batch
-    }
-
-    /// Longest a queued head request waits before a partial batch is
-    /// dispatched anyway.
-    pub fn max_delay_s(&self) -> f64 {
-        self.max_delay_s
-    }
-
-    /// Bound of the replica's admission queue.
-    pub fn queue_capacity(&self) -> usize {
-        self.queue_capacity
+    /// The replica's dynamic-batching and admission knobs.
+    pub fn batcher(&self) -> BatcherConfig {
+        self.batcher
     }
 }
 
@@ -243,8 +205,6 @@ pub struct FleetBreaker {
     state: BreakerState,
     consecutive_failures: u32,
     probe_in_flight: bool,
-    opens: usize,
-    closes: usize,
 }
 
 impl FleetBreaker {
@@ -255,27 +215,12 @@ impl FleetBreaker {
             state: BreakerState::Closed,
             consecutive_failures: 0,
             probe_in_flight: false,
-            opens: 0,
-            closes: 0,
         }
     }
 
     /// Current state.
     pub fn state(&self) -> BreakerState {
         self.state
-    }
-
-    /// Times the breaker transitioned closed → open. A failed half-open
-    /// probe re-opens without counting a fresh open (mirrors
-    /// `CircuitBreaker::trips`).
-    pub fn opens(&self) -> usize {
-        self.opens
-    }
-
-    /// Times a successful probe closed an open breaker. A
-    /// [`reset`](Self::reset) (replica recovery) does not count.
-    pub fn closes(&self) -> usize {
-        self.closes
     }
 
     /// Whether the router may send this replica new work at `now_s`.
@@ -314,7 +259,6 @@ impl FleetBreaker {
             BreakerState::Closed => false,
             _ => {
                 self.state = BreakerState::Closed;
-                self.closes += 1;
                 true
             }
         }
@@ -334,7 +278,6 @@ impl FleetBreaker {
                     self.state = BreakerState::Open {
                         until_s: reopen_until,
                     };
-                    self.opens += 1;
                     true
                 } else {
                     false
@@ -356,8 +299,8 @@ impl FleetBreaker {
     }
 
     /// Forces the breaker shut with no memory — the replica-recovery
-    /// path (a recovered replica starts fresh). Not counted in
-    /// [`closes`](Self::closes).
+    /// path (a recovered replica starts fresh). Unlike a successful
+    /// probe, it is not reported as a close.
     pub fn reset(&mut self) {
         self.state = BreakerState::Closed;
         self.consecutive_failures = 0;
@@ -369,8 +312,47 @@ impl FleetBreaker {
 mod tests {
     use super::*;
 
-    fn breaker(threshold: u32, cooldown_s: f64) -> FleetBreaker {
-        FleetBreaker::new(BreakerConfig::try_new(threshold, cooldown_s).unwrap())
+    /// A breaker plus the opens and closes its `record_*` calls report,
+    /// tallied the way the engine fills `ReplicaStats`.
+    struct Counted {
+        breaker: FleetBreaker,
+        opens: usize,
+        closes: usize,
+    }
+
+    impl Counted {
+        fn record_failure(&mut self, now_s: f64) -> bool {
+            let opened = self.breaker.record_failure(now_s);
+            self.opens += usize::from(opened);
+            opened
+        }
+
+        fn record_success(&mut self) -> bool {
+            let closed = self.breaker.record_success();
+            self.closes += usize::from(closed);
+            closed
+        }
+    }
+
+    impl std::ops::Deref for Counted {
+        type Target = FleetBreaker;
+        fn deref(&self) -> &FleetBreaker {
+            &self.breaker
+        }
+    }
+
+    impl std::ops::DerefMut for Counted {
+        fn deref_mut(&mut self) -> &mut FleetBreaker {
+            &mut self.breaker
+        }
+    }
+
+    fn breaker(threshold: u32, cooldown_s: f64) -> Counted {
+        Counted {
+            breaker: FleetBreaker::new(BreakerConfig::try_new(threshold, cooldown_s).unwrap()),
+            opens: 0,
+            closes: 0,
+        }
     }
 
     #[test]
@@ -379,7 +361,7 @@ mod tests {
         assert!(b.would_admit(0.0));
         assert!(!b.record_failure(0.1));
         assert!(b.record_failure(0.2), "second failure trips");
-        assert_eq!(b.opens(), 1);
+        assert_eq!(b.opens, 1);
         assert_eq!(b.state(), BreakerState::Open { until_s: 1.2 });
         // Cooling down: rejects…
         assert!(!b.would_admit(1.0));
@@ -390,7 +372,7 @@ mod tests {
         assert!(!b.would_admit(1.4), "only one probe in flight");
         assert!(b.record_success());
         assert_eq!(b.state(), BreakerState::Closed);
-        assert_eq!(b.closes(), 1);
+        assert_eq!(b.closes, 1);
     }
 
     #[test]
@@ -400,16 +382,16 @@ mod tests {
         assert!(b.would_admit(0.6));
         b.on_admitted(0.6);
         assert!(!b.record_failure(0.7), "failed probe is not a new open");
-        assert_eq!(b.opens(), 1);
+        assert_eq!(b.opens, 1);
         assert_eq!(b.state(), BreakerState::Open { until_s: 1.2 });
         // Second probe succeeds.
         assert!(b.would_admit(1.2));
         b.on_admitted(1.2);
         assert!(b.record_success());
-        assert_eq!(b.closes(), 1);
+        assert_eq!(b.closes, 1);
         // A fresh failure streak counts a second open.
         assert!(b.record_failure(1.5));
-        assert_eq!(b.opens(), 2);
+        assert_eq!(b.opens, 2);
     }
 
     #[test]
@@ -421,7 +403,7 @@ mod tests {
         // the cooldown extends, no new open counted.
         assert!(!b.record_failure(0.8));
         assert_eq!(b.state(), BreakerState::Open { until_s: 1.8 });
-        assert_eq!(b.opens(), 1);
+        assert_eq!(b.opens, 1);
     }
 
     #[test]
@@ -430,7 +412,7 @@ mod tests {
         b.record_failure(0.0);
         b.reset();
         assert_eq!(b.state(), BreakerState::Closed);
-        assert_eq!(b.closes(), 0);
+        assert_eq!(b.closes, 0);
         assert!(b.would_admit(0.0));
     }
 
@@ -448,12 +430,15 @@ mod tests {
     }
 
     #[test]
-    fn spec_from_run_options_inherits_timing() {
-        let timing = PipelineTiming::new(0.002, 0.03, 8);
-        let opts = RunOptions::new(timing);
-        let spec = ReplicaSpec::from_options("r", ReplicaKind::Fpga, &opts, 0.01, 32).unwrap();
-        assert_eq!(spec.timing(), &timing);
-        assert_eq!(spec.max_batch(), 8);
+    fn host_only_spec_sizes_its_timing_from_a_validated_batcher() {
+        let host = ReplicaSpec::host_only("h", 0.02, 8, 0.01, 32).unwrap();
+        assert_eq!(host.batcher(), BatcherConfig::try_new(8, 0.01, 32).unwrap());
+        assert_eq!(host.timing().batch_size, 8);
+        assert!(ReplicaSpec::host_only("h", 0.02, 0, 0.01, 32).is_err());
+    }
+
+    #[test]
+    fn breaker_config_validation() {
         assert!(BreakerConfig::try_new(0, 1.0).is_err());
         assert!(BreakerConfig::try_new(1, 0.0).is_err());
     }

@@ -34,7 +34,7 @@ use std::collections::{HashMap, VecDeque};
 use mp_core::fault::{FleetFaultPlan, ReplicaFault, ReplicaFaultEvent};
 use mp_core::{modeled_batch_time, PipelineResult};
 use mp_obs::{schema, Recorder};
-use mp_serve::{AdmissionQueue, Enqueue, Request};
+use mp_serve::{validate_trace, Batcher, Enqueue, Request};
 
 use crate::replica::{FleetBreaker, ReplicaSpec};
 use crate::report::{FleetCompletion, FleetReport, FleetTimelineEvent, ReplicaStats, TimelineKind};
@@ -246,8 +246,8 @@ impl FleetSim {
                 )));
             }
         }
-        let mut engine = Engine::new(self, plan.sorted_events(), rec);
-        engine.validate_and_index(trace)?;
+        validate_trace(trace, self.cache.len()).map_err(|e| FleetError::Trace(e.to_string()))?;
+        let mut engine = Engine::new(self, plan.sorted_events(), rec, trace.len());
         for r in trace {
             engine.advance(r.arrival_s);
             engine.admit(r);
@@ -267,11 +267,10 @@ struct InFlight {
 
 /// Runtime state of one replica.
 struct ReplicaRt {
-    queue: AdmissionQueue,
+    batcher: Batcher,
     breaker: FleetBreaker,
     up: bool,
     slow_factor: f64,
-    free_s: f64,
     in_flight: Option<InFlight>,
     stats: ReplicaStats,
 }
@@ -363,16 +362,20 @@ struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    fn new(sim: &'a FleetSim, fault_events: Vec<ReplicaFaultEvent>, rec: &'a dyn Recorder) -> Self {
+    fn new(
+        sim: &'a FleetSim,
+        fault_events: Vec<ReplicaFaultEvent>,
+        rec: &'a dyn Recorder,
+        trace_len: usize,
+    ) -> Self {
         let reps = sim
             .specs
             .iter()
             .map(|spec| ReplicaRt {
-                queue: AdmissionQueue::new(spec.queue_capacity()),
+                batcher: Batcher::new(spec.batcher()),
                 breaker: FleetBreaker::new(sim.config.breaker),
                 up: true,
                 slow_factor: 1.0,
-                free_s: 0.0,
                 in_flight: None,
                 stats: ReplicaStats {
                     name: spec.name().to_string(),
@@ -396,8 +399,8 @@ impl<'a> Engine<'a> {
             rec,
             reps,
             router: Router::new(sim.config.policy, sim.specs.len()),
-            tracks: Vec::new(),
-            index_of: HashMap::new(),
+            tracks: Vec::with_capacity(trace_len),
+            index_of: HashMap::with_capacity(trace_len),
             fault_events,
             next_fault: 0,
             hedge_fifo: VecDeque::new(),
@@ -414,44 +417,6 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn validate_and_index(&mut self, trace: &[Request]) -> Result<(), FleetError> {
-        self.tracks.reserve(trace.len());
-        self.index_of.reserve(trace.len());
-        let mut prev = f64::NEG_INFINITY;
-        for (i, r) in trace.iter().enumerate() {
-            if !r.arrival_s.is_finite() || r.arrival_s < 0.0 {
-                return Err(FleetError::Trace(format!(
-                    "request {i}: arrival {} invalid",
-                    r.arrival_s
-                )));
-            }
-            if r.arrival_s < prev {
-                return Err(FleetError::Trace(format!(
-                    "request {i}: arrivals not sorted ({} after {prev})",
-                    r.arrival_s
-                )));
-            }
-            prev = r.arrival_s;
-            if r.image >= self.cache.len() {
-                return Err(FleetError::Trace(format!(
-                    "request {i}: image {} outside store of {}",
-                    r.image,
-                    self.cache.len()
-                )));
-            }
-            if self.index_of.contains_key(&r.id) {
-                return Err(FleetError::Trace(format!(
-                    "request {i}: duplicate id {}",
-                    r.id
-                )));
-            }
-            // Reserve the ledger slot up front; `admit` fills it.
-            self.index_of.insert(r.id, NO_REPLICA);
-        }
-        self.index_of.clear();
-        Ok(())
-    }
-
     fn ix(&self, id: u64) -> usize {
         *self.index_of.get(&id).expect("tracked request id")
     }
@@ -466,12 +431,12 @@ impl<'a> Engine<'a> {
                 rep.up
                     && !exclude.contains(*i)
                     && rep.breaker.would_admit(self.now_s)
-                    && rep.queue.len() < rep.queue.capacity()
+                    && rep.batcher.has_room()
             })
             .map(|(i, rep)| Candidate {
                 index: i,
                 kind: self.specs[i].kind(),
-                outstanding: rep.queue.len()
+                outstanding: rep.batcher.len()
                     + rep.in_flight.as_ref().map_or(0, |f| f.members.len()),
             })
             .collect()
@@ -488,7 +453,7 @@ impl<'a> Engine<'a> {
         tr.copies.add(chosen);
         let rep = &mut self.reps[chosen];
         rep.breaker.on_admitted(enqueue_s);
-        let outcome = rep.queue.offer(request);
+        let outcome = rep.batcher.offer(request);
         debug_assert_eq!(outcome, Enqueue::Accepted, "candidate had room");
         Some(chosen)
     }
@@ -525,25 +490,14 @@ impl<'a> Engine<'a> {
     }
 
     /// Time at which replica `i` would dispatch its next batch, if it
-    /// can: the serve batcher's rule — wait for a full batch or the
-    /// head's max delay, whichever first, but never before the server
-    /// frees up.
+    /// can: its batcher's rule, for a replica that is up and idle,
+    /// never before the event clock.
     fn dispatch_due(&self, i: usize) -> Option<f64> {
         let rep = &self.reps[i];
-        if !rep.up || rep.in_flight.is_some() || rep.queue.is_empty() {
+        if !rep.up || rep.in_flight.is_some() {
             return None;
         }
-        let spec = &self.specs[i];
-        let head = rep.queue.arrival_at(0).expect("non-empty queue");
-        let mut ready = head + spec.max_delay_s();
-        if rep.queue.len() >= spec.max_batch() {
-            let full_at = rep
-                .queue
-                .arrival_at(spec.max_batch() - 1)
-                .expect("max_batch-th present");
-            ready = ready.min(full_at);
-        }
-        Some(ready.max(rep.free_s).max(self.now_s))
+        rep.batcher.next_dispatch_s().map(|t| t.max(self.now_s))
     }
 
     /// Earliest hedge deadline among live, unhedged requests (the FIFO
@@ -605,7 +559,7 @@ impl<'a> Engine<'a> {
     fn dispatch(&mut self, i: usize) {
         let t = self.dispatch_due(i).expect("dispatch event was due");
         let spec = &self.specs[i];
-        let raw = self.reps[i].queue.drain_batch(spec.max_batch());
+        let raw = self.reps[i].batcher.take_batch();
         let mut members = Vec::with_capacity(raw.len());
         for m in raw {
             let idx = self.ix(m.id);
@@ -629,7 +583,7 @@ impl<'a> Engine<'a> {
         let service_s = modeled_batch_time(&kept, spec.timing()) * self.reps[i].slow_factor;
         let completion_s = t + service_s;
         let rep = &mut self.reps[i];
-        rep.free_s = completion_s;
+        rep.batcher.busy_until(completion_s);
         rep.in_flight = Some(InFlight {
             members,
             dispatch_s: t,
@@ -749,7 +703,7 @@ impl<'a> Engine<'a> {
                 if let Some(inf) = rep.in_flight.take() {
                     orphans.extend(inf.members);
                 }
-                orphans.extend(rep.queue.drain());
+                orphans.extend(rep.batcher.drain());
                 for m in orphans {
                     let idx = self.ix(m.id);
                     let tr = &mut self.tracks[idx];
@@ -786,7 +740,7 @@ impl<'a> Engine<'a> {
                     return;
                 }
                 rep.up = true;
-                rep.free_s = ev.at_s;
+                rep.batcher.busy_until(ev.at_s);
                 rep.slow_factor = 1.0;
                 rep.breaker.reset();
                 rep.stats.recoveries += 1;

@@ -1,16 +1,19 @@
-//! The dynamic batcher: a virtual-time discrete-event loop over the
-//! admission queue.
+//! The dynamic batcher and the serving loop that drives it.
 //!
-//! A batch dispatches at the first virtual instant when the server is
+//! [`Batcher`] holds the one dispatch rule of both serving front-ends:
+//! a batch dispatches at the first virtual instant when the server is
 //! free **and** either `max_batch` requests are queued or the head
 //! request has waited `max_delay_s`. Under light load that degenerates
 //! to batch-of-1 at arrival (plus the delay window); under heavy load
 //! the queue fills while the server is busy and every dispatch carries
 //! a full batch, which is exactly when the pipeline's `async`/`wait`
-//! overlap pays off. Arrivals landing at the same instant a batch
+//! overlap pays off. [`BatchServer`] replays a trace through one
+//! `Batcher` and runs each batch on the real pipeline; each `mp-fleet`
+//! replica drives its own. Arrivals landing at the same instant a batch
 //! closes join the *next* batch — a fixed tie-break that keeps the
 //! replay deterministic.
 
+use std::collections::VecDeque;
 use std::fmt;
 
 use mp_core::{CoreError, MultiPrecisionPipeline, PipelineResult, RunOptions};
@@ -19,24 +22,24 @@ use mp_nn::Network;
 use mp_obs::schema;
 use serde::{Deserialize, Error, Serialize, Value};
 
-use crate::queue::{AdmissionQueue, Enqueue, Request};
 use crate::report::{BatchRecord, Completion, ServeReport};
+use crate::request::{validate_trace, Request};
 
 /// Dynamic-batching knobs.
 ///
-/// Deserialization routes through [`try_new`](Self::try_new), so an
-/// invalid config read from disk is a typed error, never a later panic.
+/// [`try_new`](Self::try_new) is the only constructor and
+/// deserialization routes through it, so an invalid config is a typed
+/// error, never a later panic or hang. The fields are private, so a
+/// struct literal cannot skip the checks:
+///
+/// ```compile_fail,E0451
+/// let cfg = mp_serve::BatcherConfig { max_batch: 0, max_delay_s: 0.0, queue_capacity: 4 };
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct BatcherConfig {
-    /// Dispatch as soon as this many requests are queued (and the
-    /// server is free). `1` forces batch-of-1 serving.
-    pub max_batch: usize,
-    /// Dispatch a partial batch once the head request has waited this
-    /// long (seconds). `0.0` dispatches whatever is queued the moment
-    /// the server frees up.
-    pub max_delay_s: f64,
-    /// Admission-queue bound; arrivals beyond it are shed.
-    pub queue_capacity: usize,
+    max_batch: usize,
+    max_delay_s: f64,
+    queue_capacity: usize,
 }
 
 impl BatcherConfig {
@@ -69,6 +72,24 @@ impl BatcherConfig {
             queue_capacity,
         })
     }
+
+    /// Dispatch as soon as this many requests are queued (and the
+    /// server is free). `1` forces batch-of-1 serving.
+    pub fn max_batch(&self) -> usize {
+        self.max_batch
+    }
+
+    /// Dispatch a partial batch once the head request has waited this
+    /// long (seconds). `0.0` dispatches whatever is queued the moment
+    /// the server frees up.
+    pub fn max_delay_s(&self) -> f64 {
+        self.max_delay_s
+    }
+
+    /// Admission-queue bound; arrivals beyond it are shed.
+    pub fn queue_capacity(&self) -> usize {
+        self.queue_capacity
+    }
 }
 
 impl<'de> Deserialize<'de> for BatcherConfig {
@@ -80,13 +101,111 @@ impl<'de> Deserialize<'de> for BatcherConfig {
     }
 }
 
+/// Outcome of offering a request to a [`Batcher`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+pub enum Enqueue {
+    /// The request was admitted and will be served in a future batch.
+    Accepted,
+    /// The queue was full: the request is dropped (explicit
+    /// backpressure — overload sheds instead of growing memory).
+    Shed,
+}
+
+/// The dynamic batcher: a validated [`BatcherConfig`], the bounded FIFO
+/// of admitted requests, and the virtual time at which the server
+/// frees up.
+///
+/// Admission is all-or-nothing at [`offer`](Self::offer) time; once a
+/// request is in, it leaves only through [`take_batch`](Self::take_batch)
+/// or [`drain`](Self::drain), never silently. The batcher decides *when*
+/// the next batch leaves; the caller runs it and reports the server's
+/// next free instant with [`busy_until`](Self::busy_until).
+#[derive(Debug, Clone)]
+pub struct Batcher {
+    config: BatcherConfig,
+    queue: VecDeque<Request>,
+    free_s: f64,
+}
+
+impl Batcher {
+    /// An empty batcher whose server is free from time zero.
+    pub fn new(config: BatcherConfig) -> Self {
+        Self {
+            config,
+            queue: VecDeque::with_capacity(config.queue_capacity.min(1024)),
+            free_s: 0.0,
+        }
+    }
+
+    /// Offers a request: admitted if there is room, shed otherwise.
+    pub fn offer(&mut self, request: Request) -> Enqueue {
+        if self.has_room() {
+            self.queue.push_back(request);
+            Enqueue::Accepted
+        } else {
+            Enqueue::Shed
+        }
+    }
+
+    /// Whether the next [`offer`](Self::offer) would be admitted.
+    pub fn has_room(&self) -> bool {
+        self.queue.len() < self.config.queue_capacity
+    }
+
+    /// Number of queued requests.
+    pub fn len(&self) -> usize {
+        self.queue.len()
+    }
+
+    /// Whether the queue is empty.
+    pub fn is_empty(&self) -> bool {
+        self.queue.is_empty()
+    }
+
+    /// Virtual time at which the queued head batch dispatches, `None`
+    /// when nothing is queued: `max(server_free, min(head arrival +
+    /// max_delay_s, arrival of the max_batch-th request))`.
+    pub fn next_dispatch_s(&self) -> Option<f64> {
+        let deadline = self.queue.front()?.arrival_s + self.config.max_delay_s;
+        let ready = match self.queue.get(self.config.max_batch - 1) {
+            Some(full) => deadline.min(full.arrival_s),
+            None => deadline,
+        };
+        Some(self.free_s.max(ready))
+    }
+
+    /// Removes and returns the next batch: up to `max_batch` requests
+    /// from the head, in FIFO order.
+    pub fn take_batch(&mut self) -> Vec<Request> {
+        let take = self.config.max_batch.min(self.queue.len());
+        self.queue.drain(..take).collect()
+    }
+
+    /// Marks the server busy until `free_s`, the completion time of the
+    /// batch just dispatched (or when a recovered replica restarts).
+    pub fn busy_until(&mut self, free_s: f64) {
+        self.free_s = free_s;
+    }
+
+    /// Removes and returns *every* queued request, emptying the queue.
+    ///
+    /// This is the replica-death primitive: when a replica dies, its
+    /// backlog must be handed back to the router to be re-enqueued
+    /// elsewhere or shed *explicitly* — the admission guarantee ("once
+    /// admitted, never silently dropped") transfers to the caller with
+    /// the returned requests.
+    pub fn drain(&mut self) -> Vec<Request> {
+        self.queue.drain(..).collect()
+    }
+}
+
 /// Errors from the serving layer.
 #[derive(Debug)]
 pub enum ServeError {
     /// Invalid batcher configuration.
     Config(String),
-    /// A request trace violated an invariant (ordering, finiteness or
-    /// image bounds).
+    /// A request trace violated an invariant (ordering, finiteness,
+    /// image bounds or id uniqueness).
     Trace(String),
     /// A batch execution failed in the pipeline.
     Core(CoreError),
@@ -159,8 +278,9 @@ impl<'a> BatchServer<'a> {
     /// per-request/per-batch accounting.
     ///
     /// `requests` is an open-loop trace: arrival times must be finite,
-    /// non-negative and sorted non-decreasing (ties allowed). Each
-    /// batch runs through
+    /// non-negative and sorted non-decreasing (ties allowed), ids
+    /// unique, and images inside the store (see [`validate_trace`]).
+    /// Each batch runs through
     /// [`MultiPrecisionPipeline::execute`] with `opts` — faults,
     /// degradation, threshold overrides and recorders all apply per
     /// batch. The virtual clock advances by each batch's modelled
@@ -177,31 +297,24 @@ impl<'a> BatchServer<'a> {
         requests: &[Request],
         opts: &RunOptions<'_>,
     ) -> Result<ServeReport, ServeError> {
-        self.validate_trace(requests)?;
+        validate_trace(requests, self.store.len())?;
         let rec = opts.recorder();
-        let mut queue = AdmissionQueue::new(self.config.queue_capacity);
+        let mut batcher = Batcher::new(self.config);
         let mut report = ServeReport {
             completions: Vec::with_capacity(requests.len()),
             shed: Vec::new(),
             batches: Vec::new(),
         };
-        let mut server_free_s = 0.0f64;
 
         for r in requests {
             // Everything due strictly before (or at) this arrival
             // dispatches first; only then does the arrival contend for
             // a queue slot.
-            self.dispatch_due(
-                &mut queue,
-                &mut server_free_s,
-                r.arrival_s,
-                opts,
-                &mut report,
-            )?;
+            self.dispatch_due(&mut batcher, r.arrival_s, opts, &mut report)?;
             if rec.enabled() {
                 rec.add(schema::CTR_SERVE_REQUESTS, 1);
             }
-            match queue.offer(*r) {
+            match batcher.offer(*r) {
                 Enqueue::Accepted => {}
                 Enqueue::Shed => {
                     if rec.enabled() {
@@ -212,73 +325,24 @@ impl<'a> BatchServer<'a> {
             }
         }
         // Drain: no more arrivals, dispatch everything left.
-        self.dispatch_due(
-            &mut queue,
-            &mut server_free_s,
-            f64::INFINITY,
-            opts,
-            &mut report,
-        )?;
-        debug_assert!(queue.is_empty(), "drain left requests queued");
+        self.dispatch_due(&mut batcher, f64::INFINITY, opts, &mut report)?;
+        debug_assert!(batcher.is_empty(), "drain left requests queued");
         Ok(report)
-    }
-
-    fn validate_trace(&self, requests: &[Request]) -> Result<(), ServeError> {
-        let mut prev = 0.0f64;
-        for r in requests {
-            if !r.arrival_s.is_finite() || r.arrival_s < 0.0 {
-                return Err(ServeError::Trace(format!(
-                    "request {} arrival {} must be finite and non-negative",
-                    r.id, r.arrival_s
-                )));
-            }
-            if r.arrival_s < prev {
-                return Err(ServeError::Trace(format!(
-                    "request {} arrives at {} after a request at {} (trace \
-                     must be sorted by arrival)",
-                    r.id, r.arrival_s, prev
-                )));
-            }
-            if r.image >= self.store.len() {
-                return Err(ServeError::Trace(format!(
-                    "request {} image index {} out of bounds for a store of {}",
-                    r.id,
-                    r.image,
-                    self.store.len()
-                )));
-            }
-            prev = r.arrival_s;
-        }
-        Ok(())
     }
 
     /// Dispatches every batch whose dispatch instant is `<= until`.
     fn dispatch_due(
         &self,
-        queue: &mut AdmissionQueue,
-        server_free_s: &mut f64,
+        batcher: &mut Batcher,
         until: f64,
         opts: &RunOptions<'_>,
         report: &mut ServeReport,
     ) -> Result<(), ServeError> {
-        while let Some(head_arrival) = queue.arrival_at(0) {
-            // First instant the dispatch condition (full batch OR head
-            // deadline) holds...
-            let deadline = head_arrival + self.config.max_delay_s;
-            let ready = match queue.arrival_at(self.config.max_batch - 1) {
-                Some(full_at) => deadline.min(full_at),
-                None => deadline,
-            };
-            // ...gated on the server being free.
-            let dispatch_s = server_free_s.max(ready);
-            if dispatch_s > until {
-                break;
-            }
-            let members = queue.drain_batch(self.config.max_batch);
+        while let Some(dispatch_s) = batcher.next_dispatch_s().filter(|&t| t <= until) {
+            let members = batcher.take_batch();
             let result = self.run_batch(&members, opts)?;
-            let service_s = result.modeled_time_s;
-            let completion_s = dispatch_s + service_s;
-            *server_free_s = completion_s;
+            let completion_s = dispatch_s + result.modeled_time_s;
+            batcher.busy_until(completion_s);
             self.record_batch(&members, &result, dispatch_s, completion_s, opts, report);
         }
         Ok(())
@@ -347,6 +411,10 @@ fn virt_ns(s: f64) -> u64 {
 mod tests {
     use super::*;
 
+    fn batcher(max_batch: usize, max_delay_s: f64, queue_capacity: usize) -> Batcher {
+        Batcher::new(BatcherConfig::try_new(max_batch, max_delay_s, queue_capacity).unwrap())
+    }
+
     #[test]
     fn config_rejects_degenerate_values() {
         assert!(BatcherConfig::try_new(0, 1e-3, 8).is_err());
@@ -362,12 +430,107 @@ mod tests {
         let good = BatcherConfig::try_new(8, 5e-3, 64).unwrap();
         let round = BatcherConfig::from_value(&good.to_value()).expect("valid config");
         assert_eq!(round, good);
-        let bad = BatcherConfig {
-            max_batch: 0,
-            max_delay_s: 5e-3,
-            queue_capacity: 64,
-        };
-        let err = BatcherConfig::from_value(&bad.to_value()).unwrap_err();
+        let bad = Value::Map(vec![
+            ("max_batch".into(), Value::UInt(0)),
+            ("max_delay_s".into(), Value::Float(5e-3)),
+            ("queue_capacity".into(), Value::UInt(64)),
+        ]);
+        let err = BatcherConfig::from_value(&bad).unwrap_err();
         assert!(err.to_string().contains("max_batch"), "{err}");
+    }
+
+    #[test]
+    fn next_dispatch_waits_for_a_full_batch_or_the_head_deadline_and_a_free_server() {
+        let mut b = batcher(3, 0.5, 8);
+        assert_eq!(b.next_dispatch_s(), None, "nothing queued");
+        b.offer(Request::new(0, 0, 1.0));
+        b.offer(Request::new(1, 1, 1.25));
+        assert_eq!(b.next_dispatch_s(), Some(1.5), "head deadline");
+        b.offer(Request::new(2, 2, 1.375));
+        assert_eq!(b.next_dispatch_s(), Some(1.375), "batch full");
+        b.busy_until(2.0);
+        assert_eq!(b.next_dispatch_s(), Some(2.0), "server busy");
+        let ids: Vec<u64> = b.take_batch().iter().map(|r| r.id).collect();
+        assert_eq!(ids, vec![0, 1, 2]);
+        assert_eq!(b.next_dispatch_s(), None);
+    }
+
+    #[test]
+    fn offer_admits_until_full_then_sheds() {
+        let mut q = batcher(1, 0.0, 2);
+        assert_eq!(q.offer(Request::new(0, 0, 0.0)), Enqueue::Accepted);
+        assert_eq!(q.offer(Request::new(1, 1, 0.1)), Enqueue::Accepted);
+        assert!(!q.has_room());
+        assert_eq!(q.offer(Request::new(2, 2, 0.2)), Enqueue::Shed);
+        assert_eq!(q.len(), 2);
+        // Taking a batch frees capacity again.
+        let batch = q.take_batch();
+        assert_eq!(batch.len(), 1);
+        assert_eq!(batch[0].id, 0);
+        assert_eq!(q.offer(Request::new(3, 3, 0.3)), Enqueue::Accepted);
+    }
+
+    #[test]
+    fn take_batch_is_fifo_and_clamped() {
+        let mut q = batcher(2, 0.0, 8);
+        for i in 0..5 {
+            q.offer(Request::new(i, i as usize, i as f64));
+        }
+        let mut batches = Vec::new();
+        while !q.is_empty() {
+            batches.push(q.take_batch().iter().map(|r| r.id).collect::<Vec<u64>>());
+        }
+        assert_eq!(batches, vec![vec![0, 1], vec![2, 3], vec![4]]);
+    }
+
+    #[test]
+    fn drain_empties_in_fifo_order_and_frees_capacity() {
+        let mut q = batcher(1, 0.0, 3);
+        for i in 0..3 {
+            assert_eq!(
+                q.offer(Request::new(i, i as usize, i as f64)),
+                Enqueue::Accepted
+            );
+        }
+        let all: Vec<u64> = q.drain().iter().map(|r| r.id).collect();
+        assert_eq!(all, vec![0, 1, 2]);
+        assert!(q.is_empty());
+        assert_eq!(q.drain().len(), 0, "draining an empty queue is a no-op");
+        assert_eq!(q.offer(Request::new(9, 9, 9.0)), Enqueue::Accepted);
+    }
+
+    /// Shed accounting must stay exact across a drain + re-enqueue
+    /// cycle (the replica-death path): every admitted id ends up either
+    /// re-admitted or explicitly shed, exactly once — no double count,
+    /// no lost id.
+    #[test]
+    fn requeue_after_drain_partitions_ids_exactly() {
+        let mut dead = batcher(1, 0.0, 4);
+        let mut shed = Vec::new();
+        for i in 0..6u64 {
+            if dead.offer(Request::new(i, i as usize, 0.1 * i as f64)) == Enqueue::Shed {
+                shed.push(i);
+            }
+        }
+        assert_eq!(shed, vec![4, 5], "bounded admission sheds the overflow");
+        // The replica dies: its backlog moves to a smaller survivor.
+        let orphans = dead.drain();
+        assert!(dead.is_empty());
+        let mut survivor = batcher(1, 0.0, 3);
+        let mut redirected = Vec::new();
+        for r in orphans {
+            match survivor.offer(r) {
+                Enqueue::Accepted => redirected.push(r.id),
+                Enqueue::Shed => shed.push(r.id),
+            }
+        }
+        // Exact partition of the offered ids: re-admitted ∪ shed, with
+        // no id in both and none missing.
+        let mut seen: Vec<u64> = redirected.iter().chain(shed.iter()).copied().collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..6).collect::<Vec<u64>>());
+        assert_eq!(redirected.len() + shed.len(), 6);
+        assert_eq!(redirected, vec![0, 1, 2], "FIFO order survives the move");
+        assert_eq!(shed, vec![4, 5, 3], "overflow shed exactly once");
     }
 }

@@ -5,11 +5,13 @@
 //! [`TrainedSystem::execute`](mp_core::experiment::TrainedSystem::execute))
 //! takes a whole [`Dataset`](mp_dataset::Dataset) up front. This crate
 //! models the missing production shape: individual requests arriving
-//! over time, an **admission queue** with a hard bound (overload sheds
-//! instead of growing memory), and a **dynamic batcher** that coalesces
-//! queued requests into pipeline batches — batch-of-1 under light load,
-//! full batches under heavy load — exactly the latency/throughput
-//! trade-off the paper's `async(1)`/`wait(1)` loop (eqs. 1–2) is about.
+//! over time and a **dynamic batcher** ([`Batcher`]) that admits them
+//! into a queue with a hard bound (overload sheds instead of growing
+//! memory) and coalesces them into pipeline batches — batch-of-1 under
+//! light load, full batches under heavy load — exactly the
+//! latency/throughput trade-off the paper's `async(1)`/`wait(1)` loop
+//! (eqs. 1–2) is about. Every `mp-fleet` replica drives the same
+//! `Batcher`, and [`validate_trace`] checks traces for both front-ends.
 //!
 //! Time is **virtual** throughout: requests carry a deterministic
 //! arrival timestamp, batch service time is the pipeline's modelled
@@ -51,9 +53,9 @@
 #![deny(deprecated)]
 
 mod batcher;
-mod queue;
 mod report;
+mod request;
 
-pub use batcher::{BatchServer, BatcherConfig, ServeError};
-pub use queue::{AdmissionQueue, Enqueue, Request};
+pub use batcher::{BatchServer, Batcher, BatcherConfig, Enqueue, ServeError};
 pub use report::{BatchRecord, Completion, ServeReport};
+pub use request::{validate_trace, Request};

@@ -7,7 +7,7 @@ use mp_dataset::{Dataset, SynthSpec};
 use mp_nn::train::Model;
 use mp_nn::{Mode, Network};
 use mp_obs::SharedRecorder;
-use mp_serve::{BatchServer, BatcherConfig, Request};
+use mp_serve::{BatchServer, BatcherConfig, Request, ServeError};
 use mp_tensor::init::TensorRng;
 use mp_tensor::Shape;
 
@@ -189,6 +189,10 @@ fn malformed_traces_are_typed_errors() {
     // Image index out of the store.
     let oob = vec![Request::new(0, data.len(), 0.0)];
     assert!(server.serve(&oob, &o).is_err());
+    // A reused id: the report could no longer split the offered ids
+    // into served and shed.
+    let dup = vec![Request::new(3, 0, 0.0), Request::new(3, 1, 0.1)];
+    assert!(matches!(server.serve(&dup, &o), Err(ServeError::Trace(_))));
     // Empty trace is fine and yields an empty report.
     let empty = server.serve(&[], &o).unwrap();
     assert_eq!(empty.offered(), 0);

@@ -780,6 +780,74 @@ proptest! {
     }
 }
 
+// ---- one batcher: serving is the one-replica fleet ----
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `BatchServer` and every fleet replica drive the same `Batcher`,
+    /// so a healthy one-replica fleet with the serve run's timing and
+    /// batching knobs must reproduce that run exactly: every completion
+    /// field for field and the shed list. Serve prices each batch by
+    /// its own `execute`; the fleet prices it from a whole-store
+    /// `execute` through `modeled_batch_time`.
+    #[test]
+    fn one_replica_fleet_reproduces_batch_server(
+        gaps in proptest::collection::vec(0.0f64..0.02, 1..60),
+        max_batch in 1usize..9,
+        max_delay_ms in 0.0f64..10.0,
+        queue_capacity in 1usize..32,
+        threshold in 0.6f32..0.9,
+        pipeline_batch in 1usize..11
+    ) {
+        // Thresholds in [0.6, 0.9] flag a strict subset of the fixture
+        // (`chaos_fixture_flags_a_strict_subset`), so batches mix
+        // BNN-only and host-rerun images.
+        let (hw, dmu, data) = chaos_fixture();
+        let host = chaos_host();
+        let pipeline = MultiPrecisionPipeline::new(hw, dmu, threshold);
+        let timing = PipelineTiming::new(1.0 / 430.0, 1.0 / 30.0, pipeline_batch);
+        let opts = RunOptions::new(timing).with_host_accuracy(0.5);
+        let max_delay_s = max_delay_ms * 1e-3;
+        let mut t = 0.0f64;
+        let trace: Vec<Request> = gaps
+            .iter()
+            .enumerate()
+            .map(|(i, g)| {
+                t += g;
+                Request::new(i as u64, (i * 7) % data.len(), t)
+            })
+            .collect();
+
+        let cfg = BatcherConfig::try_new(max_batch, max_delay_s, queue_capacity).unwrap();
+        let served = BatchServer::new(&pipeline, &host, data, cfg)
+            .serve(&trace, &opts)
+            .unwrap();
+        let cache = PredictionCache::from_result(&pipeline.execute(&host, data, &opts).unwrap())
+            .unwrap();
+        let spec = ReplicaSpec::fpga("solo", timing, max_batch, max_delay_s, queue_capacity)
+            .unwrap();
+        let config = FleetConfig::new(RoutingPolicy::JoinShortestQueue).with_deadline_s(1e9);
+        let fleet = FleetSim::new(vec![spec], config, cache)
+            .unwrap()
+            .run(&trace, &FleetFaultPlan::none(), &multiprec::obs::NULL_RECORDER)
+            .unwrap();
+
+        let serve_rows: Vec<_> = served
+            .completions
+            .iter()
+            .map(|c| (c.id, c.image, c.prediction, c.arrival_s, c.dispatch_s, c.completion_s))
+            .collect();
+        let fleet_rows: Vec<_> = fleet
+            .completions
+            .iter()
+            .map(|c| (c.id, c.image, c.prediction, c.arrival_s, c.dispatch_s, c.completion_s))
+            .collect();
+        prop_assert_eq!(fleet_rows, serve_rows);
+        prop_assert_eq!(fleet.shed, served.shed);
+    }
+}
+
 // ---- mp-fleet: exactly-once delivery and deterministic replay ----
 
 /// A fabricated functional ground truth: fleet behaviour is independent
