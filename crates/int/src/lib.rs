@@ -11,9 +11,11 @@
 //!    every constructor and the checked `Deserialize` enforce the
 //!    supported width set and the fixed 8-bit pixel first layer.
 //! 2. **Execution** ([`quant`]): [`QuantBnn`] quantizes a trained
-//!    `BnnClassifier` to a precision and runs it on plane-decomposed
-//!    integer arithmetic (`mp_bnn::planes`), with batch-norm + quantize
-//!    pairs folded into integer threshold ladders. Its 1-bit corner is
+//!    `BnnClassifier` to a precision, packing weights into bit planes
+//!    (`mp_bnn::planes`) and folding batch-norm + quantize pairs into
+//!    integer threshold ladders. Batches run on dense `i16` weight levels
+//!    in exact `i32` lanes; `QuantBnn::infer_image` is the bit-serial
+//!    plane reference they match bit for bit. Its 1-bit corner is
 //!    bit-identical to `mp_bnn::HardwareBnn`.
 //! 3. **Cost** ([`cost`]): [`CostLut`] tabulates MACs/cycle per width
 //!    pair (the MPIC measurements) and converts a [`NetworkPrecision`]

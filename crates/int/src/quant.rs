@@ -9,6 +9,18 @@
 //! ([`LevelThresholds`]) — the multi-level FINN fold the paper's §II
 //! describes for its partially-binarised variants.
 //!
+//! # Two datapaths, one accumulation
+//!
+//! [`QuantBnn::infer_image`] is the bit-serial hardware reference: every
+//! dot product is `a_bits · w_bits` XNOR-popcount plane pairs recombined
+//! by shift-add. [`QuantBnn::infer_batch_obs`] computes the same exact
+//! integers with dense arithmetic: the planes encode
+//! `q = Σ_p 2^p·s_p = 2u − L`, so
+//! `Σ_p 2^p·Σ_i s_{p,i}·x_i = Σ_i q_i·x_i`, and each stage keeps its
+//! weights as row-major `i16` levels and takes one `i32`-lane dot per
+//! output channel. Construction proves the lanes cannot overflow
+//! (`fan_in·L_a·L_w ≤ i32::MAX`), so scores are bit-identical.
+//!
 //! # The 1-bit corner is the BNN
 //!
 //! At [`NetworkPrecision::one_bit`] every piece of this path degenerates
@@ -33,16 +45,18 @@
 //! keep scores comparable across precisions (at 1 bit the scale is 1
 //! and the scores equal the hardware integers).
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 
-use mp_bnn::hardware::{HwThreshold, INPUT_QUANT_SCALE};
+use mp_bnn::hardware::{HwThreshold, INPUT_QUANT_RANGE, INPUT_QUANT_SCALE};
 use mp_bnn::planes::{levels, quantize_level, PlaneMatrix, PlaneVec};
-use mp_bnn::{BnFold, BnnClassifier, FinnTopology, HardwareBnn, LatentKind};
+use mp_bnn::{
+    BnFold, BnnClassifier, EngineKind, EngineSpec, FinnTopology, HardwareBnn, LatentKind,
+};
 use mp_obs::{now_ns, Recorder};
 use mp_tensor::{Parallelism, Shape, ShapeError, Tensor};
 
 use crate::cost::CostLut;
-use crate::precision::NetworkPrecision;
+use crate::precision::{NetworkPrecision, PrecisionSpec};
 
 /// A folded multi-level activation for one output channel: the
 /// `L' = 2^out_bits − 1` boundary comparisons that replace
@@ -119,6 +133,193 @@ fn weight_levels(values: &[f32], bits: usize) -> Vec<i64> {
     }
 }
 
+/// Unpacks a plane matrix to row-major levels, `q = 2u − L` with bit
+/// `p` of `u` read from plane `p`. Only deserialization needs it:
+/// [`QuantBnn::from_classifier`] still holds the levels it packed.
+fn plane_levels(weights: &PlaneMatrix) -> Vec<i64> {
+    let (rows, cols) = (weights.num_rows(), weights.num_cols());
+    let mut u = vec![0i64; rows * cols];
+    for p in 0..weights.bits() {
+        let plane = weights.plane(p);
+        for r in 0..rows {
+            let row = plane.row(r);
+            for (c, slot) in u[r * cols..(r + 1) * cols].iter_mut().enumerate() {
+                if row.get(c) {
+                    *slot += 1 << p;
+                }
+            }
+        }
+    }
+    let l = levels(weights.bits());
+    u.into_iter().map(|u| 2 * u - l).collect()
+}
+
+/// Largest first-stage input magnitude: `HardwareBnn::quantize_pixel`
+/// clamps pixels to `±INPUT_QUANT_RANGE` on a `1/INPUT_QUANT_SCALE` grid.
+const PIXEL_LEVEL_MAX: i64 = (INPUT_QUANT_RANGE * INPUT_QUANT_SCALE) as i64;
+
+/// `i32` lanes of the dense dot: one 16-wide step of `i16` products,
+/// which baseline x86-64 lowers to `pmaddwd`.
+const LANES: usize = 16;
+
+/// `i32` lanes of the dense threshold-ladder count.
+const KEY_LANES: usize = 8;
+
+/// Exact dot product of two equal-length level rows whose length is a
+/// multiple of [`LANES`]. Every partial sum is bounded by the stage's
+/// `fan_in·L_a·L_w ≤ i32::MAX` (checked at construction), so no lane
+/// can overflow and the sum equals the `i64` accumulation.
+fn dot(w: &[i16], x: &[i16]) -> i32 {
+    let mut acc = [0i32; LANES];
+    for (wc, xc) in w.chunks_exact(LANES).zip(x.chunks_exact(LANES)) {
+        for ((a, &wv), &xv) in acc.iter_mut().zip(wc).zip(xc) {
+            *a += i32::from(wv) * i32::from(xv);
+        }
+    }
+    acc.iter().sum()
+}
+
+/// The `i32` comparison key of one ladder bound, exact for
+/// `|acc| ≤ i32::MAX`: the bound fires iff `(acc > key) ^ flip`, since
+/// `acc ≥ b ⟺ acc > b − 1` and `acc ≤ b ⟺ ¬(acc > b)`. Clamping the key
+/// to the `i32` range keeps an out-of-range bound always or never firing,
+/// as it does in `i64`.
+fn dense_key(t: &HwThreshold) -> (i32, i32) {
+    let clamp = |b: i64| b.clamp(i64::from(i32::MIN), i64::from(i32::MAX)) as i32;
+    if t.negate {
+        (clamp(t.bound), 1)
+    } else {
+        (clamp(t.bound.saturating_sub(1)), 0)
+    }
+}
+
+/// One stage of the dense datapath, derived from its [`QuantStage`] at
+/// construction and never serialized.
+///
+/// Weights are row-major `i16` levels, each row zero-padded to `stride`
+/// (a multiple of [`LANES`]) so [`dot`] runs whole chunks against a
+/// `stride`-long input; the zero weights make the padding inert. Each
+/// channel's [`LevelThresholds`] ladder becomes `width` [`dense_key`]
+/// pairs, padded to a multiple of [`KEY_LANES`] with keys that never
+/// fire.
+#[derive(Debug, Clone)]
+struct DenseStage {
+    rows: usize,
+    stride: usize,
+    weights: Vec<i16>,
+    width: usize,
+    keys: Vec<i32>,
+    flips: Vec<i32>,
+    /// `L'`, the bound count of every ladder (0 for the output stage).
+    bounds: i32,
+}
+
+impl DenseStage {
+    fn new(rows: usize, cols: usize, quantized: &[i64], ladders: &[LevelThresholds]) -> Self {
+        let stride = cols.next_multiple_of(LANES);
+        let mut weights = vec![0i16; rows * stride];
+        for r in 0..rows {
+            for (d, &q) in weights[r * stride..][..cols]
+                .iter_mut()
+                .zip(&quantized[r * cols..(r + 1) * cols])
+            {
+                *d = i16::try_from(q).expect("weight levels are at most 8 bits wide");
+            }
+        }
+        let bounds = ladders.first().map_or(0, LevelThresholds::num_bounds);
+        let width = bounds.next_multiple_of(KEY_LANES);
+        let mut keys = vec![i32::MAX; ladders.len() * width];
+        let mut flips = vec![0; ladders.len() * width];
+        for (ch, ladder) in ladders.iter().enumerate() {
+            for (u, t) in ladder.bounds.iter().enumerate() {
+                (keys[ch * width + u], flips[ch * width + u]) = dense_key(t);
+            }
+        }
+        Self {
+            rows,
+            stride,
+            weights,
+            width,
+            keys,
+            flips,
+            bounds: i32::try_from(bounds).expect("ladders hold at most 255 bounds"),
+        }
+    }
+
+    fn row(&self, r: usize) -> &[i16] {
+        &self.weights[r * self.stride..(r + 1) * self.stride]
+    }
+
+    /// [`LevelThresholds::level`] of channel `ch` in `i32` lanes. Ladders
+    /// hold at most 255 bounds, so the level fits an `i16`.
+    fn level(&self, ch: usize, acc: i32) -> i16 {
+        let keys = &self.keys[ch * self.width..][..self.width];
+        let flips = &self.flips[ch * self.width..][..self.width];
+        let mut fired = [0i32; KEY_LANES];
+        for (kc, fc) in keys
+            .chunks_exact(KEY_LANES)
+            .zip(flips.chunks_exact(KEY_LANES))
+        {
+            for ((n, &key), &flip) in fired.iter_mut().zip(kc).zip(fc) {
+                *n += i32::from(acc > key) ^ flip;
+            }
+        }
+        (2 * fired.iter().sum::<i32>() - self.bounds) as i16
+    }
+}
+
+/// Per-shard scratch of the dense batch path, reused across images so
+/// the steady state does not allocate.
+#[derive(Debug, Default)]
+struct DenseScratch {
+    /// Current level-coded activations (`C·H·W`, or features).
+    acts: Vec<i16>,
+    /// Next stage's activations (swapped each stage).
+    next: Vec<i16>,
+    /// One im2col patch or FC input, `stride` long.
+    patch: Vec<i16>,
+}
+
+/// One valid `k×k` convolution over level-coded `(c, h, w)`
+/// activations: an `i16` im2col patch per output pixel, one exact
+/// [`dot`] per output channel, then that channel's threshold ladder.
+/// Serves the fixed-point first engine (pixel levels) and the inner
+/// engines alike.
+fn conv_levels(
+    stage: &DenseStage,
+    k: usize,
+    acts: &[i16],
+    (c, h, w): (usize, usize, usize),
+    patch: &mut Vec<i16>,
+    out: &mut Vec<i16>,
+) -> (usize, usize, usize) {
+    let (oh, ow) = (h - k + 1, w - k + 1);
+    let od = stage.rows;
+    out.clear();
+    out.resize(od * oh * ow, 0);
+    // Each pixel overwrites the first c·k·k taps.
+    patch.clear();
+    patch.resize(stage.stride, 0);
+    for oy in 0..oh {
+        for ox in 0..ow {
+            let mut taps = patch.iter_mut();
+            for ch in 0..c {
+                for ky in 0..k {
+                    let start = (ch * h + oy + ky) * w + ox;
+                    // Source first: `zip` must not advance `taps` past the row.
+                    for (&x, tap) in acts[start..start + k].iter().zip(taps.by_ref()) {
+                        *tap = x;
+                    }
+                }
+            }
+            for oc in 0..od {
+                out[(oc * oh + oy) * ow + ox] = stage.level(oc, dot(stage.row(oc), patch));
+            }
+        }
+    }
+    (od, oh, ow)
+}
+
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 enum QuantStage {
     /// First engine: Q2.6 fixed-point pixels × multi-plane weights.
@@ -157,11 +358,152 @@ impl QuantStage {
             QuantStage::Output { .. } => "output",
         }
     }
+
+    fn weights(&self) -> &PlaneMatrix {
+        match self {
+            QuantStage::FirstConv { weights, .. }
+            | QuantStage::Conv { weights, .. }
+            | QuantStage::Fc { weights, .. }
+            | QuantStage::Output { weights, .. } => weights,
+        }
+    }
+
+    /// The per-channel ladders (none for the output stage).
+    fn thresholds(&self) -> &[LevelThresholds] {
+        match self {
+            QuantStage::FirstConv { thresholds, .. }
+            | QuantStage::Conv { thresholds, .. }
+            | QuantStage::Fc { thresholds, .. } => thresholds,
+            QuantStage::Output { .. } => &[],
+        }
+    }
+
+    /// Checks this stage against engine `i` of its topology, the layer's
+    /// precision `spec` and `out_bits`, the next layer's activation
+    /// width (`None` for the last engine), so that both datapaths can
+    /// index every weight, ladder and activation without panicking.
+    fn check(
+        &self,
+        i: usize,
+        engine: &EngineSpec,
+        spec: PrecisionSpec,
+        out_bits: Option<usize>,
+        classes: usize,
+    ) -> Result<(), String> {
+        let want = match (i == 0, out_bits.is_some(), engine.kind) {
+            (true, true, EngineKind::Conv) => "first_conv",
+            (false, true, EngineKind::Conv) => "conv",
+            (false, true, EngineKind::Fc) => "fc",
+            (false, false, EngineKind::Fc) => "output",
+            _ => {
+                return Err(format!(
+                    "engine {i} is {:?}; the first engine must be a convolution \
+                     and the last a fully-connected output",
+                    engine.kind
+                ))
+            }
+        };
+        if self.kind_name() != want {
+            return Err(format!(
+                "stage {i} is {}, engine needs {want}",
+                self.kind_name()
+            ));
+        }
+        let weights = self.weights();
+        let (rows, cols) = (engine.weight_rows(), engine.weight_cols());
+        if weights.bits() != spec.w_bits() {
+            return Err(format!(
+                "stage {i} has {} weight planes, precision says w_bits = {}",
+                weights.bits(),
+                spec.w_bits()
+            ));
+        }
+        if (weights.num_rows(), weights.num_cols()) != (rows, cols) {
+            return Err(format!(
+                "stage {i} weights are {}×{}, engine needs {rows}×{cols}",
+                weights.num_rows(),
+                weights.num_cols()
+            ));
+        }
+        let (geometry, a_bits) = match self {
+            QuantStage::FirstConv {
+                in_channels,
+                kernel,
+                pool,
+                ..
+            } => (Some((*in_channels, *kernel, *pool)), None),
+            QuantStage::Conv {
+                in_channels,
+                kernel,
+                pool,
+                a_bits,
+                ..
+            } => (Some((*in_channels, *kernel, *pool)), Some(*a_bits)),
+            QuantStage::Fc { a_bits, .. } | QuantStage::Output { a_bits, .. } => {
+                (None, Some(*a_bits))
+            }
+        };
+        if let Some(geometry) = geometry {
+            if geometry != (engine.in_channels, engine.kernel, engine.pool_after) {
+                return Err(format!(
+                    "stage {i} (in_channels, kernel, pool) = {geometry:?} does not match its engine"
+                ));
+            }
+        }
+        if let Some(out_bits) = out_bits {
+            let (ladders, bounds) = (self.thresholds(), levels(out_bits) as usize);
+            if ladders.len() != rows {
+                return Err(format!(
+                    "stage {i} has {} threshold ladders for {rows} output channels",
+                    ladders.len()
+                ));
+            }
+            if let Some(ch) = ladders.iter().position(|t| t.num_bounds() != bounds) {
+                return Err(format!(
+                    "stage {i} channel {ch} ladder has {} bounds, {out_bits}-bit outputs need {bounds}",
+                    ladders[ch].num_bounds()
+                ));
+            }
+        }
+        if let Some(a) = a_bits.filter(|&a| a != spec.a_bits()) {
+            return Err(format!(
+                "stage {i} consumes {a}-bit activations, precision says {}",
+                spec.a_bits()
+            ));
+        }
+        if out_bits.is_none() && rows < classes {
+            return Err(format!(
+                "output engine has {rows} rows for {classes} classes"
+            ));
+        }
+        // The dense path's i32 lanes must hold every partial sum.
+        let l_a = if i == 0 {
+            PIXEL_LEVEL_MAX
+        } else {
+            levels(spec.a_bits())
+        };
+        let bound = (cols as i64)
+            .checked_mul(l_a)
+            .and_then(|b| b.checked_mul(levels(spec.w_bits())));
+        if bound.is_none_or(|b| b > i64::from(i32::MAX)) {
+            return Err(format!(
+                "stage {i}: fan-in {cols} × {l_a} × {} exceeds the i32 accumulator",
+                levels(spec.w_bits())
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Functional model of a multi-precision integer accelerator: per-layer
 /// `(a_bits, w_bits)` quantized inference over bit-plane decomposed
 /// weights and level-coded activations.
+///
+/// Batches run on dense `i16` weight levels ([`Self::infer_batch_obs`]);
+/// [`Self::infer_image`] is the bit-serial plane reference they are
+/// pinned against. Serialization carries the topology, precision and
+/// plane-packed stages; deserializing validates them and rebuilds the
+/// dense rows.
 ///
 /// # Example
 ///
@@ -181,11 +523,35 @@ impl QuantStage {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QuantBnn {
     topology: FinnTopology,
     precision: NetworkPrecision,
     stages: Vec<QuantStage>,
+    /// The dense datapath per stage, derived from `stages`.
+    dense: Vec<DenseStage>,
+}
+
+impl Serialize for QuantBnn {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("topology".to_owned(), self.topology.to_value()),
+            ("precision".to_owned(), self.precision.to_value()),
+            ("stages".to_owned(), self.stages.to_value()),
+        ])
+    }
+}
+
+impl<'de> Deserialize<'de> for QuantBnn {
+    fn from_value(value: &Value) -> Result<Self, Error> {
+        let topology = FinnTopology::from_value(value.get_field("topology")?)?;
+        let precision = NetworkPrecision::from_value(value.get_field("precision")?)?;
+        let stages = Vec::<QuantStage>::from_value(value.get_field("stages")?)?;
+        Self::checked(topology, precision, stages, |_, weights| {
+            plane_levels(weights)
+        })
+        .map_err(Error::custom)
+    }
 }
 
 impl QuantBnn {
@@ -200,8 +566,9 @@ impl QuantBnn {
     /// # Errors
     ///
     /// Returns [`ShapeError`] when `precision.len()` does not match the
-    /// classifier's engine count or the classifier is structurally
-    /// inconsistent.
+    /// classifier's engine count, the classifier is structurally
+    /// inconsistent, or a stage's `fan_in·L_a·L_w` exceeds `i32::MAX`
+    /// (`L_a = 128` for the pixel-fed first stage).
     pub fn from_classifier(
         classifier: &BnnClassifier,
         precision: NetworkPrecision,
@@ -218,14 +585,12 @@ impl QuantBnn {
             ));
         }
         let mut stages = Vec::new();
+        let mut stage_levels = Vec::new();
         for (i, (stage, &spec)) in latent.iter().zip(precision.layers()).enumerate() {
             let w_bits = spec.w_bits();
-            let weights = PlaneMatrix::from_levels(
-                stage.rows,
-                stage.cols,
-                &weight_levels(&stage.weights, w_bits),
-                w_bits,
-            );
+            let quantized = weight_levels(&stage.weights, w_bits);
+            let weights = PlaneMatrix::from_levels(stage.rows, stage.cols, &quantized, w_bits);
+            stage_levels.push(quantized);
             let out_bits = precision.layers().get(i + 1).map(|s| s.a_bits());
             let fold_ladder =
                 |bn: &[BnFold], scale: f32| -> Result<Vec<LevelThresholds>, ShapeError> {
@@ -298,10 +663,60 @@ impl QuantBnn {
                 }
             }
         }
+        Self::checked(classifier.topology().clone(), precision, stages, |i, _| {
+            std::mem::take(&mut stage_levels[i])
+        })
+    }
+
+    /// The one checked constructor behind [`Self::from_classifier`] and
+    /// `Deserialize`: validates every stage against its engine and the
+    /// precision chain ([`QuantStage::check`]), then builds the dense
+    /// rows from `stage_levels(i, weights)`, stage `i`'s row-major
+    /// weight levels.
+    fn checked(
+        topology: FinnTopology,
+        precision: NetworkPrecision,
+        stages: Vec<QuantStage>,
+        mut stage_levels: impl FnMut(usize, &PlaneMatrix) -> Vec<i64>,
+    ) -> Result<Self, ShapeError> {
+        let engines = topology.engines();
+        if stages.len() != precision.len() || precision.len() != engines.len() {
+            return Err(ShapeError::new(
+                "QuantBnn",
+                format!(
+                    "{} stages and {} precision layers for {} engines",
+                    stages.len(),
+                    precision.len(),
+                    engines.len()
+                ),
+            ));
+        }
+        let layers = precision.layers();
+        for (i, (stage, engine)) in stages.iter().zip(&engines).enumerate() {
+            let out_bits = layers.get(i + 1).map(|s| s.a_bits());
+            stage
+                .check(i, engine, layers[i], out_bits, topology.classes())
+                .map_err(|msg| ShapeError::new("QuantBnn", msg))?;
+        }
+        let dense = stages
+            .iter()
+            .enumerate()
+            .map(|(i, stage)| {
+                let weights = stage.weights();
+                let quantized = stage_levels(i, weights);
+                DenseStage::new(
+                    weights.num_rows(),
+                    weights.num_cols(),
+                    &quantized,
+                    stage.thresholds(),
+                )
+            })
+            .collect();
         Ok(Self {
-            topology: classifier.topology().clone(),
+            topology,
             precision,
             stages,
+            dense,
         })
     }
 
@@ -359,23 +774,19 @@ impl QuantBnn {
         lut.network_factor(&self.precision, &self.layer_macs())
     }
 
-    /// Runs one `[1, C, H, W]` image, returning the `classes` raw
-    /// integer output accumulations (scaled by [`Self::scores_scale`]).
+    /// Runs one `[1, C, H, W]` image through the bit-serial hardware
+    /// reference, returning the `classes` raw integer output
+    /// accumulations (scaled by [`Self::scores_scale`]).
+    ///
+    /// Every dot product is the shift-add of `a_bits·w_bits` XNOR-popcount
+    /// plane pairs (`w_bits` planes against whole pixels in the first
+    /// engine), the datapath a multi-precision engine builds in hardware.
+    /// The dense batch path is pinned against it.
     ///
     /// # Errors
     ///
     /// Returns [`ShapeError`] when the image does not match the topology.
     pub fn infer_image(&self, image: &Tensor) -> Result<Vec<i64>, ShapeError> {
-        self.infer_image_inner(image, None)
-    }
-
-    /// Reference inference for one image, optionally recording one span
-    /// per stage (`quant.stage<i>.<kind>`).
-    fn infer_image_inner(
-        &self,
-        image: &Tensor,
-        obs: Option<(&dyn Recorder, &[String])>,
-    ) -> Result<Vec<i64>, ShapeError> {
         let want = Shape::nchw(
             1,
             self.topology.channels(),
@@ -395,8 +806,7 @@ impl QuantBnn {
             self.topology.width(),
         );
         let mut scores: Option<Vec<i64>> = None;
-        for (si, stage) in self.stages.iter().enumerate() {
-            let t0 = obs.map(|_| now_ns());
+        for stage in &self.stages {
             match stage {
                 QuantStage::FirstConv {
                     weights,
@@ -445,9 +855,9 @@ impl QuantBnn {
                     dims = (od, oh, ow);
                     acts = out;
                     if *pool {
-                        let (next, nd) = max_pool_levels(&acts, dims);
+                        let mut next = Vec::new();
+                        dims = max_pool_levels(&acts, dims, &mut next);
                         acts = next;
-                        dims = nd;
                     }
                 }
                 QuantStage::Conv {
@@ -486,9 +896,9 @@ impl QuantBnn {
                     dims = (od, oh, ow);
                     acts = out;
                     if *pool {
-                        let (next, nd) = max_pool_levels(&acts, dims);
+                        let mut next = Vec::new();
+                        dims = max_pool_levels(&acts, dims, &mut next);
                         acts = next;
-                        dims = nd;
                     }
                 }
                 QuantStage::Fc {
@@ -510,9 +920,6 @@ impl QuantBnn {
                     let accs = weights.matvec(&x);
                     scores = Some(accs.into_iter().take(self.topology.classes()).collect());
                 }
-            }
-            if let (Some((rec, names)), Some(start)) = (obs, t0) {
-                rec.record_span(&names[si], start, now_ns());
             }
         }
         scores.ok_or_else(|| ShapeError::new("QuantBnn::infer_image", "no output engine"))
@@ -546,10 +953,13 @@ impl QuantBnn {
     }
 
     /// [`Self::infer_batch`] sharded across `par` scoped worker threads
-    /// with per-stage wall-time spans (`quant.stage<i>.<kind>`) and the
-    /// `quant.images` / `quant.plane_macs` counters recorded against
-    /// `rec`. Recording is passive: scores are bit-identical to the
-    /// unobserved path.
+    /// with per-stage wall-time spans (`quant.stage<i>.<kind>`, one per
+    /// image and stage) and the `quant.images` / `quant.plane_macs`
+    /// counters recorded against `rec`. Plane MACs are the modeled
+    /// bit-serial work, whichever datapath computes the scores.
+    /// Recording is passive: scores are bit-identical to the unobserved
+    /// path, and to [`Self::infer_image`] divided by
+    /// [`Self::scores_scale`].
     ///
     /// # Errors
     ///
@@ -574,7 +984,8 @@ impl QuantBnn {
         }
         let n = shape.dim(0);
         let classes = self.topology.classes();
-        let scale = self.scores_scale();
+        let image_len = c * h * w;
+        let xv = images.as_slice();
         let names;
         let obs: Option<(&dyn Recorder, &[String])> = if rec.enabled() {
             names = self.stage_span_names();
@@ -587,20 +998,20 @@ impl QuantBnn {
         } else {
             None
         };
-        let infer_range = |range: std::ops::Range<usize>| -> Result<Vec<f32>, ShapeError> {
+        let infer_range = |range: std::ops::Range<usize>| -> Vec<f32> {
+            let mut scratch = DenseScratch::default();
             let mut out = Vec::with_capacity(range.len() * classes);
             for i in range {
-                let img = images.batch_item(i)?;
-                let scores = self.infer_image_inner(&img, obs)?;
-                out.extend(scores.into_iter().map(|s| s as f32 / scale));
+                let image = &xv[i * image_len..(i + 1) * image_len];
+                self.infer_dense(image, &mut scratch, obs, &mut out);
             }
-            Ok(out)
+            out
         };
         let chunks = par.chunks(n);
         let data = if chunks.len() <= 1 {
-            infer_range(0..n)?
+            infer_range(0..n)
         } else {
-            let parts: Vec<Result<Vec<f32>, ShapeError>> = std::thread::scope(|scope| {
+            let parts: Vec<Vec<f32>> = std::thread::scope(|scope| {
                 let handles: Vec<_> = chunks
                     .iter()
                     .map(|&(start, end)| scope.spawn(move || infer_range(start..end)))
@@ -610,13 +1021,68 @@ impl QuantBnn {
                     .map(|h| h.join().expect("quantized inference worker panicked"))
                     .collect()
             });
-            let mut data = Vec::with_capacity(n * classes);
-            for part in parts {
-                data.extend(part?);
-            }
-            data
+            parts.concat()
         };
         Tensor::from_vec(Shape::matrix(n, classes), data)
+    }
+
+    /// Dense inference of one image (its `C·H·W` pixels), appending the
+    /// `classes` scores divided by [`Self::scores_scale`] to `out`. With
+    /// `obs` present every stage records one span. The checked
+    /// constructor guarantees stage 0 is the first convolution and the
+    /// last stage the output engine.
+    fn infer_dense(
+        &self,
+        image: &[f32],
+        scratch: &mut DenseScratch,
+        obs: Option<(&dyn Recorder, &[String])>,
+        out: &mut Vec<f32>,
+    ) {
+        let DenseScratch { acts, next, patch } = scratch;
+        acts.clear();
+        // |pixel level| ≤ PIXEL_LEVEL_MAX, so the cast is exact.
+        acts.extend(image.iter().map(|&x| HardwareBnn::quantize_pixel(x) as i16));
+        let mut dims = (
+            self.topology.channels(),
+            self.topology.height(),
+            self.topology.width(),
+        );
+        let scale = self.scores_scale();
+        for (si, (stage, dense)) in self.stages.iter().zip(&self.dense).enumerate() {
+            let t0 = obs.map(|_| now_ns());
+            match stage {
+                QuantStage::FirstConv { kernel, pool, .. }
+                | QuantStage::Conv { kernel, pool, .. } => {
+                    dims = conv_levels(dense, *kernel, acts, dims, patch, next);
+                    std::mem::swap(acts, next);
+                    if *pool {
+                        dims = max_pool_levels(acts, dims, next);
+                        std::mem::swap(acts, next);
+                    }
+                }
+                QuantStage::Fc { .. } => {
+                    patch.clear();
+                    patch.extend_from_slice(acts);
+                    patch.resize(dense.stride, 0);
+                    next.clear();
+                    next.extend((0..dense.rows).map(|r| dense.level(r, dot(dense.row(r), patch))));
+                    std::mem::swap(acts, next);
+                    dims = (acts.len(), 1, 1);
+                }
+                QuantStage::Output { .. } => {
+                    patch.clear();
+                    patch.extend_from_slice(acts);
+                    patch.resize(dense.stride, 0);
+                    out.extend(
+                        (0..self.topology.classes())
+                            .map(|r| i64::from(dot(dense.row(r), patch)) as f32 / scale),
+                    );
+                }
+            }
+            if let (Some((rec, names)), Some(start)) = (obs, t0) {
+                rec.record_span(&names[si], start, now_ns());
+            }
+        }
     }
 
     /// Stable per-stage span names: `quant.stage<i>.<kind>`.
@@ -635,35 +1101,30 @@ impl QuantBnn {
     }
 }
 
-/// 2×2 max pooling over level-coded activations (the `b`-bit
+/// 2×2 max pooling over level-coded activations into `out` (the `b`-bit
 /// generalisation of OR pooling: `max` over odd levels, which at 1 bit
-/// is OR over `{−1, +1}`).
-fn max_pool_levels(
-    acts: &[i64],
+/// is OR over `{−1, +1}`). Returns the pooled dimensions.
+fn max_pool_levels<T: Copy + Ord>(
+    acts: &[T],
     (c, h, w): (usize, usize, usize),
-) -> (Vec<i64>, (usize, usize, usize)) {
+    out: &mut Vec<T>,
+) -> (usize, usize, usize) {
     let (oh, ow) = (h / 2, w / 2);
-    let mut out = vec![0i64; c * oh * ow];
+    out.clear();
     for ch in 0..c {
         for oy in 0..oh {
             for ox in 0..ow {
-                let mut v = i64::MIN;
-                for ky in 0..2 {
-                    for kx in 0..2 {
-                        v = v.max(acts[(ch * h + 2 * oy + ky) * w + 2 * ox + kx]);
-                    }
-                }
-                out[(ch * oh + oy) * ow + ox] = v;
+                let at = |ky: usize, kx: usize| acts[(ch * h + 2 * oy + ky) * w + 2 * ox + kx];
+                out.push(at(0, 0).max(at(0, 1)).max(at(1, 0)).max(at(1, 1)));
             }
         }
     }
-    (out, (c, oh, ow))
+    (c, oh, ow)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::precision::PrecisionSpec;
     use mp_nn::train::Model;
     use mp_nn::Mode;
     use mp_tensor::init::TensorRng;
@@ -835,28 +1296,131 @@ mod tests {
         let bnn = trained_tiny(98);
         let precision = NetworkPrecision::uniform(layer_count(&bnn), 2, 2).unwrap();
         let q = QuantBnn::from_classifier(&bnn, precision).unwrap();
+        let n = 3;
         let mut rng = TensorRng::seed_from(99);
-        let batch = rng.normal(Shape::nchw(2, 3, 8, 8), 0.0, 1.0);
+        let batch = rng.normal(Shape::nchw(n, 3, 8, 8), 0.0, 1.0);
         let rec = mp_obs::SharedRecorder::new();
-        q.infer_batch_obs(&batch, Parallelism::sequential(), &rec)
+        let par = Parallelism::new(2);
+        let traced = q.infer_batch_obs(&batch, par, &rec).unwrap();
+        let quiet = q
+            .infer_batch_obs(&batch, par, &mp_obs::NULL_RECORDER)
             .unwrap();
+        assert_eq!(traced.as_slice(), quiet.as_slice());
+
+        // One span per image and stage, under the stable names only.
         let report = rec.report();
-        let span_names: Vec<&str> = report.spans.iter().map(|s| s.name.as_str()).collect();
-        assert!(span_names
+        let names = [
+            "quant.stage0.first_conv",
+            "quant.stage1.conv",
+            "quant.stage2.fc",
+            "quant.stage3.fc",
+            "quant.stage4.output",
+        ];
+        let recorded: Vec<(&str, u64)> = report
+            .spans
             .iter()
-            .any(|n| n.starts_with(mp_obs::schema::SPAN_QUANT_STAGE_PREFIX)));
-        let images = report
-            .counters
+            .filter(|s| s.name.starts_with(mp_obs::schema::SPAN_QUANT_STAGE_PREFIX))
+            .map(|s| (s.name.as_str(), s.count))
+            .collect();
+        let expected: Vec<(&str, u64)> = names.iter().map(|&name| (name, n as u64)).collect();
+        assert_eq!(recorded, expected);
+
+        // Plane MACs stay the modeled bit-serial work: w_bits planes in
+        // the pixel-fed first engine, a_bits·w_bits plane pairs elsewhere.
+        let engines = bnn.topology().engines();
+        let per_image: u64 = engines
             .iter()
-            .find(|c| c.name == mp_obs::schema::CTR_QUANT_IMAGES)
-            .expect("images counter");
-        assert_eq!(images.value, 2);
-        let macs = report
-            .counters
-            .iter()
-            .find(|c| c.name == mp_obs::schema::CTR_QUANT_PLANE_MACS)
-            .expect("plane macs counter");
-        assert_eq!(macs.value, 2 * q.plane_macs_per_image());
+            .enumerate()
+            .map(|(i, e)| e.macs_per_image() * if i == 0 { 2 } else { 4 })
+            .sum();
+        assert_eq!(per_image, q.plane_macs_per_image());
+        assert_eq!(report.counter(mp_obs::schema::CTR_QUANT_IMAGES), n as u64);
+        assert_eq!(
+            report.counter(mp_obs::schema::CTR_QUANT_PLANE_MACS),
+            n as u64 * per_image
+        );
+    }
+
+    /// `DenseStage::level` must agree with `LevelThresholds::level` for
+    /// every accumulation the i32 lanes can hold, including bounds
+    /// outside the i32 range and degenerate always/never bounds.
+    #[test]
+    fn dense_ladder_matches_i64_ladder() {
+        let edges = [
+            i64::MIN,
+            i64::from(i32::MIN),
+            i64::from(i32::MIN) + 1,
+            -5,
+            0,
+            7,
+            i64::from(i32::MAX),
+            i64::from(i32::MAX) + 1,
+            i64::MAX,
+        ];
+        let ladders: Vec<LevelThresholds> = [false, true]
+            .into_iter()
+            .map(|negate| LevelThresholds {
+                bounds: edges
+                    .iter()
+                    .map(|&bound| HwThreshold { bound, negate })
+                    .collect(),
+            })
+            .collect();
+        let dense = DenseStage::new(2, 1, &[1, 1], &ladders);
+        let accs = [
+            -i32::MAX,
+            -i32::MAX + 1,
+            -6,
+            -5,
+            -4,
+            0,
+            6,
+            7,
+            8,
+            i32::MAX - 1,
+            i32::MAX,
+        ];
+        for (ch, ladder) in ladders.iter().enumerate() {
+            for acc in accs {
+                assert_eq!(
+                    i64::from(dense.level(ch, acc)),
+                    ladder.level(i64::from(acc)),
+                    "channel {ch}, acc {acc}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn dense_batches_match_bit_plane_reference_at_paper_scale() {
+        let mut rng = TensorRng::seed_from(104);
+        let bnn = BnnClassifier::new(FinnTopology::paper(), &mut rng).unwrap();
+        let image = rng.normal(Shape::nchw(1, 3, 32, 32), 0.0, 1.0);
+        for bits in [4usize, 8] {
+            let precision = NetworkPrecision::uniform(layer_count(&bnn), bits, bits).unwrap();
+            let q = QuantBnn::from_classifier(&bnn, precision).unwrap();
+            let reference: Vec<f32> = q
+                .infer_image(&image)
+                .unwrap()
+                .iter()
+                .map(|&s| s as f32 / q.scores_scale())
+                .collect();
+            assert_eq!(q.infer_batch(&image).unwrap().as_slice(), &reference[..]);
+        }
+    }
+
+    #[test]
+    fn i32_lanes_are_proven_at_construction() {
+        // FC fan-in 64·28·28 = 50 176: a8w8 needs 50 176·255² > i32::MAX.
+        let topology = FinnTopology::new(3, 32, 32, vec![64, 64], vec![false, false], vec![16], 10);
+        let mut rng = TensorRng::seed_from(105);
+        let bnn = BnnClassifier::new(topology, &mut rng).unwrap();
+        let layers = layer_count(&bnn);
+        let wide = NetworkPrecision::uniform(layers, 8, 8).unwrap();
+        let err = QuantBnn::from_classifier(&bnn, wide).unwrap_err();
+        assert!(err.to_string().contains("i32"), "{err}");
+        let narrow = NetworkPrecision::uniform(layers, 4, 4).unwrap();
+        assert!(QuantBnn::from_classifier(&bnn, narrow).is_ok());
     }
 
     #[test]
@@ -872,6 +1436,57 @@ mod tests {
             q.infer_batch(&batch).unwrap().as_slice(),
             back.infer_batch(&batch).unwrap().as_slice()
         );
+    }
+
+    /// The map entry `key` of an object value.
+    fn entry<'a>(value: &'a mut Value, key: &str) -> &'a mut Value {
+        match value {
+            Value::Map(entries) => entries
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v)
+                .expect("field present"),
+            other => panic!("expected an object, got {other:?}"),
+        }
+    }
+
+    fn seq(value: &mut Value) -> &mut Vec<Value> {
+        match value {
+            Value::Seq(items) => items,
+            other => panic!("expected an array, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn forged_payloads_are_rejected() {
+        let bnn = trained_tiny(106);
+        let precision = NetworkPrecision::uniform(layer_count(&bnn), 2, 4).unwrap();
+        let good = QuantBnn::from_classifier(&bnn, precision)
+            .unwrap()
+            .to_value();
+        assert!(QuantBnn::from_value(&good).is_ok());
+        // Stage 1 is `{"Conv": {...}}`.
+        let forgeries: [fn(&mut Value); 3] = [
+            // One channel's ladder removed.
+            |v| {
+                let stage = entry(&mut seq(entry(v, "stages"))[1], "Conv");
+                seq(entry(stage, "thresholds")).pop();
+            },
+            // One weight plane removed.
+            |v| {
+                let stage = entry(&mut seq(entry(v, "stages"))[1], "Conv");
+                seq(entry(entry(stage, "weights"), "planes")).pop();
+            },
+            // A precision chain one layer short.
+            |v| {
+                seq(entry(entry(v, "precision"), "layers")).pop();
+            },
+        ];
+        for (i, forge) in forgeries.iter().enumerate() {
+            let mut value = good.clone();
+            forge(&mut value);
+            assert!(QuantBnn::from_value(&value).is_err(), "forgery {i}");
+        }
     }
 
     #[test]

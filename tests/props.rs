@@ -23,7 +23,7 @@ use multiprec::fpga::device::Device;
 use multiprec::fpga::folding::{EngineFolding, Folding, FoldingSearch};
 use multiprec::fpga::memory::{allocate_array, best_partition};
 use multiprec::fpga::stream_sim::StreamSim;
-use multiprec::int::{NetworkPrecision, QuantBnn};
+use multiprec::int::{NetworkPrecision, PrecisionSpec, QuantBnn};
 use multiprec::nn::train::Model;
 use multiprec::nn::{Mode, Network};
 use multiprec::obs::SharedRecorder;
@@ -985,12 +985,11 @@ proptest! {
 
 // ---- mp-int: multi-plane arithmetic and the precision corners ----
 
-/// Trained-once pair for the precision-corner identity: the optimized
-/// XNOR-popcount hardware view and the multi-plane quantized path at
-/// `NetworkPrecision::one_bit`, built from the same classifier.
-fn quant_corner_fixture() -> &'static (HardwareBnn, QuantBnn) {
-    static FIXTURE: OnceLock<(HardwareBnn, QuantBnn)> = OnceLock::new();
-    FIXTURE.get_or_init(|| {
+/// Trained-once classifier on `FinnTopology::scaled(8, 8, 8)` that the
+/// quantized-path properties quantize.
+fn quant_classifier() -> &'static BnnClassifier {
+    static BNN: OnceLock<BnnClassifier> = OnceLock::new();
+    BNN.get_or_init(|| {
         let mut rng = TensorRng::seed_from(4018);
         let mut bnn =
             BnnClassifier::new(multiprec::bnn::FinnTopology::scaled(8, 8, 8), &mut rng).unwrap();
@@ -998,10 +997,21 @@ fn quant_corner_fixture() -> &'static (HardwareBnn, QuantBnn) {
             let x = rng.normal(multiprec::tensor::Shape::nchw(8, 3, 8, 8), 0.0, 1.0);
             bnn.forward_mode(&x, Mode::Train).unwrap();
         }
-        let hw = HardwareBnn::from_classifier(&bnn).unwrap();
+        bnn
+    })
+}
+
+/// Trained-once pair for the precision-corner identity: the optimized
+/// XNOR-popcount hardware view and the multi-plane quantized path at
+/// `NetworkPrecision::one_bit`, built from the same classifier.
+fn quant_corner_fixture() -> &'static (HardwareBnn, QuantBnn) {
+    static FIXTURE: OnceLock<(HardwareBnn, QuantBnn)> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let bnn = quant_classifier();
+        let hw = HardwareBnn::from_classifier(bnn).unwrap();
         let layers = bnn.export_latent().len();
         let quant = QuantBnn::from_classifier(
-            &bnn,
+            bnn,
             NetworkPrecision::one_bit(layers).expect("1-bit precision"),
         )
         .unwrap();
@@ -1089,6 +1099,46 @@ proptest! {
         prop_assert_eq!(quant.scores_scale(), 1.0);
         prop_assert_eq!(fast.shape(), q.shape());
         prop_assert_eq!(fast.as_slice(), q.as_slice());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The dense batch path computes the bit-plane reference's exact
+    /// integers: for any per-layer precision chain (8-bit pixels into the
+    /// first layer), batch size and worker-thread count, every image's
+    /// batch scores equal `infer_image` divided by `scores_scale`.
+    #[test]
+    fn quant_dense_batch_matches_bit_plane_reference(
+        first_w in 0usize..4,
+        inner in proptest::collection::vec((0usize..4, 0usize..4), 4),
+        seed in any::<u64>(), n in 0usize..10, threads in 1usize..5
+    ) {
+        const BITS: [usize; 4] = [1, 2, 4, 8];
+        let mut layers = vec![PrecisionSpec::try_new(8, BITS[first_w]).unwrap()];
+        layers.extend(
+            inner
+                .iter()
+                .map(|&(a, w)| PrecisionSpec::try_new(BITS[a], BITS[w]).unwrap()),
+        );
+        let precision = NetworkPrecision::try_new(layers).unwrap();
+        let quant = QuantBnn::from_classifier(quant_classifier(), precision).unwrap();
+        let mut rng = TensorRng::seed_from(seed);
+        let batch = rng.normal(Shape::nchw(n, 3, 8, 8), 0.0, 1.5);
+        let got = quant
+            .infer_batch_obs(&batch, Parallelism::new(threads), &multiprec::obs::NULL_RECORDER)
+            .unwrap();
+        prop_assert_eq!(got.shape().dims(), &[n, 10][..]);
+        for i in 0..n {
+            let reference: Vec<f32> = quant
+                .infer_image(&batch.batch_item(i).unwrap())
+                .unwrap()
+                .iter()
+                .map(|&s| s as f32 / quant.scores_scale())
+                .collect();
+            prop_assert_eq!(&got.as_slice()[i * 10..(i + 1) * 10], &reference[..], "image {}", i);
+        }
     }
 }
 
