@@ -8,7 +8,7 @@
 //! feed the DMU. `mp-fpga` attaches timing and memory models to this
 //! structure; here it executes functionally, bit-exactly.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 
 use mp_obs::{now_ns, Recorder};
 use mp_tensor::{Parallelism, Shape, ShapeError, Tensor};
@@ -150,7 +150,107 @@ enum HwStage {
     OutputFc { weights: BitMatrix },
 }
 
+impl HwStage {
+    /// The `<kind>` of the stage's `bnn.stage<i>.<kind>` span.
+    fn kind_name(&self) -> &'static str {
+        match self {
+            HwStage::FirstConv { .. } => "first_conv",
+            HwStage::BinConv { .. } => "bin_conv",
+            HwStage::BinFc { .. } => "bin_fc",
+            HwStage::OutputFc { .. } => "output_fc",
+        }
+    }
+
+    /// Checks stage `i` of `engines` total (`convs` of them convolutions)
+    /// against its topology engine: kind and position, weight shape,
+    /// conv geometry and one threshold per weight row.
+    fn check(
+        &self,
+        i: usize,
+        engine: &EngineSpec,
+        convs: usize,
+        engines: usize,
+    ) -> Result<(), String> {
+        let want = if i == 0 {
+            "first_conv"
+        } else if i < convs {
+            "bin_conv"
+        } else if i + 1 < engines {
+            "bin_fc"
+        } else {
+            "output_fc"
+        };
+        if self.kind_name() != want {
+            return Err(format!(
+                "stage {i} is {}, engine needs {want}",
+                self.kind_name()
+            ));
+        }
+        let (weights, thresholds, geometry) = match self {
+            HwStage::FirstConv {
+                weights,
+                thresholds,
+                in_channels,
+                kernel,
+                pool,
+            }
+            | HwStage::BinConv {
+                weights,
+                thresholds,
+                in_channels,
+                kernel,
+                pool,
+            } => (
+                weights,
+                Some(thresholds),
+                Some((*in_channels, *kernel, *pool)),
+            ),
+            HwStage::BinFc {
+                weights,
+                thresholds,
+            } => (weights, Some(thresholds), None),
+            HwStage::OutputFc { weights } => (weights, None, None),
+        };
+        let (rows, cols) = (engine.weight_rows(), engine.weight_cols());
+        if (weights.num_rows(), weights.num_cols()) != (rows, cols) {
+            return Err(format!(
+                "stage {i} weights are {}×{}, engine needs {rows}×{cols}",
+                weights.num_rows(),
+                weights.num_cols()
+            ));
+        }
+        if let Some(geometry) = geometry {
+            if geometry != (engine.in_channels, engine.kernel, engine.pool_after) {
+                return Err(format!(
+                    "stage {i} (in_channels, kernel, pool) = {geometry:?} does not match its engine"
+                ));
+            }
+        }
+        if let Some(thresholds) = thresholds {
+            if thresholds.len() != rows {
+                return Err(format!(
+                    "stage {i} has {} thresholds for {rows} weight rows",
+                    thresholds.len()
+                ));
+            }
+        }
+        // The first engine's i32 lanes hold sums of up to `fan_in`
+        // pixels of magnitude ≤ 128 (see `first_conv_block`).
+        if i == 0 && cols > (i32::MAX / 256) as usize {
+            return Err(format!(
+                "stage 0 fan-in {cols} overflows the first engine's i32 lanes"
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// Bit-exact functional model of the synthesised FINN accelerator.
+///
+/// Serialises as its topology and stages only; deserialization checks
+/// them against each other (the same checked constructor as
+/// [`Self::from_classifier`]) and rebuilds the batch path's packed
+/// weights.
 ///
 /// # Example
 ///
@@ -167,10 +267,32 @@ enum HwStage {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HardwareBnn {
     topology: FinnTopology,
     stages: Vec<HwStage>,
+    /// The first engine's tap-offset tables, built at construction.
+    first_plan: FirstConvPlan,
+    /// Per `BinConv` stage, in order: its weights repacked at
+    /// construction (see [`pack_conv_weights`]).
+    conv_quads: Vec<Vec<[u64; 4]>>,
+}
+
+impl Serialize for HardwareBnn {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("topology".to_owned(), self.topology.to_value()),
+            ("stages".to_owned(), self.stages.to_value()),
+        ])
+    }
+}
+
+impl<'de> Deserialize<'de> for HardwareBnn {
+    fn from_value(value: &Value) -> Result<Self, Error> {
+        let topology = FinnTopology::from_value(value.get_field("topology")?)?;
+        let stages = Vec::<HwStage>::from_value(value.get_field("stages")?)?;
+        Self::checked(topology, stages).map_err(Error::custom)
+    }
 }
 
 impl HardwareBnn {
@@ -254,9 +376,59 @@ impl HardwareBnn {
                 Stage::Flatten { .. } => {}
             }
         }
+        Self::checked(classifier.topology().clone(), stages)
+    }
+
+    /// The one constructor behind [`Self::from_classifier`] and
+    /// deserialization: checks the stages against the topology's engines
+    /// (`FirstConv`, then `BinConv`*, `BinFc`*, `OutputFc`, one per
+    /// engine, each with its engine's weight shape, geometry and one
+    /// threshold per row), then builds the batch path's construction-time
+    /// data. Inference relies on these checks instead of repeating them.
+    fn checked(topology: FinnTopology, stages: Vec<HwStage>) -> Result<Self, ShapeError> {
+        let engines = topology.try_engines()?;
+        if stages.len() != engines.len() {
+            return Err(ShapeError::new(
+                "HardwareBnn",
+                format!("{} stages for {} engines", stages.len(), engines.len()),
+            ));
+        }
+        let convs = topology.conv_channels().len();
+        for (i, (stage, engine)) in stages.iter().zip(&engines).enumerate() {
+            stage
+                .check(i, engine, convs, engines.len())
+                .map_err(|msg| ShapeError::new("HardwareBnn", msg))?;
+        }
+        let mut first_plan = FirstConvPlan::default();
+        let mut conv_quads = Vec::new();
+        for stage in &stages {
+            match stage {
+                HwStage::FirstConv {
+                    weights,
+                    in_channels,
+                    kernel,
+                    ..
+                } => {
+                    first_plan = FirstConvPlan::new(
+                        weights,
+                        (*in_channels, topology.height(), topology.width()),
+                        *kernel,
+                    );
+                }
+                HwStage::BinConv {
+                    weights,
+                    in_channels,
+                    kernel,
+                    ..
+                } => conv_quads.push(pack_conv_weights(weights, *in_channels, *kernel)),
+                HwStage::BinFc { .. } | HwStage::OutputFc { .. } => {}
+            }
+        }
         Ok(Self {
-            topology: classifier.topology().clone(),
+            topology,
             stages,
+            first_plan,
+            conv_quads,
         })
     }
 
@@ -543,11 +715,12 @@ impl HardwareBnn {
     /// Optimised batched inference, bit-identical to [`Self::infer_batch`],
     /// sharding images across `par` scoped worker threads.
     ///
-    /// Per shard, scratch buffers are reused across images and the first
-    /// engine's weight bits are unpacked once into ±1 integers, so the
-    /// per-pixel inner loop is a branchless multiply–accumulate instead
-    /// of a bit-test per weight. Integer arithmetic in the same order as
-    /// the reference path keeps every accumulation exact.
+    /// Per shard, scratch buffers are reused across images. The first
+    /// engine runs blocks of images over its tap-offset plan, and every
+    /// binary map stays channel-packed between engines, so each
+    /// `BinConv` patch is `k` runs of contiguous words dotted against
+    /// weights repacked once at construction. Integer arithmetic keeps
+    /// every accumulation exact.
     ///
     /// # Errors
     ///
@@ -603,10 +776,10 @@ impl HardwareBnn {
         if chunks.len() <= 1 {
             let mut ctx = HwInferCtx::default();
             let mut data = Vec::with_capacity(n * classes);
-            self.infer_range_inner(xv, &mut ctx, obs_ref, &mut data)?;
+            self.infer_range_inner(xv, &mut ctx, obs_ref, &mut data);
             return Tensor::from_vec(Shape::matrix(n, classes), data);
         }
-        let parts: Vec<Result<Vec<f32>, ShapeError>> = std::thread::scope(|scope| {
+        let parts: Vec<Vec<f32>> = std::thread::scope(|scope| {
             let handles: Vec<_> = chunks
                 .iter()
                 .map(|&(start, end)| {
@@ -614,8 +787,8 @@ impl HardwareBnn {
                     scope.spawn(move || {
                         let mut ctx = HwInferCtx::default();
                         let mut part = Vec::new();
-                        self.infer_range_inner(slice, &mut ctx, obs_ref, &mut part)?;
-                        Ok(part)
+                        self.infer_range_inner(slice, &mut ctx, obs_ref, &mut part);
+                        part
                     })
                 })
                 .collect();
@@ -624,11 +797,7 @@ impl HardwareBnn {
                 .map(|h| h.join().expect("BNN inference worker panicked"))
                 .collect()
         });
-        let mut data = Vec::with_capacity(n * classes);
-        for part in parts {
-            data.extend(part?);
-        }
-        Tensor::from_vec(Shape::matrix(n, classes), data)
+        Tensor::from_vec(Shape::matrix(n, classes), parts.concat())
     }
 
     /// Creates a reusable single-thread block-inference stream: the
@@ -647,160 +816,96 @@ impl HardwareBnn {
         self.stages
             .iter()
             .enumerate()
-            .map(|(i, stage)| {
-                let kind = match stage {
-                    HwStage::FirstConv { .. } => "first_conv",
-                    HwStage::BinConv { .. } => "bin_conv",
-                    HwStage::BinFc { .. } => "bin_fc",
-                    HwStage::OutputFc { .. } => "output_fc",
-                };
-                format!("bnn.stage{i}.{kind}")
-            })
+            .map(|(i, stage)| format!("bnn.stage{i}.{}", stage.kind_name()))
             .collect()
-    }
-
-    /// Builds the first engine's tap-offset tables: the ±1 dot of a
-    /// patch equals `2 * (sum at positive-weight taps) - (sum over all
-    /// taps)`, so each output channel only needs its positive-tap
-    /// offsets into the quantised image plane — no patch gather, no
-    /// multiplies. Depends only on the topology, so a [`BnnBlockStream`]
-    /// builds it once and reuses it across every block.
-    fn build_first_conv_plan(&self, plan: &mut FirstConvPlan) {
-        let (h, w) = (self.topology.height(), self.topology.width());
-        if let Some(HwStage::FirstConv {
-            weights,
-            in_channels,
-            kernel,
-            ..
-        }) = self.stages.first()
-        {
-            let (c, k) = (*in_channels, *kernel);
-            for ch in 0..c {
-                for ky in 0..k {
-                    for kx in 0..k {
-                        plan.all.push((ch * h * w + ky * w + kx) as u32);
-                    }
-                }
-            }
-            plan.pos_start.push(0);
-            for r in 0..weights.num_rows() {
-                let row = weights.row(r);
-                for (i, &d) in plan.all.iter().enumerate() {
-                    if row.get(i) {
-                        plan.pos.push(d);
-                    }
-                }
-                plan.pos_start.push(plan.pos.len() as u32);
-            }
-        }
     }
 
     /// Runs a contiguous run of images (raw `C·H·W` planes) through the
     /// accelerator, appending `classes` float scores per image to `out`.
-    /// All scratch state (tap plan, activation planes, lane buffers)
-    /// lives in `ctx`, so repeated calls on one context are
-    /// allocation-free in steady state. With `obs` present, every
-    /// stage's wall time is recorded as a span (the names indexed by
-    /// global stage position).
+    /// All scratch state (activation maps, lane buffers) lives in `ctx`,
+    /// so repeated calls on one context are allocation-free in steady
+    /// state. With `obs` present, every stage's wall time is recorded as
+    /// a span (the names indexed by global stage position): the first
+    /// engine's block compute as [`SPAN_FIRST_CONV_BLOCK`], and each
+    /// image's stage-0 map hand-off (copy or fused OR-pool) under the
+    /// stage-0 name, so every `bnn.stage<i>.<kind>` counts one span per
+    /// image.
     fn infer_range_inner(
         &self,
         images: &[f32],
         ctx: &mut HwInferCtx,
         obs: Option<(&dyn Recorder, &[String])>,
         out: &mut Vec<f32>,
-    ) -> Result<(), ShapeError> {
-        let (h, w) = (self.topology.height(), self.topology.width());
-        let image_len = self.topology.channels() * h * w;
-        let n = images.len() / image_len;
-        if !ctx.plan_ready {
-            self.build_first_conv_plan(&mut ctx.plan);
-            ctx.plan_ready = true;
-        }
-        let HwInferCtx {
-            plan,
-            scratch,
-            qt,
-            bits_block,
-            ..
-        } = ctx;
-        out.reserve(n * self.topology.classes());
-        if let Some(HwStage::FirstConv {
-            weights,
+    ) {
+        let HwStage::FirstConv {
             thresholds,
-            in_channels,
             kernel,
             pool,
-        }) = self.stages.first()
-        {
-            let (c, k) = (*in_channels, *kernel);
-            let (oh, ow) = (h - k + 1, w - k + 1);
-            let od = weights.num_rows();
-            let plane = od * oh * ow;
-            for block in images.chunks(IMG_BLOCK * image_len) {
-                let b = block.len() / image_len;
-                let t0 = obs.map(|_| now_ns());
-                self.first_conv_block(thresholds, plan, block, (c, h, w, k, od), qt, bits_block);
-                // One span per block for the first engine's compute…
-                if let (Some((rec, names)), Some(start)) = (obs, t0) {
+            ..
+        } = &self.stages[0]
+        else {
+            unreachable!("checked construction puts a FirstConv first");
+        };
+        let (h, w) = (self.topology.height(), self.topology.width());
+        let image_len = self.topology.channels() * h * w;
+        let (od, oh, ow) = (thresholds.len(), h - kernel + 1, w - kernel + 1);
+        let plane = oh * ow * od.div_ceil(64);
+        let HwInferCtx {
+            scratch,
+            qt,
+            block_maps,
+        } = ctx;
+        out.reserve(images.len() / image_len * self.topology.classes());
+        for block in images.chunks(IMG_BLOCK * image_len) {
+            let t0 = obs.map(|_| now_ns());
+            self.first_conv_block(thresholds, *kernel, block, qt, block_maps);
+            if let (Some((rec, _)), Some(start)) = (obs, t0) {
+                rec.record_span(SPAN_FIRST_CONV_BLOCK, start, now_ns());
+            }
+            for i in 0..block.len() / image_len {
+                let tc = obs.map(|_| now_ns());
+                let map = &block_maps[i * plane..(i + 1) * plane];
+                let mut dims = (od, oh, ow);
+                if *pool {
+                    dims = or_pool_words(map, dims, &mut scratch.map);
+                } else {
+                    scratch.map.clear();
+                    scratch.map.extend_from_slice(map);
+                }
+                if let (Some((rec, names)), Some(start)) = (obs, tc) {
                     rec.record_span(&names[0], start, now_ns());
                 }
-                for i in 0..b {
-                    // …plus one per image for its plane copy and fused
-                    // OR-pool, so the stage-0 total tracks wall time.
-                    let tc = obs.map(|_| now_ns());
-                    let mut dims = (od, oh, ow);
-                    scratch.bits.clear();
-                    scratch
-                        .bits
-                        .extend_from_slice(&bits_block[i * plane..(i + 1) * plane]);
-                    if *pool {
-                        dims = or_pool_into(&scratch.bits, dims, &mut scratch.next);
-                        std::mem::swap(&mut scratch.bits, &mut scratch.next);
-                    }
-                    if let (Some((rec, names)), Some(start)) = (obs, tc) {
-                        rec.record_span(&names[0], start, now_ns());
-                    }
-                    self.infer_tail(&self.stages[1..], dims, scratch, out, obs, 1)?;
-                }
-            }
-        } else {
-            // No leading fixed-point engine (not producible by
-            // `from_classifier`, which always folds the first convolution
-            // into a `FirstConv`): run the remaining engines directly.
-            let dims = (self.topology.channels(), h, w);
-            for _ in 0..n {
-                scratch.bits.clear();
-                self.infer_tail(&self.stages, dims, scratch, out, obs, 0)?;
+                self.infer_tail(dims, scratch, out, obs);
             }
         }
-        Ok(())
     }
 
-    /// First-engine pass over a block of `b <= IMG_BLOCK` images.
+    /// First-engine pass over a block of `b <= IMG_BLOCK` images,
+    /// writing each image's channel-packed output map (before pooling)
+    /// into `block_maps`.
     ///
     /// The quantised planes are stored transposed (`qt[pixel][image]`),
     /// so each tap of the `2 * pos_sum - total` dot (see
     /// [`FirstConvPlan`]) is one contiguous `IMG_BLOCK`-lane integer add
     /// that the compiler vectorises across images. The i32 lanes are
     /// exact: |q| <= 128, so every partial sum is bounded by
-    /// `fan_in * 128`, far inside i32 range — bit-identical to the i64
-    /// reference path.
+    /// `fan_in * 128`, far inside i32 range (checked at construction) —
+    /// bit-identical to the i64 reference path.
     fn first_conv_block(
         &self,
         thresholds: &[HwThreshold],
-        plan: &FirstConvPlan,
+        k: usize,
         images: &[f32],
-        (c, h, w, k, od): (usize, usize, usize, usize, usize),
         qt: &mut Vec<i32>,
-        bits_block: &mut Vec<bool>,
+        block_maps: &mut Vec<u64>,
     ) {
+        let plan = &self.first_plan;
+        let (h, w) = (self.topology.height(), self.topology.width());
         let (oh, ow) = (h - k + 1, w - k + 1);
-        let image_len = c * h * w;
+        let image_len = self.topology.channels() * h * w;
         let b = images.len() / image_len;
-        let plane = od * oh * ow;
-        let fan_in = c * k * k;
-        assert!(fan_in <= (i32::MAX / 256) as usize);
-        debug_assert_eq!(plan.all.len(), fan_in);
+        let ocw = thresholds.len().div_ceil(64);
+        let plane = oh * ow * ocw;
         qt.clear();
         qt.resize(image_len * IMG_BLOCK, 0);
         for i in 0..b {
@@ -809,8 +914,8 @@ impl HardwareBnn {
                 qt[p * IMG_BLOCK + i] = Self::quantize_pixel(x) as i32;
             }
         }
-        bits_block.clear();
-        bits_block.resize(b * plane, false);
+        block_maps.clear();
+        block_maps.resize(b * plane, 0);
         for oy in 0..oh {
             for ox in 0..ow {
                 let p0 = oy * w + ox;
@@ -821,7 +926,8 @@ impl HardwareBnn {
                         *t += x;
                     }
                 }
-                for (oc, t) in thresholds.iter().enumerate().take(od) {
+                let pix = (oy * ow + ox) * ocw;
+                for (oc, t) in thresholds.iter().enumerate() {
                     let taps =
                         &plan.pos[plan.pos_start[oc] as usize..plan.pos_start[oc + 1] as usize];
                     let mut pos_sum = [0i32; IMG_BLOCK];
@@ -831,172 +937,129 @@ impl HardwareBnn {
                             *s += x;
                         }
                     }
-                    let out_idx = (oc * oh + oy) * ow + ox;
+                    let (word, bit) = (pix + oc / 64, oc % 64);
                     for i in 0..b {
                         let dot = 2 * pos_sum[i] - total[i];
-                        bits_block[i * plane + out_idx] = t.fires(i64::from(dot));
+                        block_maps[i * plane + word] |= u64::from(t.fires(i64::from(dot))) << bit;
                     }
                 }
             }
         }
     }
 
-    /// Runs the engines after the first through one image's binary
-    /// activations (`scratch.bits`), mirroring [`Self::infer_image`]
-    /// accumulation-for-accumulation (so results are bit-identical)
-    /// while reusing `scratch` buffers instead of allocating per pixel.
+    /// Runs the engines after the first through one image's
+    /// channel-packed map (`scratch.map`, `dims` = `(c, h, w)`),
+    /// computing every accumulation [`Self::infer_image`] computes, so
+    /// results are bit-identical.
+    ///
+    /// Channel `ch` of pixel `(y, x)` is bit `ch % 64` of word
+    /// `(y·w + x)·⌈c/64⌉ + ch/64`, padding bits zero. A `BinConv` patch
+    /// is then `k` runs of `k·⌈c/64⌉` contiguous map words, in the
+    /// `(ky, kx, ch)` order of the repacked weights, and its dot is
+    /// `fan_in − 2·Σ popcount(w ^ x)`: padding bits are zero in both
+    /// operands, and an integer sum does not depend on the order of the
+    /// `(ch, ky, kx)` → `(ky, kx, ch)` permutation. The last map is
+    /// unpacked once into the reference `(ch, y, x)` bit order for the FC
+    /// engines.
     fn infer_tail(
         &self,
-        stages: &[HwStage],
-        mut dims: (usize, usize, usize),
+        dims: (usize, usize, usize),
         scratch: &mut HwScratch,
         scores_out: &mut Vec<f32>,
         obs: Option<(&dyn Recorder, &[String])>,
-        base: usize,
-    ) -> Result<(), ShapeError> {
+    ) {
         let HwScratch {
-            bits,
+            map,
             next,
-            row_words,
-            patch_words,
-            patch_bits,
+            patch,
+            fc_out,
+            fc_in,
             acc,
         } = scratch;
-        let mut scored = false;
-        for (li, stage) in stages.iter().enumerate() {
+        // `Some` while the activations are still a packed map.
+        let mut map_dims = Some(dims);
+        let mut conv_quads = self.conv_quads.iter();
+        for (si, stage) in self.stages.iter().enumerate().skip(1) {
             let t0 = obs.map(|_| now_ns());
             match stage {
                 HwStage::FirstConv { .. } => {
-                    return Err(ShapeError::new(
-                        "HardwareBnn::infer_batch",
-                        "fixed-point engine after the first stage",
-                    ));
+                    unreachable!("checked construction allows one FirstConv, first")
                 }
                 HwStage::BinConv {
-                    weights,
                     thresholds,
-                    in_channels,
                     kernel,
                     pool,
+                    ..
                 } => {
-                    let (c, h, w) = dims;
-                    debug_assert_eq!(c, *in_channels);
+                    let quads = conv_quads
+                        .next()
+                        .expect("checked construction packs every BinConv");
+                    let (c, h, w) = map_dims.expect("checked construction puts convs first");
                     let k = *kernel;
                     let (oh, ow) = (h - k + 1, w - k + 1);
-                    let od = weights.num_rows();
-                    let fan_in = c * k * k;
-                    // Bit-plane fast path: pack each activation row into one
-                    // u64 word once, then assemble every im2col patch with
-                    // k-bit shift/mask segments instead of gathering and
-                    // re-packing `fan_in` bools per output position. The
-                    // patch words carry bits in the exact (ch, ky, kx) order
-                    // of the reference path, so the XNOR dots are identical.
-                    assert!(w <= 64 && k <= w, "activation rows wider than one word");
-                    row_words.clear();
-                    row_words.resize(c * h, 0);
-                    for (row, word) in row_words.iter_mut().enumerate() {
-                        let src = &bits[row * w..(row + 1) * w];
-                        let mut packed = 0u64;
-                        for (x, &b) in src.iter().enumerate() {
-                            packed |= u64::from(b) << x;
-                        }
-                        *word = packed;
-                    }
-                    patch_words.clear();
-                    patch_words.resize(fan_in.div_ceil(64), 0);
-                    let seg_mask = (1u64 << k) - 1;
+                    let od = thresholds.len();
+                    let (cw, ocw) = (c.div_ceil(64), od.div_ceil(64));
+                    let (run, plen) = (k * cw, k * k * cw);
+                    let fan_in = (c * k * k) as i64;
+                    patch.clear();
+                    patch.resize(plen, 0);
                     next.clear();
-                    next.resize(od * oh * ow, false);
+                    next.resize(oh * ow * ocw, 0);
                     for oy in 0..oh {
                         for ox in 0..ow {
-                            patch_words.iter_mut().for_each(|w| *w = 0);
-                            let mut off = 0;
-                            for ch in 0..c {
-                                for ky in 0..k {
-                                    let seg = (row_words[ch * h + oy + ky] >> ox) & seg_mask;
-                                    let (wi, sh) = (off / 64, off % 64);
-                                    patch_words[wi] |= seg << sh;
-                                    if sh + k > 64 {
-                                        patch_words[wi + 1] |= seg >> (64 - sh);
-                                    }
-                                    off += k;
-                                }
+                            for (ky, dst) in patch.chunks_exact_mut(run).enumerate() {
+                                let src = ((oy + ky) * w + ox) * cw;
+                                dst.copy_from_slice(&map[src..src + run]);
                             }
-                            // Output channels four at a time: one traversal
-                            // of the patch words feeds four weight rows
-                            // (shared loads), with each lane's threshold
-                            // comparison fused directly after its popcount.
-                            let mut oc = 0;
-                            while oc + 4 <= od {
-                                let dots = crate::bits::xnor_dot_words_x4(
-                                    [
-                                        weights.row(oc).words(),
-                                        weights.row(oc + 1).words(),
-                                        weights.row(oc + 2).words(),
-                                        weights.row(oc + 3).words(),
-                                    ],
-                                    patch_words,
-                                    fan_in,
-                                );
-                                for (lane, dot) in dots.into_iter().enumerate() {
-                                    next[((oc + lane) * oh + oy) * ow + ox] =
-                                        thresholds[oc + lane].fires(i64::from(dot));
+                            let out = &mut next[(oy * ow + ox) * ocw..][..ocw];
+                            for (q, (wq, tq)) in quads
+                                .chunks_exact(plen)
+                                .zip(thresholds.chunks(4))
+                                .enumerate()
+                            {
+                                let diffs = crate::bits::xor_popcount_x4(wq, patch);
+                                let mut nibble = 0u64;
+                                for (lane, (t, &d)) in tq.iter().zip(&diffs).enumerate() {
+                                    nibble |= u64::from(t.fires(fan_in - 2 * i64::from(d))) << lane;
                                 }
-                                oc += 4;
-                            }
-                            while oc < od {
-                                let dot = i64::from(crate::bits::xnor_dot_words(
-                                    weights.row(oc).words(),
-                                    patch_words,
-                                    fan_in,
-                                ));
-                                next[(oc * oh + oy) * ow + ox] = thresholds[oc].fires(dot);
-                                oc += 1;
+                                out[q / 16] |= nibble << (4 * (q % 16));
                             }
                         }
                     }
-                    dims = (od, oh, ow);
-                    std::mem::swap(bits, next);
+                    std::mem::swap(map, next);
+                    let mut out_dims = (od, oh, ow);
                     if *pool {
-                        dims = or_pool_into(bits, dims, next);
-                        std::mem::swap(bits, next);
+                        out_dims = or_pool_words(map, out_dims, next);
+                        std::mem::swap(map, next);
                     }
+                    map_dims = Some(out_dims);
                 }
                 HwStage::BinFc {
                     weights,
                     thresholds,
                 } => {
-                    patch_bits.refill_from_bools(bits);
+                    if let Some(dims) = map_dims.take() {
+                        unpack_map(map, dims, fc_in);
+                    }
                     // Threshold comparison fused into the accumulate loop:
-                    // each ×4 popcount lane feeds its comparator directly,
-                    // writing activation bools without the i32 accumulator
-                    // round trip of the reference path.
-                    next.clear();
-                    next.reserve(weights.num_rows());
-                    weights.xnor_matvec_for_each(patch_bits, |r, dot| {
-                        next.push(thresholds[r].fires(i64::from(dot)));
+                    // each ×4 popcount lane feeds its comparator directly.
+                    fc_out.clear();
+                    weights.xnor_matvec_for_each(fc_in, |r, dot| {
+                        fc_out.push(thresholds[r].fires(i64::from(dot)));
                     });
-                    std::mem::swap(bits, next);
-                    dims = (bits.len(), 1, 1);
+                    fc_in.refill_from_bools(fc_out);
                 }
                 HwStage::OutputFc { weights } => {
-                    patch_bits.refill_from_bools(bits);
-                    weights.xnor_matvec_into(patch_bits, acc);
+                    if let Some(dims) = map_dims.take() {
+                        unpack_map(map, dims, fc_in);
+                    }
+                    weights.xnor_matvec_into(fc_in, acc);
                     scores_out.extend(acc.iter().take(self.topology.classes()).map(|&s| s as f32));
-                    scored = true;
                 }
             }
             if let (Some((rec, names)), Some(start)) = (obs, t0) {
-                rec.record_span(&names[base + li], start, now_ns());
+                rec.record_span(&names[si], start, now_ns());
             }
-        }
-        if scored {
-            Ok(())
-        } else {
-            Err(ShapeError::new(
-                "HardwareBnn::infer_batch",
-                "no output engine",
-            ))
         }
     }
 }
@@ -1006,11 +1069,16 @@ impl HardwareBnn {
 /// integer accumulators).
 const IMG_BLOCK: usize = 8;
 
-/// Per-run tap-offset tables for the first engine: the ±1 dot of a
-/// patch is `2 * (sum at positive-weight taps) - (sum over all taps)`,
-/// so each output channel is a sparse gather-sum over the quantised
-/// image plane.
-#[derive(Debug, Default)]
+/// Span: the first engine's compute over one block of up to
+/// [`IMG_BLOCK`] images (one span per block, not per image).
+const SPAN_FIRST_CONV_BLOCK: &str = "bnn.stage0.first_conv_block";
+
+/// Tap-offset tables for the first engine: the ±1 dot of a patch is
+/// `2 * (sum at positive-weight taps) - (sum over all taps)`, so each
+/// output channel is a sparse gather-sum over the quantised image plane.
+/// Depends only on the weights and the topology, so it is built once at
+/// construction.
+#[derive(Debug, Clone, Default)]
 struct FirstConvPlan {
     /// Offsets of every patch tap relative to the window origin.
     all: Vec<u32>,
@@ -1020,59 +1088,108 @@ struct FirstConvPlan {
     pos_start: Vec<u32>,
 }
 
+impl FirstConvPlan {
+    /// Builds the plan for first-engine `weights` over `(c, h, w)` images
+    /// with a `k`×`k` kernel.
+    fn new(weights: &BitMatrix, (c, h, w): (usize, usize, usize), k: usize) -> Self {
+        let mut plan = Self::default();
+        for ch in 0..c {
+            for ky in 0..k {
+                for kx in 0..k {
+                    plan.all.push((ch * h * w + ky * w + kx) as u32);
+                }
+            }
+        }
+        plan.pos_start.push(0);
+        for r in 0..weights.num_rows() {
+            let row = weights.row(r);
+            for (i, &d) in plan.all.iter().enumerate() {
+                if row.get(i) {
+                    plan.pos.push(d);
+                }
+            }
+            plan.pos_start.push(plan.pos.len() as u32);
+        }
+        plan
+    }
+}
+
+/// Repacks a `BinConv` weight matrix (reference columns in `(ch, ky, kx)`
+/// order) into the channel-packed patch order `(ky, kx, ch)`: patch word
+/// `(ky·k + kx)·⌈c/64⌉ + ch/64` holds channel `ch` at bit `ch % 64`.
+/// Rows are interleaved four to a quad, `[⌈od/4⌉][plen][4]` with
+/// `plen = k·k·⌈c/64⌉`; padding bits and the rows past `od` are zero.
+fn pack_conv_weights(weights: &BitMatrix, c: usize, k: usize) -> Vec<[u64; 4]> {
+    let cw = c.div_ceil(64);
+    let plen = k * k * cw;
+    let mut quads = vec![[0u64; 4]; weights.num_rows().div_ceil(4) * plen];
+    for oc in 0..weights.num_rows() {
+        let dst = &mut quads[oc / 4 * plen..][..plen];
+        // Visit the row's set bits only: column `ch·k² + tap`, with
+        // `tap = ky·k + kx`.
+        for (wi, &word) in weights.row(oc).words().iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let col = wi * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let (ch, tap) = (col / (k * k), col % (k * k));
+                dst[tap * cw + ch / 64][oc % 4] |= 1 << (ch % 64);
+            }
+        }
+    }
+    quads
+}
+
 /// Reusable per-thread scratch for [`HardwareBnn::infer_batch_with`].
 #[derive(Debug)]
 struct HwScratch {
-    /// Current binary activation plane.
-    bits: Vec<bool>,
-    /// Next binary activation plane (swapped each stage).
-    next: Vec<bool>,
-    /// Activation rows bit-packed one word per row.
-    row_words: Vec<u64>,
-    /// One bit-packed im2col patch of binary activations.
-    patch_words: Vec<u64>,
+    /// Current channel-packed activation map.
+    map: Vec<u64>,
+    /// Next channel-packed activation map (swapped each stage).
+    next: Vec<u64>,
+    /// One `BinConv` im2col patch: `k` runs of `k·⌈c/64⌉` map words.
+    patch: Vec<u64>,
+    /// Threshold outputs of an inner FC engine.
+    fc_out: Vec<bool>,
     /// Bit-packed FC input vector.
-    patch_bits: BitVec,
-    /// Integer accumulator row for the FC engines.
+    fc_in: BitVec,
+    /// Integer accumulator row for the output engine.
     acc: Vec<i32>,
 }
 
 impl Default for HwScratch {
     fn default() -> Self {
         Self {
-            bits: Vec::new(),
+            map: Vec::new(),
             next: Vec::new(),
-            row_words: Vec::new(),
-            patch_words: Vec::new(),
-            patch_bits: BitVec::zeros(0),
+            patch: Vec::new(),
+            fc_out: Vec::new(),
+            fc_in: BitVec::zeros(0),
             acc: Vec::new(),
         }
     }
 }
 
-/// Reusable per-thread inference context: the first engine's tap plan
-/// plus every scratch buffer. Built once per shard or [`BnnBlockStream`]
-/// so steady-state block inference performs no heap allocation and never
-/// rebuilds the plan.
+/// Reusable per-thread inference context: every scratch buffer. Built
+/// once per shard or [`BnnBlockStream`] so steady-state block inference
+/// performs no heap allocation.
 #[derive(Debug, Default)]
 struct HwInferCtx {
-    plan: FirstConvPlan,
-    plan_ready: bool,
     scratch: HwScratch,
     /// Transposed quantised pixel lanes (`qt[pixel][image]`).
     qt: Vec<i32>,
-    /// First-engine output bits for the whole block.
-    bits_block: Vec<bool>,
+    /// First-engine output maps for the whole block, channel-packed.
+    block_maps: Vec<u64>,
 }
 
 /// A reusable single-thread block-inference stream: the FPGA side of the
 /// overlapped stage-graph executor (`Concurrency::Threaded`).
 ///
-/// Holds the first engine's tap plan, the per-stage span names, and all
-/// scratch buffers across calls, so inferring block after block of one
-/// workload is allocation-free in steady state. Scores land in a
-/// caller-owned buffer and are bit-identical per image to
-/// [`HardwareBnn::infer_batch`] — batching never changes results.
+/// Holds the per-stage span names and all scratch buffers across calls,
+/// so inferring block after block of one workload is allocation-free in
+/// steady state. Scores land in a caller-owned buffer and are
+/// bit-identical per image to [`HardwareBnn::infer_batch`] — batching
+/// never changes results.
 pub struct BnnBlockStream<'a> {
     hw: &'a HardwareBnn,
     ctx: HwInferCtx,
@@ -1123,25 +1240,15 @@ impl BnnBlockStream<'_> {
         out.clear();
         let slice = &images.as_slice()[start * image_len..end * image_len];
         self.hw
-            .infer_range_inner(slice, &mut self.ctx, obs_ref, out)
+            .infer_range_inner(slice, &mut self.ctx, obs_ref, out);
+        Ok(())
     }
 }
 
 /// 2×2 OR pooling over binary activations (`max` of ±1 values).
-fn or_pool(bits: &[bool], dims: (usize, usize, usize)) -> (Vec<bool>, (usize, usize, usize)) {
-    let mut out = Vec::new();
-    let out_dims = or_pool_into(bits, dims, &mut out);
-    (out, out_dims)
-}
-
-fn or_pool_into(
-    bits: &[bool],
-    (c, h, w): (usize, usize, usize),
-    out: &mut Vec<bool>,
-) -> (usize, usize, usize) {
+fn or_pool(bits: &[bool], (c, h, w): (usize, usize, usize)) -> (Vec<bool>, (usize, usize, usize)) {
     let (oh, ow) = (h / 2, w / 2);
-    out.clear();
-    out.resize(c * oh * ow, false);
+    let mut out = vec![false; c * oh * ow];
     for ch in 0..c {
         for oy in 0..oh {
             for ox in 0..ow {
@@ -1155,7 +1262,38 @@ fn or_pool_into(
             }
         }
     }
+    (out, (c, oh, ow))
+}
+
+/// 2×2 OR pooling over a channel-packed map: each output pixel's words
+/// are the OR of its four input pixels' words.
+fn or_pool_words(
+    map: &[u64],
+    (c, h, w): (usize, usize, usize),
+    out: &mut Vec<u64>,
+) -> (usize, usize, usize) {
+    let (cw, oh, ow) = (c.div_ceil(64), h / 2, w / 2);
+    out.clear();
+    for oy in 0..oh {
+        for ox in 0..ow {
+            let top = (2 * oy * w + 2 * ox) * cw;
+            let bottom = top + w * cw;
+            for j in 0..cw {
+                out.push(map[top + j] | map[top + cw + j] | map[bottom + j] | map[bottom + cw + j]);
+            }
+        }
+    }
     (c, oh, ow)
+}
+
+/// Unpacks a channel-packed `(c, h, w)` map into `out` in the reference
+/// `(ch, y, x)` bit order of the FC engines' input vector.
+fn unpack_map(map: &[u64], (c, h, w): (usize, usize, usize), out: &mut BitVec) {
+    let (cw, hw) = (c.div_ceil(64), h * w);
+    out.refill_with(c * hw, |i| {
+        let (ch, p) = (i / hw, i % hw);
+        map[p * cw + ch / 64] >> (ch % 64) & 1 == 1
+    });
 }
 
 #[cfg(test)]
@@ -1287,6 +1425,120 @@ mod tests {
         assert!(stream
             .infer_block_into(&batch, 4, 2, &mp_obs::NULL_RECORDER, &mut scores)
             .is_err());
+    }
+
+    #[test]
+    fn stage_spans_count_one_per_image_and_first_conv_blocks_per_shard() {
+        let bnn = trained_tiny(85);
+        let hw = HardwareBnn::from_classifier(&bnn).unwrap();
+        let mut rng = TensorRng::seed_from(86);
+        let n = 19;
+        let batch = rng.normal(Shape::nchw(n, 3, 8, 8), 0.0, 1.0);
+        let reference = hw.infer_batch(&batch).unwrap();
+        for threads in [1usize, 3] {
+            let par = mp_tensor::Parallelism::new(threads);
+            let rec = mp_obs::SharedRecorder::new();
+            let got = hw.infer_batch_obs(&batch, par, &rec).unwrap();
+            assert_eq!(got.as_slice(), reference.as_slice());
+            let untraced = hw
+                .infer_batch_obs(&batch, par, &mp_obs::NULL_RECORDER)
+                .unwrap();
+            assert_eq!(untraced.as_slice(), reference.as_slice());
+            let blocks: usize = par
+                .chunks(n)
+                .iter()
+                .map(|&(start, end)| (end - start).div_ceil(IMG_BLOCK))
+                .sum();
+            let spans = rec.report().spans;
+            let stage_names = hw.stage_span_names();
+            assert_eq!(spans.len(), stage_names.len() + 1, "threads={threads}");
+            for s in &spans {
+                let want = if s.name == SPAN_FIRST_CONV_BLOCK {
+                    blocks
+                } else {
+                    assert!(stage_names.contains(&s.name), "{}", s.name);
+                    n
+                };
+                assert_eq!(s.count, want as u64, "{} threads={threads}", s.name);
+            }
+        }
+    }
+
+    /// `HardwareBnn`'s JSON value with `edit` applied to stage `stage`'s
+    /// externally tagged `(variant, payload)` pair.
+    fn forged(hw: &HardwareBnn, stage: usize, edit: impl FnOnce(&mut String, &mut Value)) -> Value {
+        let mut value = hw.to_value();
+        let Value::Map(fields) = &mut value else {
+            panic!("HardwareBnn serialises to an object")
+        };
+        let (_, Value::Seq(stages)) = fields.iter_mut().find(|(k, _)| k == "stages").unwrap()
+        else {
+            panic!("stages is an array")
+        };
+        let Value::Map(tagged) = &mut stages[stage] else {
+            panic!("stages are tagged objects")
+        };
+        let (variant, payload) = &mut tagged[0];
+        edit(variant, payload);
+        value
+    }
+
+    fn payload_field<'a>(payload: &'a mut Value, name: &str) -> &'a mut Value {
+        let Value::Map(fields) = payload else {
+            panic!("stage payload is an object")
+        };
+        &mut fields.iter_mut().find(|(k, _)| k == name).unwrap().1
+    }
+
+    #[test]
+    fn serialises_topology_and_stages_only_and_round_trips() {
+        let hw = HardwareBnn::from_classifier(&trained_tiny(87)).unwrap();
+        let value = hw.to_value();
+        let Value::Map(fields) = &value else {
+            panic!("HardwareBnn serialises to an object")
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["topology", "stages"]);
+        let back = HardwareBnn::from_value(&value).unwrap();
+        assert_eq!(back.to_value(), value);
+        let mut rng = TensorRng::seed_from(88);
+        let batch = rng.normal(Shape::nchw(3, 3, 8, 8), 0.0, 1.0);
+        let par = mp_tensor::Parallelism::new(2);
+        assert_eq!(
+            back.infer_batch_with(&batch, par).unwrap().as_slice(),
+            hw.infer_batch_with(&batch, par).unwrap().as_slice()
+        );
+    }
+
+    #[test]
+    fn deserialize_rejects_forged_stages() {
+        let hw = HardwareBnn::from_classifier(&trained_tiny(89)).unwrap();
+        // One BinConv threshold removed: the batch path would index
+        // past the thresholds.
+        let missing_threshold = forged(&hw, 1, |_, payload| {
+            let Value::Seq(t) = payload_field(payload, "thresholds") else {
+                panic!("thresholds is an array")
+            };
+            t.pop();
+        });
+        // A well-formed weight matrix one column too wide for its engine.
+        let wrong_cols = forged(&hw, 1, |_, payload| {
+            let weights = payload_field(payload, "weights");
+            let m = BitMatrix::from_value(weights).unwrap();
+            let (rows, cols) = (m.num_rows(), m.num_cols() + 1);
+            *weights = BitMatrix::from_signs(rows, cols, &vec![1.0; rows * cols]).to_value();
+        });
+        // A second FirstConv in place of the BinConv: shapes all match,
+        // only the stage order is wrong.
+        let out_of_order = forged(&hw, 1, |variant, _| *variant = "FirstConv".to_owned());
+        for (value, want) in [
+            (missing_threshold, "thresholds"),
+            (wrong_cols, "weights are"),
+            (out_of_order, "stage 1 is first_conv"),
+        ] {
+            let err = HardwareBnn::from_value(&value).unwrap_err();
+            assert!(err.to_string().contains(want), "{err}");
+        }
     }
 
     #[test]

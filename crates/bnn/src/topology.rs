@@ -1,4 +1,5 @@
-use serde::{Deserialize, Serialize};
+use mp_tensor::ShapeError;
+use serde::{Deserialize, Error, Serialize, Value};
 
 /// Whether an engine implements a convolution or a fully-connected layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -109,7 +110,7 @@ impl EngineSpec {
 /// // Last engine: FC-64 with no thresholding.
 /// assert_eq!(engines[8].threshold_bits, 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct FinnTopology {
     channels: usize,
     height: usize,
@@ -118,6 +119,21 @@ pub struct FinnTopology {
     pool_after: Vec<bool>,
     fc_sizes: Vec<usize>,
     classes: usize,
+}
+
+impl<'de> Deserialize<'de> for FinnTopology {
+    fn from_value(value: &Value) -> Result<Self, Error> {
+        Self::try_new(
+            usize::from_value(value.get_field("channels")?)?,
+            usize::from_value(value.get_field("height")?)?,
+            usize::from_value(value.get_field("width")?)?,
+            Vec::from_value(value.get_field("conv_channels")?)?,
+            Vec::from_value(value.get_field("pool_after")?)?,
+            Vec::from_value(value.get_field("fc_sizes")?)?,
+            usize::from_value(value.get_field("classes")?)?,
+        )
+        .map_err(Error::custom)
+    }
 }
 
 impl FinnTopology {
@@ -189,7 +205,8 @@ impl FinnTopology {
     /// # Panics
     ///
     /// Panics if the layer lists are empty or inconsistent, or if
-    /// `classes` exceeds the final FC width.
+    /// `classes` exceeds the final FC width. [`Self::try_new`] returns
+    /// these as errors instead.
     pub fn new(
         channels: usize,
         height: usize,
@@ -199,18 +216,7 @@ impl FinnTopology {
         fc_sizes: Vec<usize>,
         classes: usize,
     ) -> Self {
-        assert!(!conv_channels.is_empty(), "need at least one conv layer");
-        assert_eq!(
-            conv_channels.len(),
-            pool_after.len(),
-            "pool_after must match conv_channels"
-        );
-        assert!(!fc_sizes.is_empty(), "need at least one FC layer");
-        assert!(
-            classes <= *fc_sizes.last().expect("non-empty"),
-            "classes must fit in the final FC engine"
-        );
-        Self {
+        let topo = Self {
             channels,
             height,
             width,
@@ -218,7 +224,64 @@ impl FinnTopology {
             pool_after,
             fc_sizes,
             classes,
+        };
+        if let Err(e) = topo.check_layers() {
+            panic!("{}", e.detail());
         }
+        topo
+    }
+
+    /// A custom topology, checked: [`Self::new`] with every condition it
+    /// asserts returned as an error, plus a conv stack that does not fit
+    /// the image (which [`Self::engines`] would panic on). Deserialization
+    /// goes through this constructor.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError`] if the layer lists are empty or
+    /// inconsistent, `classes` exceeds the final FC width, or the image is
+    /// too small for the conv stack.
+    pub fn try_new(
+        channels: usize,
+        height: usize,
+        width: usize,
+        conv_channels: Vec<usize>,
+        pool_after: Vec<bool>,
+        fc_sizes: Vec<usize>,
+        classes: usize,
+    ) -> Result<Self, ShapeError> {
+        let topo = Self {
+            channels,
+            height,
+            width,
+            conv_channels,
+            pool_after,
+            fc_sizes,
+            classes,
+        };
+        topo.check_layers()?;
+        topo.try_engines()?;
+        Ok(topo)
+    }
+
+    /// The layer-list conditions [`Self::new`] asserts.
+    fn check_layers(&self) -> Result<(), ShapeError> {
+        let detail = if self.conv_channels.is_empty() {
+            "need at least one conv layer"
+        } else if self.conv_channels.len() != self.pool_after.len() {
+            "pool_after must match conv_channels"
+        } else if self.fc_sizes.is_empty() {
+            "need at least one FC layer"
+        } else if self
+            .fc_sizes
+            .last()
+            .is_some_and(|&last| self.classes > last)
+        {
+            "classes must fit in the final FC engine"
+        } else {
+            return Ok(());
+        };
+        Err(ShapeError::new("FinnTopology", detail))
     }
 
     /// Input image channels.
@@ -264,13 +327,22 @@ impl FinnTopology {
     /// Panics if the image is too small for the layer stack (a 3×3 valid
     /// convolution needs ≥3 pixels at every stage).
     pub fn engines(&self) -> Vec<EngineSpec> {
+        self.try_engines()
+            .unwrap_or_else(|e| panic!("{}", e.detail()))
+    }
+
+    /// [`Self::engines`], with an image too small for the conv stack
+    /// returned as an error.
+    pub(crate) fn try_engines(&self) -> Result<Vec<EngineSpec>, ShapeError> {
         let mut specs = Vec::new();
         let (mut c, mut h, mut w) = (self.channels, self.height, self.width);
         for (i, (&oc, &pool)) in self.conv_channels.iter().zip(&self.pool_after).enumerate() {
-            assert!(
-                h >= 3 && w >= 3,
-                "image too small for conv layer {i}: {h}x{w}"
-            );
+            if h < 3 || w < 3 {
+                return Err(ShapeError::new(
+                    "FinnTopology",
+                    format!("image too small for conv layer {i}: {h}x{w}"),
+                ));
+            }
             let (oh, ow) = (h - 2, w - 2); // 3×3 valid convolution
             specs.push(EngineSpec {
                 name: format!("3x3-conv-{oc}"),
@@ -313,7 +385,7 @@ impl FinnTopology {
             });
             features = of;
         }
-        specs
+        Ok(specs)
     }
 
     /// Total single-bit parameter count across all engines.
@@ -436,6 +508,57 @@ mod tests {
     #[should_panic(expected = "classes must fit")]
     fn classes_must_fit_final_engine() {
         let _ = FinnTopology::new(3, 32, 32, vec![8], vec![false], vec![8], 10);
+    }
+
+    #[test]
+    fn try_new_returns_what_new_asserts_and_a_stack_too_deep_for_the_image() {
+        let fc = || vec![16, 16];
+        let cases = [
+            (
+                FinnTopology::try_new(3, 8, 8, vec![], vec![], fc(), 10),
+                "conv layer",
+            ),
+            (
+                FinnTopology::try_new(3, 8, 8, vec![8], vec![false, true], fc(), 10),
+                "pool_after",
+            ),
+            (
+                FinnTopology::try_new(3, 8, 8, vec![8], vec![false], vec![], 10),
+                "FC layer",
+            ),
+            (
+                FinnTopology::try_new(3, 8, 8, vec![8], vec![false], vec![8], 10),
+                "classes must fit",
+            ),
+            (
+                FinnTopology::try_new(3, 4, 4, vec![8, 8], vec![false, false], fc(), 10),
+                "too small for conv layer 1",
+            ),
+        ];
+        for (result, want) in cases {
+            let err = result.expect_err(want);
+            assert!(err.detail().contains(want), "{err}");
+        }
+        assert_eq!(
+            FinnTopology::try_new(3, 8, 8, vec![8, 8], vec![false, true], fc(), 10).unwrap(),
+            FinnTopology::new(3, 8, 8, vec![8, 8], vec![false, true], fc(), 10)
+        );
+    }
+
+    #[test]
+    fn deserialize_round_trips_and_rejects_an_image_too_small() {
+        let paper = FinnTopology::paper();
+        assert_eq!(FinnTopology::from_value(&paper.to_value()).unwrap(), paper);
+        let mut forged = paper.to_value();
+        if let Value::Map(entries) = &mut forged {
+            for (key, field) in entries.iter_mut() {
+                if key == "height" {
+                    *field = Value::UInt(3);
+                }
+            }
+        }
+        let err = FinnTopology::from_value(&forged).unwrap_err();
+        assert!(err.to_string().contains("too small"), "{err}");
     }
 
     #[test]

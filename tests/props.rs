@@ -1142,6 +1142,99 @@ proptest! {
     }
 }
 
+/// Batch scores of `hw` on `batch`, every way the batch path runs (one
+/// `infer_batch_with` over `threads` shards and one reused block stream
+/// fed `split`-image windows), checked against `infer_image` per image.
+fn assert_bnn_batch_paths_match_reference(
+    hw: &HardwareBnn,
+    batch: &Tensor,
+    threads: usize,
+    split: usize,
+) -> Result<(), TestCaseError> {
+    let n = batch.shape().dim(0);
+    let classes = hw.topology().classes();
+    let mut reference = Vec::with_capacity(n * classes);
+    for i in 0..n {
+        let scores = hw.infer_image(&batch.batch_item(i).unwrap()).unwrap();
+        reference.extend(scores.iter().map(|&s| s as f32));
+    }
+    let sharded = hw
+        .infer_batch_with(batch, Parallelism::new(threads))
+        .unwrap();
+    prop_assert_eq!(sharded.as_slice(), &reference[..], "threads {}", threads);
+    let mut stream = hw.block_stream();
+    let (mut streamed, mut block) = (Vec::new(), Vec::new());
+    for start in (0..n).step_by(split) {
+        let end = (start + split).min(n);
+        stream
+            .infer_block_into(
+                batch,
+                start,
+                end,
+                &multiprec::obs::NULL_RECORDER,
+                &mut block,
+            )
+            .unwrap();
+        streamed.extend_from_slice(&block);
+    }
+    prop_assert_eq!(&streamed[..], &reference[..], "split {}", split);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The channel-packed BNN batch path computes `infer_image`'s scores
+    /// on maps whose pixels fill part of a word, exactly one, or straddle
+    /// two and three (conv widths from {8, 63, 64, 65, 128, 130}), with
+    /// random 2×2 pools, batch sizes, shard counts and block-stream
+    /// splits.
+    #[test]
+    fn bnn_batch_path_matches_reference_on_wide_maps(
+        widths in proptest::collection::vec(0usize..6, 1..4),
+        pools in proptest::collection::vec(any::<bool>(), 3),
+        edge in 6usize..11,
+        seed in any::<u64>(), n in 0usize..10, threads in 1usize..4, split in 1usize..10
+    ) {
+        const WIDTHS: [usize; 6] = [8, 63, 64, 65, 128, 130];
+        // Keep the layers, and pools, that the image fits.
+        let (mut convs, mut pool_after, mut side) = (Vec::new(), Vec::new(), edge);
+        for (&w, &pool) in widths.iter().zip(&pools) {
+            if side < 3 {
+                break;
+            }
+            side -= 2;
+            let pool = pool && side >= 2;
+            if pool {
+                side /= 2;
+            }
+            convs.push(WIDTHS[w]);
+            pool_after.push(pool);
+        }
+        let topo = FinnTopology::try_new(3, edge, edge, convs, pool_after, vec![16, 12], 10).unwrap();
+        let mut rng = TensorRng::seed_from(seed);
+        let mut bnn = BnnClassifier::new(topo, &mut rng).unwrap();
+        // One training-mode forward moves the batch-norm statistics, so
+        // thresholds differ per channel.
+        bnn.forward_mode(&rng.normal(Shape::nchw(2, 3, edge, edge), 0.0, 1.0), Mode::Train)
+            .unwrap();
+        let hw = HardwareBnn::from_classifier(&bnn).unwrap();
+        let batch = rng.normal(Shape::nchw(n, 3, edge, edge), 0.0, 1.0);
+        assert_bnn_batch_paths_match_reference(&hw, &batch, threads, split)?;
+    }
+}
+
+/// Maps wider than 64 pixels, which a layout packing one activation row
+/// per word cannot hold: the batch path must still match `infer_image`.
+#[test]
+fn bnn_batch_path_matches_reference_on_a_70_pixel_image() {
+    let topo = FinnTopology::new(3, 70, 70, vec![8, 8], vec![false, true], vec![16, 16], 10);
+    let mut rng = TensorRng::seed_from(70);
+    let hw = HardwareBnn::from_classifier(&BnnClassifier::new(topo, &mut rng).unwrap()).unwrap();
+    let batch = rng.normal(Shape::nchw(3, 3, 70, 70), 0.0, 1.0);
+    assert_bnn_batch_paths_match_reference(&hw, &batch, 2, 2).unwrap();
+}
+
 /// Shared oracles over the paper topology for the agreement property:
 /// one strict (shipped-design budgets are errors) and one exploratory
 /// (budgets soften to warnings), so both severity policies are covered.
