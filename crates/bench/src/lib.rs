@@ -21,6 +21,7 @@
 //! and honour `--seed N`. Every binary appends its rows to
 //! `results/<name>.json` so EXPERIMENTS.md can cite exact numbers.
 
+#![forbid(unsafe_code)]
 #![deny(deprecated)]
 
 pub mod figures;

@@ -115,9 +115,9 @@ pub fn im2col_into(
 /// [`im2col`] over a raw `C·H·W` plane slice, writing into a reusable
 /// buffer.
 ///
-/// This is the zero-copy entry point batched inference uses: one image of
-/// an NCHW batch can be lowered directly from its slice of the batch
-/// tensor, without first materialising a `[1, C, H, W]` copy.
+/// The one-image case of [`im2col_batch_into`]: one image of an NCHW
+/// batch can be lowered directly from its slice of the batch tensor,
+/// without first materialising a `[1, C, H, W]` copy.
 ///
 /// # Errors
 ///
@@ -131,14 +131,52 @@ pub fn im2col_slice_into(
     geom: ConvGeometry,
     out: &mut Vec<f32>,
 ) -> Result<(usize, usize), ShapeError> {
-    if image.len() != c * h * w {
+    im2col_batch_into(image, 1, c, h, w, geom, out)
+}
+
+/// Lowers `n` NCHW images into one `[C·K·K, N·OH·OW]` patch matrix,
+/// writing into a reusable buffer.
+///
+/// Column `img·OH·OW + o` holds image `img`'s patch for output pixel
+/// `o`, so a `[OD, C·K·K]` weight matrix times this matrix convolves the
+/// whole batch in one GEMM, image-major within each output channel row.
+/// `out` is cleared and resized, reusing its capacity; returns the
+/// `(rows, cols)` of the patch matrix.
+///
+/// # Errors
+///
+/// Returns [`ShapeError`] if `images` is not exactly `n·c·h·w` elements
+/// or the window does not fit the padded input.
+///
+/// # Example
+///
+/// ```
+/// use mp_tensor::conv::{im2col_batch_into, ConvGeometry};
+///
+/// # fn main() -> Result<(), mp_tensor::ShapeError> {
+/// // Two 1×2×2 images, 1×1 kernel: each row is the batch's pixels.
+/// let images = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0];
+/// let mut out = Vec::new();
+/// let dims = im2col_batch_into(&images, 2, 1, 2, 2, ConvGeometry::new(1, 1, 0), &mut out)?;
+/// assert_eq!(dims, (1, 8));
+/// assert_eq!(out, images);
+/// # Ok(())
+/// # }
+/// ```
+pub fn im2col_batch_into(
+    images: &[f32],
+    n: usize,
+    c: usize,
+    h: usize,
+    w: usize,
+    geom: ConvGeometry,
+    out: &mut Vec<f32>,
+) -> Result<(usize, usize), ShapeError> {
+    let want = [c, h, w].iter().try_fold(n, |len, &d| len.checked_mul(d));
+    if want != Some(images.len()) {
         return Err(ShapeError::new(
             "im2col",
-            format!(
-                "expected {c}×{h}×{w} = {} elements, got {}",
-                c * h * w,
-                image.len()
-            ),
+            format!("expected {n}×{c}×{h}×{w} elements, got {}", images.len()),
         ));
     }
     let oh = geom.output_dim(h);
@@ -152,35 +190,51 @@ pub fn im2col_slice_into(
             ),
         ));
     }
-    let k = geom.kernel;
-    let cols = oh * ow;
+    let (k, stride, pad) = (geom.kernel, geom.stride, geom.padding);
+    let pixels = oh * ow;
     let rows = c * k * k;
     out.clear();
-    out.resize(rows * cols, 0.0);
-    for ch in 0..c {
-        let plane = &image[ch * h * w..(ch + 1) * h * w];
-        for ky in 0..k {
-            for kx in 0..k {
-                let row = (ch * k + ky) * k + kx;
-                let out_row = &mut out[row * cols..(row + 1) * cols];
-                for oy in 0..oh {
-                    let iy = (oy * geom.stride + ky) as isize - geom.padding as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    let src_row = &plane[iy as usize * w..(iy as usize + 1) * w];
-                    for ox in 0..ow {
-                        let ix = (ox * geom.stride + kx) as isize - geom.padding as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        out_row[oy * ow + ox] = src_row[ix as usize];
+    out.resize(rows * n * pixels, 0.0);
+    if n == 0 {
+        return Ok((rows, 0));
+    }
+    let plane_len = h * w;
+    for (row, dst_row) in out.chunks_exact_mut(n * pixels).enumerate() {
+        let (ch, ky, kx) = (row / (k * k), row / k % k, row % k);
+        let (oy_lo, oy_hi) = in_bounds(ky, geom, h, oh);
+        let (ox_lo, ox_hi) = in_bounds(kx, geom, w, ow);
+        if ox_lo == ox_hi {
+            continue;
+        }
+        // First source column of the in-bounds run; zeros stay around it.
+        let x0 = ox_lo * stride + kx - pad;
+        for (img, dst_img) in dst_row.chunks_exact_mut(pixels).enumerate() {
+            let plane = &images[(img * c + ch) * plane_len..][..plane_len];
+            for oy in oy_lo..oy_hi {
+                let src = &plane[(oy * stride + ky - pad) * w..][..w];
+                let dst = &mut dst_img[oy * ow + ox_lo..oy * ow + ox_hi];
+                if stride == 1 {
+                    dst.copy_from_slice(&src[x0..x0 + dst.len()]);
+                } else {
+                    for (d, &v) in dst.iter_mut().zip(src[x0..].iter().step_by(stride)) {
+                        *d = v;
                     }
                 }
             }
         }
     }
-    Ok((rows, cols))
+    Ok((rows, n * pixels))
+}
+
+/// The outputs `o` in `0..out_len` whose tap `o·stride + offset − padding`
+/// lands inside `0..len`, as a (possibly empty) range `lo..hi`.
+fn in_bounds(offset: usize, geom: ConvGeometry, len: usize, out_len: usize) -> (usize, usize) {
+    let lo = geom.padding.saturating_sub(offset).div_ceil(geom.stride);
+    let hi = (len + geom.padding)
+        .saturating_sub(offset)
+        .div_ceil(geom.stride)
+        .min(out_len);
+    (lo.min(hi), hi)
 }
 
 /// Adjoint of [`im2col`]: scatters a patch-matrix gradient back to image
@@ -290,6 +344,26 @@ mod tests {
         assert_eq!((r2, c2), (rows, cols));
         assert_eq!(buf.as_slice(), want.as_slice());
         assert!(im2col_slice_into(&plane[1..], 2, 5, 4, geom, &mut buf).is_err());
+    }
+
+    #[test]
+    fn batch_lowering_checks_its_input_and_accepts_an_empty_batch() {
+        // The layout itself is pinned by the tier-1 property
+        // `batch_lowering_matches_its_definition` in tests/props.rs.
+        let geom = ConvGeometry::new(3, 1, 0);
+        let mut out = vec![1.0];
+        assert_eq!(
+            im2col_batch_into(&[], 0, 2, 4, 4, geom, &mut out).unwrap(),
+            (18, 0)
+        );
+        assert!(out.is_empty());
+        let images = vec![0.5; 3 * 2 * 4 * 4];
+        assert!(im2col_batch_into(&images, 3, 2, 4, 4, geom, &mut out).is_ok());
+        assert!(im2col_batch_into(&images[1..], 3, 2, 4, 4, geom, &mut out).is_err());
+        assert!(im2col_batch_into(&images, 2, 2, 4, 4, geom, &mut out).is_err());
+        assert!(im2col_batch_into(&images, usize::MAX, 2, 4, 4, geom, &mut out).is_err());
+        let too_big = ConvGeometry::new(5, 1, 0);
+        assert!(im2col_batch_into(&images, 3, 2, 4, 4, too_big, &mut out).is_err());
     }
 
     #[test]

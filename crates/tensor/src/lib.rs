@@ -14,6 +14,17 @@
 //! al. that the paper's FINN substrate also uses: convolutions become
 //! matrix–matrix products over patch matrices.
 //!
+//! # `unsafe`
+//!
+//! Every crate of the workspace but this one is `#![forbid(unsafe_code)]`.
+//! This one is `#![deny(unsafe_code)]` with a single exception: the
+//! private `linalg::run_tier`, which calls the AVX-512F or AVX2 build of
+//! the packed GEMM kernel. Calling a `#[target_feature]` function is
+//! `unsafe`, and each such call sits behind the matching
+//! `is_x86_feature_detected!` check. The kernel bodies themselves are
+//! safe Rust (slices and fixed-size arrays, no intrinsics or raw
+//! pointers).
+//!
 //! # Example
 //!
 //! ```
@@ -29,7 +40,7 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![deny(deprecated)]
 

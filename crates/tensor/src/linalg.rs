@@ -12,6 +12,14 @@
 //! All kernels propagate non-finite values: `0 × NaN = NaN` and
 //! `0 × ∞ = NaN` reach the output instead of being skipped, so upstream
 //! numerical blowups surface instead of being masked by zero weights.
+//!
+//! # SIMD tiers of `matmul`
+//!
+//! On x86-64 CPUs with AVX-512F or AVX2, [`matmul_into`] runs a packed,
+//! register-tiled kernel compiled for that extension and picked at run
+//! time; everywhere else it runs the portable blocked kernel. Both add
+//! every output element's products in the same order, so the tiers are
+//! bit-identical.
 
 use crate::{Shape, ShapeError, Tensor};
 
@@ -61,6 +69,226 @@ fn gemm_kernel(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f3
                     }
                 }
             }
+        }
+    }
+}
+
+/// The GEMM kernel builds [`matmul_into`] can run on this CPU.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tier {
+    /// [`gemm_kernel`]: every target, and x86-64 CPUs without AVX2.
+    Portable,
+    /// The packed kernel with 24-column tiles, compiled for AVX2.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    /// The packed kernel with 32-column tiles, compiled for AVX-512F.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl Tier {
+    /// The widest tier the running CPU supports.
+    fn detected() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx512f") {
+                return Self::Avx512;
+            }
+            if is_x86_feature_detected!("avx2") {
+                return Self::Avx2;
+            }
+        }
+        Self::Portable
+    }
+}
+
+/// Runs `out += a × b` on `tier`, or on [`gemm_kernel`] when the CPU
+/// lacks the tier's extension. The only function in this crate allowed
+/// `unsafe`: calling a `#[target_feature]` function is unsafe because
+/// the CPU must support the feature, which each call checks first.
+#[allow(unsafe_code)]
+fn run_tier(tier: Tier, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    match tier {
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 if is_x86_feature_detected!("avx512f") => {
+            // SAFETY: `is_x86_feature_detected!("avx512f")` just confirmed
+            // that this CPU executes AVX-512F, the one feature
+            // `gemm_avx512` is compiled with.
+            unsafe { packed::gemm_avx512(m, k, n, a, b, out) }
+        }
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 if is_x86_feature_detected!("avx2") => {
+            // SAFETY: `is_x86_feature_detected!("avx2")` just confirmed
+            // that this CPU executes AVX2, the one feature `gemm_avx2` is
+            // compiled with.
+            unsafe { packed::gemm_avx2(m, k, n, a, b, out) }
+        }
+        _ => gemm_kernel(m, k, n, a, b, out),
+    }
+}
+
+/// The packed, register-tiled GEMM behind the AVX2 and AVX-512F tiers.
+#[cfg(target_arch = "x86_64")]
+mod packed {
+    /// Rows of `out` one packed tile holds in registers.
+    const MR: usize = 4;
+
+    /// Depth of one packed k-block. A multiple of four, so every k-block but
+    /// the last holds whole groups of four and the `k % 4` tail stays last.
+    const KC: usize = 256;
+
+    /// Columns per packed tile: 32 lanes (two `zmm`) per row under AVX-512F.
+    const NR_AVX512: usize = 32;
+
+    /// Columns per packed tile: 24 lanes (three `ymm`) per row under AVX2.
+    const NR_AVX2: usize = 24;
+
+    /// [`packed_gemm`] compiled for AVX-512F: 32-lane rows in two `zmm`.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn gemm_avx512(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+        packed_gemm::<NR_AVX512>(m, k, n, a, b, out);
+    }
+
+    /// [`packed_gemm`] compiled for AVX2: 24-lane rows in three `ymm`.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn gemm_avx2(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+        packed_gemm::<NR_AVX2>(m, k, n, a, b, out);
+    }
+
+    /// Packed GEMM: `out[i][j] += sum_k a[i][k] * b[k][j]`, bit-identical to
+    /// [`gemm_kernel`](super::gemm_kernel).
+    ///
+    /// `k` is cut into `KC`-deep blocks. Per block, `a` is packed into
+    /// row panels `[kc][rows]` (`MR` rows, then the `m % MR` tail), and each
+    /// `NR`-wide column panel of `b` into `[kc][NR]` with columns past `n`
+    /// zero. A tile of `out` is loaded into registers, updated over the
+    /// whole block and stored back. Per element this is [`gemm_kernel`](super::gemm_kernel)'s
+    /// sequence: `acc + (((a0·b0 + a1·b1) + a2·b2) + a3·b3)` for each group
+    /// of four `k` in order, then `acc + a·b` for the `k % 4` tail; storing
+    /// and reloading an `f32` between blocks is exact, and `NR` only sets
+    /// how many columns run side by side. Zero columns past `n` are never
+    /// stored, so their `0·NaN` lanes cannot reach `out`. Scratch is
+    /// `KC·(m + NR)` floats.
+    #[inline(always)]
+    fn packed_gemm<const NR: usize>(
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+    ) {
+        let kc_max = k.min(KC);
+        let mut apack = vec![0.0f32; kc_max * m];
+        let mut bpack = vec![0.0f32; kc_max * NR];
+        for k0 in (0..k).step_by(KC) {
+            let kc = (k - k0).min(KC);
+            // Row panel starting at row i0 occupies apack[i0·kc..(i0+rows)·kc].
+            for i0 in (0..m).step_by(MR) {
+                let rows = (m - i0).min(MR);
+                let panel = &mut apack[i0 * kc..(i0 + rows) * kc];
+                for (r, arow) in a[i0 * k..(i0 + rows) * k].chunks_exact(k).enumerate() {
+                    for (kk, &v) in arow[k0..k0 + kc].iter().enumerate() {
+                        panel[kk * rows + r] = v;
+                    }
+                }
+            }
+            for j0 in (0..n).step_by(NR) {
+                let cols = (n - j0).min(NR);
+                let bpanel = &mut bpack[..kc * NR];
+                for (kk, dst) in bpanel.chunks_exact_mut(NR).enumerate() {
+                    let src = &b[(k0 + kk) * n + j0..][..cols];
+                    dst[..cols].copy_from_slice(src);
+                    dst[cols..].fill(0.0);
+                }
+                let bpanel = &bpack[..kc * NR];
+                for i0 in (0..m).step_by(MR) {
+                    let rows = (m - i0).min(MR);
+                    let apanel = &apack[i0 * kc..(i0 + rows) * kc];
+                    let tile = &mut out[i0 * n + j0..];
+                    match rows {
+                        4 => tile_update::<4, NR>(apanel, bpanel, tile, n, cols),
+                        3 => tile_update::<3, NR>(apanel, bpanel, tile, n, cols),
+                        2 => tile_update::<2, NR>(apanel, bpanel, tile, n, cols),
+                        _ => tile_update::<1, NR>(apanel, bpanel, tile, n, cols),
+                    }
+                }
+            }
+        }
+    }
+
+    /// One `R`-row tile of `out` over one k-block, `cols ≤ NR` columns wide,
+    /// rows `n` apart in `tile`. A narrow edge tile runs on a zero-padded
+    /// copy whose extra columns are never stored back.
+    #[inline(always)]
+    fn tile_update<const R: usize, const NR: usize>(
+        apanel: &[f32],
+        bpanel: &[f32],
+        tile: &mut [f32],
+        n: usize,
+        cols: usize,
+    ) {
+        if cols == NR {
+            full_tile::<R, NR>(apanel, bpanel, tile, n);
+            return;
+        }
+        let mut edge = [[0.0f32; NR]; R];
+        for (r, row) in edge.iter_mut().enumerate() {
+            row[..cols].copy_from_slice(&tile[r * n..][..cols]);
+        }
+        full_tile::<R, NR>(apanel, bpanel, edge.as_flattened_mut(), NR);
+        for (r, row) in edge.iter().enumerate() {
+            tile[r * n..][..cols].copy_from_slice(&row[..cols]);
+        }
+    }
+
+    /// The register tile: loads `R × NR` of `out` (rows `ld` apart), adds one
+    /// k-block's products in [`gemm_kernel`](super::gemm_kernel)'s order, and stores it back.
+    /// Only fixed-size copies touch `acc`, so it stays in registers.
+    #[inline(always)]
+    fn full_tile<const R: usize, const NR: usize>(
+        apanel: &[f32],
+        bpanel: &[f32],
+        tile: &mut [f32],
+        ld: usize,
+    ) {
+        let mut acc = [[0.0f32; NR]; R];
+        for (r, row) in acc.iter_mut().enumerate() {
+            *row = tile[r * ld..][..NR]
+                .try_into()
+                .expect("tile rows hold NR columns");
+        }
+        let mut a4 = apanel.chunks_exact(4 * R);
+        let mut b4 = bpanel.chunks_exact(4 * NR);
+        for (aq, bq) in (&mut a4).zip(&mut b4) {
+            let (b0, rest) = bq.split_at(NR);
+            let (b1, rest) = rest.split_at(NR);
+            let (b2, b3) = rest.split_at(NR);
+            let b0: &[f32; NR] = b0.try_into().expect("panel rows are NR wide");
+            let b1: &[f32; NR] = b1.try_into().expect("panel rows are NR wide");
+            let b2: &[f32; NR] = b2.try_into().expect("panel rows are NR wide");
+            let b3: &[f32; NR] = b3.try_into().expect("panel rows are NR wide");
+            for (r, row) in acc.iter_mut().enumerate() {
+                let (a0, a1, a2, a3) = (aq[r], aq[R + r], aq[2 * R + r], aq[3 * R + r]);
+                for (j, o) in row.iter_mut().enumerate() {
+                    *o += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
+                }
+            }
+        }
+        let tail = a4
+            .remainder()
+            .chunks_exact(R)
+            .zip(b4.remainder().chunks_exact(NR));
+        for (a1, b1) in tail {
+            let b1: &[f32; NR] = b1.try_into().expect("panel rows are NR wide");
+            for (row, &aik) in acc.iter_mut().zip(a1) {
+                for (o, &bkj) in row.iter_mut().zip(b1) {
+                    *o += aik * bkj;
+                }
+            }
+        }
+        for (r, row) in acc.iter().enumerate() {
+            tile[r * ld..][..NR].copy_from_slice(row);
         }
     }
 }
@@ -166,7 +394,7 @@ pub fn matmul_into(
     let (kb, n) = expect_matrix(b, "matmul", "b")?;
     check_inner("matmul", "inner dimensions", ka, kb)?;
     reset(out, m * n);
-    gemm_kernel(m, ka, n, a.as_slice(), b.as_slice(), out);
+    run_tier(Tier::detected(), m, ka, n, a.as_slice(), b.as_slice(), out);
     Ok((m, n))
 }
 
@@ -417,6 +645,78 @@ mod tests {
             let want = matmul(&transpose(&a).unwrap(), &b).unwrap();
             let got = matmul_transpose_a(&a, &b).unwrap();
             assert_eq!(got.as_slice(), want.as_slice(), "({k},{m},{n})");
+        }
+    }
+
+    /// Every tier this CPU can run, the portable one first.
+    fn supported_tiers() -> Vec<Tier> {
+        #[allow(unused_mut)] // only x86-64 adds tiers
+        let mut tiers = vec![Tier::Portable];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx2") {
+                tiers.push(Tier::Avx2);
+            }
+            if is_x86_feature_detected!("avx512f") {
+                tiers.push(Tier::Avx512);
+            }
+        }
+        tiers
+    }
+
+    /// Deterministic entries: mostly finite, some `-0.0` and subnormals,
+    /// and NaN / ±∞ at a few positions only, so most outputs stay finite.
+    fn awkward(len: usize, salt: u64) -> Vec<f32> {
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        (0..len as u64)
+            .map(|i| {
+                let h = (i ^ salt)
+                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                    .rotate_left(29);
+                match h % 97 {
+                    0 if h.is_multiple_of(13) => specials[(h / 97 % 3) as usize],
+                    1..=4 => -0.0,
+                    5..=8 => -f32::from_bits((h >> 40) as u32 & 0x007f_ffff),
+                    _ => ((h >> 40) % 2001) as f32 / 250.0 - 4.0,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_supported_tier_matches_the_portable_kernel_bit_for_bit() {
+        // Shapes cross the row tile (MR = 4), both column tiles (24, 32),
+        // the k-block (KC = 256) and every `k % 4` tail.
+        let shapes = [
+            (1, 1, 1),
+            (3, 5, 23),
+            (4, 4, 24),
+            (5, 7, 25),
+            (7, 255, 31),
+            (8, 256, 32),
+            (9, 257, 33),
+            (6, 258, 49),
+            (11, 259, 64),
+            (13, 515, 70),
+            (2, 600, 97),
+        ];
+        for (case, &(m, k, n)) in shapes.iter().enumerate() {
+            let mut a = awkward(m * k, 17 + case as u64);
+            let b = awkward(k * n, 91 + case as u64);
+            // An all -0.0 row must still sum to +0.0 from the zeroed out.
+            a[..k].fill(-0.0);
+            let mut want = vec![0.0; m * n];
+            gemm_kernel(m, k, n, &a, &b, &mut want);
+            for tier in supported_tiers() {
+                let mut got = vec![0.0; m * n];
+                run_tier(tier, m, k, n, &a, &b, &mut got);
+                for (idx, (x, y)) in got.iter().zip(&want).enumerate() {
+                    assert!(
+                        x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+                        "{tier:?} ({m},{k},{n}) at {idx}: {x:e} vs {y:e}"
+                    );
+                }
+            }
         }
     }
 

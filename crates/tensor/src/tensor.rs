@@ -1,7 +1,7 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 
 use crate::{Shape, ShapeError};
 
@@ -28,10 +28,21 @@ use crate::{Shape, ShapeError};
 /// ```
 ///
 /// [`mp-nn`]: https://example.com/multiprec
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,
+}
+
+/// Rebuilds a tensor through [`Tensor::from_vec`], so a payload whose
+/// `data` length disagrees with its `shape` is an error instead of a
+/// tensor that kernels would index out of bounds.
+impl<'de> Deserialize<'de> for Tensor {
+    fn from_value(value: &Value) -> Result<Self, Error> {
+        let shape = Shape::from_value(value.get_field("shape")?)?;
+        let data = Vec::<f32>::from_value(value.get_field("data")?)?;
+        Tensor::from_vec(shape, data).map_err(Error::custom)
+    }
 }
 
 impl Tensor {
@@ -68,12 +79,21 @@ impl Tensor {
     /// element count.
     pub fn from_vec(shape: impl Into<Shape>, data: Vec<f32>) -> Result<Self, ShapeError> {
         let shape = shape.into();
-        if shape.len() != data.len() {
+        let Some(len) = shape
+            .dims()
+            .iter()
+            .try_fold(1usize, |len, &d| len.checked_mul(d))
+        else {
+            return Err(ShapeError::new(
+                "from_vec",
+                format!("shape {shape} holds more than usize::MAX elements"),
+            ));
+        };
+        if len != data.len() {
             return Err(ShapeError::new(
                 "from_vec",
                 format!(
-                    "shape {shape} holds {} elements but {} were provided",
-                    shape.len(),
+                    "shape {shape} holds {len} elements but {} were provided",
                     data.len()
                 ),
             ));
@@ -462,6 +482,22 @@ pub fn nan_aware_argmax(values: &[f32]) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn deserialize_checks_the_data_length_and_round_trips() {
+        // Used to deserialize Ok and panic inside the GEMM kernel.
+        let forged = r#"{"shape":{"dims":[2,2]},"data":[1.0]}"#;
+        assert!(serde_json::from_str::<Tensor>(forged).is_err());
+        let overflow = r#"{"shape":{"dims":[4294967296,4294967296]},"data":[]}"#;
+        assert!(serde_json::from_str::<Tensor>(overflow).is_err());
+        let t = Tensor::from_fn([2, 3], |i| i as f32 - 2.5);
+        let json = serde_json::to_string(&t).unwrap();
+        assert_eq!(
+            json,
+            r#"{"shape":{"dims":[2,3]},"data":[-2.5,-1.5,-0.5,0.5,1.5,2.5]}"#
+        );
+        assert_eq!(serde_json::from_str::<Tensor>(&json).unwrap(), t);
+    }
 
     #[test]
     fn constructors_fill_correctly() {

@@ -2,14 +2,14 @@
 //! inference.
 //!
 //! The hot inference path lowers every convolution through
-//! [`crate::conv::im2col_slice_into`] and a GEMM `_into` variant
+//! [`crate::conv::im2col_batch_into`] and a GEMM `_into` variant
 //! (see [`crate::linalg`]). Those kernels write into caller-owned
 //! `Vec<f32>` buffers; a [`Workspace`] pools such buffers so a layer can
 //! borrow scratch space per image and hand it back, keeping steady-state
 //! inference allocation-free. [`Parallelism`] says how many scoped worker
 //! threads a batched operation may shard its rows across.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 
 /// A pool of reusable `f32` scratch buffers.
 ///
@@ -83,9 +83,19 @@ impl Workspace {
 /// are computed independently with the same kernels, so the setting is a
 /// pure throughput knob that never perturbs predictions or
 /// fault-injection accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Parallelism {
     threads: usize,
+}
+
+/// Rejects `{"threads": 0}`: [`Parallelism::threads`] is at least 1.
+impl<'de> Deserialize<'de> for Parallelism {
+    fn from_value(value: &Value) -> Result<Self, Error> {
+        match usize::from_value(value.get_field("threads")?)? {
+            0 => Err(Error::custom("Parallelism: threads must be at least 1")),
+            threads => Ok(Self { threads }),
+        }
+    }
 }
 
 impl Parallelism {
@@ -185,6 +195,16 @@ mod tests {
                 assert!(chunks.len() <= threads);
             }
         }
+    }
+
+    #[test]
+    fn deserialize_rejects_zero_workers_and_round_trips() {
+        let zero = serde_json::from_str::<Parallelism>(r#"{"threads":0}"#);
+        assert!(zero.is_err(), "{zero:?}");
+        let par = Parallelism::new(3);
+        let json = serde_json::to_string(&par).unwrap();
+        assert_eq!(json, r#"{"threads":3}"#);
+        assert_eq!(serde_json::from_str::<Parallelism>(&json).unwrap(), par);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use multiprec::nn::train::Model;
 use multiprec::nn::{Mode, Network};
 use multiprec::obs::SharedRecorder;
 use multiprec::serve::{BatchServer, BatcherConfig, Request};
-use multiprec::tensor::conv::{col2im, im2col, ConvGeometry};
+use multiprec::tensor::conv::{col2im, im2col, im2col_batch_into, ConvGeometry};
 use multiprec::tensor::init::TensorRng;
 use multiprec::tensor::{linalg, Parallelism, Shape, Tensor};
 use multiprec::verify::{verify, Candidate, Oracle, VerifyTarget};
@@ -228,6 +228,129 @@ proptest! {
         let bnn_acc = q.fs + q.fs_bar;
         let acc = model::accuracy_exact(bnn_acc, host_acc, q.rerun_ratio(), q.rerun_err_ratio());
         prop_assert!((-1e-9..=1.0 + 1e-9).contains(&acc), "acc {acc} from {q:?}");
+    }
+}
+
+// ---- host fast path: packed GEMM and batch lowering ----
+
+/// Mostly finite entries with `-0.0` and subnormals sprinkled in, and
+/// NaN / ±∞ at a few positions only, so most outputs stay finite.
+fn awkward_entries(len: usize, seed: u64) -> Vec<f32> {
+    let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+    (0..len as u64)
+        .map(|i| {
+            let h = (i ^ seed)
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                .rotate_left(29);
+            match h % 97 {
+                0 if h.is_multiple_of(13) => specials[(h / 97 % 3) as usize],
+                1..=4 => -0.0,
+                5..=8 => -f32::from_bits((h >> 40) as u32 & 0x007f_ffff),
+                _ => ((h >> 40) % 2001) as f32 / 250.0 - 4.0,
+            }
+        })
+        .collect()
+}
+
+/// Equal bits, except that any two NaNs match: Rust leaves NaN payloads
+/// unspecified.
+fn same_bits(x: &[f32], y: &[f32]) -> bool {
+    x.len() == y.len()
+        && x.iter()
+            .zip(y)
+            .all(|(a, b)| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `matmul` runs the packed SIMD kernel on AVX2 / AVX-512F CPUs;
+    /// `matmul_transpose_a` always runs the portable order it must keep.
+    /// Shapes cross the 4-row tile, the 24- and 32-column tiles, the
+    /// 256-deep k-block and every `k % 4` tail.
+    #[test]
+    fn packed_matmul_keeps_the_reference_summation_order(
+        m in 1usize..71, k in 1usize..301, n in 1usize..81,
+        seed in any::<u64>(), zero_row in any::<usize>()
+    ) {
+        let mut av = awkward_entries(m * k, seed);
+        // An all -0.0 row still sums to +0.0 from the zeroed output.
+        let r = zero_row % m;
+        av[r * k..(r + 1) * k].fill(-0.0);
+        let a = Tensor::from_vec([m, k], av).unwrap();
+        let b = Tensor::from_vec([k, n], awkward_entries(k * n, seed.rotate_left(17))).unwrap();
+        let packed = linalg::matmul(&a, &b).unwrap();
+        let reference = linalg::matmul_transpose_a(&linalg::transpose(&a).unwrap(), &b).unwrap();
+        prop_assert!(
+            same_bits(packed.as_slice(), reference.as_slice()),
+            "({m},{k},{n}) seed {seed}"
+        );
+    }
+
+    /// `im2col_batch_into` writes exactly the im2col definition, padding
+    /// zeros included, and a one-conv network's batched path equals its
+    /// per-image `forward` at any thread count.
+    #[test]
+    fn batch_lowering_matches_its_definition(
+        c in 1usize..3, h in 1usize..9, w in 1usize..9,
+        k in 1usize..5, stride in 1usize..3, pad in 0usize..3,
+        n in 0usize..5, threads in 1usize..4, seed in any::<u64>()
+    ) {
+        let geom = ConvGeometry::new(k, stride, pad);
+        let (oh, ow) = (geom.output_dim(h), geom.output_dim(w));
+        prop_assume!(oh > 0 && ow > 0);
+        // Nonzero pixels, so a zero in the patch matrix is padding.
+        let images: Vec<f32> = (0..n * c * h * w).map(|i| i as f32 + 1.0).collect();
+        let mut cols = vec![f32::NAN; 3];
+        let dims = im2col_batch_into(&images, n, c, h, w, geom, &mut cols).unwrap();
+        let pixels = oh * ow;
+        prop_assert_eq!(dims, (c * k * k, n * pixels));
+        prop_assert_eq!(cols.len(), c * k * k * n * pixels);
+        for ch in 0..c {
+            for ky in 0..k {
+                for kx in 0..k {
+                    let row = (ch * k + ky) * k + kx;
+                    for img in 0..n {
+                        for oy in 0..oh {
+                            for ox in 0..ow {
+                                let iy = (oy * stride + ky) as isize - pad as isize;
+                                let ix = (ox * stride + kx) as isize - pad as isize;
+                                let inside = (0..h as isize).contains(&iy)
+                                    && (0..w as isize).contains(&ix);
+                                let want = if inside {
+                                    images[((img * c + ch) * h + iy as usize) * w + ix as usize]
+                                } else {
+                                    0.0
+                                };
+                                let got = cols[row * n * pixels + img * pixels + oy * ow + ox];
+                                prop_assert_eq!(
+                                    got.to_bits(), want.to_bits(),
+                                    "row {} img {} ({}, {})", row, img, oy, ox
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        let mut rng = TensorRng::seed_from(seed);
+        let od = 1 + (seed % 5) as usize;
+        let mut net = Network::builder(Shape::nchw(1, c, h, w))
+            .conv2d(od, k, stride, pad, &mut rng)
+            .unwrap()
+            .build();
+        let x = rng.normal(Shape::nchw(n, c, h, w), 0.0, 1.0);
+        let batched = net.infer_batch_with(&x, Parallelism::new(threads)).unwrap();
+        prop_assert_eq!(batched.shape().dims(), &[n, od, oh, ow][..]);
+        let per_image = od * pixels;
+        for img in 0..n {
+            let one = net.forward(&x.batch_item(img).unwrap()).unwrap();
+            prop_assert!(
+                same_bits(one.as_slice(), &batched.as_slice()[img * per_image..][..per_image]),
+                "image {img} of {n} on {threads} threads"
+            );
+        }
     }
 }
 
