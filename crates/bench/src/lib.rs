@@ -34,16 +34,20 @@ use serde::Serialize;
 use mp_core::experiment::ExperimentConfig;
 use mp_serve::Request;
 
-/// Parses the common `--smoke` / `--seed N` flags.
+/// Parses the common `--smoke` / `--seed N` flags (and the throughput
+/// bench's `--gate-overhead` / `--gate-overlap`), rejecting anything
+/// else.
 ///
 /// # Example
 ///
 /// ```
 /// use mp_bench::CliOptions;
 ///
-/// let opts = CliOptions::parse_from(["--smoke", "--seed", "7"].iter().map(|s| s.to_string()));
+/// let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+/// let opts = CliOptions::parse_from(args(&["--smoke", "--seed", "7"])).unwrap();
 /// assert!(opts.smoke);
 /// assert_eq!(opts.seed, 7);
+/// assert!(CliOptions::parse_from(args(&["--smok"])).is_err());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CliOptions {
@@ -71,14 +75,27 @@ impl Default for CliOptions {
     }
 }
 
+/// The flags [`CliOptions`] accepts, printed with a parse error.
+const USAGE: &str = "usage: [--smoke] [--seed N] [--gate-overhead] [--gate-overlap]";
+
 impl CliOptions {
-    /// Parses options from process arguments.
+    /// Parses options from process arguments. On an unknown flag or a
+    /// bad `--seed`, prints the error and the usage line and exits with
+    /// code 2, before any work starts.
     pub fn parse() -> Self {
-        Self::parse_from(std::env::args().skip(1))
+        Self::parse_from(std::env::args().skip(1)).unwrap_or_else(|err| {
+            eprintln!("error: {err}\n{USAGE}");
+            std::process::exit(2)
+        })
     }
 
     /// Parses options from an explicit argument list.
-    pub fn parse_from(args: impl IntoIterator<Item = String>) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first unknown flag, or a `--seed`
+    /// without a `u64` value after it.
+    pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut opts = Self::default();
         let mut iter = args.into_iter();
         while let Some(arg) = iter.next() {
@@ -87,14 +104,15 @@ impl CliOptions {
                 "--gate-overhead" => opts.gate_overhead = true,
                 "--gate-overlap" => opts.gate_overlap = true,
                 "--seed" => {
-                    if let Some(v) = iter.next() {
-                        opts.seed = v.parse().unwrap_or(opts.seed);
-                    }
+                    let value = iter.next().ok_or("--seed needs a value")?;
+                    opts.seed = value
+                        .parse()
+                        .map_err(|_| format!("--seed {value:?} is not a u64"))?;
                 }
-                _ => {}
+                other => return Err(format!("unknown flag {other:?}")),
             }
         }
-        opts
+        Ok(opts)
     }
 
     /// The experiment configuration these options select.
@@ -241,26 +259,27 @@ fn unit_hash(seed: u64, index: u64) -> f64 {
 mod tests {
     use super::*;
 
+    fn args(a: &[&str]) -> Vec<String> {
+        a.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn cli_defaults() {
-        let o = CliOptions::parse_from(Vec::<String>::new());
+        let o = CliOptions::parse_from(Vec::<String>::new()).unwrap();
         assert!(!o.smoke);
         assert_eq!(o.seed, 2018);
     }
 
     #[test]
     fn cli_parses_flags() {
-        let o = CliOptions::parse_from(
-            [
-                "--seed",
-                "42",
-                "--smoke",
-                "--gate-overhead",
-                "--gate-overlap",
-            ]
-            .iter()
-            .map(|s| s.to_string()),
-        );
+        let o = CliOptions::parse_from(args(&[
+            "--seed",
+            "42",
+            "--smoke",
+            "--gate-overhead",
+            "--gate-overlap",
+        ]))
+        .unwrap();
         assert!(o.smoke);
         assert!(o.gate_overhead);
         assert!(o.gate_overlap);
@@ -269,9 +288,16 @@ mod tests {
     }
 
     #[test]
-    fn cli_ignores_bad_seed() {
-        let o = CliOptions::parse_from(["--seed", "zzz"].iter().map(|s| s.to_string()));
-        assert_eq!(o.seed, 2018);
+    fn cli_rejects_unknown_flags_and_bad_seeds() {
+        for (bad, want) in [
+            (&["--smok"][..], "unknown flag \"--smok\""),
+            (&["--smoke", "--seed", "zzz"][..], "\"zzz\" is not a u64"),
+            (&["--seed", "-1"][..], "is not a u64"),
+            (&["--smoke", "--seed"][..], "--seed needs a value"),
+        ] {
+            let err = CliOptions::parse_from(args(bad)).unwrap_err();
+            assert!(err.contains(want), "{bad:?}: {err}");
+        }
     }
 
     #[test]

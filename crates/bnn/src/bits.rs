@@ -403,52 +403,6 @@ pub(crate) fn xnor_dot_words_x4(a: [&[u64]; 4], b: &[u64], len: usize) -> [i32; 
     m.map(|matches| 2 * matches as i32 - len as i32)
 }
 
-/// Words summed into one byte-lane accumulator before its horizontal
-/// sum: each byte gains at most 8 per word, and 31 × 8 = 248 still fits.
-const BYTE_LANE_WORDS: usize = 31;
-
-/// Four mismatch counts sharing one traversal of `x`: lane `l` of the
-/// result is `Σ_j popcount(w[j][l] ^ x[j])`. This is the binary-conv
-/// kernel: `w` holds four weight rows interleaved per word, so the four
-/// lanes vectorize as two SSE2 `u64×2` registers against one broadcast
-/// `x` word. The popcount is the byte-lane SWAR reduction (baseline
-/// x86-64 has no `popcnt`), summed per lane and reduced horizontally
-/// once every [`BYTE_LANE_WORDS`] words. Inlined so that the conv loop's
-/// patches of a few words do not pay a call per quad.
-#[inline(always)]
-pub(crate) fn xor_popcount_x4(w: &[[u64; 4]], x: &[u64]) -> [u32; 4] {
-    debug_assert_eq!(w.len(), x.len());
-    let mut total = [0u32; 4];
-    for (wc, xc) in w.chunks(BYTE_LANE_WORDS).zip(x.chunks(BYTE_LANE_WORDS)) {
-        let mut bytes = [0u64; 4];
-        for (w4, &xw) in wc.iter().zip(xc) {
-            for (acc, &wl) in bytes.iter_mut().zip(w4) {
-                *acc += byte_popcounts(wl ^ xw);
-            }
-        }
-        for (t, acc) in total.iter_mut().zip(bytes) {
-            *t += sum_bytes(acc);
-        }
-    }
-    total
-}
-
-/// Per-byte popcounts of `v`: byte `i` of the result is the number of
-/// set bits in byte `i` of `v` (0..=8).
-fn byte_popcounts(v: u64) -> u64 {
-    let v = v - ((v >> 1) & 0x5555_5555_5555_5555);
-    let v = (v & 0x3333_3333_3333_3333) + ((v >> 2) & 0x3333_3333_3333_3333);
-    (v + (v >> 4)) & 0x0f0f_0f0f_0f0f_0f0f
-}
-
-/// Sum of the eight byte lanes of `v` (each at most 255), folded by
-/// shifts: SSE2 has no 64-bit multiply to gather them in one step.
-fn sum_bytes(v: u64) -> u32 {
-    let v = (v & 0x00ff_00ff_00ff_00ff) + ((v >> 8) & 0x00ff_00ff_00ff_00ff);
-    let v = (v & 0x0000_ffff_0000_ffff) + ((v >> 16) & 0x0000_ffff_0000_ffff);
-    ((v & 0xffff_ffff) + (v >> 32)) as u32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -748,34 +702,6 @@ mod tests {
                     xnor_dot_words_reference(row.words(), x.words(), len),
                     "len={len} lane={r}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn xor_popcount_x4_matches_count_ones() {
-        // Lengths straddle the byte-lane flush (31 words) and cover
-        // saturated words, where every byte counts 8.
-        for words in [0usize, 1, 30, 31, 32, 36, 62, 63, 100] {
-            let lanes: Vec<BitVec> = (0..5)
-                .map(|r| pseudo_random_bits(64 * words, 0xF00D + r * 131 + words as u64))
-                .collect();
-            let mut w: Vec<[u64; 4]> = (0..words)
-                .map(|j| [0, 1, 2, 3].map(|l| lanes[l].words()[j]))
-                .collect();
-            let mut x = lanes[4].words().to_vec();
-            if words > 2 {
-                w[1] = [u64::MAX, 0, u64::MAX, 0];
-                x[1] = 0;
-            }
-            let got = xor_popcount_x4(&w, &x);
-            for (l, &count) in got.iter().enumerate() {
-                let expect: u32 = w
-                    .iter()
-                    .zip(&x)
-                    .map(|(q, &xw)| (q[l] ^ xw).count_ones())
-                    .sum();
-                assert_eq!(count, expect, "words={words} lane={l}");
             }
         }
     }

@@ -13,6 +13,7 @@ use serde::{Deserialize, Error, Serialize, Value};
 use mp_obs::{now_ns, Recorder};
 use mp_tensor::{Parallelism, Shape, ShapeError, Tensor};
 
+use crate::bin_conv::{PackedConv, Tier};
 use crate::bits::{BitMatrix, BitVec};
 use crate::classifier::{BnnClassifier, Stage};
 use crate::{EngineSpec, FinnTopology};
@@ -241,6 +242,13 @@ impl HwStage {
                 "stage 0 fan-in {cols} overflows the first engine's i32 lanes"
             ));
         }
+        // A `BinConv` row's popcount range lies in `0..=fan_in` and is
+        // stored in u32 lanes (see `PackedConv`).
+        if matches!(self, HwStage::BinConv { .. }) && u32::try_from(cols).is_err() {
+            return Err(format!(
+                "stage {i} fan-in {cols} overflows the BinConv popcount ranges' u32 lanes"
+            ));
+        }
         Ok(())
     }
 }
@@ -273,9 +281,9 @@ pub struct HardwareBnn {
     stages: Vec<HwStage>,
     /// The first engine's tap-offset tables, built at construction.
     first_plan: FirstConvPlan,
-    /// Per `BinConv` stage, in order: its weights repacked at
-    /// construction (see [`pack_conv_weights`]).
-    conv_quads: Vec<Vec<[u64; 4]>>,
+    /// Per `BinConv` stage, in order: its weights repacked and its
+    /// thresholds folded into popcount ranges at construction.
+    convs: Vec<PackedConv>,
 }
 
 impl Serialize for HardwareBnn {
@@ -400,7 +408,7 @@ impl HardwareBnn {
                 .map_err(|msg| ShapeError::new("HardwareBnn", msg))?;
         }
         let mut first_plan = FirstConvPlan::default();
-        let mut conv_quads = Vec::new();
+        let mut convs = Vec::new();
         for stage in &stages {
             match stage {
                 HwStage::FirstConv {
@@ -417,10 +425,11 @@ impl HardwareBnn {
                 }
                 HwStage::BinConv {
                     weights,
+                    thresholds,
                     in_channels,
                     kernel,
                     ..
-                } => conv_quads.push(pack_conv_weights(weights, *in_channels, *kernel)),
+                } => convs.push(PackedConv::new(weights, thresholds, *in_channels, *kernel)),
                 HwStage::BinFc { .. } | HwStage::OutputFc { .. } => {}
             }
         }
@@ -428,7 +437,7 @@ impl HardwareBnn {
             topology,
             stages,
             first_plan,
-            conv_quads,
+            convs,
         })
     }
 
@@ -773,10 +782,11 @@ impl HardwareBnn {
             None
         };
         let chunks = par.chunks(n);
+        let tier = Tier::detected();
         if chunks.len() <= 1 {
             let mut ctx = HwInferCtx::default();
             let mut data = Vec::with_capacity(n * classes);
-            self.infer_range_inner(xv, &mut ctx, obs_ref, &mut data);
+            self.infer_range_inner(xv, &mut ctx, obs_ref, tier, &mut data);
             return Tensor::from_vec(Shape::matrix(n, classes), data);
         }
         let parts: Vec<Vec<f32>> = std::thread::scope(|scope| {
@@ -787,7 +797,7 @@ impl HardwareBnn {
                     scope.spawn(move || {
                         let mut ctx = HwInferCtx::default();
                         let mut part = Vec::new();
-                        self.infer_range_inner(slice, &mut ctx, obs_ref, &mut part);
+                        self.infer_range_inner(slice, &mut ctx, obs_ref, tier, &mut part);
                         part
                     })
                 })
@@ -829,12 +839,13 @@ impl HardwareBnn {
     /// engine's block compute as [`SPAN_FIRST_CONV_BLOCK`], and each
     /// image's stage-0 map hand-off (copy or fused OR-pool) under the
     /// stage-0 name, so every `bnn.stage<i>.<kind>` counts one span per
-    /// image.
+    /// image. The `BinConv` engines run on `tier`.
     fn infer_range_inner(
         &self,
         images: &[f32],
         ctx: &mut HwInferCtx,
         obs: Option<(&dyn Recorder, &[String])>,
+        tier: Tier,
         out: &mut Vec<f32>,
     ) {
         let HwStage::FirstConv {
@@ -875,7 +886,7 @@ impl HardwareBnn {
                 if let (Some((rec, names)), Some(start)) = (obs, tc) {
                     rec.record_span(&names[0], start, now_ns());
                 }
-                self.infer_tail(dims, scratch, out, obs);
+                self.infer_tail(dims, scratch, out, obs, tier);
             }
         }
     }
@@ -958,15 +969,16 @@ impl HardwareBnn {
     /// `(ky, kx, ch)` order of the repacked weights, and its dot is
     /// `fan_in − 2·Σ popcount(w ^ x)`: padding bits are zero in both
     /// operands, and an integer sum does not depend on the order of the
-    /// `(ch, ky, kx)` → `(ky, kx, ch)` permutation. The last map is
-    /// unpacked once into the reference `(ch, y, x)` bit order for the FC
-    /// engines.
+    /// `(ch, ky, kx)` → `(ky, kx, ch)` permutation. `BinConv` engines run
+    /// on `tier` (see [`PackedConv::run`]). The last map is unpacked once
+    /// into the reference `(ch, y, x)` bit order for the FC engines.
     fn infer_tail(
         &self,
         dims: (usize, usize, usize),
         scratch: &mut HwScratch,
         scores_out: &mut Vec<f32>,
         obs: Option<(&dyn Recorder, &[String])>,
+        tier: Tier,
     ) {
         let HwScratch {
             map,
@@ -978,56 +990,20 @@ impl HardwareBnn {
         } = scratch;
         // `Some` while the activations are still a packed map.
         let mut map_dims = Some(dims);
-        let mut conv_quads = self.conv_quads.iter();
+        let mut convs = self.convs.iter();
         for (si, stage) in self.stages.iter().enumerate().skip(1) {
             let t0 = obs.map(|_| now_ns());
             match stage {
                 HwStage::FirstConv { .. } => {
                     unreachable!("checked construction allows one FirstConv, first")
                 }
-                HwStage::BinConv {
-                    thresholds,
-                    kernel,
-                    pool,
-                    ..
-                } => {
-                    let quads = conv_quads
+                HwStage::BinConv { pool, .. } => {
+                    let conv = convs
                         .next()
                         .expect("checked construction packs every BinConv");
-                    let (c, h, w) = map_dims.expect("checked construction puts convs first");
-                    let k = *kernel;
-                    let (oh, ow) = (h - k + 1, w - k + 1);
-                    let od = thresholds.len();
-                    let (cw, ocw) = (c.div_ceil(64), od.div_ceil(64));
-                    let (run, plen) = (k * cw, k * k * cw);
-                    let fan_in = (c * k * k) as i64;
-                    patch.clear();
-                    patch.resize(plen, 0);
-                    next.clear();
-                    next.resize(oh * ow * ocw, 0);
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            for (ky, dst) in patch.chunks_exact_mut(run).enumerate() {
-                                let src = ((oy + ky) * w + ox) * cw;
-                                dst.copy_from_slice(&map[src..src + run]);
-                            }
-                            let out = &mut next[(oy * ow + ox) * ocw..][..ocw];
-                            for (q, (wq, tq)) in quads
-                                .chunks_exact(plen)
-                                .zip(thresholds.chunks(4))
-                                .enumerate()
-                            {
-                                let diffs = crate::bits::xor_popcount_x4(wq, patch);
-                                let mut nibble = 0u64;
-                                for (lane, (t, &d)) in tq.iter().zip(&diffs).enumerate() {
-                                    nibble |= u64::from(t.fires(fan_in - 2 * i64::from(d))) << lane;
-                                }
-                                out[q / 16] |= nibble << (4 * (q % 16));
-                            }
-                        }
-                    }
+                    let dims = map_dims.expect("checked construction puts convs first");
+                    let mut out_dims = conv.run(tier, map, dims, patch, next);
                     std::mem::swap(map, next);
-                    let mut out_dims = (od, oh, ow);
                     if *pool {
                         out_dims = or_pool_words(map, out_dims, next);
                         std::mem::swap(map, next);
@@ -1112,32 +1088,6 @@ impl FirstConvPlan {
         }
         plan
     }
-}
-
-/// Repacks a `BinConv` weight matrix (reference columns in `(ch, ky, kx)`
-/// order) into the channel-packed patch order `(ky, kx, ch)`: patch word
-/// `(ky·k + kx)·⌈c/64⌉ + ch/64` holds channel `ch` at bit `ch % 64`.
-/// Rows are interleaved four to a quad, `[⌈od/4⌉][plen][4]` with
-/// `plen = k·k·⌈c/64⌉`; padding bits and the rows past `od` are zero.
-fn pack_conv_weights(weights: &BitMatrix, c: usize, k: usize) -> Vec<[u64; 4]> {
-    let cw = c.div_ceil(64);
-    let plen = k * k * cw;
-    let mut quads = vec![[0u64; 4]; weights.num_rows().div_ceil(4) * plen];
-    for oc in 0..weights.num_rows() {
-        let dst = &mut quads[oc / 4 * plen..][..plen];
-        // Visit the row's set bits only: column `ch·k² + tap`, with
-        // `tap = ky·k + kx`.
-        for (wi, &word) in weights.row(oc).words().iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let col = wi * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let (ch, tap) = (col / (k * k), col % (k * k));
-                dst[tap * cw + ch / 64][oc % 4] |= 1 << (ch % 64);
-            }
-        }
-    }
-    quads
 }
 
 /// Reusable per-thread scratch for [`HardwareBnn::infer_batch_with`].
@@ -1240,7 +1190,7 @@ impl BnnBlockStream<'_> {
         out.clear();
         let slice = &images.as_slice()[start * image_len..end * image_len];
         self.hw
-            .infer_range_inner(slice, &mut self.ctx, obs_ref, out);
+            .infer_range_inner(slice, &mut self.ctx, obs_ref, Tier::detected(), out);
         Ok(())
     }
 }
@@ -1538,6 +1488,72 @@ mod tests {
         ] {
             let err = HardwareBnn::from_value(&value).unwrap_err();
             assert!(err.to_string().contains(want), "{err}");
+        }
+    }
+
+    /// `hw` with every `BinConv` threshold redrawn: a random `negate` and
+    /// a bound within `±√fan_in` of zero, where the dot of random signs
+    /// concentrates, so every row fires on some patches and not on others
+    /// and the bound's edges are hit at both parities.
+    fn with_random_bin_conv_thresholds(hw: &HardwareBnn, rng: &mut TensorRng) -> HardwareBnn {
+        let mut stages = hw.stages.clone();
+        for stage in &mut stages {
+            if let HwStage::BinConv {
+                weights,
+                thresholds,
+                ..
+            } = stage
+            {
+                let spread = (weights.num_cols() as f64).sqrt() as usize;
+                for t in thresholds.iter_mut() {
+                    t.bound = rng.next_index(2 * spread + 1) as i64 - spread as i64;
+                    t.negate = rng.next_bool(0.5);
+                }
+            }
+        }
+        HardwareBnn::checked(hw.topology.clone(), stages).unwrap()
+    }
+
+    /// Batch-path scores of `images` with the `BinConv` engines on `tier`.
+    fn batch_scores_on(hw: &HardwareBnn, images: &Tensor, tier: Tier) -> Vec<f32> {
+        let mut scores = Vec::new();
+        let mut ctx = HwInferCtx::default();
+        hw.infer_range_inner(images.as_slice(), &mut ctx, None, tier, &mut scores);
+        scores
+    }
+
+    #[test]
+    fn every_supported_tier_matches_infer_image_and_the_portable_tier() {
+        let mut rng = TensorRng::seed_from(90);
+        // The paper topology, whose maps fill whole 8-row groups, and one
+        // of 70-channel maps: a partial last group (rows 64..70 of group
+        // 8, rows 70..72 never fire) and two words per pixel.
+        let seventy = FinnTopology::new(
+            3,
+            12,
+            12,
+            vec![8, 70, 70, 70],
+            vec![false, false, true, false],
+            vec![16, 16],
+            10,
+        );
+        for (topo, n) in [(FinnTopology::paper(), 3), (seventy, 6)] {
+            let bnn = BnnClassifier::new(topo.clone(), &mut rng).unwrap();
+            let hw = HardwareBnn::from_classifier(&bnn).unwrap();
+            let hw = with_random_bin_conv_thresholds(&hw, &mut rng);
+            let images = rng.normal(Shape::nchw(n, 3, topo.height(), topo.width()), 0.0, 1.0);
+            let mut reference = Vec::new();
+            for i in 0..n {
+                let scores = hw.infer_image(&images.batch_item(i).unwrap()).unwrap();
+                reference.extend(scores.iter().map(|&s| s as f32));
+            }
+            let portable = batch_scores_on(&hw, &images, Tier::Portable);
+            assert_eq!(portable, reference, "portable tier, {}", topo.height());
+            for tier in crate::bin_conv::supported_tiers() {
+                let got = batch_scores_on(&hw, &images, tier);
+                assert_eq!(got, reference, "{tier:?} vs infer_image, {}", topo.height());
+                assert_eq!(got, portable, "{tier:?} vs portable, {}", topo.height());
+            }
         }
     }
 

@@ -19,6 +19,17 @@
 //!    (batch-norm + sign folded per FINN) — functionally equivalent to
 //!    the FPGA bitstream. `mp-fpga` models its timing and memory.
 //!
+//! # `unsafe`
+//!
+//! Every crate of the workspace but this one and `mp-tensor` is
+//! `#![forbid(unsafe_code)]`. This one is `#![deny(unsafe_code)]` with a
+//! single exception: the private dispatch `bin_conv::PackedConv::run`,
+//! which calls the AVX-512 VPOPCNTDQ or AVX2 build of the batch path's
+//! `BinConv` kernel. Calling a `#[target_feature]` function is `unsafe`,
+//! and each such call sits behind the matching `is_x86_feature_detected!`
+//! checks. The kernel body itself is safe Rust (slices and fixed-size
+//! arrays, no intrinsics or raw pointers).
+//!
 //! # Example
 //!
 //! ```
@@ -29,10 +40,11 @@
 //! assert_eq!(topo.engines().len(), 9); // 6 conv + 3 FC engines
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![deny(deprecated)]
 
+mod bin_conv;
 pub mod bits;
 mod classifier;
 pub mod hardware;

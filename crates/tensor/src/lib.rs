@@ -16,8 +16,9 @@
 //!
 //! # `unsafe`
 //!
-//! Every crate of the workspace but this one is `#![forbid(unsafe_code)]`.
-//! This one is `#![deny(unsafe_code)]` with a single exception: the
+//! Every crate of the workspace but this one and `mp-bnn` (whose popcount
+//! tiers make the same exception) is `#![forbid(unsafe_code)]`. This one
+//! is `#![deny(unsafe_code)]` with a single exception: the
 //! private `linalg::run_tier`, which calls the AVX-512F or AVX2 build of
 //! the packed GEMM kernel. Calling a `#[target_feature]` function is
 //! `unsafe`, and each such call sits behind the matching

@@ -3,8 +3,10 @@
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
+use serde::{Deserialize, Serialize, Value};
 
 use multiprec::bnn::bits::{BitMatrix, BitVec};
+use multiprec::bnn::hardware::HwThreshold;
 use multiprec::bnn::planes::{quantize_level, PlaneMatrix, PlaneVec};
 use multiprec::bnn::{BnnClassifier, HardwareBnn};
 use multiprec::bnn::{EngineKind, EngineSpec, FinnTopology};
@@ -1342,6 +1344,72 @@ proptest! {
         bnn.forward_mode(&rng.normal(Shape::nchw(2, 3, edge, edge), 0.0, 1.0), Mode::Train)
             .unwrap();
         let hw = HardwareBnn::from_classifier(&bnn).unwrap();
+        let batch = rng.normal(Shape::nchw(n, 3, edge, edge), 0.0, 1.0);
+        assert_bnn_batch_paths_match_reference(&hw, &batch, threads, split)?;
+    }
+}
+
+/// Replaces threshold `row` of stage `stage` in a serialised
+/// `HardwareBnn`.
+fn set_threshold(hw: &mut Value, stage: usize, row: usize, threshold: HwThreshold) {
+    let Value::Map(fields) = hw else {
+        panic!("HardwareBnn serialises to an object")
+    };
+    let Some((_, Value::Seq(stages))) = fields.iter_mut().find(|(k, _)| k == "stages") else {
+        panic!("stages is an array")
+    };
+    let Value::Map(tagged) = &mut stages[stage] else {
+        panic!("stages are tagged objects")
+    };
+    let Value::Map(payload) = &mut tagged[0].1 else {
+        panic!("stage payload is an object")
+    };
+    let Some((_, Value::Seq(thresholds))) = payload.iter_mut().find(|(k, _)| k == "thresholds")
+    else {
+        panic!("thresholds is an array")
+    };
+    thresholds[row] = threshold.to_value();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The BNN batch path computes `infer_image`'s scores when `BinConv`
+    /// thresholds sit at the edges of the dot's range `-fan_in..=fan_in`:
+    /// bounds that always or never fire (the degenerate batch-norm's
+    /// `i64::MIN`/`i64::MAX`, `±(fan_in + 1)`, `±fan_in`), parity edges
+    /// (`±(fan_in − 1)`, `−1`, `0`, `1`), each in both comparison
+    /// directions, written into the serialised stages and loaded through
+    /// the checked deserializer. Conv widths come from the wide-map set.
+    #[test]
+    fn bnn_batch_path_matches_reference_on_edge_thresholds(
+        widths in proptest::collection::vec(0usize..6, 1..4),
+        edits in proptest::collection::vec((any::<u64>(), 0usize..11, any::<bool>()), 1..40),
+        seed in any::<u64>(), n in 1usize..6, threads in 1usize..4, split in 1usize..6
+    ) {
+        const WIDTHS: [usize; 6] = [8, 63, 64, 65, 128, 130];
+        // An 8-channel first engine, so every drawn width is a BinConv;
+        // each 3×3 conv takes two pixels, leaving a 3×3 last map.
+        let mut convs = vec![8];
+        convs.extend(widths.iter().map(|&w| WIDTHS[w]));
+        let edge = 2 * convs.len() + 3;
+        let pools = vec![false; convs.len()];
+        let topo = FinnTopology::try_new(3, edge, edge, convs, pools, vec![16, 12], 10).unwrap();
+        let mut rng = TensorRng::seed_from(seed);
+        let hw = HardwareBnn::from_classifier(&BnnClassifier::new(topo, &mut rng).unwrap()).unwrap();
+        let summaries = hw.stage_summaries();
+        let mut value = hw.to_value();
+        for &(pick, kind, negate) in &edits {
+            let stage = 1 + (pick % widths.len() as u64) as usize;
+            let fan_in = summaries[stage].fan_in as i64;
+            let bound = [
+                i64::MIN, i64::MAX, fan_in + 1, -(fan_in + 1), fan_in, -fan_in,
+                fan_in - 1, -(fan_in - 1), -1, 0, 1,
+            ][kind];
+            let row = (pick >> 32) as usize % summaries[stage].out_channels;
+            set_threshold(&mut value, stage, row, HwThreshold { bound, negate });
+        }
+        let hw = HardwareBnn::from_value(&value).unwrap();
         let batch = rng.normal(Shape::nchw(n, 3, edge, edge), 0.0, 1.0);
         assert_bnn_batch_paths_match_reference(&hw, &batch, threads, split)?;
     }
