@@ -23,7 +23,7 @@ use mp_autotune::{pareto_front, Autotuner, Oracle, Profile, TunedPoint};
 use mp_bench::{pct, write_record, CliOptions, TextTable};
 use mp_bnn::FinnTopology;
 use mp_core::experiment::TrainedSystem;
-use mp_core::Precision;
+use mp_core::{CascadePolicy, CascadeStage, StageClassifier};
 use mp_fpga::{design::DesignPoint, device::Device, memory::MemoryModel};
 use mp_host::zoo::ModelId;
 use mp_int::QuantBnn;
@@ -161,13 +161,16 @@ fn main() {
             Some(precision) => {
                 let quant =
                     QuantBnn::from_classifier(&sys.bnn, precision.clone()).expect("quantisation");
-                sys.execute(
-                    id,
-                    &run_opts
-                        .clone()
-                        .with_precision(Precision::Quantized(Arc::new(quant))),
-                )
-                .expect("quantized execution")
+                let policy = CascadePolicy::try_new(vec![
+                    CascadeStage::gated(
+                        StageClassifier::Quantized(Arc::new(quant)),
+                        sys.config.threshold,
+                    ),
+                    CascadeStage::terminal(StageClassifier::HostFloat),
+                ])
+                .expect("quantized policy");
+                sys.execute(id, &run_opts.clone().with_cascade(policy))
+                    .expect("quantized execution")
             }
         };
         println!(

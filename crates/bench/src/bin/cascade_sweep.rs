@@ -31,7 +31,7 @@ use mp_bench::{pct, write_record, CliOptions, TextTable};
 use mp_core::cascade::{evaluate_chain, tune_gates, StageProfile, TunedCascade};
 use mp_core::dmu::Dmu;
 use mp_core::experiment::TrainedSystem;
-use mp_core::{CascadePolicy, CascadeStage, PipelineTiming, Precision, StageClassifier};
+use mp_core::{CascadePolicy, CascadeStage, PipelineTiming, StageClassifier};
 use mp_host::zoo::ModelId;
 use mp_int::{CostLut, NetworkPrecision, QuantBnn};
 use mp_nn::Network;
@@ -154,7 +154,7 @@ fn main() {
     );
     let quant_factor = quant.network_cost_factor(&lut);
     let primary = profile_from_scores(
-        Precision::OneBit.label(),
+        StageClassifier::Primary.label(),
         &sys.bnn_test_scores,
         labels,
         &sys.dmu,
@@ -174,7 +174,7 @@ fn main() {
         .expect("host batch");
     let host_preds = Network::argmax_rows(&host_scores).expect("host argmax");
     let terminal = StageProfile {
-        label: Precision::Float32.label(),
+        label: StageClassifier::HostFloat.label(),
         // Terminal confidence is never gated; NaN documents that.
         confidence: vec![f32::NAN; labels.len()],
         correct: host_preds.iter().zip(labels).map(|(p, l)| p == l).collect(),

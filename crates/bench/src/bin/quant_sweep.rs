@@ -7,9 +7,10 @@
 //!   bit-identical to the shipped `HardwareBnn` pipeline — same
 //!   predictions, same DMU flags, same modeled batch time (the MPIC
 //!   network cost factor is exactly 1 there);
-//! - the **float32 corner** (`Precision::Float32`) must reproduce the
-//!   host model's standalone predictions exactly (every image reruns on
-//!   the host).
+//! - the **float32 corner** (the host-only cascade
+//!   `[terminal(HostFloat)]`) must reproduce the host model's standalone
+//!   predictions exactly (every image reruns on the host), at the host's
+//!   own modeled rate `1/t_fp`.
 //!
 //! Both gates are asserted on every run (the CI smoke step runs this
 //! binary with `--smoke`); a violation exits non-zero. Writes
@@ -24,7 +25,7 @@ use serde::Serialize;
 
 use mp_bench::{pct, write_record, CliOptions, TextTable};
 use mp_core::experiment::TrainedSystem;
-use mp_core::Precision;
+use mp_core::{CascadePolicy, CascadeStage, StageClassifier};
 use mp_host::zoo::ModelId;
 use mp_int::{CostLut, NetworkPrecision, QuantBnn};
 use mp_nn::Network;
@@ -63,9 +64,18 @@ struct QuantSweepRecord {
     /// bit-for-bit.
     one_bit_corner_identical: bool,
     /// Gate: the float corner reproduced the host model's standalone
-    /// predictions bit-for-bit.
+    /// predictions bit-for-bit, at the host's modeled rate `1/t_fp`.
     float_corner_matches_host: bool,
     corners: Vec<CornerRecord>,
+}
+
+/// The quantized corner: `quant` gated at `threshold`, then the host.
+fn quantized_policy(quant: QuantBnn, threshold: f32) -> CascadePolicy {
+    CascadePolicy::try_new(vec![
+        CascadeStage::gated(StageClassifier::Quantized(Arc::new(quant)), threshold),
+        CascadeStage::terminal(StageClassifier::HostFloat),
+    ])
+    .expect("quantized corner policy")
 }
 
 /// FNV-1a over the predictions, so the JSON pins exact outputs compactly.
@@ -112,6 +122,7 @@ fn main() {
     let sys = TrainedSystem::prepare(&config).expect("system preparation");
     let id = ModelId::ALL[0];
     let run_opts = sys.run_options(id).expect("run options");
+    let threshold = sys.config.threshold;
     let layers = sys.bnn.export_latent().len();
     let lut = CostLut::mpic();
     let mut corners = Vec::new();
@@ -131,7 +142,7 @@ fn main() {
             id,
             &run_opts
                 .clone()
-                .with_precision(Precision::Quantized(Arc::new(one_bit))),
+                .with_cascade(quantized_policy(one_bit, threshold)),
         )
         .expect("1-bit corner");
     let one_bit_identical = one.predictions == base.predictions
@@ -147,17 +158,23 @@ fn main() {
         &one,
     ));
 
-    // Gate 2: the float corner reruns everything and reproduces the host
-    // model's standalone predictions.
+    // Gate 2: the float corner reruns everything on the host alone: the
+    // host model's standalone predictions at the host's modeled rate.
+    let host_only =
+        CascadePolicy::try_new(vec![CascadeStage::terminal(StageClassifier::HostFloat)])
+            .expect("host-only policy");
     let float = sys
-        .execute(id, &run_opts.clone().with_precision(Precision::Float32))
+        .execute(id, &run_opts.clone().with_cascade(host_only))
         .expect("float corner");
     let host_scores = sys
         .host(id)
         .infer_batch_with(sys.test.images(), Parallelism::sequential())
         .expect("host batch");
     let host_preds = Network::argmax_rows(&host_scores).expect("host argmax");
-    let float_matches_host = float.predictions == host_preds && float.rerun_count == sys.test.len();
+    let host_rate = 1.0 / run_opts.timing().t_fp_img_s;
+    let float_matches_host = float.predictions == host_preds
+        && float.rerun_count == sys.test.len()
+        && ((float.modeled_images_per_sec - host_rate) / host_rate).abs() < 1e-9;
     corners.push(corner_record(
         "float32".to_owned(),
         32,
@@ -180,7 +197,7 @@ fn main() {
                     id,
                     &run_opts
                         .clone()
-                        .with_precision(Precision::Quantized(Arc::new(quant))),
+                        .with_cascade(quantized_policy(quant, threshold)),
                 )
                 .expect("quantized corner");
             corners.push(corner_record(
@@ -222,7 +239,7 @@ fn main() {
         seed: opts.seed,
         smoke: opts.smoke,
         test_images: sys.test.len(),
-        threshold: sys.config.threshold,
+        threshold,
         host_model: id.name().to_owned(),
         lut_macs_per_cycle: lut.entries(),
         one_bit_corner_identical: one_bit_identical,

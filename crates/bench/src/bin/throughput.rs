@@ -14,9 +14,11 @@
 //!   [`SharedRecorder`] whose report is written to
 //!   `results/obs_throughput.json`.
 //!
-//! - **overlap**: the serial two-phase [`Concurrency::Modeled`] executor
+//! - **overlap**: the serial two-phase
+//!   [`Concurrency::Modeled`](mp_core::Concurrency::Modeled) executor
 //!   (classify everything, then re-infer the flagged subset) vs the
-//!   overlapped block-pipelined [`Concurrency::Threaded`] stage graph on
+//!   overlapped block-pipelined
+//!   [`Concurrency::Threaded`](mp_core::Concurrency::Threaded) stage graph on
 //!   the same interleaved workload, plus each executor's BNN-side
 //!   throughput extracted from its recorded spans.
 //!

@@ -294,7 +294,7 @@ impl BitMatrix {
 
     /// Row-by-row XNOR matvec, invoking `f(row, dot)` for each row in
     /// ascending row order. Rows are processed four at a time through
-    /// [`xnor_dot_words_x4`], so each word of `x` is loaded once per four
+    /// one fused four-row kernel, so each word of `x` is loaded once per four
     /// output rows instead of once per row — this is the software analogue
     /// of a FINN PE folding four output channels onto one SIMD lane. The
     /// callback style lets callers fuse the per-row threshold comparison

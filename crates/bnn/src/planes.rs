@@ -43,11 +43,11 @@ pub fn levels(bits: usize) -> i64 {
 /// Quantizes a float in `[−1, 1]` (clamped) to the nearest `bits`-wide
 /// level, returned as an **odd integer** in `[−L, L]`.
 ///
-/// This is exactly `L ·` [`QuantActivation::quantize`]
-/// (crate::ste::QuantActivation::quantize): both compute
-/// `round((clamp(x) + 1)/2 · L)` and map it back to the symmetric
-/// range, so a float network quantized at training time and this
-/// integer path see the same level set.
+/// This is exactly `L ·`
+/// [`QuantActivation::quantize`](crate::ste::QuantActivation::quantize):
+/// both compute `round((clamp(x) + 1)/2 · L)` and map it back to the
+/// symmetric range, so a float network quantized at training time and
+/// this integer path see the same level set.
 pub fn quantize_level(x: f32, bits: usize) -> i64 {
     let l = levels(bits);
     let unit = (x.clamp(-1.0, 1.0) + 1.0) / 2.0;

@@ -40,7 +40,6 @@ use serde::{Deserialize, Error, Serialize, Value};
 use mp_int::{CostLut, QuantBnn};
 
 use crate::pipeline::PipelineTiming;
-use crate::run::Precision;
 use crate::CoreError;
 
 /// NaN-safe gate test: does confidence `p` pass a gate at `gate`?
@@ -60,16 +59,15 @@ pub fn gate_accepts(p: f32, gate: f32) -> bool {
 /// The classifier a cascade stage runs.
 #[derive(Debug, Clone)]
 pub enum StageClassifier {
-    /// The run's configured low-precision classifier — whatever
-    /// [`RunOptions::with_precision`](crate::run::RunOptions::with_precision)
-    /// selects (the 1-bit `HardwareBnn` by default). Using a symbolic
-    /// first stage keeps one policy valid across precisions, exactly
-    /// like the constructor threshold.
+    /// The pipeline's own 1-bit `HardwareBnn` (the paper's FPGA
+    /// datapath). It is symbolic because the pipeline, not the policy,
+    /// owns the engine; any other precision is an explicit
+    /// [`Quantized`](Self::Quantized) stage.
     Primary,
-    /// An explicit quantized intermediate stage: the [`QuantBnn`]
-    /// classifies the escalated subset, the DMU gates on its normalised
-    /// scores, and its modeled cost is the 1-bit time scaled by the
-    /// MAC-weighted MPIC factor.
+    /// An explicit quantized stage, first (the quantized corner) or
+    /// intermediate: the [`QuantBnn`] classifies the images that reach
+    /// it, the DMU gates on its normalised scores, and its modeled cost
+    /// is the 1-bit time scaled by the MAC-weighted MPIC factor.
     Quantized(Arc<QuantBnn>),
     /// The float host network. Always terminal: the host is the
     /// cascade's final authority, and the DMU has no trained confidence
@@ -78,42 +76,36 @@ pub enum StageClassifier {
 }
 
 impl StageClassifier {
-    /// Stable stage label, sharing [`Precision::label`]'s naming scheme
-    /// so obs counters, bench records and verify diagnostics all use
-    /// identical identifiers: `Primary` resolves to the run precision's
-    /// label (`1bit`, `a4w4-…`, `float32`), `Quantized` to its
-    /// per-layer precision string, `HostFloat` to `float32`.
-    pub fn label(&self, primary: &Precision) -> String {
+    /// Stable stage label, so obs counters, bench records and verify
+    /// diagnostics all use identical identifiers: `1bit` for `Primary`,
+    /// the per-layer precision string (e.g. `a4w4-…`) for `Quantized`,
+    /// `float32` for `HostFloat`.
+    pub fn label(&self) -> String {
         match self {
-            StageClassifier::Primary => primary.label(),
+            StageClassifier::Primary => "1bit".to_owned(),
             StageClassifier::Quantized(q) => q.precision().to_string(),
-            StageClassifier::HostFloat => Precision::Float32.label(),
+            StageClassifier::HostFloat => "float32".to_owned(),
         }
     }
 
-    /// The serialisation tag (`primary` / the precision string /
-    /// `float32`). `Primary` keeps its symbolic tag because its label
-    /// is only known at run time.
+    /// The serialisation tag: the [`label`](Self::label), except that
+    /// `Primary` keeps its symbolic `primary` tag.
     fn tag(&self) -> String {
         match self {
             StageClassifier::Primary => "primary".to_owned(),
-            StageClassifier::Quantized(q) => q.precision().to_string(),
-            StageClassifier::HostFloat => Precision::Float32.label(),
+            other => other.label(),
         }
     }
 
-    /// Modeled seconds per image on this stage, under `timing` with the
-    /// run precision `primary`. A `Float32` primary is priced at the
-    /// 1-bit time, because the float32 corner's first stage runs the
-    /// 1-bit engine (and keeps nothing).
-    pub fn unit_cost_s(&self, primary: &Precision, timing: &PipelineTiming) -> f64 {
-        let lut = CostLut::mpic();
+    /// Modeled seconds per image on this stage under `timing`: the
+    /// 1-bit time, scaled by the MAC-weighted MPIC factor for a
+    /// quantized stage, or the host time.
+    pub fn unit_cost_s(&self, timing: &PipelineTiming) -> f64 {
         match self {
-            StageClassifier::Primary => match primary {
-                Precision::OneBit | Precision::Float32 => timing.t_bnn_img_s,
-                Precision::Quantized(q) => timing.t_bnn_img_s * q.network_cost_factor(&lut),
-            },
-            StageClassifier::Quantized(q) => timing.t_bnn_img_s * q.network_cost_factor(&lut),
+            StageClassifier::Primary => timing.t_bnn_img_s,
+            StageClassifier::Quantized(q) => {
+                timing.t_bnn_img_s * q.network_cost_factor(&CostLut::mpic())
+            }
             StageClassifier::HostFloat => timing.t_fp_img_s,
         }
     }
@@ -237,7 +229,7 @@ impl CascadePolicy {
     }
 
     /// The canonical 2-stage instance, the paper's DMU threshold: the
-    /// run's primary classifier gated at `threshold`, then the float
+    /// 1-bit primary classifier gated at `threshold`, then the float
     /// host.
     ///
     /// # Panics
@@ -289,28 +281,24 @@ impl CascadePolicy {
         self.stages.is_empty()
     }
 
-    /// Per-stage labels under the run precision `primary` — the shared
-    /// identifiers obs/bench/verify report.
-    pub fn labels(&self, primary: &Precision) -> Vec<String> {
-        self.stages
-            .iter()
-            .map(|s| s.classifier.label(primary))
-            .collect()
+    /// Per-stage labels — the shared identifiers obs/bench/verify
+    /// report.
+    pub fn labels(&self) -> Vec<String> {
+        self.stages.iter().map(|s| s.classifier.label()).collect()
     }
 
-    /// The static shape of this cascade under `timing` with the run
-    /// precision `primary` — what `mp-verify`'s cascade pass analyses
-    /// (gate placement/range, cost monotonicity, reachability) without
-    /// executing anything.
-    pub fn shape(&self, primary: &Precision, timing: &PipelineTiming) -> CascadeShape {
+    /// The static shape of this cascade under `timing` — what
+    /// `mp-verify`'s cascade pass analyses (gate placement/range, cost
+    /// monotonicity, reachability) without executing anything.
+    pub fn shape(&self, timing: &PipelineTiming) -> CascadeShape {
         CascadeShape {
             stages: self
                 .stages
                 .iter()
                 .map(|s| StageShape {
-                    label: s.classifier.label(primary),
+                    label: s.classifier.label(),
                     gate: s.gate.map(f64::from),
-                    unit_cost_s: s.classifier.unit_cost_s(primary, timing),
+                    unit_cost_s: s.classifier.unit_cost_s(timing),
                 })
                 .collect(),
         }
@@ -648,22 +636,21 @@ mod tests {
     }
 
     #[test]
-    fn labels_share_precision_naming() {
-        let policy = CascadePolicy::dmu(0.5);
+    fn labels_name_each_stage_classifier() {
         assert_eq!(
-            policy.labels(&Precision::OneBit),
+            CascadePolicy::dmu(0.5).labels(),
             vec!["1bit".to_owned(), "float32".to_owned()]
         );
-        assert_eq!(
-            policy.labels(&Precision::Float32),
-            vec!["float32".to_owned(), "float32".to_owned()]
-        );
+        let host_only =
+            CascadePolicy::try_new(vec![CascadeStage::terminal(StageClassifier::HostFloat)])
+                .unwrap();
+        assert_eq!(host_only.labels(), vec!["float32".to_owned()]);
     }
 
     #[test]
     fn shape_prices_stages_from_timing() {
         let timing = PipelineTiming::new(0.002, 0.03, 10);
-        let shape = CascadePolicy::dmu(0.6).shape(&Precision::OneBit, &timing);
+        let shape = CascadePolicy::dmu(0.6).shape(&timing);
         assert_eq!(shape.stages.len(), 2);
         assert_eq!(shape.stages[0].label, "1bit");
         assert_eq!(shape.stages[0].gate, Some(f64::from(0.6f32)));
@@ -671,9 +658,13 @@ mod tests {
         assert_eq!(shape.stages[1].label, "float32");
         assert_eq!(shape.stages[1].gate, None);
         assert!((shape.stages[1].unit_cost_s - 0.03).abs() < 1e-15);
-        // The float32 corner's first stage runs the 1-bit engine.
-        let float = CascadePolicy::dmu(0.6).shape(&Precision::Float32, &timing);
-        assert_eq!(float.stages[0].unit_cost_s, timing.t_bnn_img_s);
+        // The float32 corner is the host-only chain, priced at t_fp.
+        let float =
+            CascadePolicy::try_new(vec![CascadeStage::terminal(StageClassifier::HostFloat)])
+                .unwrap()
+                .shape(&timing);
+        assert_eq!(float.stages.len(), 1);
+        assert_eq!(float.stages[0].unit_cost_s, timing.t_fp_img_s);
     }
 
     #[test]

@@ -19,6 +19,8 @@ use serde::{Deserialize, Serialize};
 use mp_tensor::init::TensorRng;
 use mp_tensor::{ShapeError, Tensor};
 
+use crate::cascade::gate_accepts;
+
 /// The four outcome quadrants of Softmax-estimated BNN classifications,
 /// as fractions of the total (paper §III-B and Table II).
 ///
@@ -294,10 +296,9 @@ impl Dmu {
     /// Applies a confidence `threshold`: images with `p ≥ threshold` are
     /// estimated correct (kept); the rest are flagged for host rerun.
     ///
-    /// The comparison is the shared cascade gate
-    /// ([`crate::cascade::gate_accepts`]), so a NaN confidence — NaN
-    /// logits anywhere upstream — never passes: the image is flagged
-    /// for re-inference, the safe direction.
+    /// The comparison is the shared cascade gate ([`gate_accepts`]), so
+    /// a NaN confidence — NaN logits anywhere upstream — never passes:
+    /// the image is flagged for re-inference, the safe direction.
     ///
     /// # Errors
     ///
@@ -306,12 +307,13 @@ impl Dmu {
         Ok(self
             .predict_batch(scores)?
             .into_iter()
-            .map(|p| crate::cascade::gate_accepts(p, threshold))
+            .map(|p| gate_accepts(p, threshold))
             .collect())
     }
 
     /// Sweeps thresholds, producing one quadrant record per point — the
-    /// data behind the paper's Fig. 5.
+    /// data behind the paper's Fig. 5. Each point keeps images through
+    /// [`gate_accepts`], like [`estimate_batch`](Self::estimate_batch).
     ///
     /// # Errors
     ///
@@ -336,7 +338,7 @@ impl Dmu {
         Ok(thresholds
             .iter()
             .map(|&t| {
-                let est: Vec<bool> = probs.iter().map(|&p| p >= t).collect();
+                let est: Vec<bool> = probs.iter().map(|&p| gate_accepts(p, t)).collect();
                 (t, ConfusionQuadrants::tally(bnn_correct, &est))
             })
             .collect())
@@ -583,10 +585,11 @@ pub mod baselines {
 /// host speed, so given a host budget the integrator picks the highest
 /// threshold whose rerun load the host can absorb.
 ///
-/// [`select_threshold_for_rerun`] picks from a sweep the largest
-/// threshold whose rerun ratio stays within `budget`;
-/// [`select_threshold_for_throughput`] converts a system throughput
-/// target into that budget via eq. (1).
+/// [`select_threshold_for_rerun`](crate::dmu::selection::select_threshold_for_rerun)
+/// picks from a sweep the largest threshold whose rerun ratio stays
+/// within `budget`;
+/// [`select_threshold_for_throughput`](crate::dmu::selection::select_threshold_for_throughput)
+/// converts a system throughput target into that budget via eq. (1).
 pub mod selection {
     use crate::dmu::ConfusionQuadrants;
 

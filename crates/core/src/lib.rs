@@ -73,5 +73,5 @@ pub use pipeline::{
     modeled_batch_time, modeled_cascade_time, MultiPrecisionPipeline, PipelineResult,
     PipelineTiming, StageTraffic,
 };
-pub use run::{Concurrency, Precision, RunOptions};
+pub use run::{Concurrency, RunOptions};
 pub use stats::nearest_rank_percentile;

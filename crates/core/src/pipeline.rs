@@ -43,7 +43,7 @@ use crossbeam::channel::{self, TrySendError};
 use mp_bnn::HardwareBnn;
 use mp_dataset::Dataset;
 use mp_nn::Network;
-use mp_obs::{now_ns, schema, ObsEvent, Recorder};
+use mp_obs::{now_ns, schema, ObsEvent, Recorder, NULL_RECORDER};
 use mp_tensor::{nan_aware_argmax, Parallelism, ShapeError, Tensor};
 
 use crate::cascade::{gate_accepts, CascadePolicy, StageClassifier};
@@ -53,7 +53,7 @@ use crate::fault::{
     HostFault, INJECTED_DEATH_MSG,
 };
 use crate::model;
-use crate::run::{Concurrency, Precision, RunOptions};
+use crate::run::{Concurrency, RunOptions};
 use crate::CoreError;
 
 /// Timing constants of the two heterogeneous processors.
@@ -98,7 +98,7 @@ impl PipelineTiming {
 /// same traffic as a fault-free one.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct StageTraffic {
-    /// Stage label (shared with [`Precision::label`] /
+    /// Stage label (shared with [`StageClassifier::label`] /
     /// [`CascadePolicy::labels`]).
     pub label: String,
     /// Images that entered this stage.
@@ -261,13 +261,13 @@ impl<'a> MultiPrecisionPipeline<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] for a fault plan under
-    /// [`Concurrency::Modeled`], a [`Precision::Float32`] run under any
-    /// policy but the dmu shape, and a [`Concurrency::Threaded`] run
-    /// with a non-dmu policy or a non-1-bit precision; otherwise
-    /// [`CoreError`] on shape inconsistencies, invalid plan/policy, or
-    /// *real* (non-injected) host inference errors — never for
-    /// recoverable injected faults.
+    /// Returns [`CoreError::InvalidConfig`], before any inference, for a
+    /// host accuracy outside `[0, 1]` (NaN included), a fault plan under
+    /// [`Concurrency::Modeled`], and a [`Concurrency::Threaded`] run
+    /// whose policy is not the [`CascadePolicy::dmu`]`(t)` shape;
+    /// otherwise [`CoreError`] on shape inconsistencies, invalid
+    /// plan/policy, or *real* (non-injected) host inference errors —
+    /// never for recoverable injected faults.
     pub fn execute(
         &self,
         host: &Network,
@@ -277,6 +277,12 @@ impl<'a> MultiPrecisionPipeline<'a> {
         let policy = opts.cascade().unwrap_or(&self.policy);
         let par = opts.parallelism().unwrap_or(self.parallelism);
         let rec = opts.recorder();
+        let host_accuracy = opts.host_accuracy();
+        if !(0.0..=1.0).contains(&host_accuracy) {
+            return Err(CoreError::InvalidConfig(format!(
+                "host accuracy {host_accuracy} outside [0,1]"
+            )));
+        }
         let t_exec = rec.enabled().then(now_ns);
         let result = match (opts.concurrency(), policy.dmu_threshold()) {
             (Concurrency::Modeled, _) if !opts.fault_plan().is_none() => {
@@ -286,26 +292,12 @@ impl<'a> MultiPrecisionPipeline<'a> {
                         .into(),
                 ));
             }
-            (Concurrency::Modeled, None) if matches!(opts.precision(), Precision::Float32) => {
-                return Err(CoreError::InvalidConfig(
-                    "Precision::Float32 cannot anchor a multi-stage cascade: \
-                     the DMU has no confidence signal for float logits"
-                        .into(),
-                ));
-            }
             (Concurrency::Modeled, _) => self.execute_cascade(host, data, opts, policy, par)?,
             (Concurrency::Threaded, None) => {
                 return Err(CoreError::InvalidConfig(format!(
-                    "a {}-stage cascade requires the modeled executor \
-                     (only the 2-stage dmu shape runs threaded)",
-                    policy.len()
-                )));
-            }
-            (Concurrency::Threaded, Some(_)) if !opts.precision().is_one_bit() => {
-                return Err(CoreError::InvalidConfig(format!(
-                    "precision {} requires the modeled executor (the quantized \
-                     and float corners are priced analytically, not threaded)",
-                    opts.precision().label()
+                    "cascade [{}] requires the modeled executor: only the \
+                     dmu(t) shape [1bit gated at t, float32] runs threaded",
+                    policy.labels().join(", ")
                 )));
             }
             (Concurrency::Threaded, Some(threshold)) => {
@@ -327,9 +319,7 @@ impl<'a> MultiPrecisionPipeline<'a> {
     /// the stage's gate accepts via [`gate_accepts`] (NaN never
     /// passes — a poisoned confidence escalates). The terminal stage
     /// accepts everything. Stage 0 always sees every image, so it scores
-    /// the dataset in place. Under [`Precision::Float32`] stage 0 still
-    /// runs the 1-bit engine, so BNN accuracy and DMU quadrants stay
-    /// reported, but keeps nothing: every image goes to the host.
+    /// the dataset in place.
     fn execute_cascade(
         &self,
         host: &Network,
@@ -339,7 +329,6 @@ impl<'a> MultiPrecisionPipeline<'a> {
         par: Parallelism,
     ) -> Result<PipelineResult, CoreError> {
         let rec = opts.recorder();
-        let float_corner = matches!(opts.precision(), Precision::Float32);
         let mut ledger = Ledger::new(data.labels());
         let mut active: Vec<usize> = (0..data.len()).collect();
         for (s, stage) in policy.stages().iter().enumerate() {
@@ -358,11 +347,8 @@ impl<'a> MultiPrecisionPipeline<'a> {
                     subset = data.select(&active)?;
                     subset.images()
                 };
-                let scores = match (&stage.classifier, opts.precision()) {
-                    (StageClassifier::Quantized(q), _)
-                    | (StageClassifier::Primary, Precision::Quantized(q)) => {
-                        q.infer_batch_obs(images, par, rec)
-                    }
+                let scores = match &stage.classifier {
+                    StageClassifier::Quantized(q) => q.infer_batch_obs(images, par, rec),
                     _ => self.hw.infer_batch_obs(images, par, rec),
                 }
                 .map_err(CoreError::fpga)?;
@@ -376,9 +362,8 @@ impl<'a> MultiPrecisionPipeline<'a> {
                 }
                 rec.record_span(&schema::cascade_stage_span(s), start, end);
             }
-            let keeps = !(s == 0 && float_corner);
             let escalated = ledger.gate(&active, &preds, |j| {
-                keeps && stage.gate.is_none_or(|g| gate_accepts(conf[j], g))
+                stage.gate.is_none_or(|g| gate_accepts(conf[j], g))
             });
             if is_host {
                 ledger.reruns.extend(active.iter().copied().zip(preds));
@@ -656,7 +641,7 @@ fn host_worker_loop(
     par: Parallelism,
     obs: Option<(&dyn Recorder, &AtomicUsize)>,
 ) -> Result<HostWorkerOutput, CoreError> {
-    let rec = obs.map(|(r, _)| r);
+    let rec = obs.map_or(&NULL_RECORDER as &dyn Recorder, |(r, _)| r);
     let mut out = HostWorkerOutput::default();
     let mut breaker = CircuitBreaker::new(policy);
     // Outcome slots awaiting a prediction, and their images.
@@ -730,9 +715,7 @@ fn host_worker_loop(
         };
         out.virtual_backoff_s += backoff_spent;
         if backoff_spent > 0.0 {
-            if let Some(rec) = rec {
-                rec.observe(schema::HIST_BACKOFF_S, backoff_spent);
-            }
+            rec.observe(schema::HIST_BACKOFF_S, backoff_spent);
         }
         match survived {
             None => {
@@ -776,25 +759,12 @@ fn flush_pending(
     images: &mut Vec<Tensor>,
     outcomes: &mut [(usize, Result<usize, FaultKind>)],
     par: Parallelism,
-    rec: Option<&dyn Recorder>,
+    rec: &dyn Recorder,
 ) -> Result<(), CoreError> {
     if images.is_empty() {
         return Ok(());
     }
-    let batch = Tensor::stack_batch(images)?;
-    let t0 = rec.map(|_| now_ns());
-    let scores = host
-        .infer_batch_obs(&batch, par, rec.unwrap_or(&mp_obs::NULL_RECORDER))
-        .map_err(CoreError::host)?;
-    if let (Some(rec), Some(start)) = (rec, t0) {
-        let end = now_ns();
-        rec.record_span(schema::SPAN_PIPELINE_HOST_RERUN, start, end);
-        rec.observe(
-            schema::HIST_HOST_BATCH_S,
-            end.saturating_sub(start) as f64 * 1e-9,
-        );
-    }
-    let preds = Network::argmax_rows(&scores)?;
+    let preds = rerun_batch(host, images, par, rec)?;
     for (&slot, pred) in slots.iter().zip(preds) {
         outcomes[slot].1 = Ok(pred);
     }
@@ -975,7 +945,7 @@ fn assemble(
     let host_hits = reruns.iter().filter(|&&(i, p)| p == labels[i]).count();
     // `None` rather than a misleading `0.0` when nothing reran.
     let host_subset_accuracy = (!reruns.is_empty()).then(|| host_hits as f64 / reruns.len() as f64);
-    let shape = policy.shape(opts.precision(), opts.timing());
+    let shape = policy.shape(opts.timing());
     let unit_costs: Vec<f64> = shape.stages.iter().map(|s| s.unit_cost_s).collect();
     let modeled_time_s = modeled_cascade_time(&entered, &unit_costs, opts.timing().batch_size);
     // Eqs. (1)/(2) generalised. f_0 = 1 (stage 0 sees the full stream in
@@ -1126,34 +1096,48 @@ fn infer_host_subset(
             .iter()
             .map(|&i| data.images().batch_item(i))
             .collect::<Result<_, _>>()?;
-        let batch = Tensor::stack_batch(&images)?;
-        let t0 = rec.enabled().then(now_ns);
-        let scores = host
-            .infer_batch_obs(&batch, par, rec)
-            .map_err(CoreError::host)?;
-        if let Some(start) = t0 {
-            let end = now_ns();
-            rec.record_span(schema::SPAN_PIPELINE_HOST_RERUN, start, end);
-            rec.observe(
-                schema::HIST_HOST_BATCH_S,
-                end.saturating_sub(start) as f64 * 1e-9,
-            );
-        }
-        preds.extend(Network::argmax_rows(&scores)?);
+        preds.extend(rerun_batch(host, &images, par, rec)?);
     }
     Ok(preds)
+}
+
+/// The one host-rerun body of both executors: stacks `images`, re-infers
+/// them as one sharded batch inside a `pipeline.host_rerun` span (also
+/// observed into `pipeline.host_batch_s`), and returns the predictions.
+fn rerun_batch(
+    host: &Network,
+    images: &[Tensor],
+    par: Parallelism,
+    rec: &dyn Recorder,
+) -> Result<Vec<usize>, CoreError> {
+    let batch = Tensor::stack_batch(images)?;
+    let t0 = rec.enabled().then(now_ns);
+    let scores = host
+        .infer_batch_obs(&batch, par, rec)
+        .map_err(CoreError::host)?;
+    if let Some(start) = t0 {
+        let end = now_ns();
+        rec.record_span(schema::SPAN_PIPELINE_HOST_RERUN, start, end);
+        rec.observe(
+            schema::HIST_HOST_BATCH_S,
+            end.saturating_sub(start) as f64 * 1e-9,
+        );
+    }
+    Ok(Network::argmax_rows(&scores)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cascade::CascadeStage;
     use crate::fault::{silence_injected_panics, FaultPlan};
     use mp_bnn::{BnnClassifier, FinnTopology};
-    use mp_int::{CostLut, QuantBnn};
+    use mp_int::{CostLut, NetworkPrecision, QuantBnn};
     use mp_nn::train::Model;
     use mp_nn::Mode;
     use mp_tensor::init::TensorRng;
     use mp_tensor::Shape;
+    use std::sync::Arc;
 
     fn tiny_system() -> (HardwareBnn, Dmu, Dataset, Network) {
         let (_, hw, dmu, data, host) = tiny_system_full();
@@ -1206,6 +1190,24 @@ mod tests {
         modeled_opts()
             .with_faults(plan.clone())
             .with_degradation(*policy)
+    }
+
+    /// The quantized corner: `quant` gated at `gate`, then the host.
+    fn quant_policy(quant: &Arc<QuantBnn>, gate: f32) -> CascadePolicy {
+        CascadePolicy::try_new(vec![
+            CascadeStage::gated(StageClassifier::Quantized(Arc::clone(quant)), gate),
+            CascadeStage::terminal(StageClassifier::HostFloat),
+        ])
+        .unwrap()
+    }
+
+    /// The float32 corner: the host-only chain.
+    fn host_only_policy() -> CascadePolicy {
+        CascadePolicy::try_new(vec![CascadeStage::terminal(StageClassifier::HostFloat)]).unwrap()
+    }
+
+    fn quantized(bnn: &BnnClassifier, precision: NetworkPrecision) -> Arc<QuantBnn> {
+        Arc::new(QuantBnn::from_classifier(bnn, precision).unwrap())
     }
 
     #[test]
@@ -1304,15 +1306,14 @@ mod tests {
     fn quantized_one_bit_corner_matches_default_path() {
         let (bnn, hw, dmu, data, host) = tiny_system_full();
         let layers = bnn.export_latent().len();
-        let precision = mp_int::NetworkPrecision::one_bit(layers).unwrap();
-        let quant = QuantBnn::from_classifier(&bnn, precision).unwrap();
+        let quant = quantized(&bnn, NetworkPrecision::one_bit(layers).unwrap());
         let pipeline = MultiPrecisionPipeline::new(&hw, &dmu, 0.6);
         let base = pipeline.execute(&host, &data, &modeled_opts()).unwrap();
         let corner = pipeline
             .execute(
                 &host,
                 &data,
-                &modeled_opts().with_precision(Precision::Quantized(std::sync::Arc::new(quant))),
+                &modeled_opts().with_cascade(quant_policy(&quant, 0.6)),
             )
             .unwrap();
         // The 1-bit quantized corner is bit-identical: same predictions,
@@ -1327,11 +1328,10 @@ mod tests {
     fn quantized_precision_scales_modeled_time_by_cost_factor() {
         let (bnn, hw, dmu, data, host) = tiny_system_full();
         let layers = bnn.export_latent().len();
-        let precision = mp_int::NetworkPrecision::uniform(layers, 8, 8).unwrap();
-        let quant = QuantBnn::from_classifier(&bnn, precision).unwrap();
+        let quant = quantized(&bnn, NetworkPrecision::uniform(layers, 8, 8).unwrap());
         let factor = quant.network_cost_factor(&CostLut::mpic());
         assert!(factor > 1.0);
-        // Threshold 0 keeps everything on the low-precision side, so the
+        // Gate 0 keeps everything on the low-precision side, so the
         // modeled time is exactly n · t_bnn · factor.
         let pipeline = MultiPrecisionPipeline::new(&hw, &dmu, 0.0);
         let base = pipeline.execute(&host, &data, &modeled_opts()).unwrap();
@@ -1339,7 +1339,7 @@ mod tests {
             .execute(
                 &host,
                 &data,
-                &modeled_opts().with_precision(Precision::Quantized(std::sync::Arc::new(quant))),
+                &modeled_opts().with_cascade(quant_policy(&quant, 0.0)),
             )
             .unwrap();
         assert_eq!(quantized.rerun_count, 0);
@@ -1349,51 +1349,62 @@ mod tests {
     #[test]
     fn float32_corner_reruns_everything_on_host() {
         let (hw, dmu, data, host) = tiny_system();
-        let pipeline = MultiPrecisionPipeline::new(&hw, &dmu, 0.5);
-        let float = pipeline
+        let n = data.len();
+        let float = MultiPrecisionPipeline::new(&hw, &dmu, 0.5)
             .execute(
                 &host,
                 &data,
-                &modeled_opts().with_precision(Precision::Float32),
+                &modeled_opts().with_cascade(host_only_policy()),
             )
             .unwrap();
-        assert_eq!(float.rerun_count, data.len());
-        assert!(float.flagged.iter().all(|&f| f));
-        // All predictions come from the host: identical to forcing every
-        // image through re-inference with threshold 1.
-        let all_host = MultiPrecisionPipeline::new(&hw, &dmu, 1.0)
-            .execute(&host, &data, &modeled_opts())
+        // Every prediction is the host model's standalone prediction.
+        let scores = host
+            .infer_batch_with(data.images(), Parallelism::sequential())
             .unwrap();
-        assert_eq!(float.predictions, all_host.predictions);
-        assert_eq!(
-            float.host_subset_accuracy.unwrap(),
-            float.accuracy,
-            "float corner accuracy is the host model's"
+        assert_eq!(float.predictions, Network::argmax_rows(&scores).unwrap());
+        assert_eq!(float.rerun_count, n);
+        assert_eq!(float.host_subset_accuracy, Some(float.accuracy));
+        // One stage, priced at the host's rate alone: no BNN pass.
+        assert_eq!(float.stage_traffic.len(), 1);
+        assert_eq!(float.stage_traffic[0].label, "float32");
+        assert_eq!(float.stage_traffic[0].entered, n);
+        let host_rate = 1.0 / timing().t_fp_img_s;
+        let rel = (float.modeled_images_per_sec - host_rate).abs() / host_rate;
+        assert!(
+            rel < 1e-9,
+            "{} vs {host_rate}",
+            float.modeled_images_per_sec
         );
-        // Stage 0 still runs the 1-bit engine, so it is priced at t_bnn
-        // and the modeled time is the all-flagged 1-bit run's.
-        assert_eq!(float.stage_traffic[0].unit_cost_s, timing().t_bnn_img_s);
-        assert_eq!(float.modeled_time_s, all_host.modeled_time_s);
     }
 
     #[test]
     fn non_one_bit_precision_requires_modeled_executor() {
         let (bnn, hw, dmu, data, host) = tiny_system_full();
         let layers = bnn.export_latent().len();
-        let quant = QuantBnn::from_classifier(
-            &bnn,
-            mp_int::NetworkPrecision::uniform(layers, 4, 4).unwrap(),
-        )
-        .unwrap();
+        let quant = quantized(&bnn, NetworkPrecision::uniform(layers, 4, 4).unwrap());
         let pipeline = MultiPrecisionPipeline::new(&hw, &dmu, 0.5);
-        for precision in [
-            Precision::Quantized(std::sync::Arc::new(quant)),
-            Precision::Float32,
-        ] {
+        for policy in [quant_policy(&quant, 0.5), host_only_policy()] {
             let err = pipeline
-                .execute(&host, &data, &threaded_opts().with_precision(precision))
+                .execute(&host, &data, &threaded_opts().with_cascade(policy))
                 .unwrap_err();
             assert!(matches!(err, CoreError::InvalidConfig(_)), "{err:?}");
+            assert!(err.to_string().contains("dmu(t)"), "{err}");
+        }
+    }
+
+    #[test]
+    fn invalid_host_accuracy_is_invalid_config_before_inference() {
+        let (hw, dmu, data, host) = tiny_system();
+        let pipeline = MultiPrecisionPipeline::new(&hw, &dmu, 0.6);
+        for accuracy in [-0.1, 1.5, 81.4, f64::NAN] {
+            for opts in [modeled_opts(), threaded_opts()] {
+                let rec = mp_obs::SharedRecorder::new();
+                let opts = opts.with_host_accuracy(accuracy).with_recorder(&rec);
+                let err = pipeline.execute(&host, &data, &opts).unwrap_err();
+                assert!(matches!(err, CoreError::InvalidConfig(_)), "{err:?}");
+                // Rejected up front: no stage ran, so nothing was recorded.
+                assert!(rec.report().spans.is_empty(), "accuracy {accuracy}");
+            }
         }
     }
 
@@ -1659,18 +1670,11 @@ mod tests {
 
     fn three_stage_policy(bnn: &BnnClassifier, g0: f32, g1: f32) -> CascadePolicy {
         let layers = bnn.export_latent().len();
-        let quant = QuantBnn::from_classifier(
-            bnn,
-            mp_int::NetworkPrecision::uniform(layers, 4, 4).unwrap(),
-        )
-        .unwrap();
+        let quant = quantized(bnn, NetworkPrecision::uniform(layers, 4, 4).unwrap());
         CascadePolicy::try_new(vec![
-            crate::cascade::CascadeStage::gated(StageClassifier::Primary, g0),
-            crate::cascade::CascadeStage::gated(
-                StageClassifier::Quantized(std::sync::Arc::new(quant)),
-                g1,
-            ),
-            crate::cascade::CascadeStage::terminal(StageClassifier::HostFloat),
+            CascadeStage::gated(StageClassifier::Primary, g0),
+            CascadeStage::gated(StageClassifier::Quantized(quant), g1),
+            CascadeStage::terminal(StageClassifier::HostFloat),
         ])
         .unwrap()
     }
@@ -1695,13 +1699,13 @@ mod tests {
         for w in r.stage_traffic.windows(2) {
             assert_eq!(w[1].entered, w[0].entered - w[0].accepted);
         }
-        // Labels share the Precision naming scheme.
+        // Traffic carries the policy's stage labels.
         assert_eq!(
             r.stage_traffic
                 .iter()
                 .map(|t| t.label.clone())
                 .collect::<Vec<_>>(),
-            policy.labels(&Precision::OneBit)
+            policy.labels()
         );
         // Modeled time matches the exported window model.
         let masks: Vec<Vec<bool>> = {
@@ -1763,7 +1767,7 @@ mod tests {
     }
 
     #[test]
-    fn multi_stage_cascade_rejects_threaded_faults_and_float_primary() {
+    fn multi_stage_cascade_rejects_threaded_and_faulted_runs() {
         let (bnn, hw, dmu, data, host) = tiny_system_full();
         let pipeline = MultiPrecisionPipeline::new(&hw, &dmu, 0.5);
         let policy = three_stage_policy(&bnn, 0.5, 0.5);
@@ -1774,9 +1778,6 @@ mod tests {
                 &DegradationPolicy::default(),
             )
             .with_cascade(policy.clone()),
-            modeled_opts()
-                .with_cascade(policy.clone())
-                .with_precision(Precision::Float32),
         ] {
             let err = pipeline.execute(&host, &data, &opts).unwrap_err();
             assert!(matches!(err, CoreError::InvalidConfig(_)), "{err:?}");
@@ -1872,26 +1873,24 @@ mod tests {
     fn two_stage_analytics_match_closed_forms_exactly() {
         let (bnn, hw, dmu, data, host) = tiny_system_full();
         let layers = bnn.export_latent().len();
-        let quant = QuantBnn::from_classifier(
-            &bnn,
-            mp_int::NetworkPrecision::uniform(layers, 4, 4).unwrap(),
-        )
-        .unwrap();
-        let quant = Precision::Quantized(std::sync::Arc::new(quant));
+        let quant = quantized(&bnn, NetworkPrecision::uniform(layers, 4, 4).unwrap());
         let mut partial = 0;
         for threshold in [0.0f32, 0.6, 0.7, 0.8, 0.9, 1.0] {
             let pipeline = MultiPrecisionPipeline::new(&hw, &dmu, threshold);
             for opts in [
                 modeled_opts(),
                 threaded_opts(),
-                modeled_opts().with_precision(quant.clone()),
-                modeled_opts().with_precision(Precision::Float32),
+                modeled_opts().with_cascade(quant_policy(&quant, threshold)),
+                modeled_opts().with_cascade(host_only_policy()),
             ] {
                 let r = pipeline.execute(&host, &data, &opts).unwrap();
                 let q = r.quadrants;
                 let t = r.stage_traffic[0].unit_cost_s;
                 let t_fp = opts.timing().t_fp_img_s;
-                let ctx = format!("threshold {threshold}, {}", opts.precision().label());
+                let ctx = format!(
+                    "threshold {threshold}, {:?}",
+                    opts.cascade().map(CascadePolicy::labels)
+                );
                 assert_eq!(
                     r.analytic_images_per_sec,
                     model::images_per_sec(t_fp, t, q.rerun_ratio()),

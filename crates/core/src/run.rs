@@ -2,9 +2,10 @@
 //!
 //! [`RunOptions`] is the one builder consumed by
 //! [`MultiPrecisionPipeline::execute`](crate::pipeline::MultiPrecisionPipeline::execute):
-//! pick a [`Concurrency`] and a [`Precision`], optionally install a
-//! [`CascadePolicy`] (the decision policy; the pipeline's constructor
-//! threshold is its `dmu` default) and a host parallelism override,
+//! pick a [`Concurrency`], optionally install a [`CascadePolicy`] (the
+//! decision policy, which also picks each stage's precision; the
+//! pipeline's constructor threshold is its `dmu` default) and a host
+//! parallelism override,
 //! attach a fault plan / degradation policy, and plug in an
 //! [`mp_obs::Recorder`] for zero-cost-when-disabled instrumentation.
 //!
@@ -29,9 +30,6 @@
 //! # }
 //! ```
 
-use std::sync::Arc;
-
-use mp_int::QuantBnn;
 use mp_obs::{Recorder, NULL_RECORDER};
 use mp_tensor::Parallelism;
 
@@ -54,51 +52,6 @@ pub enum Concurrency {
     Threaded,
 }
 
-/// Numeric precision of the low-precision classification stage — a
-/// first-class axis of
-/// [`execute`](crate::pipeline::MultiPrecisionPipeline::execute)
-/// alongside [`Concurrency`].
-///
-/// The quantized and float corners are *modeled-only*: they price
-/// throughput through the MPIC cost LUT / the host timing constants
-/// rather than simulating a second accelerator thread, so combining
-/// them with [`Concurrency::Threaded`] is an
-/// [`CoreError`](crate::CoreError)`::InvalidConfig`.
-#[derive(Debug, Clone, Default)]
-pub enum Precision {
-    /// The shipped 1-bit XNOR datapath (`HardwareBnn`). The default,
-    /// available under both executors.
-    #[default]
-    OneBit,
-    /// The multi-precision integer path at the network's per-layer
-    /// `(a_bits, w_bits)` widths: the [`QuantBnn`] classifies every
-    /// image, the DMU flags on its normalised scores, and the modeled
-    /// BNN batch time is scaled by the MAC-weighted MPIC cost factor.
-    Quantized(Arc<QuantBnn>),
-    /// The float32 corner: every image is re-inferred by the host
-    /// network (the DMU stage still runs for accounting, but keeps
-    /// nothing), so accuracy and throughput degenerate to the host
-    /// model's.
-    Float32,
-}
-
-impl Precision {
-    /// Stable human-readable label: `1bit`, the per-layer precision
-    /// string (e.g. `a8w4-a2w4-…`), or `float32`.
-    pub fn label(&self) -> String {
-        match self {
-            Precision::OneBit => "1bit".to_owned(),
-            Precision::Quantized(q) => q.precision().to_string(),
-            Precision::Float32 => "float32".to_owned(),
-        }
-    }
-
-    /// Whether this is the default 1-bit datapath.
-    pub fn is_one_bit(&self) -> bool {
-        matches!(self, Precision::OneBit)
-    }
-}
-
 /// Builder-style configuration for one pipeline run.
 ///
 /// The lifetime `'r` is the borrow of the attached [`Recorder`];
@@ -111,7 +64,6 @@ pub struct RunOptions<'r> {
     cascade: Option<CascadePolicy>,
     parallelism: Option<Parallelism>,
     concurrency: Concurrency,
-    precision: Precision,
     plan: FaultPlan,
     policy: DegradationPolicy,
     host_global_accuracy: f64,
@@ -125,7 +77,6 @@ impl std::fmt::Debug for RunOptions<'_> {
             .field("cascade", &self.cascade)
             .field("parallelism", &self.parallelism)
             .field("concurrency", &self.concurrency)
-            .field("precision", &self.precision.label())
             .field("plan", &self.plan)
             .field("policy", &self.policy)
             .field("host_global_accuracy", &self.host_global_accuracy)
@@ -147,7 +98,6 @@ impl RunOptions<'static> {
             cascade: None,
             parallelism: None,
             concurrency: Concurrency::Modeled,
-            precision: Precision::OneBit,
             plan: FaultPlan::none(),
             policy: DegradationPolicy::default(),
             host_global_accuracy: 0.0,
@@ -161,7 +111,10 @@ impl<'r> RunOptions<'r> {
     /// policy, in place of the pipeline's constructor threshold. The
     /// canonical 2-stage instance [`CascadePolicy::dmu`]`(t)` is that
     /// threshold and runs under both executors, faults included; other
-    /// shapes run under [`Concurrency::Modeled`].
+    /// shapes run under [`Concurrency::Modeled`]. The precision corners
+    /// are policies too: a quantized first stage is
+    /// `[gated(Quantized(q), t), terminal(HostFloat)]`, and the float32
+    /// corner is the host-only chain `[terminal(HostFloat)]`.
     #[must_use]
     pub fn with_cascade(mut self, cascade: CascadePolicy) -> Self {
         self.cascade = Some(cascade);
@@ -206,16 +159,6 @@ impl<'r> RunOptions<'r> {
         self
     }
 
-    /// Selects the numeric precision of the classification stage.
-    /// Non-1-bit precisions are modeled-only;
-    /// [`execute`](crate::pipeline::MultiPrecisionPipeline::execute)
-    /// rejects them under [`Concurrency::Threaded`].
-    #[must_use]
-    pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
-        self
-    }
-
     /// Sets the degradation policy applied to host misbehaviour.
     #[must_use]
     pub fn with_degradation(mut self, policy: DegradationPolicy) -> Self {
@@ -224,7 +167,9 @@ impl<'r> RunOptions<'r> {
     }
 
     /// Sets the host model's standalone full-set accuracy, used for the
-    /// paper's eq. (2) accuracy prediction.
+    /// paper's eq. (2) accuracy prediction. It must lie in `[0, 1]`:
+    /// [`execute`](crate::pipeline::MultiPrecisionPipeline::execute)
+    /// rejects anything else (NaN included) before any inference.
     #[must_use]
     pub fn with_host_accuracy(mut self, accuracy: f64) -> Self {
         self.host_global_accuracy = accuracy;
@@ -243,7 +188,6 @@ impl<'r> RunOptions<'r> {
             cascade: self.cascade,
             parallelism: self.parallelism,
             concurrency: self.concurrency,
-            precision: self.precision,
             plan: self.plan,
             policy: self.policy,
             host_global_accuracy: self.host_global_accuracy,
@@ -269,11 +213,6 @@ impl<'r> RunOptions<'r> {
     /// The selected execution mode.
     pub fn concurrency(&self) -> Concurrency {
         self.concurrency
-    }
-
-    /// The selected classification-stage precision.
-    pub fn precision(&self) -> &Precision {
-        &self.precision
     }
 
     /// The fault plan ([`FaultPlan::none`] unless injected).
@@ -318,18 +257,6 @@ mod tests {
             .with_faults(FaultPlan::seeded(1).with_host_error_rate(0.5));
         assert_eq!(opts.concurrency(), Concurrency::Threaded);
         assert!(!opts.fault_plan().is_none());
-    }
-
-    #[test]
-    fn precision_defaults_to_one_bit_and_labels_corners() {
-        let opts = RunOptions::new(PipelineTiming::new(1e-3, 1e-2, 10));
-        assert!(opts.precision().is_one_bit());
-        assert_eq!(opts.precision().label(), "1bit");
-        let opts = opts.with_precision(Precision::Float32);
-        assert!(!opts.precision().is_one_bit());
-        assert_eq!(opts.precision().label(), "float32");
-        assert_eq!(opts.clone().precision().label(), "float32");
-        assert!(format!("{opts:?}").contains("float32"));
     }
 
     #[test]

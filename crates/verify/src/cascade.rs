@@ -2,7 +2,7 @@
 //!
 //! [`CascadePolicy::try_new`](mp_core::CascadePolicy::try_new) already
 //! rejects malformed chains at construction, but a
-//! [`CascadeShape`](mp_core::CascadeShape) can also arrive from a
+//! [`mp_core::CascadeShape`] can also arrive from a
 //! config file, a bench record, or a hand-built experiment — and even a
 //! *constructible* cascade can be structurally useless (dead stages,
 //! inverted cost ordering). This pass re-derives the construction

@@ -170,9 +170,9 @@ fn checked_symmetric(fan_in: usize, summand: i64) -> Result<Interval, IntervalOv
 }
 
 /// Smallest threshold-word width (bits) whose signed range covers the
-/// interval, or `None` when even the widest supported word (62 bits,
-/// see [`threshold_word_range`]) cannot. Used by config synthesis to
-/// size threshold memories for quantized engines.
+/// interval, or `None` when even the widest supported word (62 bits)
+/// cannot. Used by config synthesis to size threshold memories for
+/// quantized engines.
 pub fn required_threshold_bits(acc: Interval) -> Option<usize> {
     (1..=62).find(|&bits| {
         let word = threshold_word_range(bits);

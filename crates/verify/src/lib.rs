@@ -8,7 +8,7 @@
 //! network through a DMU — and every invariant that composition relies
 //! on can be checked **without executing anything**. [`verify`] runs
 //! three passes over a [`VerifyTarget`] and returns a
-//! [`Report`](diag::Report) of coded diagnostics:
+//! [`diag::Report`] of coded diagnostics:
 //!
 //! 1. **dataflow** ([`dataflow`]) — engine-to-engine channel/pixel
 //!    chaining, pool-flag consistency, host-layer shape compatibility

@@ -3,7 +3,7 @@
 //! A design-space search asks the same question millions of times —
 //! "is this (folding, precision) candidate legal, and what does it
 //! cost?" — against a *fixed* engine chain, device and memory model.
-//! Re-running the batch [`verify`](crate::verify) per candidate would
+//! Re-running the batch [`crate::verify`] per candidate would
 //! re-prove everything that never changes (geometry chaining, base
 //! intervals, threshold placement) and re-allocate report strings per
 //! call. [`Oracle`] hoists all of that to construction time:

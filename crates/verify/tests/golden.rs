@@ -349,12 +349,11 @@ fn golden_overwide_lanes_are_mp0405_warning() {
 /// the cascade pass with zero diagnostics.
 #[test]
 fn golden_dmu_cascade_shape_is_spotless() {
-    use mp_core::run::Precision;
     use mp_core::{CascadePolicy, PipelineTiming};
 
     let topo = FinnTopology::paper();
     let timing = PipelineTiming::new(1.0 / 21_900.0, 1.0 / 91.0, 64);
-    let shape = CascadePolicy::dmu(0.7).shape(&Precision::OneBit, &timing);
+    let shape = CascadePolicy::dmu(0.7).shape(&timing);
     let target =
         VerifyTarget::from_topology("dmu-cascade", &topo, Device::zc702()).with_cascade(shape);
     let report = verify(&target);
