@@ -1,6 +1,7 @@
 //! The batch path's `BinConv` engine: XOR–popcount–threshold over
-//! channel-packed maps, one safe-Rust body built for AVX-512 VPOPCNTDQ,
-//! for AVX2 and for baseline x86-64, picked per call by CPUID.
+//! channel-packed maps, one safe-Rust body that
+//! `mp_tensor::simd::run_popcount` builds for AVX-512 VPOPCNTDQ, for
+//! AVX2 and for baseline x86-64, picked per call by CPUID.
 //!
 //! FINN compares each output channel's popcount itself against a folded
 //! threshold. Here a row's dot is `fan_in − 2·d` with
@@ -10,6 +11,8 @@
 //! [`popcount_range`]). `d` is an integer sum, so neither the lane width
 //! nor the popcount instruction can change it: every tier is
 //! bit-identical to `HardwareBnn::infer_image`.
+
+use mp_tensor::simd::{run_popcount, Tier, TierBody};
 
 use crate::bits::BitMatrix;
 use crate::hardware::HwThreshold;
@@ -82,11 +85,6 @@ impl PackedConv {
     /// or on the portable build when the CPU lacks the tier's features,
     /// writing the channel-packed output map into `next` and returning
     /// its `(od, oh, ow)`. `patch` is scratch.
-    ///
-    /// The only function in this crate allowed `unsafe`: calling a
-    /// `#[target_feature]` function is unsafe because the CPU must
-    /// support the features, which each call checks first.
-    #[allow(unsafe_code)]
     pub(crate) fn run(
         &self,
         tier: Tier,
@@ -95,24 +93,32 @@ impl PackedConv {
         patch: &mut Vec<u64>,
         next: &mut Vec<u64>,
     ) -> (usize, usize, usize) {
-        match tier {
-            #[cfg(target_arch = "x86_64")]
-            Tier::Avx512 if has_avx512() => {
-                // SAFETY: `has_avx512` just confirmed with
-                // `is_x86_feature_detected!` that this CPU executes
-                // AVX-512F, AVX-512VL and AVX-512 VPOPCNTDQ, the features
-                // `conv_avx512` is compiled with.
-                unsafe { conv_avx512(self, map, dims, patch, next) }
-            }
-            #[cfg(target_arch = "x86_64")]
-            Tier::Avx2 if has_avx2() => {
-                // SAFETY: `has_avx2` just confirmed with
-                // `is_x86_feature_detected!` that this CPU executes AVX2
-                // and POPCNT, the features `conv_avx2` is compiled with.
-                unsafe { conv_avx2(self, map, dims, patch, next) }
-            }
-            _ => conv_body(self, map, dims, patch, next),
-        }
+        let call = ConvCall {
+            conv: self,
+            map,
+            dims,
+            patch,
+            next,
+        };
+        run_popcount(tier, call)
+    }
+}
+
+/// One [`PackedConv::run`] call, the body `run_popcount` builds per tier.
+struct ConvCall<'a> {
+    conv: &'a PackedConv,
+    map: &'a [u64],
+    dims: (usize, usize, usize),
+    patch: &'a mut Vec<u64>,
+    next: &'a mut Vec<u64>,
+}
+
+impl TierBody for ConvCall<'_> {
+    type Output = (usize, usize, usize);
+
+    #[inline(always)]
+    fn run(self) -> Self::Output {
+        conv_body(self.conv, self.map, self.dims, self.patch, self.next)
     }
 }
 
@@ -137,78 +143,6 @@ fn popcount_range(t: HwThreshold, fan_in: u32) -> (u32, u32) {
     }
     let lane = |v: i128| u32::try_from(v).expect("clamped to 0..=fan_in");
     (lane(lo), lane(hi))
-}
-
-/// The builds of the `BinConv` kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Tier {
-    /// Baseline build: every target, and x86-64 CPUs without AVX2.
-    /// Without `popcnt`, `u64::count_ones` is a bit-trick sequence.
-    Portable,
-    /// Built for AVX2 and POPCNT: LLVM counts the lanes with a
-    /// `vpshufb` nibble table.
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-    /// Built for AVX-512F, AVX-512VL and AVX-512 VPOPCNTDQ: one
-    /// `vpxorq`/`vpopcntq`/`vpaddq` per group and patch word on `zmm`.
-    #[cfg(target_arch = "x86_64")]
-    Avx512,
-}
-
-impl Tier {
-    /// The widest tier the running CPU supports.
-    pub(crate) fn detected() -> Self {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if has_avx512() {
-                return Self::Avx512;
-            }
-            if has_avx2() {
-                return Self::Avx2;
-            }
-        }
-        Self::Portable
-    }
-}
-
-/// Whether this CPU executes every feature [`conv_avx512`] is built for.
-#[cfg(target_arch = "x86_64")]
-fn has_avx512() -> bool {
-    is_x86_feature_detected!("avx512f")
-        && is_x86_feature_detected!("avx512vl")
-        && is_x86_feature_detected!("avx512vpopcntdq")
-}
-
-/// Whether this CPU executes every feature [`conv_avx2`] is built for.
-#[cfg(target_arch = "x86_64")]
-fn has_avx2() -> bool {
-    is_x86_feature_detected!("avx2") && is_x86_feature_detected!("popcnt")
-}
-
-/// [`conv_body`] compiled for AVX-512 VPOPCNTDQ.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,avx512vpopcntdq")]
-fn conv_avx512(
-    conv: &PackedConv,
-    map: &[u64],
-    dims: (usize, usize, usize),
-    patch: &mut Vec<u64>,
-    next: &mut Vec<u64>,
-) -> (usize, usize, usize) {
-    conv_body(conv, map, dims, patch, next)
-}
-
-/// [`conv_body`] compiled for AVX2 and POPCNT.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,popcnt")]
-fn conv_avx2(
-    conv: &PackedConv,
-    map: &[u64],
-    dims: (usize, usize, usize),
-    patch: &mut Vec<u64>,
-    next: &mut Vec<u64>,
-) -> (usize, usize, usize) {
-    conv_body(conv, map, dims, patch, next)
 }
 
 /// The one `BinConv` body. Per output pixel it gathers the patch (`k`
@@ -267,23 +201,6 @@ fn conv_body(
         }
     }
     (conv.out_channels, oh, ow)
-}
-
-/// Every tier this CPU can run, the portable one first.
-#[cfg(test)]
-pub(crate) fn supported_tiers() -> Vec<Tier> {
-    #[allow(unused_mut)] // only x86-64 adds tiers
-    let mut tiers = vec![Tier::Portable];
-    #[cfg(target_arch = "x86_64")]
-    {
-        if has_avx2() {
-            tiers.push(Tier::Avx2);
-        }
-        if has_avx512() {
-            tiers.push(Tier::Avx512);
-        }
-    }
-    tiers
 }
 
 #[cfg(test)]

@@ -11,9 +11,10 @@
 use serde::{Deserialize, Error, Serialize, Value};
 
 use mp_obs::{now_ns, Recorder};
+use mp_tensor::simd::{Family, Tier};
 use mp_tensor::{Parallelism, Shape, ShapeError, Tensor};
 
-use crate::bin_conv::{PackedConv, Tier};
+use crate::bin_conv::PackedConv;
 use crate::bits::{BitMatrix, BitVec};
 use crate::classifier::{BnnClassifier, Stage};
 use crate::{EngineSpec, FinnTopology};
@@ -782,7 +783,7 @@ impl HardwareBnn {
             None
         };
         let chunks = par.chunks(n);
-        let tier = Tier::detected();
+        let tier = Tier::detected(Family::Popcount);
         if chunks.len() <= 1 {
             let mut ctx = HwInferCtx::default();
             let mut data = Vec::with_capacity(n * classes);
@@ -1189,8 +1190,13 @@ impl BnnBlockStream<'_> {
         };
         out.clear();
         let slice = &images.as_slice()[start * image_len..end * image_len];
-        self.hw
-            .infer_range_inner(slice, &mut self.ctx, obs_ref, Tier::detected(), out);
+        self.hw.infer_range_inner(
+            slice,
+            &mut self.ctx,
+            obs_ref,
+            Tier::detected(Family::Popcount),
+            out,
+        );
         Ok(())
     }
 }
@@ -1549,7 +1555,7 @@ mod tests {
             }
             let portable = batch_scores_on(&hw, &images, Tier::Portable);
             assert_eq!(portable, reference, "portable tier, {}", topo.height());
-            for tier in crate::bin_conv::supported_tiers() {
+            for tier in Tier::supported(Family::Popcount) {
                 let got = batch_scores_on(&hw, &images, tier);
                 assert_eq!(got, reference, "{tier:?} vs infer_image, {}", topo.height());
                 assert_eq!(got, portable, "{tier:?} vs portable, {}", topo.height());

@@ -21,14 +21,11 @@
 //!
 //! # `unsafe`
 //!
-//! Every crate of the workspace but this one and `mp-tensor` is
-//! `#![forbid(unsafe_code)]`. This one is `#![deny(unsafe_code)]` with a
-//! single exception: the private dispatch `bin_conv::PackedConv::run`,
-//! which calls the AVX-512 VPOPCNTDQ or AVX2 build of the batch path's
-//! `BinConv` kernel. Calling a `#[target_feature]` function is `unsafe`,
-//! and each such call sits behind the matching `is_x86_feature_detected!`
-//! checks. The kernel body itself is safe Rust (slices and fixed-size
-//! arrays, no intrinsics or raw pointers).
+//! None: this crate is `#![forbid(unsafe_code)]`. The batch path's
+//! `BinConv` kernel is a safe-Rust body that
+//! `mp_tensor::simd::run_popcount` builds for AVX-512 VPOPCNTDQ, AVX2 +
+//! POPCNT and baseline x86-64; that module holds the workspace's CPU
+//! detection, `#[target_feature]` builds and `unsafe` calls.
 //!
 //! # Example
 //!
@@ -40,7 +37,7 @@
 //! assert_eq!(topo.engines().len(), 9); // 6 conv + 3 FC engines
 //! ```
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![deny(deprecated)]
 

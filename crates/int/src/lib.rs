@@ -13,10 +13,15 @@
 //! 2. **Execution** ([`quant`]): [`QuantBnn`] quantizes a trained
 //!    `BnnClassifier` to a precision, packing weights into bit planes
 //!    (`mp_bnn::planes`) and folding batch-norm + quantize pairs into
-//!    integer threshold ladders. Batches run on dense `i16` weight levels
-//!    in exact `i32` lanes; `QuantBnn::infer_image` is the bit-serial
-//!    plane reference they match bit for bit. Its 1-bit corner is
-//!    bit-identical to `mp_bnn::HardwareBnn`.
+//!    integer threshold ladders. Batches run one channel-lane integer
+//!    kernel (`mp_tensor::simd`): activations are `u8` level indices in
+//!    `(y, x, ch)` order, every output channel of a pixel is an exact
+//!    `i32` lane (`u8 × i8` quads, or `i16` pairs for 8-bit weights and
+//!    pixels), and the ladders are lane compares folded at
+//!    construction. `QuantBnn::infer_image` is the bit-serial plane
+//!    reference they match bit for bit. Its 1-bit corner is
+//!    bit-identical to `mp_bnn::HardwareBnn`. The SIMD builds live in
+//!    `mp-tensor`, so this crate has no `unsafe`.
 //! 3. **Cost** ([`cost`]): [`CostLut`] tabulates MACs/cycle per width
 //!    pair (the MPIC measurements) and converts a [`NetworkPrecision`]
 //!    into a single MAC-weighted multiplier on the eq. (3)/(4) 1-bit

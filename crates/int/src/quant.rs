@@ -16,10 +16,21 @@
 //! by shift-add. [`QuantBnn::infer_batch_obs`] computes the same exact
 //! integers with dense arithmetic: the planes encode
 //! `q = Σ_p 2^p·s_p = 2u − L`, so
-//! `Σ_p 2^p·Σ_i s_{p,i}·x_i = Σ_i q_i·x_i`, and each stage keeps its
-//! weights as row-major `i16` levels and takes one `i32`-lane dot per
-//! output channel. Construction proves the lanes cannot overflow
-//! (`fan_in·L_a·L_w ≤ i32::MAX`), so scores are bit-identical.
+//! `Σ_p 2^p·Σ_i s_{p,i}·x_i = Σ_i q_i·x_i`.
+//!
+//! The dense path stores each activation as its level index
+//! `u = (q + L_a)/2 ∈ [0, L_a]`, a `u8` in `(y, x, ch)` order, so a
+//! convolution patch is `k` contiguous runs of the map. One pass of the
+//! `mp_tensor::simd` lane kernel computes `S = Σ w·u` for every output
+//! channel of a pixel in `i32` lanes (`u8 × i8` quads at `w_bits ≤ 4`,
+//! `i16` pairs at 8-bit weights and for the pixel-fed first stage, whose
+//! `|q| ≤ 128` inputs it reads whole), and `acc = 2·S − L_a·Σw`. Each
+//! ladder bound is folded once, at construction, onto `S`: the row sum
+//! moves into the key (`fold_key`), so a ladder is a run of lane
+//! compares whose fired count is the next stage's `u` directly. Because
+//! `0 ≤ u ≤ L_a`, every partial sum of `S` is still bounded by
+//! `fan_in·L_a·L_w`, which construction proves fits an `i32`, so scores
+//! are bit-identical on every SIMD tier.
 //!
 //! # The 1-bit corner is the BNN
 //!
@@ -53,6 +64,7 @@ use mp_bnn::{
     BnFold, BnnClassifier, EngineKind, EngineSpec, FinnTopology, HardwareBnn, LatentKind,
 };
 use mp_obs::{now_ns, Recorder};
+use mp_tensor::simd::{Family, LaneAct, LaneLadder, LaneWeights, Tier};
 use mp_tensor::{Parallelism, Shape, ShapeError, Tensor};
 
 use crate::cost::CostLut;
@@ -158,113 +170,151 @@ fn plane_levels(weights: &PlaneMatrix) -> Vec<i64> {
 /// clamps pixels to `±INPUT_QUANT_RANGE` on a `1/INPUT_QUANT_SCALE` grid.
 const PIXEL_LEVEL_MAX: i64 = (INPUT_QUANT_RANGE * INPUT_QUANT_SCALE) as i64;
 
-/// `i32` lanes of the dense dot: one 16-wide step of `i16` products,
-/// which baseline x86-64 lowers to `pmaddwd`.
-const LANES: usize = 16;
-
-/// `i32` lanes of the dense threshold-ladder count.
-const KEY_LANES: usize = 8;
-
-/// Exact dot product of two equal-length level rows whose length is a
-/// multiple of [`LANES`]. Every partial sum is bounded by the stage's
-/// `fan_in·L_a·L_w ≤ i32::MAX` (checked at construction), so no lane
-/// can overflow and the sum equals the `i64` accumulation.
-fn dot(w: &[i16], x: &[i16]) -> i32 {
-    let mut acc = [0i32; LANES];
-    for (wc, xc) in w.chunks_exact(LANES).zip(x.chunks_exact(LANES)) {
-        for ((a, &wv), &xv) in acc.iter_mut().zip(wc).zip(xc) {
-            *a += i32::from(wv) * i32::from(xv);
-        }
-    }
-    acc.iter().sum()
+/// The `i32` key of ladder bound `t` over the lane sum `S` of a stage
+/// whose accumulation is `acc = α·S − β`: the bound fires iff
+/// `(S > key) ^ t.negate`. `acc ≥ b ⟺ S ≥ ⌈(b + β)/α⌉ ⟺ S > ⌈(b + β)/α⌉ − 1`
+/// and `acc ≤ b ⟺ S ≤ ⌊(b + β)/α⌋ ⟺ ¬(S > ⌊(b + β)/α⌋)`, computed in
+/// `i128` because `b` may be `i64::MIN`/`i64::MAX`. Construction bounds
+/// `|S| ≤ i32::MAX`, so clamping the key to the `i32` range keeps an
+/// out-of-range bound always or never firing.
+fn fold_key(t: &HwThreshold, alpha: i128, beta: i128) -> (i32, bool) {
+    let v = i128::from(t.bound) + beta;
+    let key = if t.negate {
+        v.div_euclid(alpha)
+    } else {
+        (v + alpha - 1).div_euclid(alpha) - 1
+    };
+    let key = key.clamp(i128::from(i32::MIN), i128::from(i32::MAX));
+    (
+        i32::try_from(key).expect("clamped to the i32 range"),
+        t.negate,
+    )
 }
 
-/// The `i32` comparison key of one ladder bound, exact for
-/// `|acc| ≤ i32::MAX`: the bound fires iff `(acc > key) ^ flip`, since
-/// `acc ≥ b ⟺ acc > b − 1` and `acc ≤ b ⟺ ¬(acc > b)`. Clamping the key
-/// to the `i32` range keeps an out-of-range bound always or never firing,
-/// as it does in `i64`.
-fn dense_key(t: &HwThreshold) -> (i32, i32) {
-    let clamp = |b: i64| b.clamp(i64::from(i32::MIN), i64::from(i32::MAX)) as i32;
-    if t.negate {
-        (clamp(t.bound), 1)
-    } else {
-        (clamp(t.bound.saturating_sub(1)), 0)
-    }
+/// A dense stage's weights in the `mp_tensor::simd` lane layout: `u8 ×
+/// i8` quads for stages reading `u` levels at `w_bits ≤ 4`, `i16` pairs
+/// for 8-bit weights and for the pixel-fed first stage.
+#[derive(Debug, Clone)]
+enum Lanes {
+    Quads(LaneWeights<u8>),
+    Pairs(LaneWeights<i16>),
+}
+
+/// What a dense stage does with its lane sums `S`.
+#[derive(Debug, Clone)]
+enum Tail {
+    /// The threshold ladders folded onto `S` ([`fold_key`]): the fired
+    /// count is the next stage's `u`.
+    Ladder(LaneLadder),
+    /// The output stage's scores `acc_r = 2·S_r − offsets[r]`.
+    Scores(Vec<i64>),
 }
 
 /// One stage of the dense datapath, derived from its [`QuantStage`] at
 /// construction and never serialized.
-///
-/// Weights are row-major `i16` levels, each row zero-padded to `stride`
-/// (a multiple of [`LANES`]) so [`dot`] runs whole chunks against a
-/// `stride`-long input; the zero weights make the padding inert. Each
-/// channel's [`LevelThresholds`] ladder becomes `width` [`dense_key`]
-/// pairs, padded to a multiple of [`KEY_LANES`] with keys that never
-/// fire.
 #[derive(Debug, Clone)]
 struct DenseStage {
-    rows: usize,
-    stride: usize,
-    weights: Vec<i16>,
-    width: usize,
-    keys: Vec<i32>,
-    flips: Vec<i32>,
-    /// `L'`, the bound count of every ladder (0 for the output stage).
-    bounds: i32,
+    lanes: Lanes,
+    tail: Tail,
 }
 
 impl DenseStage {
-    fn new(rows: usize, cols: usize, quantized: &[i64], ladders: &[LevelThresholds]) -> Self {
-        let stride = cols.next_multiple_of(LANES);
-        let mut weights = vec![0i16; rows * stride];
-        for r in 0..rows {
-            for (d, &q) in weights[r * stride..][..cols]
-                .iter_mut()
-                .zip(&quantized[r * cols..(r + 1) * cols])
-            {
-                *d = i16::try_from(q).expect("weight levels are at most 8 bits wide");
-            }
+    /// Builds stage `stage` from its reference-order weight levels
+    /// (`rows × c·hw`, columns `(ch, p)` with `p` one of `hw` kernel taps
+    /// or map pixels), reordering the columns to the `(p, ch)` order of
+    /// `(h, w, c)` maps.
+    fn new(
+        stage: &QuantStage,
+        quantized: &[i64],
+        (c, hw): (usize, usize),
+    ) -> Result<Self, ShapeError> {
+        let weights = stage.weights();
+        let (rows, cols) = (weights.num_rows(), weights.num_cols());
+        if c * hw != cols {
+            return Err(ShapeError::new(
+                "QuantBnn",
+                format!("a {rows}×{cols} stage reads a {c}×{hw} input"),
+            ));
         }
-        let bounds = ladders.first().map_or(0, LevelThresholds::num_bounds);
-        let width = bounds.next_multiple_of(KEY_LANES);
-        let mut keys = vec![i32::MAX; ladders.len() * width];
-        let mut flips = vec![0; ladders.len() * width];
-        for (ch, ladder) in ladders.iter().enumerate() {
-            for (u, t) in ladder.bounds.iter().enumerate() {
-                (keys[ch * width + u], flips[ch * width + u]) = dense_key(t);
+        // Column `p·c + ch` of an `(h, w, c)` patch is reference column
+        // `ch·hw + p`.
+        let source: Vec<usize> = (0..cols).map(|col| (col % c) * hw + col / c).collect();
+        let weight = |r: usize, col: usize| quantized[r * cols + source[col]];
+        // acc = α·S − L_a·Σw: the first stage reads pixels (α = 1, no
+        // offset), the others `u = (q + L_a)/2` (α = 2).
+        let (first, l_a) = match stage {
+            QuantStage::FirstConv { .. } => (true, 0),
+            QuantStage::Conv { a_bits, .. }
+            | QuantStage::Fc { a_bits, .. }
+            | QuantStage::Output { a_bits, .. } => (false, levels(*a_bits)),
+        };
+        let lanes = if first || weights.bits() > 4 {
+            Lanes::Pairs(LaneWeights::new(rows, cols, weight)?)
+        } else {
+            Lanes::Quads(LaneWeights::new(rows, cols, weight)?)
+        };
+        let alpha = if first { 1 } else { 2 };
+        let offsets: Vec<i64> = quantized
+            .chunks_exact(cols)
+            .map(|row| l_a * row.iter().sum::<i64>())
+            .collect();
+        let tail = match stage.thresholds() {
+            [] => Tail::Scores(offsets),
+            ladders => {
+                let keys: Vec<(i32, bool)> = ladders
+                    .iter()
+                    .zip(&offsets)
+                    .flat_map(|(ladder, &beta)| {
+                        ladder
+                            .bounds
+                            .iter()
+                            .map(move |t| fold_key(t, alpha, i128::from(beta)))
+                    })
+                    .collect();
+                Tail::Ladder(LaneLadder::new(rows, ladders[0].num_bounds(), &keys)?)
             }
-        }
-        Self {
-            rows,
-            stride,
-            weights,
-            width,
-            keys,
-            flips,
-            bounds: i32::try_from(bounds).expect("ladders hold at most 255 bounds"),
+        };
+        Ok(Self { lanes, tail })
+    }
+
+    /// Runs the stage over an `(h, w, c)` map of `u` levels, writing
+    /// the output levels into `next` as an `(h, w, c)` map and returning
+    /// its dims: a `k×k` convolution for conv stages, `k = 1` over the
+    /// flattened map for FC stages.
+    fn conv(
+        &self,
+        tier: Tier,
+        map: &[u8],
+        dims: (usize, usize, usize),
+        k: usize,
+        scratch: &mut LaneScratch,
+        next: &mut Vec<u8>,
+    ) -> (usize, usize, usize) {
+        let Tail::Ladder(ladder) = &self.tail else {
+            unreachable!("checked construction gives every stage but the output a ladder")
+        };
+        let LaneScratch { quads, pairs, sums } = scratch;
+        match &self.lanes {
+            Lanes::Quads(w) => lane_conv(w, ladder, tier, map, dims, k, quads, sums, next),
+            Lanes::Pairs(w) => lane_conv(w, ladder, tier, map, dims, k, pairs, sums, next),
         }
     }
 
-    fn row(&self, r: usize) -> &[i16] {
-        &self.weights[r * self.stride..(r + 1) * self.stride]
-    }
-
-    /// [`LevelThresholds::level`] of channel `ch` in `i32` lanes. Ladders
-    /// hold at most 255 bounds, so the level fits an `i16`.
-    fn level(&self, ch: usize, acc: i32) -> i16 {
-        let keys = &self.keys[ch * self.width..][..self.width];
-        let flips = &self.flips[ch * self.width..][..self.width];
-        let mut fired = [0i32; KEY_LANES];
-        for (kc, fc) in keys
-            .chunks_exact(KEY_LANES)
-            .zip(flips.chunks_exact(KEY_LANES))
-        {
-            for ((n, &key), &flip) in fired.iter_mut().zip(kc).zip(fc) {
-                *n += i32::from(acc > key) ^ flip;
-            }
-        }
-        (2 * fired.iter().sum::<i32>() - self.bounds) as i16
+    /// [`Self::conv`] of the first stage, over the image's pixel levels.
+    fn conv_pixels(
+        &self,
+        tier: Tier,
+        pixels: &[i16],
+        dims: (usize, usize, usize),
+        k: usize,
+        scratch: &mut LaneScratch,
+        next: &mut Vec<u8>,
+    ) -> (usize, usize, usize) {
+        let (Lanes::Pairs(w), Tail::Ladder(ladder)) = (&self.lanes, &self.tail) else {
+            unreachable!("checked construction gives the pixel stage pairs and a ladder")
+        };
+        let LaneScratch { pairs, sums, .. } = scratch;
+        lane_conv(w, ladder, tier, pixels, dims, k, pairs, sums, next)
     }
 }
 
@@ -272,52 +322,74 @@ impl DenseStage {
 /// the steady state does not allocate.
 #[derive(Debug, Default)]
 struct DenseScratch {
-    /// Current level-coded activations (`C·H·W`, or features).
-    acts: Vec<i16>,
-    /// Next stage's activations (swapped each stage).
-    next: Vec<i16>,
-    /// One im2col patch or FC input, `stride` long.
-    patch: Vec<i16>,
+    /// The image's pixel levels in `(y, x, ch)` order.
+    pixels: Vec<i16>,
+    /// Current `u`-level map, `(y, x, ch)`.
+    map: Vec<u8>,
+    /// Next stage's map (swapped each stage).
+    next: Vec<u8>,
+    lanes: LaneScratch,
 }
 
-/// One valid `k×k` convolution over level-coded `(c, h, w)`
-/// activations: an `i16` im2col patch per output pixel, one exact
-/// [`dot`] per output channel, then that channel's threshold ladder.
-/// Serves the fixed-point first engine (pixel levels) and the inner
-/// engines alike.
-fn conv_levels(
-    stage: &DenseStage,
+/// Patch rows and lane sums of one output row.
+#[derive(Debug, Default)]
+struct LaneScratch {
+    quads: Vec<u8>,
+    pairs: Vec<i16>,
+    sums: Vec<i32>,
+}
+
+/// The lane sums of output row `oy` of a valid `k×k` convolution over an
+/// `(h, w, c)` map, into `sums`: each of the row's `ow` patches is `k`
+/// runs of `k·c` contiguous activations, in the weights' `(ky, kx, ch)`
+/// order, zero-padded to the weights' stride.
+#[allow(clippy::too_many_arguments)]
+fn lane_sums<S: Copy, A: LaneAct + From<S>>(
+    w: &LaneWeights<A>,
+    tier: Tier,
+    map: &[S],
+    (c, wd): (usize, usize),
     k: usize,
-    acts: &[i16],
-    (c, h, w): (usize, usize, usize),
-    patch: &mut Vec<i16>,
-    out: &mut Vec<i16>,
-) -> (usize, usize, usize) {
-    let (oh, ow) = (h - k + 1, w - k + 1);
-    let od = stage.rows;
-    out.clear();
-    out.resize(od * oh * ow, 0);
-    // Each pixel overwrites the first c·k·k taps.
-    patch.clear();
-    patch.resize(stage.stride, 0);
-    for oy in 0..oh {
-        for ox in 0..ow {
-            let mut taps = patch.iter_mut();
-            for ch in 0..c {
-                for ky in 0..k {
-                    let start = (ch * h + oy + ky) * w + ox;
-                    // Source first: `zip` must not advance `taps` past the row.
-                    for (&x, tap) in acts[start..start + k].iter().zip(taps.by_ref()) {
-                        *tap = x;
-                    }
-                }
-            }
-            for oc in 0..od {
-                out[(oc * oh + oy) * ow + ox] = stage.level(oc, dot(stage.row(oc), patch));
+    oy: usize,
+    patches: &mut Vec<A>,
+    sums: &mut Vec<i32>,
+) {
+    let (ow, stride, run) = (wd - k + 1, w.stride(), k * c);
+    patches.clear();
+    patches.resize(ow * stride, A::default());
+    for (ox, patch) in patches.chunks_exact_mut(stride).enumerate() {
+        for (ky, dst) in patch.chunks_exact_mut(run).take(k).enumerate() {
+            let src = &map[((oy + ky) * wd + ox) * c..][..run];
+            for (d, &x) in dst.iter_mut().zip(src) {
+                *d = A::from(x);
             }
         }
     }
-    (od, oh, ow)
+    w.sums(tier, patches, sums);
+}
+
+/// A valid `k×k` convolution over an `(h, w, c)` map, row by row: lane
+/// sums, then `ladder`'s levels appended to `out` as the `(oh, ow, od)`
+/// map.
+#[allow(clippy::too_many_arguments)]
+fn lane_conv<S: Copy, A: LaneAct + From<S>>(
+    w: &LaneWeights<A>,
+    ladder: &LaneLadder,
+    tier: Tier,
+    map: &[S],
+    (c, h, wd): (usize, usize, usize),
+    k: usize,
+    patches: &mut Vec<A>,
+    sums: &mut Vec<i32>,
+    out: &mut Vec<u8>,
+) -> (usize, usize, usize) {
+    let (oh, ow) = (h - k + 1, wd - k + 1);
+    out.clear();
+    for oy in 0..oh {
+        lane_sums(w, tier, map, (c, wd), k, oy, patches, sums);
+        ladder.levels(tier, sums, w.lanes(), out);
+    }
+    (w.rows(), oh, ow)
 }
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -499,11 +571,11 @@ impl QuantStage {
 /// `(a_bits, w_bits)` quantized inference over bit-plane decomposed
 /// weights and level-coded activations.
 ///
-/// Batches run on dense `i16` weight levels ([`Self::infer_batch_obs`]);
+/// Batches run the channel-lane integer kernel ([`Self::infer_batch_obs`]);
 /// [`Self::infer_image`] is the bit-serial plane reference they are
 /// pinned against. Serialization carries the topology, precision and
 /// plane-packed stages; deserializing validates them and rebuilds the
-/// dense rows.
+/// lane weights and folded ladders.
 ///
 /// # Example
 ///
@@ -671,7 +743,7 @@ impl QuantBnn {
     /// The one checked constructor behind [`Self::from_classifier`] and
     /// `Deserialize`: validates every stage against its engine and the
     /// precision chain ([`QuantStage::check`]), then builds the dense
-    /// rows from `stage_levels(i, weights)`, stage `i`'s row-major
+    /// stages from `stage_levels(i, weights)`, stage `i`'s row-major
     /// weight levels.
     fn checked(
         topology: FinnTopology,
@@ -698,20 +770,32 @@ impl QuantBnn {
                 .check(i, engine, layers[i], out_bits, topology.classes())
                 .map_err(|msg| ShapeError::new("QuantBnn", msg))?;
         }
-        let dense = stages
-            .iter()
-            .enumerate()
-            .map(|(i, stage)| {
-                let weights = stage.weights();
-                let quantized = stage_levels(i, weights);
-                DenseStage::new(
-                    weights.num_rows(),
-                    weights.num_cols(),
-                    &quantized,
-                    stage.thresholds(),
-                )
-            })
-            .collect();
+        // Each stage's input as (channels, taps or pixels per channel).
+        let (mut c, mut h, mut w) = (topology.channels(), topology.height(), topology.width());
+        let mut dense = Vec::with_capacity(stages.len());
+        for (i, stage) in stages.iter().enumerate() {
+            let input = match stage {
+                QuantStage::FirstConv { kernel, pool, .. }
+                | QuantStage::Conv { kernel, pool, .. } => {
+                    let input = (c, kernel * kernel);
+                    (c, h, w) = (stage.weights().num_rows(), h - kernel + 1, w - kernel + 1);
+                    if *pool {
+                        (h, w) = (h / 2, w / 2);
+                    }
+                    input
+                }
+                QuantStage::Fc { .. } | QuantStage::Output { .. } => {
+                    let input = (c, h * w);
+                    (c, h, w) = (stage.weights().num_rows(), 1, 1);
+                    input
+                }
+            };
+            dense.push(DenseStage::new(
+                stage,
+                &stage_levels(i, stage.weights()),
+                input,
+            )?);
+        }
         Ok(Self {
             topology,
             precision,
@@ -998,12 +1082,13 @@ impl QuantBnn {
         } else {
             None
         };
+        let tier = Tier::detected(Family::Int);
         let infer_range = |range: std::ops::Range<usize>| -> Vec<f32> {
             let mut scratch = DenseScratch::default();
             let mut out = Vec::with_capacity(range.len() * classes);
             for i in range {
                 let image = &xv[i * image_len..(i + 1) * image_len];
-                self.infer_dense(image, &mut scratch, obs, &mut out);
+                self.infer_dense(tier, image, &mut scratch, obs, &mut out);
             }
             out
         };
@@ -1026,56 +1111,79 @@ impl QuantBnn {
         Tensor::from_vec(Shape::matrix(n, classes), data)
     }
 
-    /// Dense inference of one image (its `C·H·W` pixels), appending the
-    /// `classes` scores divided by [`Self::scores_scale`] to `out`. With
-    /// `obs` present every stage records one span. The checked
-    /// constructor guarantees stage 0 is the first convolution and the
-    /// last stage the output engine.
+    /// Dense inference of one image (its `C·H·W` pixels) on `tier`,
+    /// appending the `classes` scores divided by [`Self::scores_scale`]
+    /// to `out`. With `obs` present every stage records one span. The
+    /// checked constructor guarantees stage 0 is the first convolution
+    /// and the last stage the output engine.
     fn infer_dense(
         &self,
+        tier: Tier,
         image: &[f32],
         scratch: &mut DenseScratch,
         obs: Option<(&dyn Recorder, &[String])>,
         out: &mut Vec<f32>,
     ) {
-        let DenseScratch { acts, next, patch } = scratch;
-        acts.clear();
-        // |pixel level| ≤ PIXEL_LEVEL_MAX, so the cast is exact.
-        acts.extend(image.iter().map(|&x| HardwareBnn::quantize_pixel(x) as i16));
+        let DenseScratch {
+            pixels,
+            map,
+            next,
+            lanes,
+        } = scratch;
         let mut dims = (
             self.topology.channels(),
             self.topology.height(),
             self.topology.width(),
         );
+        let (c, hw) = (dims.0, dims.1 * dims.2);
+        pixels.clear();
+        pixels.resize(image.len(), 0);
+        for (ch, plane) in image.chunks_exact(hw).enumerate() {
+            for (p, &x) in plane.iter().enumerate() {
+                // |pixel level| ≤ PIXEL_LEVEL_MAX, so the cast is exact.
+                pixels[p * c + ch] = HardwareBnn::quantize_pixel(x) as i16;
+            }
+        }
         let scale = self.scores_scale();
         for (si, (stage, dense)) in self.stages.iter().zip(&self.dense).enumerate() {
             let t0 = obs.map(|_| now_ns());
             match stage {
-                QuantStage::FirstConv { kernel, pool, .. }
-                | QuantStage::Conv { kernel, pool, .. } => {
-                    dims = conv_levels(dense, *kernel, acts, dims, patch, next);
-                    std::mem::swap(acts, next);
+                QuantStage::FirstConv { kernel, pool, .. } => {
+                    dims = dense.conv_pixels(tier, pixels, dims, *kernel, lanes, next);
+                    std::mem::swap(map, next);
                     if *pool {
-                        dims = max_pool_levels(acts, dims, next);
-                        std::mem::swap(acts, next);
+                        dims = max_pool_hwc(map, dims, next);
+                        std::mem::swap(map, next);
+                    }
+                }
+                QuantStage::Conv { kernel, pool, .. } => {
+                    dims = dense.conv(tier, map, dims, *kernel, lanes, next);
+                    std::mem::swap(map, next);
+                    if *pool {
+                        dims = max_pool_hwc(map, dims, next);
+                        std::mem::swap(map, next);
                     }
                 }
                 QuantStage::Fc { .. } => {
-                    patch.clear();
-                    patch.extend_from_slice(acts);
-                    patch.resize(dense.stride, 0);
-                    next.clear();
-                    next.extend((0..dense.rows).map(|r| dense.level(r, dot(dense.row(r), patch))));
-                    std::mem::swap(acts, next);
-                    dims = (acts.len(), 1, 1);
+                    let flat = (dims.0 * dims.1 * dims.2, 1, 1);
+                    dims = dense.conv(tier, map, flat, 1, lanes, next);
+                    std::mem::swap(map, next);
                 }
                 QuantStage::Output { .. } => {
-                    patch.clear();
-                    patch.extend_from_slice(acts);
-                    patch.resize(dense.stride, 0);
+                    let Tail::Scores(offsets) = &dense.tail else {
+                        unreachable!("checked construction gives the output stage scores")
+                    };
+                    let flat = (dims.0 * dims.1 * dims.2, 1);
+                    let LaneScratch { quads, pairs, sums } = lanes;
+                    match &dense.lanes {
+                        Lanes::Quads(w) => lane_sums(w, tier, map, flat, 1, 0, quads, sums),
+                        Lanes::Pairs(w) => lane_sums(w, tier, map, flat, 1, 0, pairs, sums),
+                    }
                     out.extend(
-                        (0..self.topology.classes())
-                            .map(|r| i64::from(dot(dense.row(r), patch)) as f32 / scale),
+                        sums.iter()
+                            .zip(offsets)
+                            .take(self.topology.classes())
+                            .map(|(&s, &off)| (2 * i64::from(s) - off) as f32 / scale),
                     );
                 }
             }
@@ -1099,6 +1207,31 @@ impl QuantBnn {
             })
             .collect()
     }
+}
+
+/// 2×2 max pooling over an `(h, w, c)` map of `u` levels into `out`:
+/// `u = (q + L)/2` is monotone in the level `q`, so this is
+/// [`max_pool_levels`] on the levels. Returns the pooled dimensions.
+fn max_pool_hwc(
+    map: &[u8],
+    (c, h, w): (usize, usize, usize),
+    out: &mut Vec<u8>,
+) -> (usize, usize, usize) {
+    let (oh, ow) = (h / 2, w / 2);
+    out.clear();
+    out.resize(oh * ow * c, 0);
+    for (i, dst) in out.chunks_exact_mut(c).enumerate() {
+        let (oy, ox) = (i / ow, i % ow);
+        let at = |ky: usize, kx: usize| &map[((2 * oy + ky) * w + 2 * ox + kx) * c..][..c];
+        let quads = at(0, 0)
+            .iter()
+            .zip(at(0, 1))
+            .zip(at(1, 0).iter().zip(at(1, 1)));
+        for (o, ((&a, &b), (&c, &d))) in dst.iter_mut().zip(quads) {
+            *o = a.max(b).max(c).max(d);
+        }
+    }
+    (c, oh, ow)
 }
 
 /// 2×2 max pooling over level-coded activations into `out` (the `b`-bit
@@ -1341,11 +1474,13 @@ mod tests {
         );
     }
 
-    /// `DenseStage::level` must agree with `LevelThresholds::level` for
-    /// every accumulation the i32 lanes can hold, including bounds
-    /// outside the i32 range and degenerate always/never bounds.
+    /// The folded keys must agree with `HwThreshold::fires` on
+    /// `acc = α·S − β` for every lane sum `|S| ≤ i32::MAX`: bounds
+    /// outside the `i32` range and degenerate always/never bounds, row-sum
+    /// offsets of both signs and parities, sums at the edges of the lane
+    /// range and on both sides of each key.
     #[test]
-    fn dense_ladder_matches_i64_ladder() {
+    fn folded_keys_match_the_i64_ladder() {
         let edges = [
             i64::MIN,
             i64::from(i32::MIN),
@@ -1357,36 +1492,64 @@ mod tests {
             i64::from(i32::MAX) + 1,
             i64::MAX,
         ];
-        let ladders: Vec<LevelThresholds> = [false, true]
-            .into_iter()
-            .map(|negate| LevelThresholds {
-                bounds: edges
-                    .iter()
-                    .map(|&bound| HwThreshold { bound, negate })
-                    .collect(),
-            })
-            .collect();
-        let dense = DenseStage::new(2, 1, &[1, 1], &ladders);
-        let accs = [
-            -i32::MAX,
-            -i32::MAX + 1,
-            -6,
-            -5,
-            -4,
-            0,
-            6,
-            7,
-            8,
-            i32::MAX - 1,
-            i32::MAX,
+        let reach = 576 * 15 * 15;
+        let cases = [
+            (1, vec![0]),
+            (2, vec![-reach, -1, 0, 1, 4, reach, i64::from(i32::MAX)]),
         ];
-        for (ch, ladder) in ladders.iter().enumerate() {
-            for acc in accs {
-                assert_eq!(
-                    i64::from(dense.level(ch, acc)),
-                    ladder.level(i64::from(acc)),
-                    "channel {ch}, acc {acc}"
-                );
+        for (alpha, betas) in cases {
+            for &beta in &betas {
+                for &bound in &edges {
+                    for negate in [false, true] {
+                        let t = HwThreshold { bound, negate };
+                        let (key, flip) = fold_key(&t, alpha, i128::from(beta));
+                        assert_eq!(flip, negate);
+                        let mut sums = vec![
+                            -i32::MAX,
+                            -i32::MAX + 1,
+                            -6,
+                            -5,
+                            -4,
+                            0,
+                            6,
+                            7,
+                            8,
+                            i32::MAX - 1,
+                            i32::MAX,
+                        ];
+                        sums.extend([key.saturating_sub(1), key, key.saturating_add(1)]);
+                        for s in sums.into_iter().filter(|&s| s != i32::MIN) {
+                            let acc = alpha as i64 * i64::from(s) - beta;
+                            assert_eq!(
+                                (s > key) ^ flip,
+                                t.fires(acc),
+                                "α {alpha} β {beta} bound {bound} negate {negate} S {s}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_supported_tier_matches_the_portable_tier_at_paper_scale() {
+        let mut rng = TensorRng::seed_from(107);
+        let bnn = BnnClassifier::new(FinnTopology::paper(), &mut rng).unwrap();
+        let images = rng.normal(Shape::nchw(2, 3, 32, 32), 0.0, 1.0);
+        for bits in [4usize, 8] {
+            let precision = NetworkPrecision::uniform(layer_count(&bnn), bits, bits).unwrap();
+            let q = QuantBnn::from_classifier(&bnn, precision).unwrap();
+            let scores_on = |tier: Tier| {
+                let (mut scratch, mut out) = (DenseScratch::default(), Vec::new());
+                for image in images.as_slice().chunks_exact(3 * 32 * 32) {
+                    q.infer_dense(tier, image, &mut scratch, None, &mut out);
+                }
+                out
+            };
+            let portable = scores_on(Tier::Portable);
+            for tier in Tier::supported(Family::Int) {
+                assert_eq!(scores_on(tier), portable, "{tier:?} a{bits}w{bits}");
             }
         }
     }

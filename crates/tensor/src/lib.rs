@@ -8,7 +8,9 @@
 //! - [`Tensor`]: an owned, row-major `f32` n-dimensional array,
 //! - [`linalg`]: blocked matrix multiplication and friends,
 //! - [`conv`]: `im2col`/`col2im` lowering used by convolution layers,
-//! - [`init`]: seeded random initialisers (uniform, normal, He, Xavier).
+//! - [`init`]: seeded random initialisers (uniform, normal, He, Xavier),
+//! - [`simd`]: run-time SIMD tiers, including the channel-lane integer
+//!   kernels of `mp-int`.
 //!
 //! The design follows the convolution-lowering approach of Chellapilla et
 //! al. that the paper's FINN substrate also uses: convolutions become
@@ -16,15 +18,15 @@
 //!
 //! # `unsafe`
 //!
-//! Every crate of the workspace but this one and `mp-bnn` (whose popcount
-//! tiers make the same exception) is `#![forbid(unsafe_code)]`. This one
-//! is `#![deny(unsafe_code)]` with a single exception: the
-//! private `linalg::run_tier`, which calls the AVX-512F or AVX2 build of
-//! the packed GEMM kernel. Calling a `#[target_feature]` function is
-//! `unsafe`, and each such call sits behind the matching
-//! `is_x86_feature_detected!` check. The kernel bodies themselves are
-//! safe Rust (slices and fixed-size arrays, no intrinsics or raw
-//! pointers).
+//! Every other crate of the workspace is `#![forbid(unsafe_code)]`. This
+//! one is `#![deny(unsafe_code)]` with a single exception, the
+//! [`simd`] module: the one place in the workspace that detects CPU
+//! features, compiles kernels with `#[target_feature]` and calls them.
+//! Calling a `#[target_feature]` function is `unsafe`, and each such call
+//! sits behind the matching `is_x86_feature_detected!` check. The
+//! integer kernels use `core::arch` intrinsics, whose loads and stores
+//! take raw pointers into slices of checked length; the GEMM and the
+//! popcount bodies are safe Rust (slices and fixed-size arrays).
 //!
 //! # Example
 //!
@@ -53,6 +55,8 @@ mod workspace;
 pub mod conv;
 pub mod init;
 pub mod linalg;
+#[allow(unsafe_code)]
+pub mod simd;
 
 pub use error::ShapeError;
 pub use shape::Shape;

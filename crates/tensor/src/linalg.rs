@@ -16,11 +16,13 @@
 //! # SIMD tiers of `matmul`
 //!
 //! On x86-64 CPUs with AVX-512F or AVX2, [`matmul_into`] runs a packed,
-//! register-tiled kernel compiled for that extension and picked at run
-//! time; everywhere else it runs the portable blocked kernel. Both add
+//! register-tiled kernel compiled for that extension by [`crate::simd`]
+//! and picked at run time; everywhere else it runs the portable blocked
+//! kernel. Both add
 //! every output element's products in the same order, so the tiers are
 //! bit-identical.
 
+use crate::simd::{self, Family, Tier};
 use crate::{Shape, ShapeError, Tensor};
 
 /// Cache-blocking tile edge, tuned for 32 KiB L1 caches.
@@ -41,7 +43,7 @@ fn expect_matrix(t: &Tensor, op: &str, name: &str) -> Result<(usize, usize), Sha
 /// Blocked over `m` and `k`, with the `k` loop unrolled by four so each
 /// pass over an output row folds four rank-1 updates into one. `out` must
 /// already be zeroed (or hold a partial sum to accumulate onto).
-fn gemm_kernel(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+pub(crate) fn gemm_kernel(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     for i0 in (0..m).step_by(BLOCK) {
         let i1 = (i0 + BLOCK).min(m);
         for k0 in (0..k).step_by(BLOCK) {
@@ -73,63 +75,10 @@ fn gemm_kernel(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f3
     }
 }
 
-/// The GEMM kernel builds [`matmul_into`] can run on this CPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Tier {
-    /// [`gemm_kernel`]: every target, and x86-64 CPUs without AVX2.
-    Portable,
-    /// The packed kernel with 24-column tiles, compiled for AVX2.
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-    /// The packed kernel with 32-column tiles, compiled for AVX-512F.
-    #[cfg(target_arch = "x86_64")]
-    Avx512,
-}
-
-impl Tier {
-    /// The widest tier the running CPU supports.
-    fn detected() -> Self {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if is_x86_feature_detected!("avx512f") {
-                return Self::Avx512;
-            }
-            if is_x86_feature_detected!("avx2") {
-                return Self::Avx2;
-            }
-        }
-        Self::Portable
-    }
-}
-
-/// Runs `out += a × b` on `tier`, or on [`gemm_kernel`] when the CPU
-/// lacks the tier's extension. The only function in this crate allowed
-/// `unsafe`: calling a `#[target_feature]` function is unsafe because
-/// the CPU must support the feature, which each call checks first.
-#[allow(unsafe_code)]
-fn run_tier(tier: Tier, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    match tier {
-        #[cfg(target_arch = "x86_64")]
-        Tier::Avx512 if is_x86_feature_detected!("avx512f") => {
-            // SAFETY: `is_x86_feature_detected!("avx512f")` just confirmed
-            // that this CPU executes AVX-512F, the one feature
-            // `gemm_avx512` is compiled with.
-            unsafe { packed::gemm_avx512(m, k, n, a, b, out) }
-        }
-        #[cfg(target_arch = "x86_64")]
-        Tier::Avx2 if is_x86_feature_detected!("avx2") => {
-            // SAFETY: `is_x86_feature_detected!("avx2")` just confirmed
-            // that this CPU executes AVX2, the one feature `gemm_avx2` is
-            // compiled with.
-            unsafe { packed::gemm_avx2(m, k, n, a, b, out) }
-        }
-        _ => gemm_kernel(m, k, n, a, b, out),
-    }
-}
-
-/// The packed, register-tiled GEMM behind the AVX2 and AVX-512F tiers.
+/// The packed, register-tiled GEMM behind the AVX2 and AVX-512F tiers,
+/// which `crate::simd` compiles for each extension.
 #[cfg(target_arch = "x86_64")]
-mod packed {
+pub(crate) mod packed {
     /// Rows of `out` one packed tile holds in registers.
     const MR: usize = 4;
 
@@ -137,31 +86,14 @@ mod packed {
     /// the last holds whole groups of four and the `k % 4` tail stays last.
     const KC: usize = 256;
 
-    /// Columns per packed tile: 32 lanes (two `zmm`) per row under AVX-512F.
-    const NR_AVX512: usize = 32;
-
-    /// Columns per packed tile: 24 lanes (three `ymm`) per row under AVX2.
-    const NR_AVX2: usize = 24;
-
-    /// [`packed_gemm`] compiled for AVX-512F: 32-lane rows in two `zmm`.
-    #[target_feature(enable = "avx512f")]
-    pub(super) fn gemm_avx512(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-        packed_gemm::<NR_AVX512>(m, k, n, a, b, out);
-    }
-
-    /// [`packed_gemm`] compiled for AVX2: 24-lane rows in three `ymm`.
-    #[target_feature(enable = "avx2")]
-    pub(super) fn gemm_avx2(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-        packed_gemm::<NR_AVX2>(m, k, n, a, b, out);
-    }
-
     /// Packed GEMM: `out[i][j] += sum_k a[i][k] * b[k][j]`, bit-identical to
     /// [`gemm_kernel`](super::gemm_kernel).
     ///
     /// `k` is cut into `KC`-deep blocks. Per block, `a` is packed into
     /// row panels `[kc][rows]` (`MR` rows, then the `m % MR` tail), and each
     /// `NR`-wide column panel of `b` into `[kc][NR]` with columns past `n`
-    /// zero. A tile of `out` is loaded into registers, updated over the
+    /// zero (`NR` is 32 lanes, two `zmm`, under AVX-512F and 24, three
+    /// `ymm`, under AVX2). A tile of `out` is loaded into registers, updated over the
     /// whole block and stored back. Per element this is [`gemm_kernel`](super::gemm_kernel)'s
     /// sequence: `acc + (((a0·b0 + a1·b1) + a2·b2) + a3·b3)` for each group
     /// of four `k` in order, then `acc + a·b` for the `k % 4` tail; storing
@@ -170,7 +102,7 @@ mod packed {
     /// stored, so their `0·NaN` lanes cannot reach `out`. Scratch is
     /// `KC·(m + NR)` floats.
     #[inline(always)]
-    fn packed_gemm<const NR: usize>(
+    pub(crate) fn packed_gemm<const NR: usize>(
         m: usize,
         k: usize,
         n: usize,
@@ -394,7 +326,15 @@ pub fn matmul_into(
     let (kb, n) = expect_matrix(b, "matmul", "b")?;
     check_inner("matmul", "inner dimensions", ka, kb)?;
     reset(out, m * n);
-    run_tier(Tier::detected(), m, ka, n, a.as_slice(), b.as_slice(), out);
+    simd::gemm(
+        Tier::detected(Family::Gemm),
+        m,
+        ka,
+        n,
+        a.as_slice(),
+        b.as_slice(),
+        out,
+    );
     Ok((m, n))
 }
 
@@ -648,22 +588,6 @@ mod tests {
         }
     }
 
-    /// Every tier this CPU can run, the portable one first.
-    fn supported_tiers() -> Vec<Tier> {
-        #[allow(unused_mut)] // only x86-64 adds tiers
-        let mut tiers = vec![Tier::Portable];
-        #[cfg(target_arch = "x86_64")]
-        {
-            if is_x86_feature_detected!("avx2") {
-                tiers.push(Tier::Avx2);
-            }
-            if is_x86_feature_detected!("avx512f") {
-                tiers.push(Tier::Avx512);
-            }
-        }
-        tiers
-    }
-
     /// Deterministic entries: mostly finite, some `-0.0` and subnormals,
     /// and NaN / ±∞ at a few positions only, so most outputs stay finite.
     fn awkward(len: usize, salt: u64) -> Vec<f32> {
@@ -707,9 +631,9 @@ mod tests {
             a[..k].fill(-0.0);
             let mut want = vec![0.0; m * n];
             gemm_kernel(m, k, n, &a, &b, &mut want);
-            for tier in supported_tiers() {
+            for tier in Tier::supported(Family::Gemm) {
                 let mut got = vec![0.0; m * n];
-                run_tier(tier, m, k, n, &a, &b, &mut got);
+                simd::gemm(tier, m, k, n, &a, &b, &mut got);
                 for (idx, (x, y)) in got.iter().zip(&want).enumerate() {
                     assert!(
                         x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),

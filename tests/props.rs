@@ -1267,6 +1267,117 @@ proptest! {
     }
 }
 
+/// Replaces bound `j` of channel `row`'s ladder in stage `stage` of a
+/// serialised `QuantBnn`.
+fn set_ladder_bound(quant: &mut Value, stage: usize, row: usize, j: usize, bound: HwThreshold) {
+    let Value::Map(fields) = quant else {
+        panic!("QuantBnn serialises to an object")
+    };
+    let Some((_, Value::Seq(stages))) = fields.iter_mut().find(|(k, _)| k == "stages") else {
+        panic!("stages is an array")
+    };
+    let Value::Map(tagged) = &mut stages[stage] else {
+        panic!("stages are tagged objects")
+    };
+    let Value::Map(payload) = &mut tagged[0].1 else {
+        panic!("stage payload is an object")
+    };
+    let Some((_, Value::Seq(ladders))) = payload.iter_mut().find(|(k, _)| k == "thresholds") else {
+        panic!("thresholds is an array")
+    };
+    let Value::Map(ladder) = &mut ladders[row] else {
+        panic!("a ladder is an object")
+    };
+    let Some((_, Value::Seq(bounds))) = ladder.iter_mut().find(|(k, _)| k == "bounds") else {
+        panic!("bounds is an array")
+    };
+    bounds[j] = bound.to_value();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The dense batch path computes the bit-plane reference's exact
+    /// integers on maps whose channel counts straddle the kernel's
+    /// 16-lane groups and 64-row blocks (conv widths from {8, 15, 16,
+    /// 17, 63, 64, 65, 130}), at random per-layer precision (8-bit pixels
+    /// into the first layer), with ladder bounds written through the
+    /// checked deserializer at the edges of each stage's reachable
+    /// accumulation `±fan_in·L_a·L_w` (`L_a = 128` for pixels): always
+    /// and never (`i64::MIN`, `i64::MAX`, one past the reach), the reach
+    /// itself, one inside it, and −1, 0, 1, in both directions, so one
+    /// ladder mixes `negate`.
+    #[test]
+    fn quant_dense_batch_matches_reference_on_wide_maps_and_edge_ladders(
+        widths in proptest::collection::vec(0usize..8, 1..4),
+        pools in proptest::collection::vec(any::<bool>(), 3),
+        bits in proptest::collection::vec((0usize..4, 0usize..4), 7),
+        edits in proptest::collection::vec((any::<u64>(), 0usize..11, any::<bool>()), 1..40),
+        edge in 6usize..10,
+        seed in any::<u64>(), n in 0usize..10, threads in 1usize..4
+    ) {
+        const WIDTHS: [usize; 8] = [8, 15, 16, 17, 63, 64, 65, 130];
+        const BITS: [usize; 4] = [1, 2, 4, 8];
+        let (mut convs, mut pool_after, mut side) = (Vec::new(), Vec::new(), edge);
+        for (&w, &pool) in widths.iter().zip(&pools) {
+            if side < 3 {
+                break;
+            }
+            side -= 2;
+            let pool = pool && side >= 2;
+            if pool {
+                side /= 2;
+            }
+            convs.push(WIDTHS[w]);
+            pool_after.push(pool);
+        }
+        let topo = FinnTopology::try_new(3, edge, edge, convs, pool_after, vec![16, 12], 10).unwrap();
+        let engines = topo.engines();
+        let mut layers = vec![PrecisionSpec::try_new(8, BITS[bits[0].1]).unwrap()];
+        layers.extend(
+            bits[1..engines.len()]
+                .iter()
+                .map(|&(a, w)| PrecisionSpec::try_new(BITS[a], BITS[w]).unwrap()),
+        );
+        let precision = NetworkPrecision::try_new(layers.clone()).unwrap();
+        let mut rng = TensorRng::seed_from(seed);
+        let mut bnn = BnnClassifier::new(topo, &mut rng).unwrap();
+        bnn.forward_mode(&rng.normal(Shape::nchw(2, 3, edge, edge), 0.0, 1.0), Mode::Train)
+            .unwrap();
+        let quant = QuantBnn::from_classifier(&bnn, precision).unwrap();
+        let mut value = quant.to_value();
+        let ladders = engines.len() - 1;
+        for &(pick, kind, negate) in &edits {
+            let stage = (pick % ladders as u64) as usize;
+            let engine = &engines[stage];
+            let l_a = if stage == 0 { 128 } else { multiprec::bnn::planes::levels(layers[stage].a_bits()) };
+            let reach = engine.weight_cols() as i64 * l_a * multiprec::bnn::planes::levels(layers[stage].w_bits());
+            let bound = [
+                i64::MIN, i64::MAX, reach + 1, -(reach + 1), reach, -reach,
+                reach - 1, -(reach - 1), -1, 0, 1,
+            ][kind];
+            let row = (pick >> 16) as usize % engine.weight_rows();
+            let j = (pick >> 40) as usize % multiprec::bnn::planes::levels(layers[stage + 1].a_bits()) as usize;
+            set_ladder_bound(&mut value, stage, row, j, HwThreshold { bound, negate });
+        }
+        let quant = QuantBnn::from_value(&value).unwrap();
+        let batch = rng.normal(Shape::nchw(n, 3, edge, edge), 0.0, 1.5);
+        let got = quant
+            .infer_batch_obs(&batch, Parallelism::new(threads), &multiprec::obs::NULL_RECORDER)
+            .unwrap();
+        prop_assert_eq!(got.shape().dims(), &[n, 10][..]);
+        for i in 0..n {
+            let reference: Vec<f32> = quant
+                .infer_image(&batch.batch_item(i).unwrap())
+                .unwrap()
+                .iter()
+                .map(|&s| s as f32 / quant.scores_scale())
+                .collect();
+            prop_assert_eq!(&got.as_slice()[i * 10..(i + 1) * 10], &reference[..], "image {}", i);
+        }
+    }
+}
+
 /// Batch scores of `hw` on `batch`, every way the batch path runs (one
 /// `infer_batch_with` over `threads` shards and one reused block stream
 /// fed `split`-image windows), checked against `infer_image` per image.
