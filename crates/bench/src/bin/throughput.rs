@@ -3,7 +3,8 @@
 //!
 //! - **BNN**: [`HardwareBnn::infer_batch`] (the per-image
 //!   `infer_image` loop) vs [`HardwareBnn::infer_batch_with`] (scratch
-//!   reuse + unpacked ±1 first-stage weights + image sharding);
+//!   reuse + channel-lane first engine + channel-packed binary maps +
+//!   image sharding);
 //! - **host**: a per-image [`Network::forward`] loop vs
 //!   [`Network::infer_batch_with`] (workspace reuse + batched GEMM);
 //! - **combined**: a per-image BNN → DMU → host loop vs the

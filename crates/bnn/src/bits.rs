@@ -72,12 +72,8 @@ impl BitVec {
     ///
     /// The `sign(0) = +1` convention follows BinaryNet.
     pub fn from_signs(values: &[f32]) -> Self {
-        let mut v = Self::zeros(values.len());
-        for (i, &x) in values.iter().enumerate() {
-            if x >= 0.0 {
-                v.set(i, true);
-            }
-        }
+        let mut v = Self::zeros(0);
+        v.refill_with(values.len(), |i| values[i] >= 0.0);
         v
     }
 

@@ -11,7 +11,7 @@
 use serde::{Deserialize, Error, Serialize, Value};
 
 use mp_obs::{now_ns, Recorder};
-use mp_tensor::simd::{Family, Tier};
+use mp_tensor::simd::{Family, LaneLadder, LaneWeights, Tier};
 use mp_tensor::{Parallelism, Shape, ShapeError, Tensor};
 
 use crate::bin_conv::PackedConv;
@@ -66,6 +66,30 @@ impl HwThreshold {
         } else {
             acc >= self.bound
         }
+    }
+
+    /// The `i32` lane key of this threshold over the lane sum `S` of an
+    /// engine whose accumulation is `acc = α·S − β` (`α ≥ 1`): it fires
+    /// iff `(S > key) ^ negate`, the `(key, negate)` pair a
+    /// `mp_tensor::simd::LaneLadder` compares.
+    /// `acc ≥ b ⟺ S ≥ ⌈(b + β)/α⌉ ⟺ S > ⌈(b + β)/α⌉ − 1` and
+    /// `acc ≤ b ⟺ S ≤ ⌊(b + β)/α⌋ ⟺ ¬(S > ⌊(b + β)/α⌋)`, computed in
+    /// `i128` because `b` may be `i64::MIN`/`i64::MAX`. For
+    /// `|S| ≤ i32::MAX`, clamping the key to the `i32` range keeps an
+    /// out-of-range bound always or never firing.
+    pub fn fold_key(&self, alpha: i64, beta: i64) -> (i32, bool) {
+        debug_assert!(alpha >= 1, "α = {alpha}");
+        let (v, alpha) = (i128::from(self.bound) + i128::from(beta), i128::from(alpha));
+        let key = if self.negate {
+            v.div_euclid(alpha)
+        } else {
+            (v + alpha - 1).div_euclid(alpha) - 1
+        };
+        let key = key.clamp(i128::from(i32::MIN), i128::from(i32::MAX));
+        (
+            i32::try_from(key).expect("clamped to the i32 range"),
+            self.negate,
+        )
     }
 }
 
@@ -236,9 +260,10 @@ impl HwStage {
                 ));
             }
         }
-        // The first engine's i32 lanes hold sums of up to `fan_in`
-        // pixels of magnitude ≤ 128 (see `first_conv_block`).
-        if i == 0 && cols > (i32::MAX / 256) as usize {
+        // The first engine's i32 lanes hold partial sums of up to
+        // `fan_in` ±1-weighted pixels of magnitude ≤ 128 (see
+        // `FirstLanes`).
+        if i == 0 && cols > (i32::MAX / 128) as usize {
             return Err(format!(
                 "stage 0 fan-in {cols} overflows the first engine's i32 lanes"
             ));
@@ -280,8 +305,9 @@ impl HwStage {
 pub struct HardwareBnn {
     topology: FinnTopology,
     stages: Vec<HwStage>,
-    /// The first engine's tap-offset tables, built at construction.
-    first_plan: FirstConvPlan,
+    /// The first engine in the integer lane layout, built at
+    /// construction.
+    first: FirstLanes,
     /// Per `BinConv` stage, in order: its weights repacked and its
     /// thresholds folded into popcount ranges at construction.
     convs: Vec<PackedConv>,
@@ -408,22 +434,17 @@ impl HardwareBnn {
                 .check(i, engine, convs, engines.len())
                 .map_err(|msg| ShapeError::new("HardwareBnn", msg))?;
         }
-        let mut first_plan = FirstConvPlan::default();
+        let mut first = None;
         let mut convs = Vec::new();
         for stage in &stages {
             match stage {
                 HwStage::FirstConv {
                     weights,
+                    thresholds,
                     in_channels,
                     kernel,
                     ..
-                } => {
-                    first_plan = FirstConvPlan::new(
-                        weights,
-                        (*in_channels, topology.height(), topology.width()),
-                        *kernel,
-                    );
-                }
+                } => first = Some(FirstLanes::new(weights, thresholds, *in_channels, *kernel)?),
                 HwStage::BinConv {
                     weights,
                     thresholds,
@@ -434,10 +455,11 @@ impl HardwareBnn {
                 HwStage::BinFc { .. } | HwStage::OutputFc { .. } => {}
             }
         }
+        let first = first.ok_or_else(|| ShapeError::new("HardwareBnn", "no first engine"))?;
         Ok(Self {
             topology,
             stages,
-            first_plan,
+            first,
             convs,
         })
     }
@@ -507,9 +529,20 @@ impl HardwareBnn {
             .collect()
     }
 
-    /// Quantises one pixel to the first engine's fixed-point grid.
+    /// Quantises one pixel to the first engine's fixed-point grid:
+    /// `round(clamp(x)·64)`, halves away from zero.
     pub fn quantize_pixel(x: f32) -> i64 {
-        (x.clamp(-INPUT_QUANT_RANGE, INPUT_QUANT_RANGE) * INPUT_QUANT_SCALE).round() as i64
+        let y = x.clamp(-INPUT_QUANT_RANGE, INPUT_QUANT_RANGE) * INPUT_QUANT_SCALE;
+        // `f32::round` without its libm call: `y` is an `f32` of
+        // magnitude ≤ 128, so `|y| + 0.5` in `f64` rounds only where it
+        // lies far below the next integer, and truncating it rounds `|y|`
+        // half up.
+        let magnitude = (f64::from(y).abs() + 0.5) as i64;
+        if y < 0.0 {
+            -magnitude
+        } else {
+            magnitude
+        }
     }
 
     /// Runs one `[1, C, H, W]` image through the accelerator, returning
@@ -726,11 +759,13 @@ impl HardwareBnn {
     /// sharding images across `par` scoped worker threads.
     ///
     /// Per shard, scratch buffers are reused across images. The first
-    /// engine runs blocks of images over its tap-offset plan, and every
-    /// binary map stays channel-packed between engines, so each
-    /// `BinConv` patch is `k` runs of contiguous words dotted against
-    /// weights repacked once at construction. Integer arithmetic keeps
-    /// every accumulation exact.
+    /// engine runs `mp_tensor::simd`'s channel-lane pair kernel over
+    /// each image's `i16` pixels and stores each pixel's threshold
+    /// compare mask as its channel-packed map word. Every binary map
+    /// stays channel-packed between engines, so each `BinConv` patch is
+    /// `k` runs of contiguous words dotted against weights repacked once
+    /// at construction. Integer arithmetic keeps every accumulation
+    /// exact.
     ///
     /// # Errors
     ///
@@ -783,11 +818,11 @@ impl HardwareBnn {
             None
         };
         let chunks = par.chunks(n);
-        let tier = Tier::detected(Family::Popcount);
+        let tiers = Tiers::detected();
         if chunks.len() <= 1 {
-            let mut ctx = HwInferCtx::default();
+            let mut scratch = HwScratch::default();
             let mut data = Vec::with_capacity(n * classes);
-            self.infer_range_inner(xv, &mut ctx, obs_ref, tier, &mut data);
+            self.infer_range_inner(xv, &mut scratch, obs_ref, tiers, &mut data);
             return Tensor::from_vec(Shape::matrix(n, classes), data);
         }
         let parts: Vec<Vec<f32>> = std::thread::scope(|scope| {
@@ -796,9 +831,9 @@ impl HardwareBnn {
                 .map(|&(start, end)| {
                     let slice = &xv[start * image_len..end * image_len];
                     scope.spawn(move || {
-                        let mut ctx = HwInferCtx::default();
+                        let mut scratch = HwScratch::default();
                         let mut part = Vec::new();
-                        self.infer_range_inner(slice, &mut ctx, obs_ref, tier, &mut part);
+                        self.infer_range_inner(slice, &mut scratch, obs_ref, tiers, &mut part);
                         part
                     })
                 })
@@ -817,7 +852,7 @@ impl HardwareBnn {
     pub fn block_stream(&self) -> BnnBlockStream<'_> {
         BnnBlockStream {
             hw: self,
-            ctx: HwInferCtx::default(),
+            scratch: HwScratch::default(),
             names: self.stage_span_names(),
         }
     }
@@ -833,155 +868,63 @@ impl HardwareBnn {
 
     /// Runs a contiguous run of images (raw `C·H·W` planes) through the
     /// accelerator, appending `classes` float scores per image to `out`.
-    /// All scratch state (activation maps, lane buffers) lives in `ctx`,
-    /// so repeated calls on one context are allocation-free in steady
-    /// state. With `obs` present, every stage's wall time is recorded as
-    /// a span (the names indexed by global stage position): the first
-    /// engine's block compute as [`SPAN_FIRST_CONV_BLOCK`], and each
-    /// image's stage-0 map hand-off (copy or fused OR-pool) under the
-    /// stage-0 name, so every `bnn.stage<i>.<kind>` counts one span per
-    /// image. The `BinConv` engines run on `tier`.
+    /// All scratch state (pixel lanes, activation maps) lives in
+    /// `scratch`, so repeated calls on one scratch are allocation-free in
+    /// steady state. With `obs` present, every stage's wall time is
+    /// recorded as one span per image (the names indexed by stage
+    /// position).
     fn infer_range_inner(
         &self,
         images: &[f32],
-        ctx: &mut HwInferCtx,
+        scratch: &mut HwScratch,
         obs: Option<(&dyn Recorder, &[String])>,
-        tier: Tier,
+        tiers: Tiers,
         out: &mut Vec<f32>,
     ) {
-        let HwStage::FirstConv {
-            thresholds,
-            kernel,
-            pool,
-            ..
-        } = &self.stages[0]
-        else {
-            unreachable!("checked construction puts a FirstConv first");
-        };
-        let (h, w) = (self.topology.height(), self.topology.width());
-        let image_len = self.topology.channels() * h * w;
-        let (od, oh, ow) = (thresholds.len(), h - kernel + 1, w - kernel + 1);
-        let plane = oh * ow * od.div_ceil(64);
-        let HwInferCtx {
-            scratch,
-            qt,
-            block_maps,
-        } = ctx;
+        let image_len = self.topology.channels() * self.topology.height() * self.topology.width();
         out.reserve(images.len() / image_len * self.topology.classes());
-        for block in images.chunks(IMG_BLOCK * image_len) {
-            let t0 = obs.map(|_| now_ns());
-            self.first_conv_block(thresholds, *kernel, block, qt, block_maps);
-            if let (Some((rec, _)), Some(start)) = (obs, t0) {
-                rec.record_span(SPAN_FIRST_CONV_BLOCK, start, now_ns());
-            }
-            for i in 0..block.len() / image_len {
-                let tc = obs.map(|_| now_ns());
-                let map = &block_maps[i * plane..(i + 1) * plane];
-                let mut dims = (od, oh, ow);
-                if *pool {
-                    dims = or_pool_words(map, dims, &mut scratch.map);
-                } else {
-                    scratch.map.clear();
-                    scratch.map.extend_from_slice(map);
-                }
-                if let (Some((rec, names)), Some(start)) = (obs, tc) {
-                    rec.record_span(&names[0], start, now_ns());
-                }
-                self.infer_tail(dims, scratch, out, obs, tier);
-            }
+        for image in images.chunks_exact(image_len) {
+            self.infer_packed(image, scratch, out, obs, tiers);
         }
     }
 
-    /// First-engine pass over a block of `b <= IMG_BLOCK` images,
-    /// writing each image's channel-packed output map (before pooling)
-    /// into `block_maps`.
-    ///
-    /// The quantised planes are stored transposed (`qt[pixel][image]`),
-    /// so each tap of the `2 * pos_sum - total` dot (see
-    /// [`FirstConvPlan`]) is one contiguous `IMG_BLOCK`-lane integer add
-    /// that the compiler vectorises across images. The i32 lanes are
-    /// exact: |q| <= 128, so every partial sum is bounded by
-    /// `fan_in * 128`, far inside i32 range (checked at construction) —
-    /// bit-identical to the i64 reference path.
-    fn first_conv_block(
-        &self,
-        thresholds: &[HwThreshold],
-        k: usize,
-        images: &[f32],
-        qt: &mut Vec<i32>,
-        block_maps: &mut Vec<u64>,
-    ) {
-        let plan = &self.first_plan;
-        let (h, w) = (self.topology.height(), self.topology.width());
-        let (oh, ow) = (h - k + 1, w - k + 1);
-        let image_len = self.topology.channels() * h * w;
-        let b = images.len() / image_len;
-        let ocw = thresholds.len().div_ceil(64);
-        let plane = oh * ow * ocw;
-        qt.clear();
-        qt.resize(image_len * IMG_BLOCK, 0);
-        for i in 0..b {
-            let src = &images[i * image_len..(i + 1) * image_len];
-            for (p, &x) in src.iter().enumerate() {
-                qt[p * IMG_BLOCK + i] = Self::quantize_pixel(x) as i32;
-            }
-        }
-        block_maps.clear();
-        block_maps.resize(b * plane, 0);
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let p0 = oy * w + ox;
-                let mut total = [0i32; IMG_BLOCK];
-                for &d in &plan.all {
-                    let src = &qt[(p0 + d as usize) * IMG_BLOCK..][..IMG_BLOCK];
-                    for (t, &x) in total.iter_mut().zip(src) {
-                        *t += x;
-                    }
-                }
-                let pix = (oy * ow + ox) * ocw;
-                for (oc, t) in thresholds.iter().enumerate() {
-                    let taps =
-                        &plan.pos[plan.pos_start[oc] as usize..plan.pos_start[oc + 1] as usize];
-                    let mut pos_sum = [0i32; IMG_BLOCK];
-                    for &d in taps {
-                        let src = &qt[(p0 + d as usize) * IMG_BLOCK..][..IMG_BLOCK];
-                        for (s, &x) in pos_sum.iter_mut().zip(src) {
-                            *s += x;
-                        }
-                    }
-                    let (word, bit) = (pix + oc / 64, oc % 64);
-                    for i in 0..b {
-                        let dot = 2 * pos_sum[i] - total[i];
-                        block_maps[i * plane + word] |= u64::from(t.fires(i64::from(dot))) << bit;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Runs the engines after the first through one image's
-    /// channel-packed map (`scratch.map`, `dims` = `(c, h, w)`),
+    /// Runs one image (its `C·H·W` pixels) through every engine,
     /// computing every accumulation [`Self::infer_image`] computes, so
     /// results are bit-identical.
     ///
-    /// Channel `ch` of pixel `(y, x)` is bit `ch % 64` of word
-    /// `(y·w + x)·⌈c/64⌉ + ch/64`, padding bits zero. A `BinConv` patch
-    /// is then `k` runs of `k·⌈c/64⌉` contiguous map words, in the
-    /// `(ky, kx, ch)` order of the repacked weights, and its dot is
-    /// `fan_in − 2·Σ popcount(w ^ x)`: padding bits are zero in both
-    /// operands, and an integer sum does not depend on the order of the
-    /// `(ch, ky, kx)` → `(ky, kx, ch)` permutation. `BinConv` engines run
-    /// on `tier` (see [`PackedConv::run`]). The last map is unpacked once
-    /// into the reference `(ch, y, x)` bit order for the FC engines.
-    fn infer_tail(
+    /// Binary activations stay a channel-packed map until the FC
+    /// engines: channel `ch` of pixel `(y, x)` is bit `ch % 64` of word
+    /// `(y·w + x)·⌈c/64⌉ + ch/64`, padding bits zero.
+    ///
+    /// - The first engine reads the pixels quantised to `i16` in
+    ///   `(y, x, ch)` order, so a patch is `k` runs of `k·c` pixels, in
+    ///   the `(ky, kx, ch)` order its ±1 weights were packed in
+    ///   ([`FirstLanes`]). Per output row, one `LaneWeights::row_sums`
+    ///   call sums every output channel of every pixel in `i32` lanes
+    ///   on `tiers.int`, and the one-bound ladder's compare mask of each
+    ///   pixel is its map word.
+    /// - A `BinConv` patch is `k` runs of `k·⌈c/64⌉` contiguous map
+    ///   words, in the `(ky, kx, ch)` order of the repacked weights, and
+    ///   its dot is `fan_in − 2·Σ popcount(w ^ x)`: padding bits are
+    ///   zero in both operands. `BinConv` engines run on
+    ///   `tiers.popcount` (see [`PackedConv::run`]).
+    /// - The last map is unpacked once into the reference `(ch, y, x)`
+    ///   bit order for the FC engines.
+    ///
+    /// Both permutations are exact because an integer sum does not
+    /// depend on its order.
+    fn infer_packed(
         &self,
-        dims: (usize, usize, usize),
+        image: &[f32],
         scratch: &mut HwScratch,
         scores_out: &mut Vec<f32>,
         obs: Option<(&dyn Recorder, &[String])>,
-        tier: Tier,
+        tiers: Tiers,
     ) {
         let HwScratch {
+            pixels,
+            pairs,
+            sums,
             map,
             next,
             patch,
@@ -989,21 +932,39 @@ impl HardwareBnn {
             fc_in,
             acc,
         } = scratch;
+        let (c, h, w) = (
+            self.topology.channels(),
+            self.topology.height(),
+            self.topology.width(),
+        );
         // `Some` while the activations are still a packed map.
-        let mut map_dims = Some(dims);
+        let mut map_dims = None;
         let mut convs = self.convs.iter();
-        for (si, stage) in self.stages.iter().enumerate().skip(1) {
+        for (si, stage) in self.stages.iter().enumerate() {
             let t0 = obs.map(|_| now_ns());
             match stage {
-                HwStage::FirstConv { .. } => {
-                    unreachable!("checked construction allows one FirstConv, first")
+                HwStage::FirstConv { kernel, pool, .. } => {
+                    let FirstLanes { weights, ladder } = &self.first;
+                    let k = *kernel;
+                    Self::quantize_image(image, c, pixels);
+                    let words = if *pool { &mut *next } else { &mut *map };
+                    words.clear();
+                    for oy in 0..h - k + 1 {
+                        weights.row_sums(tiers.int, pixels, (c, w, k), oy, pairs, sums);
+                        ladder.words(tiers.int, sums, weights.lanes(), words);
+                    }
+                    let mut dims = (weights.rows(), h - k + 1, w - k + 1);
+                    if *pool {
+                        dims = or_pool_words(next, dims, map);
+                    }
+                    map_dims = Some(dims);
                 }
                 HwStage::BinConv { pool, .. } => {
                     let conv = convs
                         .next()
                         .expect("checked construction packs every BinConv");
                     let dims = map_dims.expect("checked construction puts convs first");
-                    let mut out_dims = conv.run(tier, map, dims, patch, next);
+                    let mut out_dims = conv.run(tiers.popcount, map, dims, patch, next);
                     std::mem::swap(map, next);
                     if *pool {
                         out_dims = or_pool_words(map, out_dims, next);
@@ -1039,61 +1000,90 @@ impl HardwareBnn {
             }
         }
     }
-}
 
-/// How many images the first engine processes per SIMD block in
-/// [`HardwareBnn::infer_batch_with`] (the lane count of its transposed
-/// integer accumulators).
-const IMG_BLOCK: usize = 8;
-
-/// Span: the first engine's compute over one block of up to
-/// [`IMG_BLOCK`] images (one span per block, not per image).
-const SPAN_FIRST_CONV_BLOCK: &str = "bnn.stage0.first_conv_block";
-
-/// Tap-offset tables for the first engine: the ±1 dot of a patch is
-/// `2 * (sum at positive-weight taps) - (sum over all taps)`, so each
-/// output channel is a sparse gather-sum over the quantised image plane.
-/// Depends only on the weights and the topology, so it is built once at
-/// construction.
-#[derive(Debug, Clone, Default)]
-struct FirstConvPlan {
-    /// Offsets of every patch tap relative to the window origin.
-    all: Vec<u32>,
-    /// Positive-weight tap offsets, concatenated per output channel.
-    pos: Vec<u32>,
-    /// Range bounds into `pos` per output channel (`od + 1` entries).
-    pos_start: Vec<u32>,
-}
-
-impl FirstConvPlan {
-    /// Builds the plan for first-engine `weights` over `(c, h, w)` images
-    /// with a `k`×`k` kernel.
-    fn new(weights: &BitMatrix, (c, h, w): (usize, usize, usize), k: usize) -> Self {
-        let mut plan = Self::default();
-        for ch in 0..c {
-            for ky in 0..k {
-                for kx in 0..k {
-                    plan.all.push((ch * h * w + ky * w + kx) as u32);
-                }
+    /// Quantises one image's `C·H·W` pixels with [`Self::quantize_pixel`]
+    /// into `out` as `i16` in `(y, x, ch)` order: the pixel map whose
+    /// patches the integer lane engines (this first engine and
+    /// `mp-int`'s) gather. `|q| ≤ 128`, so every level is exact.
+    pub fn quantize_image(image: &[f32], channels: usize, out: &mut Vec<i16>) {
+        let hw = image.len() / channels;
+        out.clear();
+        out.resize(image.len(), 0);
+        for (ch, plane) in image.chunks_exact(hw).enumerate() {
+            for (p, &x) in plane.iter().enumerate() {
+                out[p * channels + ch] = Self::quantize_pixel(x) as i16;
             }
         }
-        plan.pos_start.push(0);
-        for r in 0..weights.num_rows() {
-            let row = weights.row(r);
-            for (i, &d) in plan.all.iter().enumerate() {
-                if row.get(i) {
-                    plan.pos.push(d);
-                }
-            }
-            plan.pos_start.push(plan.pos.len() as u32);
-        }
-        plan
     }
 }
 
-/// Reusable per-thread scratch for [`HardwareBnn::infer_batch_with`].
+/// The SIMD tiers one batch runs on: the first engine's integer lanes
+/// and the `BinConv` popcount body. Each family has its own tier: a CPU
+/// may run AVX-512 VNNI without VPOPCNTDQ.
+#[derive(Debug, Clone, Copy)]
+struct Tiers {
+    int: Tier,
+    popcount: Tier,
+}
+
+impl Tiers {
+    /// The widest tier of each family the running CPU supports.
+    fn detected() -> Self {
+        Self {
+            int: Tier::detected(Family::Int),
+            popcount: Tier::detected(Family::Popcount),
+        }
+    }
+}
+
+/// The first engine in `mp_tensor::simd`'s channel-lane layout, built
+/// once at construction: the ±1 weights as `i16` pairs with columns
+/// reordered from the reference `(ch, ky, kx)` to `(ky, kx, ch)`, and
+/// each threshold folded onto the lane sum (`acc = S`, so
+/// [`HwThreshold::fold_key`] at α = 1, β = 0) as a one-bound ladder,
+/// whose compare mask over a pixel's lanes is its channel-packed map
+/// word. Rows past the output channels never fire, so padding bits stay
+/// zero for the next `BinConv`. Pixels are `|q| ≤ 128`, so every partial
+/// sum is bounded by `fan_in·128`, which `HwStage::check` keeps within
+/// `i32`.
+#[derive(Debug, Clone)]
+struct FirstLanes {
+    weights: LaneWeights<i16>,
+    ladder: LaneLadder,
+}
+
+impl FirstLanes {
+    /// Packs the first engine's `weights` (over `c` input channels and a
+    /// `k×k` kernel) and folds its `thresholds`.
+    fn new(
+        weights: &BitMatrix,
+        thresholds: &[HwThreshold],
+        c: usize,
+        k: usize,
+    ) -> Result<Self, ShapeError> {
+        let (rows, cols) = (weights.num_rows(), weights.num_cols());
+        let signs: Vec<i64> = (0..rows)
+            .flat_map(|r| (0..cols).map(move |i| if weights.row(r).get(i) { 1 } else { -1 }))
+            .collect();
+        let keys: Vec<(i32, bool)> = thresholds.iter().map(|t| t.fold_key(1, 0)).collect();
+        Ok(Self {
+            weights: LaneWeights::new(rows, (c, k * k), &signs)?,
+            ladder: LaneLadder::new(rows, 1, &keys)?,
+        })
+    }
+}
+
+/// Reusable per-thread scratch for [`HardwareBnn::infer_batch_with`] and
+/// [`BnnBlockStream`], so steady-state inference performs no heap
+/// allocation.
 #[derive(Debug)]
 struct HwScratch {
+    /// The image's quantised pixels, `(y, x, ch)`.
+    pixels: Vec<i16>,
+    /// One output row's first-engine patches.
+    pairs: Vec<i16>,
+    /// One output row's first-engine lane sums.
+    sums: Vec<i32>,
     /// Current channel-packed activation map.
     map: Vec<u64>,
     /// Next channel-packed activation map (swapped each stage).
@@ -1111,6 +1101,9 @@ struct HwScratch {
 impl Default for HwScratch {
     fn default() -> Self {
         Self {
+            pixels: Vec::new(),
+            pairs: Vec::new(),
+            sums: Vec::new(),
             map: Vec::new(),
             next: Vec::new(),
             patch: Vec::new(),
@@ -1119,18 +1112,6 @@ impl Default for HwScratch {
             acc: Vec::new(),
         }
     }
-}
-
-/// Reusable per-thread inference context: every scratch buffer. Built
-/// once per shard or [`BnnBlockStream`] so steady-state block inference
-/// performs no heap allocation.
-#[derive(Debug, Default)]
-struct HwInferCtx {
-    scratch: HwScratch,
-    /// Transposed quantised pixel lanes (`qt[pixel][image]`).
-    qt: Vec<i32>,
-    /// First-engine output maps for the whole block, channel-packed.
-    block_maps: Vec<u64>,
 }
 
 /// A reusable single-thread block-inference stream: the FPGA side of the
@@ -1143,7 +1124,7 @@ struct HwInferCtx {
 /// never changes results.
 pub struct BnnBlockStream<'a> {
     hw: &'a HardwareBnn,
-    ctx: HwInferCtx,
+    scratch: HwScratch,
     names: Vec<String>,
 }
 
@@ -1190,13 +1171,8 @@ impl BnnBlockStream<'_> {
         };
         out.clear();
         let slice = &images.as_slice()[start * image_len..end * image_len];
-        self.hw.infer_range_inner(
-            slice,
-            &mut self.ctx,
-            obs_ref,
-            Tier::detected(Family::Popcount),
-            out,
-        );
+        self.hw
+            .infer_range_inner(slice, &mut self.scratch, obs_ref, Tiers::detected(), out);
         Ok(())
     }
 }
@@ -1293,6 +1269,64 @@ mod tests {
         assert!(!never.fires(i64::MAX - 1) && !never.fires(0));
     }
 
+    /// The folded keys must agree with `HwThreshold::fires` on
+    /// `acc = α·S − β` for every lane sum `|S| ≤ i32::MAX`: bounds
+    /// outside the `i32` range and degenerate always/never bounds, row-sum
+    /// offsets of both signs and parities, sums at the edges of the lane
+    /// range and on both sides of each key.
+    #[test]
+    fn folded_keys_match_the_i64_ladder() {
+        let edges = [
+            i64::MIN,
+            i64::from(i32::MIN),
+            i64::from(i32::MIN) + 1,
+            -5,
+            0,
+            7,
+            i64::from(i32::MAX),
+            i64::from(i32::MAX) + 1,
+            i64::MAX,
+        ];
+        let reach = 576 * 15 * 15;
+        let cases = [
+            (1, vec![0]),
+            (2, vec![-reach, -1, 0, 1, 4, reach, i64::from(i32::MAX)]),
+        ];
+        for (alpha, betas) in cases {
+            for &beta in &betas {
+                for &bound in &edges {
+                    for negate in [false, true] {
+                        let t = HwThreshold { bound, negate };
+                        let (key, flip) = t.fold_key(alpha, beta);
+                        assert_eq!(flip, negate);
+                        let mut sums = vec![
+                            -i32::MAX,
+                            -i32::MAX + 1,
+                            -6,
+                            -5,
+                            -4,
+                            0,
+                            6,
+                            7,
+                            8,
+                            i32::MAX - 1,
+                            i32::MAX,
+                        ];
+                        sums.extend([key.saturating_sub(1), key, key.saturating_add(1)]);
+                        for s in sums.into_iter().filter(|&s| s != i32::MIN) {
+                            let acc = alpha * i64::from(s) - beta;
+                            assert_eq!(
+                                (s > key) ^ flip,
+                                t.fires(acc),
+                                "α {alpha} β {beta} bound {bound} negate {negate} S {s}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn quantize_pixel_grid() {
         assert_eq!(HardwareBnn::quantize_pixel(0.0), 0);
@@ -1300,6 +1334,25 @@ mod tests {
         assert_eq!(HardwareBnn::quantize_pixel(-1.0), -64);
         assert_eq!(HardwareBnn::quantize_pixel(100.0), 128); // clamped to ±2
         assert_eq!(HardwareBnn::quantize_pixel(-100.0), -128);
+    }
+
+    /// `quantize_pixel` rounds exactly as `f32::round` does: at every
+    /// half step of the grid and the floats next to it, at the clamp
+    /// edges, on tiny and non-finite inputs.
+    #[test]
+    fn quantize_pixel_rounds_like_f32_round() {
+        let mut xs = vec![0.0, -0.0, 1e-30, -1e-30, f32::MIN_POSITIVE, f32::NAN];
+        xs.extend([f32::INFINITY, f32::NEG_INFINITY, 2.0, -2.0, 2.5, -2.5]);
+        for half in -300..=300 {
+            let x = half as f32 / 128.0;
+            for d in -2i32..=2 {
+                xs.push(f32::from_bits(x.to_bits().wrapping_add_signed(d)));
+            }
+        }
+        for x in xs {
+            let want = (x.clamp(-INPUT_QUANT_RANGE, INPUT_QUANT_RANGE) * INPUT_QUANT_SCALE).round();
+            assert_eq!(HardwareBnn::quantize_pixel(x), want as i64, "x = {x:e}");
+        }
     }
 
     #[test]
@@ -1352,11 +1405,11 @@ mod tests {
         let n = 21;
         let batch = rng.normal(Shape::nchw(n, 3, 8, 8), 0.0, 1.0);
         let reference = hw.infer_batch(&batch).unwrap();
-        // One stream reused across every split: exercises plan + scratch
-        // reuse across block sizes that straddle IMG_BLOCK and n.
+        // One stream reused across every split: exercises scratch reuse
+        // across block sizes up to and past n.
         let mut stream = hw.block_stream();
         let mut scores = Vec::new();
-        for block in [1usize, 3, IMG_BLOCK, 10, n, n + 5] {
+        for block in [1usize, 3, 8, 10, n, n + 5] {
             let mut got = Vec::new();
             let mut start = 0;
             while start < n {
@@ -1384,7 +1437,7 @@ mod tests {
     }
 
     #[test]
-    fn stage_spans_count_one_per_image_and_first_conv_blocks_per_shard() {
+    fn stage_spans_count_one_per_image() {
         let bnn = trained_tiny(85);
         let hw = HardwareBnn::from_classifier(&bnn).unwrap();
         let mut rng = TensorRng::seed_from(86);
@@ -1400,23 +1453,18 @@ mod tests {
                 .infer_batch_obs(&batch, par, &mp_obs::NULL_RECORDER)
                 .unwrap();
             assert_eq!(untraced.as_slice(), reference.as_slice());
-            let blocks: usize = par
-                .chunks(n)
-                .iter()
-                .map(|&(start, end)| (end - start).div_ceil(IMG_BLOCK))
-                .sum();
-            let spans = rec.report().spans;
-            let stage_names = hw.stage_span_names();
-            assert_eq!(spans.len(), stage_names.len() + 1, "threads={threads}");
-            for s in &spans {
-                let want = if s.name == SPAN_FIRST_CONV_BLOCK {
-                    blocks
-                } else {
-                    assert!(stage_names.contains(&s.name), "{}", s.name);
-                    n
-                };
-                assert_eq!(s.count, want as u64, "{} threads={threads}", s.name);
-            }
+            let recorded: Vec<(String, u64)> = rec
+                .report()
+                .spans
+                .into_iter()
+                .map(|s| (s.name, s.count))
+                .collect();
+            let want: Vec<(String, u64)> = hw
+                .stage_span_names()
+                .into_iter()
+                .map(|name| (name, n as u64))
+                .collect();
+            assert_eq!(recorded, want, "threads={threads}");
         }
     }
 
@@ -1497,34 +1545,41 @@ mod tests {
         }
     }
 
-    /// `hw` with every `BinConv` threshold redrawn: a random `negate` and
-    /// a bound within `±√fan_in` of zero, where the dot of random signs
-    /// concentrates, so every row fires on some patches and not on others
-    /// and the bound's edges are hit at both parities.
-    fn with_random_bin_conv_thresholds(hw: &HardwareBnn, rng: &mut TensorRng) -> HardwareBnn {
+    /// `hw` with every convolution threshold redrawn: a random `negate`
+    /// and a bound within `±√fan_in` of zero (times 64, the pixel scale,
+    /// in the first engine), where the dot of random signs concentrates,
+    /// so every row fires on some patches and not on others and the
+    /// bound's edges are hit at both parities.
+    fn with_random_conv_thresholds(hw: &HardwareBnn, rng: &mut TensorRng) -> HardwareBnn {
         let mut stages = hw.stages.clone();
         for stage in &mut stages {
-            if let HwStage::BinConv {
-                weights,
-                thresholds,
-                ..
-            } = stage
-            {
-                let spread = (weights.num_cols() as f64).sqrt() as usize;
-                for t in thresholds.iter_mut() {
-                    t.bound = rng.next_index(2 * spread + 1) as i64 - spread as i64;
-                    t.negate = rng.next_bool(0.5);
-                }
+            let (weights, thresholds, scale) = match stage {
+                HwStage::FirstConv {
+                    weights,
+                    thresholds,
+                    ..
+                } => (weights, thresholds, 64),
+                HwStage::BinConv {
+                    weights,
+                    thresholds,
+                    ..
+                } => (weights, thresholds, 1),
+                HwStage::BinFc { .. } | HwStage::OutputFc { .. } => continue,
+            };
+            let spread = (weights.num_cols() as f64).sqrt() as usize * scale;
+            for t in thresholds.iter_mut() {
+                t.bound = rng.next_index(2 * spread + 1) as i64 - spread as i64;
+                t.negate = rng.next_bool(0.5);
             }
         }
         HardwareBnn::checked(hw.topology.clone(), stages).unwrap()
     }
 
-    /// Batch-path scores of `images` with the `BinConv` engines on `tier`.
-    fn batch_scores_on(hw: &HardwareBnn, images: &Tensor, tier: Tier) -> Vec<f32> {
+    /// Batch-path scores of `images` on `tiers`.
+    fn batch_scores_on(hw: &HardwareBnn, images: &Tensor, tiers: Tiers) -> Vec<f32> {
         let mut scores = Vec::new();
-        let mut ctx = HwInferCtx::default();
-        hw.infer_range_inner(images.as_slice(), &mut ctx, None, tier, &mut scores);
+        let mut scratch = HwScratch::default();
+        hw.infer_range_inner(images.as_slice(), &mut scratch, None, tiers, &mut scores);
         scores
     }
 
@@ -1532,13 +1587,15 @@ mod tests {
     fn every_supported_tier_matches_infer_image_and_the_portable_tier() {
         let mut rng = TensorRng::seed_from(90);
         // The paper topology, whose maps fill whole 8-row groups, and one
-        // of 70-channel maps: a partial last group (rows 64..70 of group
-        // 8, rows 70..72 never fire) and two words per pixel.
+        // of 70-channel maps: two words per pixel, the second partial
+        // (rows 70..128 of the first engine's lanes never fire), and a
+        // partial last `BinConv` group (rows 64..70 of group 8, rows
+        // 70..72 never fire).
         let seventy = FinnTopology::new(
             3,
             12,
             12,
-            vec![8, 70, 70, 70],
+            vec![70, 70, 70, 70],
             vec![false, false, true, false],
             vec![16, 16],
             10,
@@ -1546,19 +1603,28 @@ mod tests {
         for (topo, n) in [(FinnTopology::paper(), 3), (seventy, 6)] {
             let bnn = BnnClassifier::new(topo.clone(), &mut rng).unwrap();
             let hw = HardwareBnn::from_classifier(&bnn).unwrap();
-            let hw = with_random_bin_conv_thresholds(&hw, &mut rng);
+            let hw = with_random_conv_thresholds(&hw, &mut rng);
             let images = rng.normal(Shape::nchw(n, 3, topo.height(), topo.width()), 0.0, 1.0);
             let mut reference = Vec::new();
             for i in 0..n {
                 let scores = hw.infer_image(&images.batch_item(i).unwrap()).unwrap();
                 reference.extend(scores.iter().map(|&s| s as f32));
             }
-            let portable = batch_scores_on(&hw, &images, Tier::Portable);
-            assert_eq!(portable, reference, "portable tier, {}", topo.height());
-            for tier in Tier::supported(Family::Popcount) {
-                let got = batch_scores_on(&hw, &images, tier);
-                assert_eq!(got, reference, "{tier:?} vs infer_image, {}", topo.height());
-                assert_eq!(got, portable, "{tier:?} vs portable, {}", topo.height());
+            let portable = Tiers {
+                int: Tier::Portable,
+                popcount: Tier::Portable,
+            };
+            let portable = batch_scores_on(&hw, &images, portable);
+            assert_eq!(portable, reference, "portable tiers, {}", topo.height());
+            // The first engine on every int tier, the `BinConv` engines on
+            // every popcount tier: the two families are detected apart.
+            for int in Tier::supported(Family::Int) {
+                for popcount in Tier::supported(Family::Popcount) {
+                    let got = batch_scores_on(&hw, &images, Tiers { int, popcount });
+                    let tiers = format!("{int:?}/{popcount:?}, {}", topo.height());
+                    assert_eq!(got, reference, "{tiers} vs infer_image");
+                    assert_eq!(got, portable, "{tiers} vs portable");
+                }
             }
         }
     }

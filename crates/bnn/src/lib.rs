@@ -24,8 +24,11 @@
 //! None: this crate is `#![forbid(unsafe_code)]`. The batch path's
 //! `BinConv` kernel is a safe-Rust body that
 //! `mp_tensor::simd::run_popcount` builds for AVX-512 VPOPCNTDQ, AVX2 +
-//! POPCNT and baseline x86-64; that module holds the workspace's CPU
-//! detection, `#[target_feature]` builds and `unsafe` calls.
+//! POPCNT and baseline x86-64, and its first engine runs that module's
+//! channel-lane integer kernel (`LaneWeights` pairs and a one-bound
+//! `LaneLadder` read out as packed words); the module holds the
+//! workspace's CPU detection, `#[target_feature]` builds and `unsafe`
+//! calls.
 //!
 //! # Example
 //!

@@ -421,7 +421,7 @@ impl<'a> MultiPrecisionPipeline<'a> {
                     host_worker_loop(host, rx, injector_ref, &degradation, par, depth_obs)
                 });
                 // "FPGA" side: the block-pipelined stage graph. The BNN
-                // runs the batched `IMG_BLOCK` fast path over one block
+                // runs the batched fast path over one block
                 // of `timing.batch_size` images, publishes that block's
                 // flagged subset to the host worker, then starts on the
                 // next block while the worker re-infers — the real-thread

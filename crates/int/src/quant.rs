@@ -26,7 +26,7 @@
 //! `i16` pairs at 8-bit weights and for the pixel-fed first stage, whose
 //! `|q| ≤ 128` inputs it reads whole), and `acc = 2·S − L_a·Σw`. Each
 //! ladder bound is folded once, at construction, onto `S`: the row sum
-//! moves into the key (`fold_key`), so a ladder is a run of lane
+//! moves into the key (`HwThreshold::fold_key`), so a ladder is a run of lane
 //! compares whose fired count is the next stage's `u` directly. Because
 //! `0 ≤ u ≤ L_a`, every partial sum of `S` is still bounded by
 //! `fan_in·L_a·L_w`, which construction proves fits an `i32`, so scores
@@ -170,27 +170,6 @@ fn plane_levels(weights: &PlaneMatrix) -> Vec<i64> {
 /// clamps pixels to `±INPUT_QUANT_RANGE` on a `1/INPUT_QUANT_SCALE` grid.
 const PIXEL_LEVEL_MAX: i64 = (INPUT_QUANT_RANGE * INPUT_QUANT_SCALE) as i64;
 
-/// The `i32` key of ladder bound `t` over the lane sum `S` of a stage
-/// whose accumulation is `acc = α·S − β`: the bound fires iff
-/// `(S > key) ^ t.negate`. `acc ≥ b ⟺ S ≥ ⌈(b + β)/α⌉ ⟺ S > ⌈(b + β)/α⌉ − 1`
-/// and `acc ≤ b ⟺ S ≤ ⌊(b + β)/α⌋ ⟺ ¬(S > ⌊(b + β)/α⌋)`, computed in
-/// `i128` because `b` may be `i64::MIN`/`i64::MAX`. Construction bounds
-/// `|S| ≤ i32::MAX`, so clamping the key to the `i32` range keeps an
-/// out-of-range bound always or never firing.
-fn fold_key(t: &HwThreshold, alpha: i128, beta: i128) -> (i32, bool) {
-    let v = i128::from(t.bound) + beta;
-    let key = if t.negate {
-        v.div_euclid(alpha)
-    } else {
-        (v + alpha - 1).div_euclid(alpha) - 1
-    };
-    let key = key.clamp(i128::from(i32::MIN), i128::from(i32::MAX));
-    (
-        i32::try_from(key).expect("clamped to the i32 range"),
-        t.negate,
-    )
-}
-
 /// A dense stage's weights in the `mp_tensor::simd` lane layout: `u8 ×
 /// i8` quads for stages reading `u` levels at `w_bits ≤ 4`, `i16` pairs
 /// for 8-bit weights and for the pixel-fed first stage.
@@ -203,8 +182,8 @@ enum Lanes {
 /// What a dense stage does with its lane sums `S`.
 #[derive(Debug, Clone)]
 enum Tail {
-    /// The threshold ladders folded onto `S` ([`fold_key`]): the fired
-    /// count is the next stage's `u`.
+    /// The threshold ladders folded onto `S` ([`HwThreshold::fold_key`]):
+    /// the fired count is the next stage's `u`.
     Ladder(LaneLadder),
     /// The output stage's scores `acc_r = 2·S_r − offsets[r]`.
     Scores(Vec<i64>),
@@ -236,10 +215,6 @@ impl DenseStage {
                 format!("a {rows}×{cols} stage reads a {c}×{hw} input"),
             ));
         }
-        // Column `p·c + ch` of an `(h, w, c)` patch is reference column
-        // `ch·hw + p`.
-        let source: Vec<usize> = (0..cols).map(|col| (col % c) * hw + col / c).collect();
-        let weight = |r: usize, col: usize| quantized[r * cols + source[col]];
         // acc = α·S − L_a·Σw: the first stage reads pixels (α = 1, no
         // offset), the others `u = (q + L_a)/2` (α = 2).
         let (first, l_a) = match stage {
@@ -249,9 +224,9 @@ impl DenseStage {
             | QuantStage::Output { a_bits, .. } => (false, levels(*a_bits)),
         };
         let lanes = if first || weights.bits() > 4 {
-            Lanes::Pairs(LaneWeights::new(rows, cols, weight)?)
+            Lanes::Pairs(LaneWeights::new(rows, (c, hw), quantized)?)
         } else {
-            Lanes::Quads(LaneWeights::new(rows, cols, weight)?)
+            Lanes::Quads(LaneWeights::new(rows, (c, hw), quantized)?)
         };
         let alpha = if first { 1 } else { 2 };
         let offsets: Vec<i64> = quantized
@@ -265,10 +240,7 @@ impl DenseStage {
                     .iter()
                     .zip(&offsets)
                     .flat_map(|(ladder, &beta)| {
-                        ladder
-                            .bounds
-                            .iter()
-                            .map(move |t| fold_key(t, alpha, i128::from(beta)))
+                        ladder.bounds.iter().map(move |t| t.fold_key(alpha, beta))
                     })
                     .collect();
                 Tail::Ladder(LaneLadder::new(rows, ladders[0].num_bounds(), &keys)?)
@@ -339,35 +311,6 @@ struct LaneScratch {
     sums: Vec<i32>,
 }
 
-/// The lane sums of output row `oy` of a valid `k×k` convolution over an
-/// `(h, w, c)` map, into `sums`: each of the row's `ow` patches is `k`
-/// runs of `k·c` contiguous activations, in the weights' `(ky, kx, ch)`
-/// order, zero-padded to the weights' stride.
-#[allow(clippy::too_many_arguments)]
-fn lane_sums<S: Copy, A: LaneAct + From<S>>(
-    w: &LaneWeights<A>,
-    tier: Tier,
-    map: &[S],
-    (c, wd): (usize, usize),
-    k: usize,
-    oy: usize,
-    patches: &mut Vec<A>,
-    sums: &mut Vec<i32>,
-) {
-    let (ow, stride, run) = (wd - k + 1, w.stride(), k * c);
-    patches.clear();
-    patches.resize(ow * stride, A::default());
-    for (ox, patch) in patches.chunks_exact_mut(stride).enumerate() {
-        for (ky, dst) in patch.chunks_exact_mut(run).take(k).enumerate() {
-            let src = &map[((oy + ky) * wd + ox) * c..][..run];
-            for (d, &x) in dst.iter_mut().zip(src) {
-                *d = A::from(x);
-            }
-        }
-    }
-    w.sums(tier, patches, sums);
-}
-
 /// A valid `k×k` convolution over an `(h, w, c)` map, row by row: lane
 /// sums, then `ladder`'s levels appended to `out` as the `(oh, ow, od)`
 /// map.
@@ -386,7 +329,7 @@ fn lane_conv<S: Copy, A: LaneAct + From<S>>(
     let (oh, ow) = (h - k + 1, wd - k + 1);
     out.clear();
     for oy in 0..oh {
-        lane_sums(w, tier, map, (c, wd), k, oy, patches, sums);
+        w.row_sums(tier, map, (c, wd, k), oy, patches, sums);
         ladder.levels(tier, sums, w.lanes(), out);
     }
     (w.rows(), oh, ow)
@@ -1135,15 +1078,7 @@ impl QuantBnn {
             self.topology.height(),
             self.topology.width(),
         );
-        let (c, hw) = (dims.0, dims.1 * dims.2);
-        pixels.clear();
-        pixels.resize(image.len(), 0);
-        for (ch, plane) in image.chunks_exact(hw).enumerate() {
-            for (p, &x) in plane.iter().enumerate() {
-                // |pixel level| ≤ PIXEL_LEVEL_MAX, so the cast is exact.
-                pixels[p * c + ch] = HardwareBnn::quantize_pixel(x) as i16;
-            }
-        }
+        HardwareBnn::quantize_image(image, dims.0, pixels);
         let scale = self.scores_scale();
         for (si, (stage, dense)) in self.stages.iter().zip(&self.dense).enumerate() {
             let t0 = obs.map(|_| now_ns());
@@ -1173,11 +1108,11 @@ impl QuantBnn {
                     let Tail::Scores(offsets) = &dense.tail else {
                         unreachable!("checked construction gives the output stage scores")
                     };
-                    let flat = (dims.0 * dims.1 * dims.2, 1);
+                    let flat = (dims.0 * dims.1 * dims.2, 1, 1);
                     let LaneScratch { quads, pairs, sums } = lanes;
                     match &dense.lanes {
-                        Lanes::Quads(w) => lane_sums(w, tier, map, flat, 1, 0, quads, sums),
-                        Lanes::Pairs(w) => lane_sums(w, tier, map, flat, 1, 0, pairs, sums),
+                        Lanes::Quads(w) => w.row_sums(tier, map, flat, 0, quads, sums),
+                        Lanes::Pairs(w) => w.row_sums(tier, map, flat, 0, pairs, sums),
                     }
                     out.extend(
                         sums.iter()
@@ -1472,64 +1407,6 @@ mod tests {
             report.counter(mp_obs::schema::CTR_QUANT_PLANE_MACS),
             n as u64 * per_image
         );
-    }
-
-    /// The folded keys must agree with `HwThreshold::fires` on
-    /// `acc = α·S − β` for every lane sum `|S| ≤ i32::MAX`: bounds
-    /// outside the `i32` range and degenerate always/never bounds, row-sum
-    /// offsets of both signs and parities, sums at the edges of the lane
-    /// range and on both sides of each key.
-    #[test]
-    fn folded_keys_match_the_i64_ladder() {
-        let edges = [
-            i64::MIN,
-            i64::from(i32::MIN),
-            i64::from(i32::MIN) + 1,
-            -5,
-            0,
-            7,
-            i64::from(i32::MAX),
-            i64::from(i32::MAX) + 1,
-            i64::MAX,
-        ];
-        let reach = 576 * 15 * 15;
-        let cases = [
-            (1, vec![0]),
-            (2, vec![-reach, -1, 0, 1, 4, reach, i64::from(i32::MAX)]),
-        ];
-        for (alpha, betas) in cases {
-            for &beta in &betas {
-                for &bound in &edges {
-                    for negate in [false, true] {
-                        let t = HwThreshold { bound, negate };
-                        let (key, flip) = fold_key(&t, alpha, i128::from(beta));
-                        assert_eq!(flip, negate);
-                        let mut sums = vec![
-                            -i32::MAX,
-                            -i32::MAX + 1,
-                            -6,
-                            -5,
-                            -4,
-                            0,
-                            6,
-                            7,
-                            8,
-                            i32::MAX - 1,
-                            i32::MAX,
-                        ];
-                        sums.extend([key.saturating_sub(1), key, key.saturating_add(1)]);
-                        for s in sums.into_iter().filter(|&s| s != i32::MIN) {
-                            let acc = alpha as i64 * i64::from(s) - beta;
-                            assert_eq!(
-                                (s > key) ^ flip,
-                                t.fires(acc),
-                                "α {alpha} β {beta} bound {bound} negate {negate} S {s}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
     }
 
     #[test]

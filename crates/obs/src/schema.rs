@@ -20,9 +20,7 @@ pub const SPAN_PIPELINE_BNN_BLOCK: &str = "pipeline.bnn_block";
 pub const SPAN_PIPELINE_HOST_RERUN: &str = "pipeline.host_rerun";
 /// Span-name prefix for per-stage BNN timing: `bnn.stage<i>.<kind>`
 /// where `<kind>` is one of `first_conv`, `bin_conv`, `bin_fc`,
-/// `output_fc` (one span per image each), or `first_conv_block` (stage 0
-/// only: the first engine's compute over one block of up to 8 images,
-/// one span per block).
+/// `output_fc`, one span per image each.
 pub const SPAN_BNN_STAGE_PREFIX: &str = "bnn.stage";
 /// Span-name prefix for per-layer host timing: `host.layer<i>.<name>`.
 pub const SPAN_HOST_LAYER_PREFIX: &str = "host.layer";

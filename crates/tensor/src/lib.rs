@@ -10,7 +10,7 @@
 //! - [`conv`]: `im2col`/`col2im` lowering used by convolution layers,
 //! - [`init`]: seeded random initialisers (uniform, normal, He, Xavier),
 //! - [`simd`]: run-time SIMD tiers, including the channel-lane integer
-//!   kernels of `mp-int`.
+//!   kernels of `mp-int` and of `mp-bnn`'s first engine.
 //!
 //! The design follows the convolution-lowering approach of Chellapilla et
 //! al. that the paper's FINN substrate also uses: convolutions become

@@ -8,12 +8,20 @@
 //! |---|---|---|---|
 //! | `Gemm` | the packed `f32` GEMM behind `linalg::matmul_into` | AVX-512F | AVX2 |
 //! | `Popcount` | a caller's XOR–popcount body, through [`run_popcount`] | AVX-512F/VL + VPOPCNTDQ | AVX2 + POPCNT |
-//! | `Int` | the channel-lane integer product [`LaneWeights::sums`] and ladder [`LaneLadder::levels`] | AVX-512F + VNNI | AVX2 |
+//! | `Int` | the channel-lane integer product [`LaneWeights::sums`], ladder [`LaneLadder::levels`] and packed-word readout [`LaneLadder::words`] | AVX-512F + VNNI | AVX2 |
+//!
+//! The `Int` family serves two engines: `mp-int`'s `QuantBnn` dense path
+//! (level ladders) and `mp-bnn`'s `HardwareBnn` first engine (`i16`
+//! pixel pairs against ±1 weights, one-bound ladders read out as
+//! channel-packed words).
 //!
 //! Every other CPU, and every tier whose features the CPU lacks, runs
-//! [`Tier::Portable`]. Each tier computes the portable build's result bit
-//! for bit: the GEMM keeps one summation order, and the integer kernels
-//! add integers, whose sum does not depend on order. No flag,
+//! [`Tier::Portable`]. On x86-64 the portable `i16` pair product is an
+//! SSE2 `pmaddwd` body (SSE2 is part of the baseline, so no check is
+//! needed); elsewhere it is plain Rust. Each tier computes the portable
+//! definition's result bit for bit: the GEMM keeps one summation order,
+//! and the integer kernels add integers, whose sum does not depend on
+//! order. No flag,
 //! environment variable, feature or configuration field selects a tier;
 //! tests compare every tier of [`Tier::supported`] against the portable
 //! one.
@@ -23,6 +31,8 @@
 //! [`Tier::runs`], which checks them with `is_x86_feature_detected!`.
 //! The integer kernels also load and store through raw pointers into
 //! slices whose lengths are checked first.
+
+use std::ops::RangeInclusive;
 
 use crate::ShapeError;
 
@@ -228,8 +238,11 @@ pub trait LaneAct: Copy + Default + Into<i16> + sealed::Sealed {
     /// Activations (and weights per channel) one step consumes.
     const STEP: usize;
 
-    /// `w` as a weight element, if every tier multiplies it exactly.
-    fn weight(w: i64) -> Option<Self::Weight>;
+    /// The weights every tier multiplies exactly.
+    const WEIGHTS: RangeInclusive<i64>;
+
+    /// `w` as a weight element, exact for `w` in [`Self::WEIGHTS`].
+    fn narrow(w: i64) -> Self::Weight;
 
     /// [`LaneWeights::sums`] on `tier`, into a zeroed `out`.
     fn sums(tier: Tier, w: &LaneWeights<Self>, patches: &[Self], out: &mut [i32]);
@@ -247,8 +260,10 @@ impl LaneAct for u8 {
 
     /// Quad weights are bounded by 64: AVX2's `vpmaddubsw` saturates
     /// its `i16` pair sums, and `2·255·64 = 32 640 ≤ i16::MAX`.
-    fn weight(w: i64) -> Option<i8> {
-        i8::try_from(w).ok().filter(|w| w.unsigned_abs() <= 64)
+    const WEIGHTS: RangeInclusive<i64> = -64..=64;
+
+    fn narrow(w: i64) -> i8 {
+        w as i8
     }
 
     fn sums(tier: Tier, w: &LaneWeights<u8>, patches: &[u8], out: &mut [i32]) {
@@ -277,8 +292,10 @@ impl LaneAct for i16 {
 
     /// Pair weights exclude `i16::MIN`: `vpmaddwd` saturates only a
     /// pair of `(−32768)·(−32768)` products.
-    fn weight(w: i64) -> Option<i16> {
-        i16::try_from(w).ok().filter(|&w| w != i16::MIN)
+    const WEIGHTS: RangeInclusive<i64> = -(i16::MAX as i64)..=i16::MAX as i64;
+
+    fn narrow(w: i64) -> i16 {
+        w as i16
     }
 
     fn sums(tier: Tier, w: &LaneWeights<i16>, patches: &[i16], out: &mut [i32]) {
@@ -296,6 +313,12 @@ impl LaneAct for i16 {
                 // AVX2, the feature `pairs_avx2` is compiled with.
                 unsafe { pairs_avx2(w, patches, out) }
             }
+            // SAFETY: SSE2, the one feature `pairs_sse2` is compiled
+            // with, is part of the x86-64 baseline: every x86-64 CPU
+            // executes it.
+            #[cfg(target_arch = "x86_64")]
+            _ => unsafe { pairs_sse2(w, patches, out) },
+            #[cfg(not(target_arch = "x86_64"))]
             _ => sums_portable::<i16, 2>(w, patches, out),
         }
     }
@@ -314,39 +337,77 @@ pub struct LaneWeights<A: LaneAct> {
 }
 
 impl<A: LaneAct> LaneWeights<A> {
-    /// Packs the `rows × cols` matrix whose entry `(r, c)` is
-    /// `weight(r, c)`, so a caller can reorder columns while packing.
+    /// Packs the `rows × c·taps` matrix `weights` (row-major, columns in
+    /// `(ch, tap)` order: a reference convolution's `(ch, ky, kx)` or a
+    /// flattened map's `(ch, y, x)`) with its columns reordered to
+    /// `(tap, ch)`, the order of a patch of an `(h, w, c)` map (see
+    /// [`Self::row_sums`]). At `taps = 1` the order is unchanged.
     ///
     /// # Errors
     ///
-    /// Returns [`ShapeError`] when `rows` or `cols` is 0, or a weight is
-    /// outside the form's exact range ([`LaneAct::weight`]).
+    /// Returns [`ShapeError`] when `rows` or `c·taps` is 0,
+    /// `weights.len() != rows·c·taps`, or a weight is outside the form's
+    /// exact range ([`LaneAct::WEIGHTS`]).
     pub fn new(
         rows: usize,
-        cols: usize,
-        weight: impl Fn(usize, usize) -> i64,
+        (c, taps): (usize, usize),
+        weights: &[i64],
     ) -> Result<Self, ShapeError> {
-        if rows == 0 || cols == 0 {
+        let cols = c * taps;
+        if rows == 0 || cols == 0 || weights.len() != rows * cols {
             return Err(ShapeError::new(
                 "LaneWeights::new",
-                format!("a {rows}×{cols} matrix"),
+                format!("{} weights for a {rows}×{c}·{taps} matrix", weights.len()),
             ));
         }
         let steps = cols.div_ceil(A::STEP);
-        let mut data = vec![A::Weight::default(); rows.div_ceil(BLOCK) * steps * BLOCK * A::STEP];
-        for r in 0..rows {
-            let (b, lane) = (r / BLOCK, r % BLOCK);
-            for c in 0..cols {
-                let w = weight(r, c);
-                let (s, t) = (c / A::STEP, c % A::STEP);
-                data[((b * steps + s) * BLOCK + lane) * A::STEP + t] =
-                    A::weight(w).ok_or_else(|| {
-                        ShapeError::new(
-                            "LaneWeights::new",
-                            format!("weight {w} at ({r}, {c}) is outside the lane form's range"),
-                        )
-                    })?;
+        let (stride, block_len) = (steps * A::STEP, steps * BLOCK * A::STEP);
+        let mut data = vec![A::Weight::default(); rows.div_ceil(BLOCK) * block_len];
+        // Per 64-row block: each row in packed column order (source
+        // column `ch·taps + tap` is packed column `tap·c + ch`), then the
+        // block in destination order, `[step][lane][STEP]`, copied from
+        // those row slices.
+        let mut packed = vec![A::Weight::default(); rows.min(BLOCK) * stride];
+        let mut exact = true;
+        for (block, dst) in weights
+            .chunks(BLOCK * cols)
+            .zip(data.chunks_exact_mut(block_len))
+        {
+            let packed = &mut packed[..block.len() / cols * stride];
+            for (row, out) in block
+                .chunks_exact(cols)
+                .zip(packed.chunks_exact_mut(stride))
+            {
+                for (tap, out) in out[..cols].chunks_exact_mut(c).enumerate() {
+                    for (o, &w) in out.iter_mut().zip(row[tap..].iter().step_by(taps)) {
+                        exact &= A::WEIGHTS.contains(&w);
+                        *o = A::narrow(w);
+                    }
+                }
             }
+            for (s, dst) in dst.chunks_exact_mut(BLOCK * A::STEP).enumerate() {
+                for (lane, row) in dst
+                    .chunks_exact_mut(A::STEP)
+                    .zip(packed.chunks_exact(stride))
+                {
+                    lane.copy_from_slice(&row[s * A::STEP..][..A::STEP]);
+                }
+            }
+        }
+        if !exact {
+            let i = weights
+                .iter()
+                .position(|w| !A::WEIGHTS.contains(w))
+                .expect("an inexact weight was seen");
+            return Err(ShapeError::new(
+                "LaneWeights::new",
+                format!(
+                    "weight {} at ({}, {}) is outside the lane form's range",
+                    weights[i],
+                    i / cols,
+                    i % cols
+                ),
+            ));
         }
         Ok(Self { rows, steps, data })
     }
@@ -389,6 +450,37 @@ impl<A: LaneAct> LaneWeights<A> {
         A::sums(tier, self, patches, out);
     }
 
+    /// The lane sums of output row `oy` of a valid `k×k` convolution
+    /// over an `(h, w, c)` map (a dense layer is `k = 1` over a one-pixel
+    /// map of every input), into `out` as [`Self::sums`] writes them.
+    /// Each of the row's `w − k + 1` patches is gathered into `patches`
+    /// as `k` runs of `k·c` contiguous map elements: the `(ky, kx, ch)`
+    /// column order [`Self::new`] packs, zero-padded to the stride.
+    pub fn row_sums<S: Copy>(
+        &self,
+        tier: Tier,
+        map: &[S],
+        (c, w, k): (usize, usize, usize),
+        oy: usize,
+        patches: &mut Vec<A>,
+        out: &mut Vec<i32>,
+    ) where
+        A: From<S>,
+    {
+        let (ow, stride, run) = (w - k + 1, self.stride(), k * c);
+        patches.clear();
+        patches.resize(ow * stride, A::default());
+        for (ox, patch) in patches.chunks_exact_mut(stride).enumerate() {
+            for (ky, dst) in patch.chunks_exact_mut(run).take(k).enumerate() {
+                let src = &map[((oy + ky) * w + ox) * c..][..run];
+                for (d, &x) in dst.iter_mut().zip(src) {
+                    *d = A::from(x);
+                }
+            }
+        }
+        self.sums(tier, patches, out);
+    }
+
     /// The packed weights of one 64-row block.
     fn block(&self, b: usize) -> &[A::Weight] {
         let len = self.steps * BLOCK * A::STEP;
@@ -396,10 +488,10 @@ impl<A: LaneAct> LaneWeights<A> {
     }
 }
 
-/// The definition every tier matches: per block, per patch, one
-/// 64-lane accumulator updated step by step. `STEP` is `A::STEP`, as a
-/// const parameter so each step is a fixed-size array: baseline x86-64
-/// then vectorizes the `i16`-widened products across lanes.
+/// The definition every tier matches, and the portable tier off x86-64
+/// (and of quads on it): per block, per patch, one 64-lane accumulator
+/// updated step by step. `STEP` is `A::STEP`, as a const parameter so
+/// each step is a fixed-size array the compiler can unroll.
 fn sums_portable<A: LaneAct, const STEP: usize>(
     w: &LaneWeights<A>,
     patches: &[A],
@@ -540,7 +632,7 @@ fn store_avx512(dst: &mut [i32], acc: [__m512i; 4]) {
 }
 
 /// Quads on AVX2: `vpmaddubsw` forms `i16` pair sums (≤ 2·255·64, see
-/// [`LaneAct::weight`]), `vpmaddwd` against ones adds them to quads.
+/// [`LaneAct::WEIGHTS`]), `vpmaddwd` against ones adds them to quads.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn quads_avx2(w: &LaneWeights<u8>, patches: &[u8], out: &mut [i32]) {
@@ -606,14 +698,54 @@ fn sums_avx2<A: LaneAct>(
     }
 }
 
+/// Pairs at baseline x86-64, the portable tier there: SSE2 `pmaddwd`
+/// and `paddd` per 4 rows and step, each 64-row block in two halves of
+/// eight `xmm` accumulators (sixteen would leave no register for the
+/// broadcast and the weights).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse2")]
+fn pairs_sse2(w: &LaneWeights<i16>, patches: &[i16], out: &mut [i32]) {
+    const HALF: usize = BLOCK / 2;
+    let (stride, lanes) = (w.stride(), w.lanes());
+    for b in 0..lanes / BLOCK {
+        let wb = w.block(b);
+        for (x, o) in patches
+            .chunks_exact(stride)
+            .zip(out.chunks_exact_mut(lanes))
+        {
+            for (h, dst) in o[b * BLOCK..][..BLOCK].chunks_exact_mut(HALF).enumerate() {
+                let mut acc = [_mm_setzero_si128(); 8];
+                for (xs, ws) in x.chunks_exact(2).zip(wb.chunks_exact(2 * BLOCK)) {
+                    let xv = _mm_set1_epi32(pair_word(xs[0], xs[1]));
+                    for (a, chunk) in acc
+                        .iter_mut()
+                        .zip(ws[2 * HALF * h..][..2 * HALF].chunks_exact(8))
+                    {
+                        // SAFETY: `chunk` holds 4 lanes of 2 `i16`,
+                        // exactly the 16 bytes one unaligned load reads.
+                        let wv = unsafe { _mm_loadu_si128(chunk.as_ptr().cast()) };
+                        *a = _mm_add_epi32(*a, _mm_madd_epi16(xv, wv));
+                    }
+                }
+                for (chunk, v) in dst.chunks_exact_mut(4).zip(acc) {
+                    // SAFETY: `chunk` holds 4 `i32`, exactly the 16 bytes
+                    // one unaligned store writes.
+                    unsafe { _mm_storeu_si128(chunk.as_mut_ptr().cast(), v) };
+                }
+            }
+        }
+    }
+}
+
 /// Threshold ladders in the lane layout: row `r`'s level of a sum `s` is
 /// `#{j : (s > key_rj) ≠ flip_rj}`, the count of its fired bounds.
 ///
-/// Packed as `[⌈rows/16⌉ groups][bounds][16 lanes]`. A flipped bound
-/// fires iff `s ≤ key`, i.e. `1 − [s > key]`, so each lane starts at
-/// its number of flipped bounds (`base`) and adds `sign = ±1` per bound
-/// with `s > key`: one compare and one masked add. Lanes past `rows`
-/// never fire.
+/// Packed as `[groups][bounds][16 lanes]`, `groups` covering whole
+/// 64-row blocks. A flipped bound fires iff `s ≤ key`, i.e.
+/// `1 − [s > key]`, so each lane starts at its number of flipped bounds
+/// (`base`) and adds `sign = ±1` per bound with `s > key`: one compare
+/// and one masked add. Lanes past `rows` never fire: their keys are
+/// `i32::MAX` and they flip nothing.
 #[derive(Debug, Clone)]
 pub struct LaneLadder {
     rows: usize,
@@ -645,7 +777,7 @@ impl LaneLadder {
                 ),
             ));
         }
-        let groups = rows.div_ceil(LANES);
+        let groups = rows.div_ceil(BLOCK) * (BLOCK / LANES);
         let mut keys = vec![i32::MAX; groups * bounds * LANES];
         let mut signs = vec![0; groups * bounds * LANES];
         let mut base = vec![0; groups * LANES];
@@ -697,6 +829,42 @@ impl LaneLadder {
                 unsafe { levels_avx2(self, sums, lanes, out) }
             }
             _ => levels_portable(self, sums, lanes, out),
+        }
+    }
+
+    /// Appends the levels of a one-bound ladder (each 0 or 1) to `out` as
+    /// channel-packed words, `⌈rows/64⌉` per sum row: row `r`'s level is
+    /// bit `r % 64` of word `r / 64`, and bits past `rows` are zero.
+    /// `sums` holds rows `lanes` apart, as for [`Self::levels`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when the ladder has more than one bound, or on the
+    /// [`Self::levels`] shape conditions.
+    pub fn words(&self, tier: Tier, sums: &[i32], lanes: usize, out: &mut Vec<u64>) {
+        assert_eq!(self.bounds, 1, "packed words need one bound per row");
+        assert!(
+            lanes >= self.rows && lanes.is_multiple_of(BLOCK) && sums.len().is_multiple_of(lanes),
+            "sums must be whole rows of 64-lane blocks"
+        );
+        let start = out.len();
+        out.resize(start + sums.len() / lanes * self.rows.div_ceil(BLOCK), 0);
+        let out = &mut out[start..];
+        match tier {
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx512 if tier.runs(Family::Int) => {
+                // SAFETY: `runs` just confirmed that this CPU executes
+                // AVX-512F and AVX-512 VNNI, the features `words_avx512`
+                // is compiled with.
+                unsafe { words_avx512(self, sums, lanes, out) }
+            }
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 if tier.runs(Family::Int) => {
+                // SAFETY: `runs` just confirmed that this CPU executes
+                // AVX2, the feature `words_avx2` is compiled with.
+                unsafe { words_avx2(self, sums, lanes, out) }
+            }
+            _ => words_portable(self, sums, lanes, out),
         }
     }
 
@@ -821,6 +989,84 @@ fn store_levels(dst: &mut [u8], bytes: __m128i) {
     dst.copy_from_slice(&tmp[..dst.len()]);
 }
 
+// With one bound, a ladder's `keys` and `base` are indexed by row: `base`
+// is 1 for a flipped row. Each output word covers 64 rows, and both are
+// padded to whole words.
+
+/// The packed-word definition every tier matches.
+fn words_portable(l: &LaneLadder, sums: &[i32], lanes: usize, out: &mut [u64]) {
+    let per_row = l.rows.div_ceil(BLOCK);
+    for (s, o) in sums.chunks_exact(lanes).zip(out.chunks_exact_mut(per_row)) {
+        for (i, word) in o.iter_mut().enumerate() {
+            let at = i * BLOCK;
+            let lanes = s[at..at + BLOCK]
+                .iter()
+                .zip(&l.keys[at..at + BLOCK])
+                .zip(&l.base[at..at + BLOCK]);
+            *word = lanes
+                .enumerate()
+                .fold(0, |acc, (bit, ((&s, &key), &flip))| {
+                    acc | u64::from((s > key) != (flip != 0)) << bit
+                });
+        }
+    }
+}
+
+/// The packed words on AVX-512: per 16 rows one `vpcmpgtd` into a mask,
+/// XORed with the flipped rows' mask; four masks make a word.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vnni")]
+fn words_avx512(l: &LaneLadder, sums: &[i32], lanes: usize, out: &mut [u64]) {
+    let load = |v: &[i32]| {
+        // SAFETY: `v[..LANES]` is 16 `i32` (the index panics on a shorter
+        // slice), exactly the 64 bytes one unaligned load reads.
+        unsafe { _mm512_loadu_si512(v[..LANES].as_ptr().cast()) }
+    };
+    let per_row = l.rows.div_ceil(BLOCK);
+    for (s, o) in sums.chunks_exact(lanes).zip(out.chunks_exact_mut(per_row)) {
+        for (i, word) in o.iter_mut().enumerate() {
+            let mut bits = 0;
+            for g in 0..BLOCK / LANES {
+                let at = i * BLOCK + g * LANES;
+                let flips = load(&l.base[at..]);
+                let fired = _mm512_cmpgt_epi32_mask(load(&s[at..]), load(&l.keys[at..]))
+                    ^ _mm512_test_epi32_mask(flips, flips);
+                bits |= u64::from(fired) << (g * LANES);
+            }
+            *word = bits;
+        }
+    }
+}
+
+/// The packed words on AVX2: per 8 rows one `vpcmpgtd`, XORed with the
+/// flipped rows, and `vmovmskps` gathers the 8 sign bits.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn words_avx2(l: &LaneLadder, sums: &[i32], lanes: usize, out: &mut [u64]) {
+    let load = |v: &[i32]| {
+        // SAFETY: `v[..8]` is 8 `i32` (the index panics on a shorter
+        // slice), exactly the 32 bytes one unaligned load reads.
+        unsafe { _mm256_loadu_si256(v[..8].as_ptr().cast()) }
+    };
+    let zero = _mm256_setzero_si256();
+    let per_row = l.rows.div_ceil(BLOCK);
+    for (s, o) in sums.chunks_exact(lanes).zip(out.chunks_exact_mut(per_row)) {
+        for (i, word) in o.iter_mut().enumerate() {
+            let mut bits = 0;
+            for g in 0..BLOCK / 8 {
+                let at = i * BLOCK + g * 8;
+                let fired = _mm256_xor_si256(
+                    _mm256_cmpgt_epi32(load(&s[at..]), load(&l.keys[at..])),
+                    _mm256_cmpgt_epi32(load(&l.base[at..]), zero),
+                );
+                let mask = _mm256_movemask_ps(_mm256_castsi256_ps(fired)) as u32;
+                bits |= u64::from(mask) << (g * 8);
+            }
+            *word = bits;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -843,51 +1089,64 @@ mod tests {
     }
 
     /// `Σ_c w[r][c]·x_p[c]` written out, rows `lanes` apart.
-    fn reference(rows: usize, cols: usize, w: &[i16], xs: &[i32], lanes: usize) -> Vec<i32> {
+    fn reference(rows: usize, cols: usize, w: &[i64], xs: &[i32], lanes: usize) -> Vec<i32> {
         let n = xs.len() / cols;
         let mut out = vec![0; n * lanes];
         for p in 0..n {
             for r in 0..rows {
                 out[p * lanes + r] = (0..cols)
-                    .map(|c| i32::from(w[r * cols + c]) * xs[p * cols + c])
+                    .map(|c| w[r * cols + c] as i32 * xs[p * cols + c])
                     .sum();
             }
         }
         out
     }
 
-    /// Runs `A`'s product on every supported tier against the reference.
-    fn check_form<A: LaneAct + TryFrom<i32>>(x_range: (i32, i32), w_max: i32)
-    where
+    /// Runs `A`'s product on every supported tier, and its portable
+    /// definition, against the reference. Weights are drawn in
+    /// `(ch, tap)` column order and each patch is laid out in the
+    /// `(tap, ch)` order [`LaneWeights::new`] packs.
+    fn check_form<A: LaneAct + TryFrom<i32>>(
+        x_range: (i32, i32),
+        w_max: i32,
+        portable: fn(&LaneWeights<A>, &[A], &mut [i32]),
+    ) where
         <A as TryFrom<i32>>::Error: std::fmt::Debug,
     {
-        for (case, &(rows, cols, n)) in [
-            (1, 1, 1),
-            (10, 27, 3),
-            (16, 64, 2),
-            (17, 63, 5),
-            (64, 576, 4),
-            (65, 130, 1),
-            (130, 9, 7),
-            (8, 5, 0),
+        for (case, &(rows, c, taps, n)) in [
+            (1, 1, 1, 1),
+            (10, 27, 1, 3),
+            (16, 64, 1, 2),
+            (17, 7, 9, 5),
+            (64, 64, 9, 4),
+            (65, 130, 1, 1),
+            (130, 3, 3, 7),
+            (8, 5, 1, 0),
         ]
         .iter()
         .enumerate()
         {
-            let w: Vec<i16> = draw(rows * cols, -w_max, w_max, 3 + case as u64)
+            let cols = c * taps;
+            let w: Vec<i64> = draw(rows * cols, -w_max, w_max, 3 + case as u64)
                 .into_iter()
-                .map(|v| v as i16)
+                .map(i64::from)
                 .collect();
             let xs = draw(n * cols, x_range.0, x_range.1, 40 + case as u64);
-            let lw = LaneWeights::<A>::new(rows, cols, |r, c| i64::from(w[r * cols + c])).unwrap();
+            let lw = LaneWeights::<A>::new(rows, (c, taps), &w).unwrap();
             let stride = lw.stride();
             let mut patches = vec![A::default(); n * stride];
             for p in 0..n {
-                for c in 0..cols {
-                    patches[p * stride + c] = A::try_from(xs[p * cols + c]).unwrap();
+                for ch in 0..c {
+                    for tap in 0..taps {
+                        patches[p * stride + tap * c + ch] =
+                            A::try_from(xs[p * cols + ch * taps + tap]).unwrap();
+                    }
                 }
             }
             let want = reference(rows, cols, &w, &xs, lw.lanes());
+            let mut definition = vec![0; want.len()];
+            portable(&lw, &patches, &mut definition);
+            assert_eq!(definition, want, "definition rows {rows} cols {cols} n {n}");
             for tier in Tier::supported(Family::Int) {
                 let mut got = vec![7; 3];
                 lw.sums(tier, &patches, &mut got);
@@ -898,21 +1157,69 @@ mod tests {
 
     #[test]
     fn every_supported_tier_computes_quads_and_pairs_exactly() {
-        check_form::<u8>((0, 255), 64);
-        check_form::<i16>((-255, 255), 255);
-        check_form::<i16>((-128, 128), 32767);
+        check_form::<u8>((0, 255), 64, sums_portable::<u8, 4>);
+        check_form::<i16>((-255, 255), 255, sums_portable::<i16, 2>);
+        check_form::<i16>((-128, 128), 32767, sums_portable::<i16, 2>);
+    }
+
+    /// `row_sums` of every output row equals the convolution written out
+    /// over an `(h, w, c)` map, weights in `(ch, ky, kx)` order.
+    #[test]
+    fn row_sums_gather_convolution_patches() {
+        for &(rows, c, h, wd, k) in &[(10, 3, 5, 6, 3), (65, 7, 4, 4, 2), (3, 9, 1, 1, 1)] {
+            let cols = c * k * k;
+            let w: Vec<i64> = draw(rows * cols, -1, 1, 60)
+                .into_iter()
+                .map(i64::from)
+                .collect();
+            let map: Vec<i16> = draw(h * wd * c, -128, 128, 61)
+                .into_iter()
+                .map(|x| x as i16)
+                .collect();
+            let lw = LaneWeights::<i16>::new(rows, (c, k * k), &w).unwrap();
+            let (mut patches, mut got) = (Vec::new(), Vec::new());
+            for oy in 0..h - k + 1 {
+                lw.row_sums(
+                    Tier::detected(Family::Int),
+                    &map,
+                    (c, wd, k),
+                    oy,
+                    &mut patches,
+                    &mut got,
+                );
+                for ox in 0..wd - k + 1 {
+                    for r in 0..rows {
+                        let mut want = 0;
+                        for ch in 0..c {
+                            for ky in 0..k {
+                                for kx in 0..k {
+                                    let x = map[((oy + ky) * wd + ox + kx) * c + ch];
+                                    want +=
+                                        w[r * cols + (ch * k + ky) * k + kx] as i32 * i32::from(x);
+                                }
+                            }
+                        }
+                        assert_eq!(
+                            got[ox * lw.lanes() + r],
+                            want,
+                            "rows {rows} oy {oy} ox {ox} r {r}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
     fn weights_outside_the_exact_range_are_rejected() {
-        let one = |w: i64| move |_: usize, _: usize| w;
-        assert!(LaneWeights::<u8>::new(1, 2, |_, c| [64, -64][c]).is_ok());
-        assert!(LaneWeights::<u8>::new(1, 1, one(65)).is_err());
-        assert!(LaneWeights::<u8>::new(1, 1, one(-65)).is_err());
-        assert!(LaneWeights::<i16>::new(1, 1, one(i64::from(i16::MAX))).is_ok());
-        assert!(LaneWeights::<i16>::new(1, 1, one(i64::from(i16::MIN))).is_err());
-        assert!(LaneWeights::<i16>::new(1, 1, one(1 << 20)).is_err());
-        assert!(LaneWeights::<i16>::new(0, 2, one(0)).is_err());
+        assert!(LaneWeights::<u8>::new(1, (2, 1), &[64, -64]).is_ok());
+        assert!(LaneWeights::<u8>::new(1, (1, 1), &[65]).is_err());
+        assert!(LaneWeights::<u8>::new(1, (1, 1), &[-65]).is_err());
+        assert!(LaneWeights::<i16>::new(1, (1, 1), &[i64::from(i16::MAX)]).is_ok());
+        assert!(LaneWeights::<i16>::new(1, (1, 1), &[i64::from(i16::MIN)]).is_err());
+        assert!(LaneWeights::<i16>::new(1, (1, 1), &[1 << 20]).is_err());
+        assert!(LaneWeights::<i16>::new(0, (2, 1), &[]).is_err());
+        assert!(LaneWeights::<i16>::new(2, (2, 1), &[0; 3]).is_err());
         assert!(LaneLadder::new(0, 1, &[]).is_err());
         assert!(LaneLadder::new(1, 0, &[]).is_err());
         assert!(LaneLadder::new(1, 256, &[(0, false); 256]).is_err());
@@ -978,6 +1285,59 @@ mod tests {
                 ladder.levels(tier, &sums, lanes, &mut got);
                 assert_eq!(got[0], 9, "levels append");
                 assert_eq!(&got[1..], &want[..], "{tier:?} rows {rows} bounds {bounds}");
+            }
+        }
+    }
+
+    /// One-bound ladders read out as packed words on every tier equal the
+    /// portable readout and the written-out bits: keys at the `i32`
+    /// edges, mixed flips, sums on both sides of each key, and row counts
+    /// that fill part of a word, one word, or two and three; padding bits
+    /// stay zero and words append.
+    #[test]
+    fn every_supported_tier_packs_one_bound_ladders_into_words() {
+        let edges = [i32::MIN, i32::MIN + 1, -1, 0, 1, i32::MAX - 1, i32::MAX];
+        for &(rows, n) in &[(1, 3), (63, 2), (64, 4), (65, 3), (130, 5)] {
+            let salt = rows as u64 * 7;
+            let keys = draw(rows, -6, 6, salt);
+            let flips = draw(rows, 0, 1, salt + 1);
+            let ladder: Vec<(i32, bool)> = keys
+                .iter()
+                .zip(&flips)
+                .enumerate()
+                .map(|(r, (&k, &f))| {
+                    (
+                        if r % 4 == 0 {
+                            edges[r % edges.len()]
+                        } else {
+                            k
+                        },
+                        f == 1,
+                    )
+                })
+                .collect();
+            let lanes = rows.div_ceil(BLOCK) * BLOCK;
+            let mut sums = draw(n * lanes, -7, 7, salt + 2);
+            for (i, s) in sums.iter_mut().enumerate().step_by(5) {
+                *s = edges[i % edges.len()];
+            }
+            let words = rows.div_ceil(BLOCK);
+            let mut want = vec![0u64; n * words];
+            for p in 0..n {
+                for (r, &(key, flip)) in ladder.iter().enumerate() {
+                    let fired = (sums[p * lanes + r] > key) != flip;
+                    want[p * words + r / BLOCK] |= u64::from(fired) << (r % BLOCK);
+                }
+            }
+            let l = LaneLadder::new(rows, 1, &ladder).unwrap();
+            let mut definition = vec![0; want.len()];
+            words_portable(&l, &sums, lanes, &mut definition);
+            assert_eq!(definition, want, "definition rows {rows}");
+            for tier in Tier::supported(Family::Int) {
+                let mut got = vec![u64::MAX];
+                l.words(tier, &sums, lanes, &mut got);
+                assert_eq!(got[0], u64::MAX, "words append");
+                assert_eq!(&got[1..], &want[..], "{tier:?} rows {rows}");
             }
         }
     }

@@ -427,8 +427,7 @@ fn chaos_opts(plan: FaultPlan, policy: DegradationPolicy) -> RunOptions<'static>
 }
 
 /// Deterministic edges of the overlapped executor: an empty dataset and
-/// one smaller than both the pipeline block and the BNN's internal
-/// `IMG_BLOCK` (8) stay bit-identical to Modeled.
+/// one smaller than the pipeline block stay bit-identical to Modeled.
 #[test]
 fn overlapped_executor_handles_empty_and_sub_block_datasets() {
     let (hw, dmu, data) = chaos_fixture();
@@ -1522,6 +1521,50 @@ proptest! {
         }
         let hw = HardwareBnn::from_value(&value).unwrap();
         let batch = rng.normal(Shape::nchw(n, 3, edge, edge), 0.0, 1.0);
+        assert_bnn_batch_paths_match_reference(&hw, &batch, threads, split)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The BNN batch path computes `infer_image`'s scores when the first
+    /// engine's thresholds sit at the edges of its reachable accumulation
+    /// `±F`, `F = 128·fan_in` (pixels are at most 128 in magnitude):
+    /// bounds that always or never fire (`i64::MIN`/`i64::MAX`, which the
+    /// lane keys clamp to `i32`, and `±(F + 1)`), the reach `±F`, one
+    /// inside it `±(F − 1)`, and `−1`, `0`, `1`, each in both comparison
+    /// directions, written into the serialised first stage and loaded
+    /// through the checked deserializer. First-engine widths fill part of
+    /// a 64-channel word, exactly one, or straddle two and three; images
+    /// as faint as a few quantisation steps put the lane sums on the
+    /// small bounds.
+    #[test]
+    fn bnn_batch_path_matches_reference_on_first_engine_edge_thresholds(
+        width in 0usize..6,
+        edits in proptest::collection::vec((any::<u64>(), 0usize..11, any::<bool>()), 1..40),
+        edge in 5usize..9, faint in 0usize..3,
+        seed in any::<u64>(), n in 1usize..6, threads in 1usize..4, split in 1usize..6
+    ) {
+        const WIDTHS: [usize; 6] = [8, 63, 64, 65, 128, 130];
+        let topo = FinnTopology::try_new(3, edge, edge, vec![WIDTHS[width]], vec![false], vec![16, 12], 10)
+            .unwrap();
+        let mut rng = TensorRng::seed_from(seed);
+        let hw = HardwareBnn::from_classifier(&BnnClassifier::new(topo, &mut rng).unwrap()).unwrap();
+        let first = &hw.stage_summaries()[0];
+        let reach = 128 * first.fan_in as i64;
+        let mut value = hw.to_value();
+        for &(pick, kind, negate) in &edits {
+            let bound = [
+                i64::MIN, i64::MAX, reach + 1, -(reach + 1), reach, -reach,
+                reach - 1, -(reach - 1), -1, 0, 1,
+            ][kind];
+            let row = (pick >> 32) as usize % first.out_channels;
+            set_threshold(&mut value, 0, row, HwThreshold { bound, negate });
+        }
+        let hw = HardwareBnn::from_value(&value).unwrap();
+        let sigma = [0.004, 0.05, 1.0][faint];
+        let batch = rng.normal(Shape::nchw(n, 3, edge, edge), 0.0, sigma);
         assert_bnn_batch_paths_match_reference(&hw, &batch, threads, split)?;
     }
 }
