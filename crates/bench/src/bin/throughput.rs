@@ -6,7 +6,8 @@
 //!   reuse + channel-lane first engine + channel-packed binary maps +
 //!   image sharding);
 //! - **host**: a per-image [`Network::forward`] loop vs
-//!   [`Network::infer_batch_with`] (workspace reuse + batched GEMM);
+//!   [`Network::infer_batch_with`] (image sharding, each shard walking
+//!   one image at a time through every layer on a reused workspace);
 //! - **combined**: a per-image BNN → DMU → host loop vs the
 //!   [`MultiPrecisionPipeline`] with both optimised engines;
 //! - **obs**: the default (null-recorder) [`MultiPrecisionPipeline::execute`]
@@ -15,23 +16,13 @@
 //!   [`SharedRecorder`] whose report is written to
 //!   `results/obs_throughput.json`.
 //!
-//! - **overlap**: the serial two-phase
-//!   [`Concurrency::Modeled`](mp_core::Concurrency::Modeled) executor
-//!   (classify everything, then re-infer the flagged subset) vs the
-//!   overlapped block-pipelined
-//!   [`Concurrency::Threaded`](mp_core::Concurrency::Threaded) stage graph on
-//!   the same interleaved workload, plus each executor's BNN-side
-//!   throughput extracted from its recorded spans.
-//!
 //! Every optimised arm is asserted bit-identical to its reference before
 //! timing is reported. Appends `results/throughput.json`. With
 //! `--gate-overhead` the process exits non-zero if the null-recorder
 //! overhead (the median, over interleaved pairs, of each pair's
 //! NullRecorder / uninstrumented time ratio) exceeds 3% (the CI smoke
-//! gate). With `--gate-overlap` it exits non-zero if the overlapped executor is slower than serial
-//! two-phase (beyond a small single-core scheduling tolerance), if its
-//! BNN-side throughput falls below the modeled batched path, or if the
-//! single-core BNN kernel speedup drops below its floor.
+//! gate). These arms time a scaled topology; paperbench measures the
+//! paper-shaped workloads, overlap included (`pipeline.overlap_frac`).
 
 use std::time::Instant;
 
@@ -55,18 +46,6 @@ const OVERHEAD_GATE: f64 = 0.03;
 /// the combined pipeline lasts well under a millisecond, so the median
 /// needs many pairs to settle below the gate's 3 %.
 const OBS_PAIRS_PER_REP: usize = 10;
-
-/// Wall-clock tolerance of the overlap gate: overlapped / serial must
-/// stay at or below this. On a single core the overlapped executor
-/// cannot beat serial two-phase (same total compute plus thread
-/// switches), so the gate allows a small scheduling margin; with real
-/// parallelism the ratio drops below 1.
-const OVERLAP_WALL_TOLERANCE: f64 = 1.05;
-
-/// Floor on the single-core BNN kernel speedup (batched fast path vs the
-/// per-image reference), guarded by `--gate-overlap`: the widened u64×4
-/// kernels must keep the batched path at or above this.
-const BNN_SPEEDUP_GATE: f64 = 5.19;
 
 /// One baseline/optimised pair, in images per second.
 #[derive(Debug, Serialize)]
@@ -104,26 +83,6 @@ struct ThroughputRecord {
     combined: ArmRecord,
     predictions_identical: bool,
     obs: ObsArmRecord,
-    overlap: OverlapArmRecord,
-}
-
-/// Serial two-phase (Modeled) vs overlapped stage-graph (Threaded)
-/// executor on the same workload. Wall times are min-over-reps; BNN-side
-/// times come from recorded spans (pure block compute for the overlapped
-/// executor, the whole BNN+DMU stage for the serial one).
-#[derive(Debug, Serialize)]
-struct OverlapArmRecord {
-    serial_two_phase_s: f64,
-    overlapped_s: f64,
-    /// `overlapped / serial` wall-clock; at or below 1.0 the overlap wins.
-    overlap_ratio: f64,
-    serial_img_per_s: f64,
-    overlapped_img_per_s: f64,
-    /// BNN-side throughput of the overlapped executor (span-derived).
-    overlapped_bnn_img_per_s: f64,
-    /// BNN-side throughput of the serial executor's batched path.
-    serial_bnn_img_per_s: f64,
-    predictions_identical: bool,
 }
 
 /// Observability cost on the combined pipeline. Rates are each side's
@@ -393,64 +352,6 @@ fn main() {
     }
     let obs_arm = ObsArmRecord::new(n_images, &raw_s, &null_s, &shared_s);
 
-    // --- overlap arm: serial two-phase vs the overlapped stage graph ---
-    let overlap_opts = opts.clone().threaded();
-    let threaded_result = pipeline
-        .execute(&host, &data, &overlap_opts)
-        .expect("threaded");
-    let overlap_identical = threaded_result.predictions == opt_result.predictions
-        && threaded_result.flagged == opt_result.flagged;
-    assert!(
-        overlap_identical,
-        "overlapped executor must be bit-identical to the serial two-phase executor"
-    );
-    let (mut serial_min, mut overlap_min) = (f64::MAX, f64::MAX);
-    for _ in 0..reps {
-        let t = Instant::now();
-        std::hint::black_box(pipeline.execute(&host, &data, &opts).expect("serial"));
-        serial_min = serial_min.min(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        std::hint::black_box(
-            pipeline
-                .execute(&host, &data, &overlap_opts)
-                .expect("overlapped"),
-        );
-        overlap_min = overlap_min.min(t.elapsed().as_secs_f64());
-    }
-    // BNN-side throughput from recorded spans: the overlapped executor's
-    // block spans are pure BNN compute, the serial executor's stage span
-    // covers its batched BNN pass plus DMU flagging — so matching or
-    // beating it shows the threaded producer really runs the batched
-    // fast path.
-    let (mut serial_bnn_s, mut overlap_bnn_s) = (f64::MAX, f64::MAX);
-    for _ in 0..3 {
-        let rec = SharedRecorder::new();
-        pipeline
-            .execute(&host, &data, &opts.clone().with_recorder(&rec))
-            .expect("serial instrumented");
-        if let Some(s) = rec.report().span(mp_obs::schema::SPAN_PIPELINE_BNN_STAGE) {
-            serial_bnn_s = serial_bnn_s.min(s.total_s);
-        }
-        let rec = SharedRecorder::new();
-        pipeline
-            .execute(&host, &data, &overlap_opts.clone().with_recorder(&rec))
-            .expect("overlapped instrumented");
-        if let Some(s) = rec.report().span(mp_obs::schema::SPAN_PIPELINE_BNN_BLOCK) {
-            overlap_bnn_s = overlap_bnn_s.min(s.total_s);
-        }
-    }
-    let rate = |secs: f64| n_images as f64 / secs.max(f64::MIN_POSITIVE);
-    let overlap_arm = OverlapArmRecord {
-        serial_two_phase_s: serial_min,
-        overlapped_s: overlap_min,
-        overlap_ratio: overlap_min / serial_min.max(f64::MIN_POSITIVE),
-        serial_img_per_s: rate(serial_min),
-        overlapped_img_per_s: rate(overlap_min),
-        overlapped_bnn_img_per_s: rate(overlap_bnn_s),
-        serial_bnn_img_per_s: rate(serial_bnn_s),
-        predictions_identical: overlap_identical,
-    };
-
     let report = rec.report();
     mp_obs::schema::validate_report(&report).expect("obs report validates");
     match mp_obs::report::write_report(&report, &results_dir(), "throughput") {
@@ -469,7 +370,6 @@ fn main() {
         combined: ArmRecord::new(n_images, combined_base_s, combined_opt_s),
         predictions_identical,
         obs: obs_arm,
-        overlap: overlap_arm,
     };
 
     let mut table = TextTable::new(&["arm", "baseline img/s", "optimized img/s", "speedup"]);
@@ -512,21 +412,6 @@ fn main() {
     ]);
     obs_table.print("observability overhead (combined pipeline)");
 
-    let mut overlap_table = TextTable::new(&["executor", "wall img/s", "bnn-side img/s"]);
-    overlap_table.row(&[
-        "serial two-phase (Modeled)".into(),
-        format!("{:.1}", record.overlap.serial_img_per_s),
-        format!("{:.1}", record.overlap.serial_bnn_img_per_s),
-    ]);
-    overlap_table.row(&[
-        "overlapped stage graph (Threaded)".into(),
-        format!("{:.1}", record.overlap.overlapped_img_per_s),
-        format!("{:.1}", record.overlap.overlapped_bnn_img_per_s),
-    ]);
-    overlap_table.print(&format!(
-        "overlapped executor (wall ratio {:.3}, identical: {})",
-        record.overlap.overlap_ratio, record.overlap.predictions_identical
-    ));
     write_record("throughput", &record);
 
     if opts_cli.gate_overhead && record.obs.null_overhead_frac > OVERHEAD_GATE {
@@ -536,32 +421,5 @@ fn main() {
             100.0 * OVERHEAD_GATE
         );
         std::process::exit(1);
-    }
-    if opts_cli.gate_overlap {
-        let mut failed = false;
-        if record.overlap.overlap_ratio > OVERLAP_WALL_TOLERANCE {
-            eprintln!(
-                "FAIL: overlapped wall-clock is {:.3}x serial two-phase (tolerance {:.2}x)",
-                record.overlap.overlap_ratio, OVERLAP_WALL_TOLERANCE
-            );
-            failed = true;
-        }
-        if record.overlap.overlapped_bnn_img_per_s < record.overlap.serial_bnn_img_per_s {
-            eprintln!(
-                "FAIL: overlapped BNN-side throughput {:.1} img/s is below the serial batched path {:.1} img/s",
-                record.overlap.overlapped_bnn_img_per_s, record.overlap.serial_bnn_img_per_s
-            );
-            failed = true;
-        }
-        if record.bnn.speedup < BNN_SPEEDUP_GATE {
-            eprintln!(
-                "FAIL: BNN single-core speedup {:.2}x is below the {BNN_SPEEDUP_GATE:.2}x floor",
-                record.bnn.speedup
-            );
-            failed = true;
-        }
-        if failed {
-            std::process::exit(1);
-        }
     }
 }

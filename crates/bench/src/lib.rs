@@ -35,8 +35,7 @@ use mp_core::experiment::ExperimentConfig;
 use mp_serve::Request;
 
 /// Parses the common `--smoke` / `--seed N` flags (and the throughput
-/// bench's `--gate-overhead` / `--gate-overlap`), rejecting anything
-/// else.
+/// bench's `--gate-overhead`), rejecting anything else.
 ///
 /// # Example
 ///
@@ -58,10 +57,6 @@ pub struct CliOptions {
     /// Fail (exit non-zero) if the observability overhead gate trips;
     /// only the throughput bench reads this.
     pub gate_overhead: bool,
-    /// Fail (exit non-zero) if the overlapped-executor gates trip
-    /// (wall-clock vs serial two-phase, BNN single-core speedup); only
-    /// the throughput bench reads this.
-    pub gate_overlap: bool,
 }
 
 impl Default for CliOptions {
@@ -70,13 +65,12 @@ impl Default for CliOptions {
             smoke: false,
             seed: 2018,
             gate_overhead: false,
-            gate_overlap: false,
         }
     }
 }
 
 /// The flags [`CliOptions`] accepts, printed with a parse error.
-const USAGE: &str = "usage: [--smoke] [--seed N] [--gate-overhead] [--gate-overlap]";
+const USAGE: &str = "usage: [--smoke] [--seed N] [--gate-overhead]";
 
 impl CliOptions {
     /// Parses options from process arguments. On an unknown flag or a
@@ -102,7 +96,6 @@ impl CliOptions {
             match arg.as_str() {
                 "--smoke" => opts.smoke = true,
                 "--gate-overhead" => opts.gate_overhead = true,
-                "--gate-overlap" => opts.gate_overlap = true,
                 "--seed" => {
                     let value = iter.next().ok_or("--seed needs a value")?;
                     opts.seed = value
@@ -272,17 +265,10 @@ mod tests {
 
     #[test]
     fn cli_parses_flags() {
-        let o = CliOptions::parse_from(args(&[
-            "--seed",
-            "42",
-            "--smoke",
-            "--gate-overhead",
-            "--gate-overlap",
-        ]))
-        .unwrap();
+        let o =
+            CliOptions::parse_from(args(&["--seed", "42", "--smoke", "--gate-overhead"])).unwrap();
         assert!(o.smoke);
         assert!(o.gate_overhead);
-        assert!(o.gate_overlap);
         assert_eq!(o.seed, 42);
         assert_eq!(o.experiment_config().seed, 42);
     }
@@ -291,6 +277,7 @@ mod tests {
     fn cli_rejects_unknown_flags_and_bad_seeds() {
         for (bad, want) in [
             (&["--smok"][..], "unknown flag \"--smok\""),
+            (&["--gate-overlap"][..], "unknown flag \"--gate-overlap\""),
             (&["--smoke", "--seed", "zzz"][..], "\"zzz\" is not a u64"),
             (&["--seed", "-1"][..], "is not a u64"),
             (&["--smoke", "--seed"][..], "--seed needs a value"),

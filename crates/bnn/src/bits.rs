@@ -237,9 +237,19 @@ impl BitMatrix {
     /// Panics if `values.len() != rows * cols`.
     pub fn from_signs(rows: usize, cols: usize, values: &[f32]) -> Self {
         assert_eq!(values.len(), rows * cols, "matrix size mismatch");
+        Self::from_fn(rows, cols, |r, c| values[r * cols + c] >= 0.0)
+    }
+
+    /// Packs a `rows × cols` matrix whose entry `(r, c)` is `+1` where
+    /// `bit(r, c)` holds, assembling each row word in a register.
+    pub(crate) fn from_fn(rows: usize, cols: usize, bit: impl Fn(usize, usize) -> bool) -> Self {
         Self {
             rows: (0..rows)
-                .map(|r| BitVec::from_signs(&values[r * cols..(r + 1) * cols]))
+                .map(|r| {
+                    let mut row = BitVec::zeros(0);
+                    row.refill_with(cols, |c| bit(r, c));
+                    row
+                })
                 .collect(),
             cols,
         }

@@ -212,24 +212,18 @@ impl PlaneMatrix {
     pub fn from_levels(rows: usize, cols: usize, values: &[i64], bits: usize) -> Self {
         assert_eq!(values.len(), rows * cols, "matrix size mismatch");
         let l = levels(bits);
+        for &q in values {
+            assert!(
+                q.abs() <= l && q & 1 != 0,
+                "{q} is not an odd integer in [-{l}, {l}]"
+            );
+        }
+        // Plane `p` holds bit `p` of the level index `u = (q + L) / 2`.
         let planes = (0..bits)
             .map(|p| {
-                let signs: Vec<f32> = values
-                    .iter()
-                    .map(|&q| {
-                        assert!(
-                            q.abs() <= l && q & 1 != 0,
-                            "{q} is not an odd integer in [-{l}, {l}]"
-                        );
-                        let u = ((q + l) / 2) as u64;
-                        if u >> p & 1 == 1 {
-                            1.0
-                        } else {
-                            -1.0
-                        }
-                    })
-                    .collect();
-                BitMatrix::from_signs(rows, cols, &signs)
+                BitMatrix::from_fn(rows, cols, |r, c| {
+                    (values[r * cols + c] + l) >> (p + 1) & 1 == 1
+                })
             })
             .collect();
         Self { planes, cols }
@@ -393,6 +387,59 @@ mod tests {
             assert_eq!(y[r], expect, "row {r}");
         }
         assert_eq!(m.weight_bits(), (rows * cols * 4) as u64);
+    }
+
+    #[test]
+    fn matrix_planes_are_the_written_out_signs_and_round_trip() {
+        for bits in [1usize, 2, 4, 8] {
+            let l = levels(bits);
+            for cols in [1usize, 63, 64, 65, 130] {
+                let rows = 3;
+                // Pseudo-random odd levels, both ends of the range included.
+                let mut values: Vec<i64> = (0..rows * cols)
+                    .map(|i| 2 * ((i * 2654435761 + 17) as i64 % (l + 1)) - l)
+                    .collect();
+                values[0] = -l;
+                values[rows * cols - 1] = l;
+                let m = PlaneMatrix::from_levels(rows, cols, &values, bits);
+                assert_eq!(m.bits(), bits);
+                for p in 0..bits {
+                    let signs: Vec<f32> = values
+                        .iter()
+                        .map(|&q| {
+                            if ((q + l) / 2) >> p & 1 == 1 {
+                                1.0
+                            } else {
+                                -1.0
+                            }
+                        })
+                        .collect();
+                    let want = BitMatrix::from_signs(rows, cols, &signs);
+                    assert_eq!(m.plane(p), &want, "bits {bits}, cols {cols}, plane {p}");
+                }
+                let back: Vec<i64> = (0..rows * cols)
+                    .map(|i| {
+                        let u: i64 = (0..bits)
+                            .map(|p| i64::from(m.plane(p).row(i / cols).get(i % cols)) << p)
+                            .sum();
+                        2 * u - l
+                    })
+                    .collect();
+                assert_eq!(back, values, "bits {bits}, cols {cols}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "2 is not an odd integer in [-3, 3]")]
+    fn matrix_rejects_an_even_level() {
+        PlaneMatrix::from_levels(1, 3, &[1, 2, 3], 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "5 is not an odd integer in [-3, 3]")]
+    fn matrix_rejects_an_out_of_range_level() {
+        PlaneMatrix::from_levels(1, 2, &[-3, 5], 2);
     }
 
     #[test]

@@ -66,8 +66,8 @@ impl Layer for SignActivation {
         Ok(input.map(binarize))
     }
 
-    fn infer(&self, input: &Tensor, _ws: &mut Workspace) -> Result<Tensor, ShapeError> {
-        Ok(input.map(binarize))
+    fn infer(&self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor, ShapeError> {
+        Ok(input.map_with(ws, binarize))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, ShapeError> {
@@ -218,27 +218,22 @@ impl Layer for BinConv2d {
         );
         let pixels = oh * ow;
         let image_len = c * h * w;
-        let mut wb_buf = ws.take(self.weight.len());
-        wb_buf.clear();
-        wb_buf.extend(self.weight.iter().map(|&w| binarize(w)));
-        let wb = Tensor::from_vec(self.weight.shape().clone(), wb_buf)?;
+        let mut wb = ws.take(self.weight.len());
+        wb.clear();
+        wb.extend(self.weight.iter().map(|&w| binarize(w)));
+        let fan_in = c * self.geom.kernel * self.geom.kernel;
         let mut out = ws.take(n * self.out_channels * pixels);
         out.clear();
-        let mut cols_buf = ws.take(c * self.geom.kernel * self.geom.kernel * pixels);
-        let mut y = ws.take(self.out_channels * pixels);
+        out.resize(n * self.out_channels * pixels, 0.0);
+        let mut cols = ws.take(fan_in * pixels);
         let xv = input.as_slice();
-        for img in 0..n {
-            let image = &xv[img * image_len..(img + 1) * image_len];
-            let (rows, cols) = im2col_slice_into(image, c, h, w, self.geom, &mut cols_buf)?;
-            let patches =
-                Tensor::from_vec(Shape::matrix(rows, cols), std::mem::take(&mut cols_buf))?;
-            linalg::matmul_into(&wb, &patches, &mut y)?;
-            cols_buf = patches.into_vec();
-            out.extend_from_slice(&y);
+        for (img, dst) in out.chunks_exact_mut(self.out_channels * pixels).enumerate() {
+            let image = &xv[img * image_len..][..image_len];
+            im2col_slice_into(image, c, h, w, self.geom, &mut cols)?;
+            linalg::gemm(self.out_channels, fan_in, pixels, &wb, &cols, dst)?;
         }
-        ws.put(cols_buf);
-        ws.put(y);
-        ws.put(wb.into_vec());
+        ws.put(cols);
+        ws.put(wb);
         Tensor::from_vec(Shape::nchw(n, self.out_channels, oh, ow), out)
     }
 
@@ -652,8 +647,8 @@ impl Layer for QuantActivation {
         Ok(input.map(|x| self.quantize(x)))
     }
 
-    fn infer(&self, input: &Tensor, _ws: &mut Workspace) -> Result<Tensor, ShapeError> {
-        Ok(input.map(|x| self.quantize(x)))
+    fn infer(&self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor, ShapeError> {
+        Ok(input.map_with(ws, |x| self.quantize(x)))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, ShapeError> {

@@ -57,9 +57,9 @@ pub trait Layer: fmt::Debug + Send + Sync {
     ///
     /// Must produce bit-identical output to `forward(input, Mode::Infer)`
     /// but never mutates the layer, so a shared `&Network` can serve many
-    /// threads. Hot layers lower through the `_into` kernels in
-    /// [`mp_tensor::linalg`]/[`mp_tensor::conv`], borrowing scratch space
-    /// from `ws` instead of allocating per call.
+    /// threads. The output and any scratch come from `ws` instead of a
+    /// fresh allocation per call; a taken buffer keeps its last user's
+    /// contents, so the layer clears or overwrites it first.
     ///
     /// # Errors
     ///

@@ -45,8 +45,8 @@ impl Layer for Relu {
         Ok(input.map(|x| x.max(0.0)))
     }
 
-    fn infer(&self, input: &Tensor, _ws: &mut Workspace) -> Result<Tensor, ShapeError> {
-        Ok(input.map(|x| x.max(0.0)))
+    fn infer(&self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor, ShapeError> {
+        Ok(input.map_with(ws, |x| x.max(0.0)))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, ShapeError> {
@@ -93,8 +93,8 @@ impl Layer for Sigmoid {
         Ok(out)
     }
 
-    fn infer(&self, input: &Tensor, _ws: &mut Workspace) -> Result<Tensor, ShapeError> {
-        Ok(input.map(Self::eval))
+    fn infer(&self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor, ShapeError> {
+        Ok(input.map_with(ws, Self::eval))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, ShapeError> {

@@ -234,10 +234,12 @@ impl Layer for BatchNorm {
         Ok(out)
     }
 
-    fn infer(&self, input: &Tensor, _ws: &mut Workspace) -> Result<Tensor, ShapeError> {
+    fn infer(&self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor, ShapeError> {
         let (n, _) = self.geometry(input.shape())?;
         let shape = input.shape().clone();
-        let mut out = Tensor::zeros(shape.clone());
+        let mut out = ws.take(input.len());
+        out.clear();
+        out.resize(input.len(), 0.0);
         #[allow(clippy::needless_range_loop)] // c indexes stats and params alike
         for c in 0..self.features {
             let (bstride, coff, p) = Self::channel_offsets(&shape, c);
@@ -250,11 +252,11 @@ impl Layer for BatchNorm {
                 let base = img * bstride + coff;
                 for i in base..base + p {
                     let xhat = (input.as_slice()[i] - mean) * inv_std;
-                    out.as_mut_slice()[i] = gamma * xhat + beta;
+                    out[i] = gamma * xhat + beta;
                 }
             }
         }
-        Ok(out)
+        Tensor::from_vec(shape, out)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, ShapeError> {

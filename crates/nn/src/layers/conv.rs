@@ -1,4 +1,4 @@
-use mp_tensor::conv::{col2im, im2col, im2col_batch_into, ConvGeometry};
+use mp_tensor::conv::{col2im, im2col, im2col_slice_into, ConvGeometry};
 use mp_tensor::init::TensorRng;
 use mp_tensor::{linalg, Shape, ShapeError, Tensor, Workspace};
 
@@ -175,30 +175,35 @@ impl Layer for Conv2d {
     fn infer(&self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor, ShapeError> {
         let (n, c, oh, ow) = self.check_input(input.shape())?;
         let (h, w) = (input.shape().dim(2), input.shape().dim(3));
-        let pixels = oh * ow;
+        let (image_len, pixels) = (c * h * w, oh * ow);
         let fan_in = c * self.geom.kernel * self.geom.kernel;
-        // Batch-level GEMM: lower every image straight into one
-        // `[fan_in, n·pixels]` patch matrix and multiply once. Each output
-        // element accumulates over the same K entries in the same order as
-        // a per-image product, so results are bit-identical while the GEMM
-        // amortises its tile setup over the whole batch.
-        let mut cols = ws.take(fan_in * n * pixels);
-        let (rows, ncols) = im2col_batch_into(input.as_slice(), n, c, h, w, self.geom, &mut cols)?;
-        let patches = Tensor::from_vec(Shape::matrix(rows, ncols), cols)?;
-        let mut y = ws.take(self.out_channels * n * pixels);
-        linalg::matmul_into(&self.weight, &patches, &mut y)?;
-        // Reorder `[oc, n·pixels]` to `[n, oc, pixels]`, adding the bias.
         let mut out = ws.take(n * self.out_channels * pixels);
         out.clear();
-        for img in 0..n {
-            for oc in 0..self.out_channels {
-                let b = self.bias.as_slice()[oc];
-                let src = &y[oc * n * pixels + img * pixels..][..pixels];
-                out.extend(src.iter().map(|&v| v + b));
+        out.resize(n * self.out_channels * pixels, 0.0);
+        // Per image: lower into one reused `[fan_in, pixels]` patch buffer
+        // and multiply straight into the image's `[oc, pixels]` slice of
+        // the NCHW output, then add the bias. Each element sums the same
+        // `fan_in` products in the same order as `forward`, then adds the
+        // bias once, so the two are bit-identical.
+        let mut cols = ws.take(fan_in * pixels);
+        for (img, dst) in out.chunks_exact_mut(self.out_channels * pixels).enumerate() {
+            let image = &input.as_slice()[img * image_len..][..image_len];
+            im2col_slice_into(image, c, h, w, self.geom, &mut cols)?;
+            linalg::gemm(
+                self.out_channels,
+                fan_in,
+                pixels,
+                self.weight.as_slice(),
+                &cols,
+                dst,
+            )?;
+            for (row, &b) in dst.chunks_exact_mut(pixels).zip(self.bias.as_slice()) {
+                for v in row {
+                    *v += b;
+                }
             }
         }
-        ws.put(patches.into_vec());
-        ws.put(y);
+        ws.put(cols);
         Tensor::from_vec(Shape::nchw(n, self.out_channels, oh, ow), out)
     }
 

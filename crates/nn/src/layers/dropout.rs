@@ -84,8 +84,8 @@ impl Layer for Dropout {
         Ok(out)
     }
 
-    fn infer(&self, input: &Tensor, _ws: &mut Workspace) -> Result<Tensor, ShapeError> {
-        Ok(input.clone())
+    fn infer(&self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor, ShapeError> {
+        Ok(input.map_with(ws, |x| x))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, ShapeError> {

@@ -41,8 +41,11 @@ impl Layer for Flatten {
                 format!("expected at least rank-2 input, got {input}"),
             ));
         }
-        let n = input.dim(0);
-        Ok(Shape::matrix(n, input.len() / n.max(1)))
+        // Features from the trailing dims, so an empty batch keeps them.
+        Ok(Shape::matrix(
+            input.dim(0),
+            input.dims()[1..].iter().product(),
+        ))
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor, ShapeError> {
@@ -53,8 +56,9 @@ impl Layer for Flatten {
         input.reshape(out_shape)
     }
 
-    fn infer(&self, input: &Tensor, _ws: &mut Workspace) -> Result<Tensor, ShapeError> {
-        input.reshape(self.output_shape(input.shape())?)
+    fn infer(&self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor, ShapeError> {
+        let shape = self.output_shape(input.shape())?;
+        input.map_with(ws, |x| x).into_reshaped(shape)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, ShapeError> {
@@ -81,6 +85,17 @@ mod tests {
         let dx = flat.backward(&y).unwrap();
         assert_eq!(dx.shape(), x.shape());
         assert_eq!(dx.as_slice(), x.as_slice());
+    }
+
+    #[test]
+    fn an_empty_batch_keeps_its_feature_count() {
+        let flat = Flatten::new();
+        let empty = Shape::nchw(0, 3, 4, 5);
+        assert_eq!(flat.output_shape(&empty).unwrap().dims(), &[0, 60]);
+        let y = flat
+            .infer(&Tensor::zeros(empty), &mut Workspace::new())
+            .unwrap();
+        assert_eq!(y.shape().dims(), &[0, 60]);
     }
 
     #[test]

@@ -68,15 +68,17 @@ impl LocalResponseNorm {
         })
     }
 
-    fn compute_scale(&self, input: &Tensor) -> Result<Tensor, ShapeError> {
+    /// Writes the per-element normaliser `S = k + α/size · Σ x²` of the
+    /// NCHW `input` into `scale`, which is cleared and resized.
+    fn scale_into(&self, input: &Tensor, scale: &mut Vec<f32>) {
         let shape = input.shape();
         let (n, c, h, w) = (shape.dim(0), shape.dim(1), shape.dim(2), shape.dim(3));
         let plane = h * w;
         let half = self.size / 2;
         let coeff = self.alpha / self.size as f32;
-        let mut scale = Tensor::filled(shape.clone(), self.k);
+        scale.clear();
+        scale.resize(input.len(), self.k);
         let xv = input.as_slice();
-        let sv = scale.as_mut_slice();
         for img in 0..n {
             for ch in 0..c {
                 let lo = ch.saturating_sub(half);
@@ -86,12 +88,11 @@ impl LocalResponseNorm {
                     let src = (img * c + j) * plane;
                     for p in 0..plane {
                         let x = xv[src + p];
-                        sv[dst + p] += coeff * x * x;
+                        scale[dst + p] += coeff * x * x;
                     }
                 }
             }
         }
-        Ok(scale)
     }
 }
 
@@ -112,7 +113,9 @@ impl Layer for LocalResponseNorm {
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor, ShapeError> {
         self.output_shape(input.shape())?;
-        let scale = self.compute_scale(input)?;
+        let mut scale = Vec::new();
+        self.scale_into(input, &mut scale);
+        let scale = Tensor::from_vec(input.shape().clone(), scale)?;
         let beta = self.beta;
         let out = input.zip_with(&scale, |x, s| x * s.powf(-beta))?;
         if mode.is_train() {
@@ -124,11 +127,15 @@ impl Layer for LocalResponseNorm {
         Ok(out)
     }
 
-    fn infer(&self, input: &Tensor, _ws: &mut Workspace) -> Result<Tensor, ShapeError> {
-        self.output_shape(input.shape())?;
-        let scale = self.compute_scale(input)?;
-        let beta = self.beta;
-        input.zip_with(&scale, |x, s| x * s.powf(-beta))
+    fn infer(&self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor, ShapeError> {
+        let shape = self.output_shape(input.shape())?;
+        // The normaliser buffer becomes the output in place.
+        let mut out = ws.take(input.len());
+        self.scale_into(input, &mut out);
+        for (s, &x) in out.iter_mut().zip(input.iter()) {
+            *s = x * s.powf(-self.beta);
+        }
+        Tensor::from_vec(shape, out)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, ShapeError> {

@@ -39,6 +39,12 @@ impl Softmax {
     ///
     /// Returns [`ShapeError`] if `scores` is not rank-2.
     pub fn eval(scores: &Tensor) -> Result<Tensor, ShapeError> {
+        Self::eval_into(scores, Vec::new())
+    }
+
+    /// [`Softmax::eval`] written into `out`, which is cleared and
+    /// resized, reusing its capacity.
+    fn eval_into(scores: &Tensor, mut out: Vec<f32>) -> Result<Tensor, ShapeError> {
         if scores.shape().rank() != 2 {
             return Err(ShapeError::new(
                 "Softmax",
@@ -46,11 +52,12 @@ impl Softmax {
             ));
         }
         let (n, k) = (scores.shape().dim(0), scores.shape().dim(1));
-        let mut out = Tensor::zeros(Shape::matrix(n, k));
+        out.clear();
+        out.resize(n * k, 0.0);
         for row in 0..n {
             let src = &scores.as_slice()[row * k..(row + 1) * k];
             let max = src.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let dst = &mut out.as_mut_slice()[row * k..(row + 1) * k];
+            let dst = &mut out[row * k..(row + 1) * k];
             let mut denom = 0.0f32;
             for (d, &s) in dst.iter_mut().zip(src) {
                 *d = (s - max).exp();
@@ -60,7 +67,7 @@ impl Softmax {
                 *d /= denom;
             }
         }
-        Ok(out)
+        Tensor::from_vec(Shape::matrix(n, k), out)
     }
 }
 
@@ -87,8 +94,8 @@ impl Layer for Softmax {
         Ok(out)
     }
 
-    fn infer(&self, input: &Tensor, _ws: &mut Workspace) -> Result<Tensor, ShapeError> {
-        Self::eval(input)
+    fn infer(&self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor, ShapeError> {
+        Self::eval_into(input, ws.take(input.len()))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, ShapeError> {

@@ -11,12 +11,6 @@ use crate::layers::{
 };
 use crate::LayerCost;
 
-/// Sub-batch size of the shard executor in
-/// [`Network::infer_batch_with`]: large enough to amortise per-call
-/// dispatch, small enough that a sub-batch's inter-layer activations
-/// stay L1/L2-resident.
-const INFER_SUB_BATCH: usize = 16;
-
 /// One worker's share of a batched inference: output dims + row data.
 type InferShard = Result<(Vec<usize>, Vec<f32>), ShapeError>;
 
@@ -127,9 +121,10 @@ impl Network {
 
     /// Read-only inference using caller-provided scratch space.
     ///
-    /// Inter-layer activations are recycled through `ws`, so repeated
-    /// calls (one per batch of a stream) run allocation-free in the
-    /// steady state.
+    /// Every layer draws its output and scratch from `ws`, and each
+    /// layer's input goes back to `ws` once the next layer has run, so
+    /// repeated calls that also return the result to `ws` run without
+    /// allocating activation memory in the steady state.
     ///
     /// # Errors
     ///
@@ -210,11 +205,12 @@ impl Network {
     /// Batched inference, sharding rows of `input` across `par` scoped
     /// worker threads.
     ///
-    /// Each shard walks its rows in cache-friendly sub-batches through a
-    /// reused [`Workspace`]. Every layer computes batch items
-    /// independently at inference time with the same kernels regardless
-    /// of batch size, so the result is bit-identical to the sequential
-    /// path at any thread count and any sub-batch size.
+    /// Each shard walks its rows one image at a time through every layer
+    /// on one reused [`Workspace`], so an image's activations and patch
+    /// buffers (at most a few MB on the paper's models) stay cache-resident
+    /// and the shard's scratch does not grow with the batch. Every layer
+    /// computes each image with the same kernels as [`Network::forward`],
+    /// so the result is bit-identical to it at any thread count.
     ///
     /// # Errors
     ///
@@ -260,14 +256,16 @@ impl Network {
         let dims = input.shape().dims();
         let chunks = par.chunks(n);
         let parts: Vec<InferShard> = if chunks.len() <= 1 {
-            vec![self.infer_rows(dims, xv, stride, obs)]
+            vec![self.infer_rows(dims, xv, n, obs, &mut Workspace::new())]
         } else {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = chunks
                     .iter()
                     .map(|&(start, end)| {
                         let rows = &xv[start * stride..end * stride];
-                        scope.spawn(move || self.infer_rows(dims, rows, stride, obs))
+                        scope.spawn(move || {
+                            self.infer_rows(dims, rows, end - start, obs, &mut Workspace::new())
+                        })
                     })
                     .collect();
                 handles
@@ -296,45 +294,35 @@ impl Network {
         Tensor::from_vec(Shape::new(dims), data)
     }
 
-    /// Runs a contiguous run of batch rows through the network in
-    /// sub-batches of [`INFER_SUB_BATCH`] with one shared workspace, so
-    /// inter-layer activations stay cache-resident instead of streaming
-    /// a monolithic batch's worth of intermediates through memory.
+    /// Runs `count` contiguous batch rows through the network one image
+    /// at a time on `ws`, appending each image's output to the shard's.
     fn infer_rows(
         &self,
         dims: &[usize],
         rows: &[f32],
-        stride: usize,
+        count: usize,
         obs: Option<(&dyn Recorder, &[String])>,
+        ws: &mut Workspace,
     ) -> InferShard {
-        let count = rows.len() / stride.max(1);
-        let mut ws = Workspace::new();
+        let stride = rows.len() / count.max(1);
+        let mut image_dims = dims.to_vec();
+        image_dims[0] = 1;
         let mut out: Option<(Vec<usize>, Vec<f32>)> = None;
-        let mut start = 0;
-        while start < count {
-            let end = (start + INFER_SUB_BATCH).min(count);
-            let mut sub_dims = dims.to_vec();
-            sub_dims[0] = end - start;
-            let mut buf = ws.take((end - start) * stride);
-            buf.extend_from_slice(&rows[start * stride..end * stride]);
-            let sub = Tensor::from_vec(Shape::new(sub_dims), buf)?;
-            let y = self.infer_with_obs(&sub, &mut ws, obs)?;
-            ws.put(sub.into_vec());
-            match &mut out {
-                None => {
-                    let mut out_dims = y.shape().dims().to_vec();
-                    let mut data = Vec::with_capacity(y.len() / (end - start) * count);
-                    data.extend_from_slice(y.as_slice());
-                    out_dims[0] = end - start;
-                    out = Some((out_dims, data));
-                }
-                Some((out_dims, data)) => {
-                    out_dims[0] += y.shape().dim(0);
-                    data.extend_from_slice(y.as_slice());
-                }
-            }
+        for i in 0..count {
+            let mut buf = ws.take(stride);
+            buf.clear();
+            buf.extend_from_slice(&rows[i * stride..][..stride]);
+            let image = Tensor::from_vec(Shape::new(image_dims.clone()), buf)?;
+            let y = self.infer_with_obs(&image, ws, obs)?;
+            ws.put(image.into_vec());
+            let (out_dims, data) = out.get_or_insert_with(|| {
+                let mut out_dims = y.shape().dims().to_vec();
+                out_dims[0] = 0;
+                (out_dims, Vec::with_capacity(y.len() * count))
+            });
+            out_dims[0] += y.shape().dim(0);
+            data.extend_from_slice(y.as_slice());
             ws.put(y.into_vec());
-            start = end;
         }
         out.ok_or_else(|| ShapeError::new("Network::infer_batch_with", "empty shard"))
     }
@@ -819,6 +807,69 @@ mod tests {
         assert!(ws.pooled() > 0, "inference should recycle buffers");
         let second = net.infer_with(&x, &mut ws).unwrap();
         assert_eq!(first.as_slice(), second.as_slice());
+        // With the result handed back, the pool holds the whole working
+        // set: a further call allocates nothing.
+        ws.put(second.into_vec());
+        let warm: Vec<usize> = ws.capacities().collect();
+        let third = net.infer_with(&x, &mut ws).unwrap();
+        assert_eq!(first.as_slice(), third.as_slice());
+        ws.put(third.into_vec());
+        assert_eq!(ws.capacities().collect::<Vec<_>>(), warm);
+    }
+
+    /// Model A's layer list (`mp_host::zoo`) at a quarter of its
+    /// channels, on 32×32 inputs.
+    fn model_a_shaped(r: &mut TensorRng) -> Network {
+        Network::builder(Shape::nchw(1, 3, 32, 32))
+            .conv2d(8, 5, 1, 2, r)
+            .unwrap()
+            .max_pool_stride(3, 2)
+            .unwrap()
+            .relu()
+            .lrn(3, 5e-5, 0.75, 1.0)
+            .unwrap()
+            .conv2d(8, 5, 1, 2, r)
+            .unwrap()
+            .relu()
+            .avg_pool(3, 2)
+            .unwrap()
+            .lrn(3, 5e-5, 0.75, 1.0)
+            .unwrap()
+            .conv2d(16, 5, 1, 2, r)
+            .unwrap()
+            .relu()
+            .avg_pool(3, 2)
+            .unwrap()
+            .flatten()
+            .linear(10, r)
+            .unwrap()
+            .build()
+    }
+
+    #[test]
+    fn shard_working_set_is_one_image_and_a_warm_shard_allocates_nothing() {
+        let mut r = rng();
+        let net = model_a_shaped(&mut r);
+        let one = r.normal(Shape::nchw(1, 3, 32, 32), 0.0, 1.0);
+        let eight = r.normal(Shape::nchw(8, 3, 32, 32), 0.0, 1.0);
+        let shard = |x: &Tensor, ws: &mut Workspace| {
+            let n = x.shape().dim(0);
+            net.infer_rows(x.shape().dims(), x.as_slice(), n, None, ws)
+                .unwrap()
+        };
+        let mut ws_one = Workspace::new();
+        shard(&one, &mut ws_one);
+        let mut ws = Workspace::new();
+        let first = shard(&eight, &mut ws);
+        // The largest buffer is one image's 5×5 patch matrix of the
+        // first conv, however many images the shard walks.
+        let largest = |ws: &Workspace| ws.capacities().last();
+        assert_eq!(largest(&ws), Some(3 * 5 * 5 * 32 * 32));
+        assert_eq!(largest(&ws), largest(&ws_one));
+        let warm: Vec<usize> = ws.capacities().collect();
+        let second = shard(&eight, &mut ws);
+        assert_eq!(ws.capacities().collect::<Vec<_>>(), warm);
+        assert_eq!(first, second);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //!
 //! Every product also has an `_into` variant that writes into a reusable
 //! caller-owned buffer (see [`crate::Workspace`]) so hot inference loops can
-//! run without per-call allocations.
+//! run without per-call allocations, and [`gemm`] adds `a × b` onto a
+//! caller's slice, for outputs laid out by the caller.
 //!
 //! All kernels propagate non-finite values: `0 × NaN = NaN` and
 //! `0 × ∞ = NaN` reach the output instead of being skipped, so upstream
@@ -15,10 +16,10 @@
 //!
 //! # SIMD tiers of `matmul`
 //!
-//! On x86-64 CPUs with AVX-512F or AVX2, [`matmul_into`] runs a packed,
-//! register-tiled kernel compiled for that extension by [`crate::simd`]
-//! and picked at run time; everywhere else it runs the portable blocked
-//! kernel. Both add
+//! On x86-64 CPUs with AVX-512F or AVX2, [`gemm`] (and [`matmul`] /
+//! [`matmul_into`] through it) runs a packed, register-tiled kernel
+//! compiled for that extension by [`crate::simd`] and picked at run time;
+//! everywhere else it runs the portable blocked kernel. Both add
 //! every output element's products in the same order, so the tiers are
 //! bit-identical.
 
@@ -307,6 +308,44 @@ fn reset(out: &mut Vec<f32>, len: usize) {
     out.resize(len, 0.0);
 }
 
+/// `out += a × b` over row-major slices: `a` is `m×k`, `b` is `k×n` and
+/// `out` is `m×n`.
+///
+/// The slice-level entry into the tiered GEMM behind [`matmul_into`],
+/// for a caller that owns its output layout: `Conv2d` inference
+/// multiplies each image's weights × patches straight into that image's
+/// slice of the NCHW output. The products are added onto `out`'s
+/// contents in the order every tier keeps, so a zeroed `out` receives
+/// exactly [`matmul`]'s result.
+///
+/// # Errors
+///
+/// Returns [`ShapeError`] if a slice's length is not the product of its
+/// dimensions.
+pub fn gemm(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+) -> Result<(), ShapeError> {
+    for (name, len, rows, cols) in [
+        ("a", a.len(), m, k),
+        ("b", b.len(), k, n),
+        ("out", out.len(), m, n),
+    ] {
+        if rows.checked_mul(cols) != Some(len) {
+            return Err(ShapeError::new(
+                "gemm",
+                format!("{name} must hold {rows}×{cols} elements, got {len}"),
+            ));
+        }
+    }
+    simd::gemm(Tier::detected(Family::Gemm), m, k, n, a, b, out);
+    Ok(())
+}
+
 /// Matrix product `a × b` written into a reusable buffer.
 ///
 /// `out` is cleared and resized to `m × n`; its existing capacity is
@@ -326,15 +365,7 @@ pub fn matmul_into(
     let (kb, n) = expect_matrix(b, "matmul", "b")?;
     check_inner("matmul", "inner dimensions", ka, kb)?;
     reset(out, m * n);
-    simd::gemm(
-        Tier::detected(Family::Gemm),
-        m,
-        ka,
-        n,
-        a.as_slice(),
-        b.as_slice(),
-        out,
-    );
+    gemm(m, ka, n, a.as_slice(), b.as_slice(), out)?;
     Ok((m, n))
 }
 
@@ -642,6 +673,31 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn gemm_adds_onto_a_slice_and_checks_lengths() {
+        // Small integers, so every sum below is exact.
+        let a = Tensor::from_fn([3, 5], |i| (i % 7) as f32 - 3.0);
+        let b = Tensor::from_fn([5, 4], |i| (i % 5) as f32 - 2.0);
+        let want = matmul(&a, &b).unwrap();
+        // The product lands in the middle of a larger buffer, as one
+        // image's slice of a batch output does.
+        let mut buf = [0.0f32; 20];
+        gemm(3, 5, 4, a.as_slice(), b.as_slice(), &mut buf[4..16]).unwrap();
+        assert_eq!(&buf[4..16], want.as_slice());
+        assert!(buf[..4].iter().chain(&buf[16..]).all(|&v| v == 0.0));
+        // A second call accumulates.
+        gemm(3, 5, 4, a.as_slice(), b.as_slice(), &mut buf[4..16]).unwrap();
+        for (x, y) in buf[4..16].iter().zip(want.iter()) {
+            assert_eq!(*x, y + y);
+        }
+        let err = gemm(3, 5, 4, &a.as_slice()[1..], b.as_slice(), &mut buf[4..16]).unwrap_err();
+        assert!(err.to_string().contains("a must hold 3×5"), "{err}");
+        assert!(gemm(3, 5, 4, a.as_slice(), &b.as_slice()[1..], &mut buf[4..16]).is_err());
+        assert!(gemm(3, 5, 4, a.as_slice(), b.as_slice(), &mut buf[4..15]).is_err());
+        assert!(gemm(usize::MAX, 2, 1, &[], &[0.0; 2], &mut []).is_err());
+        gemm(0, 5, 4, &[], b.as_slice(), &mut []).unwrap();
     }
 
     #[test]

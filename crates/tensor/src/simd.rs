@@ -6,7 +6,7 @@
 //!
 //! | [`Family`] | kernel | [`Tier::Avx512`] | [`Tier::Avx2`] |
 //! |---|---|---|---|
-//! | `Gemm` | the packed `f32` GEMM behind `linalg::matmul_into` | AVX-512F | AVX2 |
+//! | `Gemm` | the packed `f32` GEMM behind `linalg::gemm` | AVX-512F | AVX2 |
 //! | `Popcount` | a caller's XOR–popcount body, through [`run_popcount`] | AVX-512F/VL + VPOPCNTDQ | AVX2 + POPCNT |
 //! | `Int` | the channel-lane integer product [`LaneWeights::sums`], ladder [`LaneLadder::levels`] and packed-word readout [`LaneLadder::words`] | AVX-512F + VNNI | AVX2 |
 //!
@@ -42,7 +42,7 @@ use std::arch::x86_64::*;
 /// A kernel family: each has its own CPU features per [`Tier`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Family {
-    /// The packed `f32` GEMM of `linalg::matmul_into`.
+    /// The packed `f32` GEMM of `linalg::gemm`.
     Gemm,
     /// XOR–popcount bodies run through [`run_popcount`].
     Popcount,

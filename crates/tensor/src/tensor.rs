@@ -3,7 +3,7 @@ use std::ops::{Add, AddAssign, Mul, Sub};
 
 use serde::{Deserialize, Error, Serialize, Value};
 
-use crate::{Shape, ShapeError};
+use crate::{Shape, ShapeError, Workspace};
 
 /// An owned, row-major `f32` n-dimensional array.
 ///
@@ -201,6 +201,18 @@ impl Tensor {
         Tensor {
             shape: self.shape.clone(),
             data: self.data.iter().map(|&x| f(x)).collect(),
+        }
+    }
+
+    /// [`Tensor::map`] into a buffer drawn from `ws`, so an inference
+    /// layer's output reuses pooled memory instead of a fresh allocation.
+    pub fn map_with(&self, ws: &mut Workspace, f: impl Fn(f32) -> f32) -> Tensor {
+        let mut data = ws.take(self.len());
+        data.clear();
+        data.extend(self.data.iter().map(|&x| f(x)));
+        Tensor {
+            shape: self.shape.clone(),
+            data,
         }
     }
 

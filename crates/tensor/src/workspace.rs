@@ -1,21 +1,26 @@
 //! Reusable scratch buffers and thread-count configuration for batched
 //! inference.
 //!
-//! The hot inference path lowers every convolution through
-//! [`crate::conv::im2col_batch_into`] and a GEMM `_into` variant
-//! (see [`crate::linalg`]). Those kernels write into caller-owned
-//! `Vec<f32>` buffers; a [`Workspace`] pools such buffers so a layer can
-//! borrow scratch space per image and hand it back, keeping steady-state
-//! inference allocation-free. [`Parallelism`] says how many scoped worker
+//! Host inference walks one image at a time through every layer. Each
+//! convolution lowers the image with [`crate::conv::im2col_slice_into`]
+//! into a patch buffer and multiplies it with [`crate::linalg::gemm`]
+//! straight into the image's slice of the output. Every layer's output
+//! and every such patch buffer is a `Vec<f32>` drawn from a
+//! [`Workspace`], which pools them: a layer borrows a buffer, the next
+//! layer hands its input back, and after the first image the pool holds
+//! the whole working set, so steady-state inference allocates no
+//! activation memory. [`Parallelism`] says how many scoped worker
 //! threads a batched operation may shard its rows across.
 
 use serde::{Deserialize, Error, Serialize, Value};
 
 /// A pool of reusable `f32` scratch buffers.
 ///
-/// `take` hands out a buffer with at least the requested capacity
-/// (contents unspecified — kernels writing into it are responsible for
-/// initialisation); `put` returns it for reuse. One workspace serves one
+/// `take` hands out a buffer with at least the requested capacity;
+/// `put` returns it for reuse. A buffer comes back as its last user left
+/// it, length and contents included, so whoever takes one clears or
+/// overwrites it first (the `_into` kernels in [`crate::linalg`] and
+/// [`crate::conv`] clear it themselves). One workspace serves one
 /// thread: shards of a parallel batch each own their own `Workspace`.
 ///
 /// # Example
@@ -28,8 +33,9 @@ use serde::{Deserialize, Error, Serialize, Value};
 /// buf.clear();
 /// buf.resize(128, 0.0);
 /// ws.put(buf);
-/// let again = ws.take(64); // reuses the first buffer's allocation
+/// let mut again = ws.take(64); // reuses the first buffer's allocation
 /// assert!(again.capacity() >= 128);
+/// again.clear(); // it still holds the 128 zeros put back above
 /// ```
 #[derive(Debug, Default)]
 pub struct Workspace {
@@ -44,25 +50,32 @@ impl Workspace {
 
     /// Borrows a buffer with capacity for at least `len` elements.
     ///
-    /// The buffer's length and contents are unspecified; callers must
-    /// `clear`/`resize` (the `_into` kernels in [`crate::linalg`] and
-    /// [`crate::conv`] do this themselves). Prefers the pooled buffer
-    /// with the largest capacity so allocations converge to the high-water
-    /// mark of the workload.
+    /// The buffer's length and contents are whatever its last user left;
+    /// callers must `clear`/`resize` it (the `_into` kernels in
+    /// [`crate::linalg`] and [`crate::conv`] do this themselves). Hands
+    /// out the smallest pooled buffer that holds `len`, so a small
+    /// request never ties up the buffer a large one needs. When none
+    /// holds `len`, the largest is emptied and grown to exactly `len`:
+    /// the pool never holds more buffers than were ever in use at once,
+    /// nor one larger than the largest request.
     pub fn take(&mut self, len: usize) -> Vec<f32> {
+        let fits = self.free.partition_point(|b| b.capacity() < len);
+        if fits < self.free.len() {
+            return self.free.remove(fits);
+        }
         match self.free.pop() {
             Some(mut buf) => {
-                buf.reserve(len.saturating_sub(buf.len()));
+                buf.clear();
+                buf.reserve_exact(len);
                 buf
             }
             None => Vec::with_capacity(len),
         }
     }
 
-    /// Returns a buffer to the pool for later reuse.
-    pub fn put(&mut self, mut buf: Vec<f32>) {
-        buf.clear();
-        // Keep the pool sorted by capacity so `take` pops the largest.
+    /// Returns a buffer to the pool for later reuse, as it is.
+    pub fn put(&mut self, buf: Vec<f32>) {
+        // Keep the pool sorted by capacity for `take`'s search.
         let at = self
             .free
             .partition_point(|b| b.capacity() <= buf.capacity());
@@ -72,6 +85,11 @@ impl Workspace {
     /// Number of buffers currently pooled.
     pub fn pooled(&self) -> usize {
         self.free.len()
+    }
+
+    /// Capacities of the pooled buffers, smallest first.
+    pub fn capacities(&self) -> impl Iterator<Item = usize> + '_ {
+        self.free.iter().map(Vec::capacity)
     }
 }
 
@@ -161,14 +179,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn take_prefers_largest_pooled_buffer() {
+    fn take_picks_the_smallest_pooled_buffer_that_fits() {
         let mut ws = Workspace::new();
         ws.put(Vec::with_capacity(16));
         ws.put(Vec::with_capacity(256));
         ws.put(Vec::with_capacity(64));
-        let buf = ws.take(8);
-        assert!(buf.capacity() >= 256);
-        assert_eq!(ws.pooled(), 2);
+        assert_eq!(ws.take(8).capacity(), 16);
+        assert_eq!(ws.take(17).capacity(), 64);
+        assert_eq!(ws.pooled(), 1);
+        // None fits: the largest grows to exactly the request.
+        assert_eq!(ws.take(300).capacity(), 300);
+        assert_eq!(ws.pooled(), 0);
     }
 
     #[test]
@@ -177,6 +198,26 @@ mod tests {
         ws.put(Vec::with_capacity(4));
         let buf = ws.take(100);
         assert!(buf.capacity() >= 100);
+    }
+
+    #[test]
+    fn buffers_come_back_as_they_were_put_until_they_must_grow() {
+        let mut ws = Workspace::new();
+        let mut buf = ws.take(3);
+        buf.extend_from_slice(&[1.0, 2.0, 3.0]);
+        ws.put(buf);
+        assert_eq!(ws.capacities().collect::<Vec<_>>(), vec![3]);
+        // Fits: handed back untouched, stale contents included.
+        let buf = ws.take(2);
+        assert_eq!(buf, [1.0, 2.0, 3.0]);
+        ws.put(buf);
+        // Too small: emptied and grown to exactly the request.
+        let buf = ws.take(1000);
+        assert!(buf.is_empty());
+        assert_eq!(buf.capacity(), 1000);
+        ws.put(buf);
+        ws.put(Vec::with_capacity(10));
+        assert_eq!(ws.capacities().collect::<Vec<_>>(), vec![10, 1000]);
     }
 
     #[test]

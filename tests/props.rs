@@ -27,7 +27,7 @@ use multiprec::fpga::memory::{allocate_array, best_partition};
 use multiprec::fpga::stream_sim::StreamSim;
 use multiprec::int::{NetworkPrecision, PrecisionSpec, QuantBnn};
 use multiprec::nn::train::Model;
-use multiprec::nn::{Mode, Network};
+use multiprec::nn::{Mode, Network, NetworkBuilder};
 use multiprec::obs::SharedRecorder;
 use multiprec::serve::{BatchServer, BatcherConfig, Request};
 use multiprec::tensor::conv::{col2im, im2col, im2col_batch_into, ConvGeometry};
@@ -351,6 +351,70 @@ proptest! {
             prop_assert!(
                 same_bits(one.as_slice(), &batched.as_slice()[img * per_image..][..per_image]),
                 "image {img} of {n} on {threads} threads"
+            );
+        }
+    }
+
+    /// The host shard executor walks one image at a time through every
+    /// layer on one recycled workspace. On random small nets (a conv with
+    /// any kernel, stride and padding; ReLU; optional dropout, max-pool,
+    /// avg-pool, LRN and batch-norm; a second conv, 1×1 or 3×3; flatten
+    /// and linear) with random weights, biases and batch-norm statistics,
+    /// its scores equal per-image `forward` bit for bit at any batch size
+    /// and thread count.
+    #[test]
+    fn per_image_host_path_matches_forward(
+        c in 1usize..3, h in 2usize..10, w in 2usize..10,
+        k in 1usize..5, stride in 1usize..3, pad in 0usize..3,
+        od in 1usize..5, layers in 0u32..64,
+        n in 0usize..6, threads in 1usize..4, seed in any::<u64>()
+    ) {
+        prop_assume!(ConvGeometry::new(k, stride, pad).output_dim(h.min(w)) > 0);
+        let mut rng = TensorRng::seed_from(seed);
+        let mut b = Network::builder(Shape::nchw(1, c, h, w))
+            .conv2d(od, k, stride, pad, &mut rng)
+            .unwrap()
+            .relu();
+        let fits_pool = |b: &NetworkBuilder| {
+            let s = b.shape().unwrap();
+            s.dim(2).min(s.dim(3)) >= 2
+        };
+        if layers & 1 != 0 {
+            b = b.dropout(0.5, seed).unwrap();
+        }
+        if layers & 2 != 0 && fits_pool(&b) {
+            b = b.max_pool(2).unwrap();
+        }
+        if layers & 4 != 0 && fits_pool(&b) {
+            b = b.avg_pool(2, 1).unwrap();
+        }
+        if layers & 8 != 0 {
+            b = b.lrn(3, 0.5, 0.75, 1.0).unwrap();
+        }
+        if layers & 16 != 0 {
+            b = b.batch_norm().unwrap();
+        }
+        b = if layers & 32 != 0 {
+            b.conv2d(3, 1, 1, 0, &mut rng)
+        } else {
+            b.conv2d(3, 3, 1, 1, &mut rng)
+        }
+        .unwrap();
+        let mut net = b.flatten().linear(4, &mut rng).unwrap().build();
+        // Nonzero biases and batch-norm shifts, so a bias added twice or
+        // a stale output buffer shows in the scores.
+        net.visit_params(&mut |p, _| *p = rng.normal(p.shape().clone(), 0.0, 0.5));
+        // One training step moves the batch-norm running statistics.
+        net.forward_mode(&rng.normal(Shape::nchw(2, c, h, w), 0.0, 1.0), Mode::Train)
+            .unwrap();
+        let x = rng.normal(Shape::nchw(n, c, h, w), 0.0, 1.0);
+        let batched = net.infer_batch_with(&x, Parallelism::new(threads)).unwrap();
+        prop_assert_eq!(batched.shape().dims(), &[n, 4][..]);
+        for img in 0..n {
+            let one = net.forward(&x.batch_item(img).unwrap()).unwrap();
+            prop_assert!(
+                same_bits(one.as_slice(), &batched.as_slice()[img * 4..][..4]),
+                "image {img} of {n} on {threads} threads, layers {layers:06b}"
             );
         }
     }
