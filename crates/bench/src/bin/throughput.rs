@@ -1,28 +1,16 @@
-//! Throughput of the data-parallel batched inference engine against the
-//! live per-image reference paths, measured in the same process run:
+//! Observability overhead on the combined pipeline: the default
+//! (null-recorder) [`MultiPrecisionPipeline::execute`] against a
+//! hand-rolled uninstrumented replica of the same batched computation,
+//! and against a fully instrumented run with a [`SharedRecorder`] whose
+//! report is written to `results/obs_throughput.json`.
 //!
-//! - **BNN**: [`HardwareBnn::infer_batch`] (the per-image
-//!   `infer_image` loop) vs [`HardwareBnn::infer_batch_with`] (scratch
-//!   reuse + channel-lane first engine + channel-packed binary maps +
-//!   image sharding);
-//! - **host**: a per-image [`Network::forward`] loop vs
-//!   [`Network::infer_batch_with`] (image sharding, each shard walking
-//!   one image at a time through every layer on a reused workspace);
-//! - **combined**: a per-image BNN → DMU → host loop vs the
-//!   [`MultiPrecisionPipeline`] with both optimised engines;
-//! - **obs**: the default (null-recorder) [`MultiPrecisionPipeline::execute`]
-//!   vs a hand-rolled uninstrumented replica of the same batched
-//!   computation, and vs a fully instrumented run with a
-//!   [`SharedRecorder`] whose report is written to
-//!   `results/obs_throughput.json`.
-//!
-//! Every optimised arm is asserted bit-identical to its reference before
-//! timing is reported. Appends `results/throughput.json`. With
-//! `--gate-overhead` the process exits non-zero if the null-recorder
-//! overhead (the median, over interleaved pairs, of each pair's
-//! NullRecorder / uninstrumented time ratio) exceeds 3% (the CI smoke
-//! gate). These arms time a scaled topology; paperbench measures the
-//! paper-shaped workloads, overlap included (`pipeline.overlap_frac`).
+//! The replica and the instrumented run must predict exactly what the
+//! pipeline predicts before any time is reported. Appends
+//! `results/throughput.json`. With `--gate-overhead` the process exits
+//! non-zero if the null-recorder overhead (the median, over interleaved
+//! pairs, of each pair's NullRecorder / uninstrumented time ratio)
+//! exceeds 3% (the CI smoke gate). The system is a scaled topology;
+//! paperbench measures the paper-shaped workloads.
 
 use std::time::Instant;
 
@@ -37,51 +25,18 @@ use mp_nn::train::Model;
 use mp_nn::{Mode, Network};
 use mp_obs::SharedRecorder;
 use mp_tensor::init::TensorRng;
-use mp_tensor::{nan_aware_argmax, Parallelism, Shape, Tensor};
+use mp_tensor::{Parallelism, Shape, Tensor};
 
 /// The null-recorder overhead the CI gate tolerates.
 const OVERHEAD_GATE: f64 = 0.03;
-
-/// Timed pairs of the obs arm per rep of the other arms. A smoke rep of
-/// the combined pipeline lasts well under a millisecond, so the median
-/// needs many pairs to settle below the gate's 3 %.
-const OBS_PAIRS_PER_REP: usize = 10;
-
-/// One baseline/optimised pair, in images per second.
-#[derive(Debug, Serialize)]
-struct ArmRecord {
-    baseline_img_per_s: f64,
-    optimized_img_per_s: f64,
-    speedup: f64,
-}
-
-impl ArmRecord {
-    /// Builds the record from each side's best (minimum) rep time: on a
-    /// shared core the interleaved sums absorb scheduler noise on both
-    /// sides, and min-over-reps is the standard way to reject it.
-    fn new(n_images: usize, baseline_s: f64, optimized_s: f64) -> Self {
-        let total = n_images as f64;
-        let baseline = total / baseline_s.max(f64::MIN_POSITIVE);
-        let optimized = total / optimized_s.max(f64::MIN_POSITIVE);
-        Self {
-            baseline_img_per_s: baseline,
-            optimized_img_per_s: optimized,
-            speedup: optimized / baseline,
-        }
-    }
-}
 
 #[derive(Debug, Serialize)]
 struct ThroughputRecord {
     seed: u64,
     smoke: bool,
     images: usize,
-    reps: usize,
+    pairs: usize,
     threads: usize,
-    bnn: ArmRecord,
-    host: ArmRecord,
-    combined: ArmRecord,
-    predictions_identical: bool,
     obs: ObsArmRecord,
 }
 
@@ -161,39 +116,16 @@ fn combined_uninstrumented(
     preds
 }
 
-/// The pre-optimisation combined pipeline: one image at a time through
-/// BNN → DMU, with a per-image host rerun for every flagged image.
-fn combined_baseline(
-    hw: &HardwareBnn,
-    dmu: &Dmu,
-    host: &mut Network,
-    data: &Dataset,
-    threshold: f32,
-) -> Vec<usize> {
-    let n = data.len();
-    let mut preds = Vec::with_capacity(n);
-    for i in 0..n {
-        let img = data.images().batch_item(i).expect("image");
-        let scores: Vec<f32> = hw
-            .infer_image(&img)
-            .expect("bnn scores")
-            .into_iter()
-            .map(|s| s as f32)
-            .collect();
-        let pred = nan_aware_argmax(&scores).expect("comparable scores");
-        if dmu.predict(&scores) >= threshold {
-            preds.push(pred);
-        } else {
-            let s = host.forward(&img).expect("host scores");
-            preds.push(Network::argmax_rows(&s).expect("argmax")[0]);
-        }
-    }
-    preds
-}
-
 fn main() {
     let opts_cli = CliOptions::parse();
-    let (n_images, reps) = if opts_cli.smoke { (200, 20) } else { (600, 80) };
+    // A smoke run of the combined pipeline lasts well under a
+    // millisecond, so the median needs many pairs to settle below the
+    // gate's 3 %.
+    let (n_images, pairs) = if opts_cli.smoke {
+        (200, 200)
+    } else {
+        (600, 800)
+    };
     let par = Parallelism::available();
     let threshold = 0.5f32;
 
@@ -208,7 +140,7 @@ fn main() {
     let hw = HardwareBnn::from_classifier(&bnn).expect("hardware export");
     let dmu = Dmu::with_weights(vec![0.1; 10], 0.0);
     let data = SynthSpec::tiny().generate(n_images).expect("dataset");
-    let mut host = Network::builder(Shape::nchw(1, 3, 8, 8))
+    let host = Network::builder(Shape::nchw(1, 3, 8, 8))
         .conv2d(16, 3, 1, 1, &mut rng)
         .expect("conv1")
         .batch_norm()
@@ -225,91 +157,15 @@ fn main() {
         .softmax()
         .build();
 
-    // --- BNN arm ---
-    let bnn_ref = hw.infer_batch(data.images()).expect("bnn reference");
-    let bnn_opt = hw
-        .infer_batch_with(data.images(), par)
-        .expect("bnn optimized");
-    assert_eq!(
-        bnn_ref.as_slice(),
-        bnn_opt.as_slice(),
-        "optimized BNN path must be bit-identical"
-    );
-    // Baseline and optimised reps are interleaved in every arm so clock
-    // drift and scheduler noise land on both sides equally; each side
-    // reports its best rep.
-    let (mut bnn_base_s, mut bnn_opt_s) = (f64::MAX, f64::MAX);
-    for _ in 0..reps {
-        let t = Instant::now();
-        std::hint::black_box(hw.infer_batch(data.images()).expect("bnn reference"));
-        bnn_base_s = bnn_base_s.min(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        std::hint::black_box(
-            hw.infer_batch_with(data.images(), par)
-                .expect("bnn optimized"),
-        );
-        bnn_opt_s = bnn_opt_s.min(t.elapsed().as_secs_f64());
-    }
-
-    // --- host arm ---
-    let mut host_ref_scores: Vec<f32> = Vec::new();
-    for i in 0..n_images {
-        let img = data.images().batch_item(i).expect("image");
-        host_ref_scores.extend(host.forward(&img).expect("host forward").iter());
-    }
-    let host_opt = host
-        .infer_batch_with(data.images(), par)
-        .expect("host optimized");
-    assert_eq!(
-        host_opt.as_slice(),
-        &host_ref_scores[..],
-        "optimized host path must be bit-identical"
-    );
-    let (mut host_base_s, mut host_opt_s) = (f64::MAX, f64::MAX);
-    for _ in 0..reps {
-        let t = Instant::now();
-        for i in 0..n_images {
-            let img = data.images().batch_item(i).expect("image");
-            std::hint::black_box(host.forward(&img).expect("host forward"));
-        }
-        host_base_s = host_base_s.min(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        std::hint::black_box(
-            host.infer_batch_with(data.images(), par)
-                .expect("host optimized"),
-        );
-        host_opt_s = host_opt_s.min(t.elapsed().as_secs_f64());
-    }
-
-    // --- combined arm ---
     let timing = PipelineTiming::new(1.0 / 430.0, 1.0 / 30.0, 32);
     let pipeline = MultiPrecisionPipeline::new(&hw, &dmu, threshold).with_parallelism(par);
     let opts = RunOptions::new(timing).with_host_accuracy(0.5);
-    let base_preds = combined_baseline(&hw, &dmu, &mut host, &data, threshold);
-    let opt_result = pipeline
-        .execute(&host, &data, &opts)
-        .expect("combined optimized");
-    let predictions_identical = base_preds == opt_result.predictions;
-    assert!(
-        predictions_identical,
-        "optimized pipeline must match the per-image reference predictions"
-    );
-    let (mut combined_base_s, mut combined_opt_s) = (f64::MAX, f64::MAX);
-    for _ in 0..reps {
-        let t = Instant::now();
-        std::hint::black_box(combined_baseline(&hw, &dmu, &mut host, &data, threshold));
-        combined_base_s = combined_base_s.min(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        std::hint::black_box(pipeline.execute(&host, &data, &opts).expect("combined"));
-        combined_opt_s = combined_opt_s.min(t.elapsed().as_secs_f64());
-    }
-
-    // --- obs arm: what does instrumentation cost? ---
+    let result = pipeline.execute(&host, &data, &opts).expect("pipeline");
     // The replica must agree with the pipeline before its time means
     // anything.
     let replica = combined_uninstrumented(&hw, &dmu, &host, &data, threshold, par);
     assert_eq!(
-        replica, opt_result.predictions,
+        replica, result.predictions,
         "uninstrumented replica must match the pipeline predictions"
     );
     let rec = SharedRecorder::new();
@@ -318,7 +174,7 @@ fn main() {
         .execute(&host, &data, &obs_opts)
         .expect("instrumented");
     assert_eq!(
-        obs_result.predictions, opt_result.predictions,
+        obs_result.predictions, result.predictions,
         "recording must be passive"
     );
     // Each pair times the uninstrumented replica and the NullRecorder run
@@ -338,7 +194,7 @@ fn main() {
     let null = || {
         std::hint::black_box(pipeline.execute(&host, &data, &opts).expect("null"));
     };
-    for pair in 0..OBS_PAIRS_PER_REP * reps {
+    for pair in 0..pairs {
         if pair % 2 == 0 {
             raw_s.push(time(&raw));
             null_s.push(time(&null));
@@ -350,7 +206,6 @@ fn main() {
             std::hint::black_box(pipeline.execute(&host, &data, &obs_opts).expect("shared"));
         }));
     }
-    let obs_arm = ObsArmRecord::new(n_images, &raw_s, &null_s, &shared_s);
 
     let report = rec.report();
     mp_obs::schema::validate_report(&report).expect("obs report validates");
@@ -363,32 +218,10 @@ fn main() {
         seed: opts_cli.seed,
         smoke: opts_cli.smoke,
         images: n_images,
-        reps,
+        pairs,
         threads: par.threads(),
-        bnn: ArmRecord::new(n_images, bnn_base_s, bnn_opt_s),
-        host: ArmRecord::new(n_images, host_base_s, host_opt_s),
-        combined: ArmRecord::new(n_images, combined_base_s, combined_opt_s),
-        predictions_identical,
-        obs: obs_arm,
+        obs: ObsArmRecord::new(n_images, &raw_s, &null_s, &shared_s),
     };
-
-    let mut table = TextTable::new(&["arm", "baseline img/s", "optimized img/s", "speedup"]);
-    for (name, arm) in [
-        ("bnn", &record.bnn),
-        ("host", &record.host),
-        ("combined", &record.combined),
-    ] {
-        table.row(&[
-            name.into(),
-            format!("{:.1}", arm.baseline_img_per_s),
-            format!("{:.1}", arm.optimized_img_per_s),
-            format!("{:.2}x", arm.speedup),
-        ]);
-    }
-    table.print(&format!(
-        "batched inference throughput ({n_images} images x {reps} reps, {} thread(s))",
-        par.threads()
-    ));
 
     let mut obs_table = TextTable::new(&[
         "pipeline variant",
@@ -410,7 +243,10 @@ fn main() {
         format!("{:.1}", record.obs.shared_recorder_img_per_s),
         format!("{:.2}%", 100.0 * record.obs.shared_overhead_frac),
     ]);
-    obs_table.print("observability overhead (combined pipeline)");
+    obs_table.print(&format!(
+        "observability overhead (combined pipeline, {n_images} images x {pairs} pairs, {} thread(s))",
+        par.threads()
+    ));
 
     write_record("throughput", &record);
 

@@ -11,10 +11,10 @@
 use serde::{Deserialize, Error, Serialize, Value};
 
 use mp_obs::{now_ns, Recorder};
-use mp_tensor::simd::{Family, LaneLadder, LaneWeights, Tier};
+use mp_tensor::simd::{Family, LaneLadder, LaneWeights, PopcountConv, Tier};
 use mp_tensor::{Parallelism, Shape, ShapeError, Tensor};
 
-use crate::bin_conv::PackedConv;
+use crate::bin_conv;
 use crate::bits::{BitMatrix, BitVec};
 use crate::classifier::{BnnClassifier, Stage};
 use crate::{EngineSpec, FinnTopology};
@@ -269,10 +269,10 @@ impl HwStage {
             ));
         }
         // A `BinConv` row's popcount range lies in `0..=fan_in` and is
-        // stored in u32 lanes (see `PackedConv`).
+        // passed to `PopcountConv` as u32 bounds (see `bin_conv::pack`).
         if matches!(self, HwStage::BinConv { .. }) && u32::try_from(cols).is_err() {
             return Err(format!(
-                "stage {i} fan-in {cols} overflows the BinConv popcount ranges' u32 lanes"
+                "stage {i} fan-in {cols} overflows the BinConv popcount ranges' u32 bounds"
             ));
         }
         Ok(())
@@ -310,7 +310,7 @@ pub struct HardwareBnn {
     first: FirstLanes,
     /// Per `BinConv` stage, in order: its weights repacked and its
     /// thresholds folded into popcount ranges at construction.
-    convs: Vec<PackedConv>,
+    convs: Vec<PopcountConv>,
 }
 
 impl Serialize for HardwareBnn {
@@ -451,7 +451,7 @@ impl HardwareBnn {
                     in_channels,
                     kernel,
                     ..
-                } => convs.push(PackedConv::new(weights, thresholds, *in_channels, *kernel)),
+                } => convs.push(bin_conv::pack(weights, thresholds, *in_channels, *kernel)?),
                 HwStage::BinFc { .. } | HwStage::OutputFc { .. } => {}
             }
         }
@@ -763,9 +763,9 @@ impl HardwareBnn {
     /// each image's `i16` pixels and stores each pixel's threshold
     /// compare mask as its channel-packed map word. Every binary map
     /// stays channel-packed between engines, so each `BinConv` patch is
-    /// `k` runs of contiguous words dotted against weights repacked once
-    /// at construction. Integer arithmetic keeps every accumulation
-    /// exact.
+    /// `k` runs of contiguous words, read in place and dotted against
+    /// weights repacked once at construction. Integer arithmetic keeps
+    /// every accumulation exact.
     ///
     /// # Errors
     ///
@@ -904,10 +904,10 @@ impl HardwareBnn {
     ///   on `tiers.int`, and the one-bound ladder's compare mask of each
     ///   pixel is its map word.
     /// - A `BinConv` patch is `k` runs of `k·⌈c/64⌉` contiguous map
-    ///   words, in the `(ky, kx, ch)` order of the repacked weights, and
-    ///   its dot is `fan_in − 2·Σ popcount(w ^ x)`: padding bits are
-    ///   zero in both operands. `BinConv` engines run on
-    ///   `tiers.popcount` (see [`PackedConv::run`]).
+    ///   words, read in place in the `(ky, kx, ch)` order of the
+    ///   repacked weights, and its dot is `fan_in − 2·Σ popcount(w ^ x)`:
+    ///   padding bits are zero in both operands. `BinConv` engines run
+    ///   `PopcountConv::run` on `tiers.popcount` (see [`bin_conv::pack`]).
     /// - The last map is unpacked once into the reference `(ch, y, x)`
     ///   bit order for the FC engines.
     ///
@@ -927,7 +927,6 @@ impl HardwareBnn {
             sums,
             map,
             next,
-            patch,
             fc_out,
             fc_in,
             acc,
@@ -963,8 +962,9 @@ impl HardwareBnn {
                     let conv = convs
                         .next()
                         .expect("checked construction packs every BinConv");
-                    let dims = map_dims.expect("checked construction puts convs first");
-                    let mut out_dims = conv.run(tiers.popcount, map, dims, patch, next);
+                    let (_, h, w) = map_dims.expect("checked construction puts convs first");
+                    let (oh, ow) = conv.run(tiers.popcount, map, (h, w), next);
+                    let mut out_dims = (conv.rows(), oh, ow);
                     std::mem::swap(map, next);
                     if *pool {
                         out_dims = or_pool_words(map, out_dims, next);
@@ -1018,7 +1018,7 @@ impl HardwareBnn {
 }
 
 /// The SIMD tiers one batch runs on: the first engine's integer lanes
-/// and the `BinConv` popcount body. Each family has its own tier: a CPU
+/// and the `BinConv` popcount kernel. Each family has its own tier: a CPU
 /// may run AVX-512 VNNI without VPOPCNTDQ.
 #[derive(Debug, Clone, Copy)]
 struct Tiers {
@@ -1088,8 +1088,6 @@ struct HwScratch {
     map: Vec<u64>,
     /// Next channel-packed activation map (swapped each stage).
     next: Vec<u64>,
-    /// One `BinConv` im2col patch: `k` runs of `k·⌈c/64⌉` map words.
-    patch: Vec<u64>,
     /// Threshold outputs of an inner FC engine.
     fc_out: Vec<bool>,
     /// Bit-packed FC input vector.
@@ -1106,7 +1104,6 @@ impl Default for HwScratch {
             sums: Vec::new(),
             map: Vec::new(),
             next: Vec::new(),
-            patch: Vec::new(),
             fc_out: Vec::new(),
             fc_in: BitVec::zeros(0),
             acc: Vec::new(),
@@ -1586,11 +1583,10 @@ mod tests {
     #[test]
     fn every_supported_tier_matches_infer_image_and_the_portable_tier() {
         let mut rng = TensorRng::seed_from(90);
-        // The paper topology, whose maps fill whole 8-row groups, and one
+        // The paper topology, whose maps fill whole 64-row blocks, and one
         // of 70-channel maps: two words per pixel, the second partial
-        // (rows 70..128 of the first engine's lanes never fire), and a
-        // partial last `BinConv` group (rows 64..70 of group 8, rows
-        // 70..72 never fire).
+        // (rows 70..128 of the first engine's lanes and of the last
+        // `BinConv` block never fire).
         let seventy = FinnTopology::new(
             3,
             12,

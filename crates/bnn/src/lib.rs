@@ -22,13 +22,13 @@
 //! # `unsafe`
 //!
 //! None: this crate is `#![forbid(unsafe_code)]`. The batch path's
-//! `BinConv` kernel is a safe-Rust body that
-//! `mp_tensor::simd::run_popcount` builds for AVX-512 VPOPCNTDQ, AVX2 +
-//! POPCNT and baseline x86-64, and its first engine runs that module's
-//! channel-lane integer kernel (`LaneWeights` pairs and a one-bound
-//! `LaneLadder` read out as packed words); the module holds the
-//! workspace's CPU detection, `#[target_feature]` builds and `unsafe`
-//! calls.
+//! `BinConv` engines run `mp_tensor::simd::PopcountConv` (built for
+//! AVX-512 VPOPCNTDQ, for AVX2 and portably; this crate only repacks
+//! the weights and folds the thresholds into popcount ranges), and its
+//! first engine runs that module's channel-lane integer kernel
+//! (`LaneWeights` pairs and a one-bound `LaneLadder` read out as packed
+//! words); the module holds the workspace's CPU detection,
+//! `#[target_feature]` builds and `unsafe` calls.
 //!
 //! # Example
 //!

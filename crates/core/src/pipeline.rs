@@ -1302,6 +1302,43 @@ mod tests {
         assert_eq!(seq.host_subset_accuracy, par.host_subset_accuracy);
     }
 
+    /// `execute` predicts what one image at a time through
+    /// `HardwareBnn::infer_image`, `Dmu::predict` and `Network::forward`
+    /// predicts, on both executors and with sharded engines.
+    #[test]
+    fn execute_matches_a_per_image_reference_loop() {
+        let (hw, dmu, data, mut host) = tiny_system();
+        let threshold = 0.6;
+        let (mut reference, mut reruns) = (Vec::new(), 0);
+        for i in 0..data.len() {
+            let image = data.images().batch_item(i).unwrap();
+            let scores: Vec<f32> = hw
+                .infer_image(&image)
+                .unwrap()
+                .into_iter()
+                .map(|s| s as f32)
+                .collect();
+            if dmu.predict(&scores) >= threshold {
+                reference.push(nan_aware_argmax(&scores).unwrap());
+            } else {
+                reruns += 1;
+                let scores = host.forward(&image).unwrap();
+                reference.push(Network::argmax_rows(&scores).unwrap()[0]);
+            }
+        }
+        assert!(0 < reruns && reruns < data.len(), "a strict subset reruns");
+        for opts in [modeled_opts(), threaded_opts()] {
+            for threads in [1, 2] {
+                let r = MultiPrecisionPipeline::new(&hw, &dmu, threshold)
+                    .with_parallelism(Parallelism::new(threads))
+                    .execute(&host, &data, &opts)
+                    .unwrap();
+                assert_eq!(r.predictions, reference, "threads={threads}");
+                assert_eq!(r.rerun_count, reruns);
+            }
+        }
+    }
+
     #[test]
     fn quantized_one_bit_corner_matches_default_path() {
         let (bnn, hw, dmu, data, host) = tiny_system_full();

@@ -7,30 +7,31 @@
 //! | [`Family`] | kernel | [`Tier::Avx512`] | [`Tier::Avx2`] |
 //! |---|---|---|---|
 //! | `Gemm` | the packed `f32` GEMM behind `linalg::gemm` | AVX-512F | AVX2 |
-//! | `Popcount` | a caller's XOR–popcount body, through [`run_popcount`] | AVX-512F/VL + VPOPCNTDQ | AVX2 + POPCNT |
+//! | `Popcount` | the binary convolution [`PopcountConv::run`]: XOR–popcount–threshold over channel-packed maps | AVX-512F + VPOPCNTDQ | AVX2 (a `vpshufb` nibble-table popcount) |
 //! | `Int` | the channel-lane integer product [`LaneWeights::sums`], ladder [`LaneLadder::levels`] and packed-word readout [`LaneLadder::words`] | AVX-512F + VNNI | AVX2 |
 //!
 //! The `Int` family serves two engines: `mp-int`'s `QuantBnn` dense path
 //! (level ladders) and `mp-bnn`'s `HardwareBnn` first engine (`i16`
 //! pixel pairs against ±1 weights, one-bound ladders read out as
-//! channel-packed words).
+//! channel-packed words). The `Popcount` family serves `HardwareBnn`'s
+//! `BinConv` engines.
 //!
 //! Every other CPU, and every tier whose features the CPU lacks, runs
 //! [`Tier::Portable`]. On x86-64 the portable `i16` pair product is an
 //! SSE2 `pmaddwd` body (SSE2 is part of the baseline, so no check is
 //! needed); elsewhere it is plain Rust. Each tier computes the portable
 //! definition's result bit for bit: the GEMM keeps one summation order,
-//! and the integer kernels add integers, whose sum does not depend on
-//! order. No flag,
-//! environment variable, feature or configuration field selects a tier;
+//! and the integer and popcount kernels add integers, whose sum does not
+//! depend on order. No flag, environment variable, feature or
+//! configuration field selects a tier;
 //! tests compare every tier of [`Tier::supported`] against the portable
 //! one.
 //!
 //! Calling a `#[target_feature]` function is `unsafe` because the CPU
 //! must support the features. Every such call below sits behind
 //! [`Tier::runs`], which checks them with `is_x86_feature_detected!`.
-//! The integer kernels also load and store through raw pointers into
-//! slices whose lengths are checked first.
+//! The integer and popcount kernels also load and store through raw
+//! pointers into slices whose lengths are checked first.
 
 use std::ops::RangeInclusive;
 
@@ -44,7 +45,7 @@ use std::arch::x86_64::*;
 pub enum Family {
     /// The packed `f32` GEMM of `linalg::gemm`.
     Gemm,
-    /// XOR–popcount bodies run through [`run_popcount`].
+    /// The binary convolution kernel ([`PopcountConv`]).
     Popcount,
     /// The channel-lane integer kernels ([`LaneWeights`], [`LaneLadder`]).
     Int,
@@ -99,18 +100,12 @@ impl Tier {
         match self {
             Self::Portable => true,
             #[cfg(target_arch = "x86_64")]
-            Self::Avx2 => match family {
-                Family::Gemm | Family::Int => is_x86_feature_detected!("avx2"),
-                Family::Popcount => {
-                    is_x86_feature_detected!("avx2") && is_x86_feature_detected!("popcnt")
-                }
-            },
+            Self::Avx2 => is_x86_feature_detected!("avx2"),
             #[cfg(target_arch = "x86_64")]
             Self::Avx512 => match family {
                 Family::Gemm => is_x86_feature_detected!("avx512f"),
                 Family::Popcount => {
                     is_x86_feature_detected!("avx512f")
-                        && is_x86_feature_detected!("avx512vl")
                         && is_x86_feature_detected!("avx512vpopcntdq")
                 }
                 Family::Int => {
@@ -165,62 +160,13 @@ fn gemm_avx2(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]
     crate::linalg::packed::packed_gemm::<24>(m, k, n, a, b, out);
 }
 
-// ---- Popcount ----
-
-/// A kernel body that [`run_popcount`] compiles into each tier's build.
-pub trait TierBody {
-    /// What the body returns.
-    type Output;
-
-    /// Runs the body. Mark the implementation `#[inline(always)]`: the
-    /// dispatch calls it from a function built for the tier's features,
-    /// and only an inlined body is compiled with them.
-    fn run(self) -> Self::Output;
-}
-
-/// Runs `body` built for `tier`'s popcount features (AVX-512F/VL +
-/// VPOPCNTDQ, or AVX2 + POPCNT), or as baseline x86-64 when the CPU
-/// lacks them. `u64::count_ones` in the body becomes `vpopcntq`, a
-/// `vpshufb` nibble table, or a bit-trick sequence.
-pub fn run_popcount<B: TierBody>(tier: Tier, body: B) -> B::Output {
-    match tier {
-        #[cfg(target_arch = "x86_64")]
-        Tier::Avx512 if tier.runs(Family::Popcount) => {
-            // SAFETY: `runs` just confirmed that this CPU executes
-            // AVX-512F, AVX-512VL and AVX-512 VPOPCNTDQ, the features
-            // `popcount_avx512` is compiled with.
-            unsafe { popcount_avx512(body) }
-        }
-        #[cfg(target_arch = "x86_64")]
-        Tier::Avx2 if tier.runs(Family::Popcount) => {
-            // SAFETY: `runs` just confirmed that this CPU executes AVX2
-            // and POPCNT, the features `popcount_avx2` is compiled with.
-            unsafe { popcount_avx2(body) }
-        }
-        _ => body.run(),
-    }
-}
-
-/// `body` compiled for AVX-512 VPOPCNTDQ.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,avx512vpopcntdq")]
-fn popcount_avx512<B: TierBody>(body: B) -> B::Output {
-    body.run()
-}
-
-/// `body` compiled for AVX2 and POPCNT.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,popcnt")]
-fn popcount_avx2<B: TierBody>(body: B) -> B::Output {
-    body.run()
-}
-
 // ---- Int: the channel-lane integer kernels ----
 
 /// `i32` lanes of one 512-bit channel group.
 const LANES: usize = 16;
 
-/// Output channels per register block: four 16-lane groups.
+/// Output channels per register block: four 16-lane `i32` groups, or
+/// eight 8-lane `u64` groups in the popcount kernel.
 const BLOCK: usize = 64;
 
 /// The activation element of an integer lane product, and with it the
@@ -1067,6 +1013,398 @@ fn words_avx2(l: &LaneLadder, sums: &[i32], lanes: usize, out: &mut [u64]) {
     }
 }
 
+// ---- Popcount: the binary convolution kernel ----
+
+/// The firing range no popcount falls in (`lo > hi`): padding rows.
+const NEVER: (u64, u64) = (1, 0);
+
+/// Patch words the AVX2 build adds into byte counters between two
+/// widenings: each word adds at most 8 to a byte, and `31·8 ≤ 255`.
+#[cfg(target_arch = "x86_64")]
+const BYTE_WORDS: usize = 31;
+
+/// A valid `k×k` binary convolution over channel-packed maps, packed
+/// once in the popcount lane layout: weights `[⌈rows/64⌉ blocks][plen][64
+/// rows]` with `plen = k·k·words` patch words, and each row's firing
+/// range `lo ≤ d ≤ hi` as one `u64` lane of a 64-lane block. Rows past
+/// `rows` are zero and never fire.
+///
+/// A map holds `words` `u64` per pixel, pixels row-major. Output pixel
+/// `(oy, ox)`'s patch is the `k` runs of `k·words` contiguous map words
+/// that start at pixels `(oy + ky, ox)`, and row `r` fires iff
+/// `lo_r ≤ d ≤ hi_r` with `d = Σ_i popcount(w_r[i] ^ x[i])` over the
+/// patch words `x` in that order. `d` is an integer sum, so neither the
+/// lane width nor the popcount instruction changes it.
+#[derive(Debug, Clone)]
+pub struct PopcountConv {
+    rows: usize,
+    words: usize,
+    kernel: usize,
+    weights: Vec<u64>,
+    lo: Vec<u64>,
+    hi: Vec<u64>,
+}
+
+impl PopcountConv {
+    /// Packs `rows` weight rows of `k·k·words` patch words each:
+    /// `row(r, words)` writes row `r`'s words into a zeroed slice (word
+    /// `(ky·k + kx)·words + j` meets map word `j` of pixel
+    /// `(oy + ky, ox + kx)`) and returns the row's firing range
+    /// `(lo, hi)`; `lo > hi` never fires. Rows go straight into the
+    /// packed layout, one row buffer reused, so construction leaves no
+    /// large temporary behind.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError`] when `rows`, `words` or `k` is 0.
+    pub fn new(
+        rows: usize,
+        (words, k): (usize, usize),
+        mut row: impl FnMut(usize, &mut [u64]) -> (u32, u32),
+    ) -> Result<Self, ShapeError> {
+        let plen = k * k * words;
+        if plen == 0 || rows == 0 {
+            return Err(ShapeError::new(
+                "PopcountConv::new",
+                format!("{rows} rows of {k}×{k}×{words} words"),
+            ));
+        }
+        let lanes = rows.div_ceil(BLOCK) * BLOCK;
+        let mut weights = vec![0; lanes * plen];
+        let (mut lo, mut hi) = (vec![NEVER.0; lanes], vec![NEVER.1; lanes]);
+        let mut buf = vec![0; plen];
+        for r in 0..rows {
+            buf.fill(0);
+            let (l, h) = row(r, &mut buf);
+            (lo[r], hi[r]) = (u64::from(l), u64::from(h));
+            let block = &mut weights[r / BLOCK * plen * BLOCK..][..plen * BLOCK];
+            for (dst, &word) in block[r % BLOCK..].iter_mut().step_by(BLOCK).zip(&buf) {
+                *dst = word;
+            }
+        }
+        Ok(Self {
+            rows,
+            words,
+            kernel: k,
+            weights,
+            lo,
+            hi,
+        })
+    }
+
+    /// Output rows (channels).
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Runs the convolution over an `(h, w)` map of `words` words per
+    /// pixel on `tier`, or on the portable build when the CPU lacks the
+    /// tier's features. `out` is cleared and filled with the
+    /// channel-packed `(oh, ow)` output map, `⌈rows/64⌉` words per pixel:
+    /// row `r` is bit `r % 64` of word `r / 64`, and bits past `rows` are
+    /// zero. Returns `(oh, ow) = (h − k + 1, w − k + 1)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `h` or `w` is below `k`, or `map.len() != h·w·words`.
+    pub fn run(
+        &self,
+        tier: Tier,
+        map: &[u64],
+        (h, w): (usize, usize),
+        out: &mut Vec<u64>,
+    ) -> (usize, usize) {
+        let k = self.kernel;
+        assert!(
+            h >= k && w >= k && map.len() == h * w * self.words,
+            "map must be {h}×{w} pixels of {} words, at least {k}×{k}",
+            self.words
+        );
+        let ((oh, ow), _, blocks) = self.geometry((h, w));
+        out.clear();
+        out.resize(oh * ow * blocks, 0);
+        match tier {
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx512 if tier.runs(Family::Popcount) => {
+                // SAFETY: `runs` just confirmed that this CPU executes
+                // AVX-512F and AVX-512 VPOPCNTDQ, the features
+                // `conv_avx512` is compiled with.
+                unsafe { conv_avx512(self, map, (h, w), out) }
+            }
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 if tier.runs(Family::Popcount) => {
+                // SAFETY: `runs` just confirmed that this CPU executes
+                // AVX2, the feature `conv_avx2` is compiled with.
+                unsafe { conv_avx2(self, map, (h, w), out) }
+            }
+            _ => conv_portable(self, map, (h, w), out),
+        }
+        (oh, ow)
+    }
+
+    /// 64-row blocks, and output words per pixel.
+    fn blocks(&self) -> usize {
+        self.rows.div_ceil(BLOCK)
+    }
+
+    /// Patch words per map row: the run of one `ky`.
+    fn run_len(&self) -> usize {
+        self.kernel * self.words
+    }
+
+    /// Block `b`'s weights (`[plen][64]`) and its rows' `lo` and `hi`.
+    fn block(&self, b: usize) -> (&[u64], &[u64], &[u64]) {
+        let len = self.kernel * self.run_len() * BLOCK;
+        (
+            &self.weights[b * len..][..len],
+            &self.lo[b * BLOCK..][..BLOCK],
+            &self.hi[b * BLOCK..][..BLOCK],
+        )
+    }
+
+    /// The output `(oh, ow)` of an `(h, w)` map, its words per map row,
+    /// and output words per pixel.
+    fn geometry(&self, (h, w): (usize, usize)) -> ((usize, usize), usize, usize) {
+        let k = self.kernel;
+        ((h - k + 1, w - k + 1), w * self.words, self.blocks())
+    }
+}
+
+/// The definition every tier matches, and the portable tier: per block,
+/// output pixel and part of 16 rows (whose `u64` sums fit in registers),
+/// the popcount sums over the patch, then one range test per row.
+fn conv_portable(c: &PopcountConv, map: &[u64], hw: (usize, usize), out: &mut [u64]) {
+    const PART: usize = 16;
+    let ((oh, ow), stride, blocks) = c.geometry(hw);
+    let run = c.run_len();
+    for b in 0..blocks {
+        let (wb, lo, hi) = c.block(b);
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let at = oy * stride + ox * c.words;
+                let mut word = 0;
+                for part in (0..BLOCK).step_by(PART) {
+                    let mut d = [0u64; PART];
+                    for (ky, ws) in wb.chunks_exact(run * BLOCK).enumerate() {
+                        let xs = &map[at + ky * stride..][..run];
+                        for (&x, wr) in xs.iter().zip(ws.chunks_exact(BLOCK)) {
+                            for (d, &wr) in d.iter_mut().zip(&wr[part..][..PART]) {
+                                *d += u64::from((wr ^ x).count_ones());
+                            }
+                        }
+                    }
+                    let ranges = lo[part..].iter().zip(&hi[part..]);
+                    for (bit, (&d, (&lo, &hi))) in d.iter().zip(ranges).enumerate() {
+                        word |= u64::from(lo <= d && d <= hi) << (part + bit);
+                    }
+                }
+                out[(oy * ow + ox) * blocks + b] = word;
+            }
+        }
+    }
+}
+
+/// The AVX-512 build: per block and map row, output pixels two at a time
+/// (each weight load serves both, and sixteen `zmm` accumulators hide the
+/// popcount latency), then a one-pixel tail.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vpopcntdq")]
+fn conv_avx512(c: &PopcountConv, map: &[u64], hw: (usize, usize), out: &mut [u64]) {
+    let ((oh, ow), stride, blocks) = c.geometry(hw);
+    for b in 0..blocks {
+        let (wb, lo, hi) = c.block(b);
+        for oy in 0..oh {
+            let mut ox = 0;
+            while ox + 2 <= ow {
+                let at = oy * stride + ox * c.words;
+                let d = popcounts_avx512::<2>(c, wb, &map[at..], stride);
+                for (p, d) in d.into_iter().enumerate() {
+                    out[(oy * ow + ox + p) * blocks + b] = fired_avx512(d, lo, hi);
+                }
+                ox += 2;
+            }
+            if ox < ow {
+                let at = oy * stride + ox * c.words;
+                let [d] = popcounts_avx512::<1>(c, wb, &map[at..], stride);
+                out[(oy * ow + ox) * blocks + b] = fired_avx512(d, lo, hi);
+            }
+        }
+    }
+}
+
+/// One register tile: the popcount sums of `P` adjacent output pixels
+/// (`map` starts at the first one's patch, map rows `stride` words apart)
+/// against one block's 64 rows, in eight `zmm` of `u64` lanes each.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vpopcntdq")]
+#[inline]
+fn popcounts_avx512<const P: usize>(
+    c: &PopcountConv,
+    wb: &[u64],
+    map: &[u64],
+    stride: usize,
+) -> [[__m512i; 8]; P] {
+    let run = c.run_len();
+    let mut acc = [[_mm512_setzero_si512(); 8]; P];
+    for (ky, ws) in wb.chunks_exact(run * BLOCK).enumerate() {
+        let xs = &map[ky * stride..][..run + (P - 1) * c.words];
+        for (j, wr) in ws.chunks_exact(BLOCK).enumerate() {
+            let mut wv = [_mm512_setzero_si512(); 8];
+            for (v, chunk) in wv.iter_mut().zip(wr.chunks_exact(8)) {
+                // SAFETY: `chunk` holds 8 `u64`, exactly the 64 bytes one
+                // unaligned load reads.
+                *v = unsafe { _mm512_loadu_si512(chunk.as_ptr().cast()) };
+            }
+            for (p, a) in acc.iter_mut().enumerate() {
+                let x = _mm512_set1_epi64(xs[p * c.words + j] as i64);
+                for (a, &wv) in a.iter_mut().zip(&wv) {
+                    *a = _mm512_add_epi64(*a, _mm512_popcnt_epi64(_mm512_xor_si512(wv, x)));
+                }
+            }
+        }
+    }
+    acc
+}
+
+/// The output word of one pixel's 64 sums: per 8 rows an unsigned
+/// `d ≥ lo` compare masking a `d ≤ hi` compare.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vpopcntdq")]
+#[inline]
+fn fired_avx512(d: [__m512i; 8], lo: &[u64], hi: &[u64]) -> u64 {
+    let mut word = 0;
+    for (v, d) in d.into_iter().enumerate() {
+        // SAFETY: `lo` and `hi` hold one 64-row block (`block`), so each
+        // 8-lane slice is in bounds, exactly the 64 bytes one unaligned
+        // load reads.
+        let (lo, hi) = unsafe {
+            (
+                _mm512_loadu_si512(lo[8 * v..][..8].as_ptr().cast()),
+                _mm512_loadu_si512(hi[8 * v..][..8].as_ptr().cast()),
+            )
+        };
+        let fired = _mm512_mask_cmple_epu64_mask(_mm512_cmpge_epu64_mask(d, lo), d, hi);
+        word |= u64::from(fired) << (8 * v);
+    }
+    word
+}
+
+/// The AVX2 build: per block, output pixel and half block of 32 rows,
+/// eight `ymm` of byte counters (a `vpshufb` lookup per nibble), widened
+/// to `u64` lanes by `vpsadbw` every [`BYTE_WORDS`] patch words.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn conv_avx2(c: &PopcountConv, map: &[u64], hw: (usize, usize), out: &mut [u64]) {
+    const HALF: usize = BLOCK / 2;
+    let ((oh, ow), stride, blocks) = c.geometry(hw);
+    for b in 0..blocks {
+        let (wb, lo, hi) = c.block(b);
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let at = oy * stride + ox * c.words;
+                let mut word = 0;
+                for h in 0..2 {
+                    let d = popcounts_avx2(c, wb, h * HALF, &map[at..], stride);
+                    let fired = fired_avx2(d, &lo[h * HALF..][..HALF], &hi[h * HALF..][..HALF]);
+                    word |= u64::from(fired) << (h * HALF);
+                }
+                out[(oy * ow + ox) * blocks + b] = word;
+            }
+        }
+    }
+}
+
+/// The popcount sums of one output pixel (`map` starts at its patch, map
+/// rows `stride` words apart) against rows `first..first + 32` of one
+/// block, in eight `ymm` of `u64` lanes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn popcounts_avx2(
+    c: &PopcountConv,
+    wb: &[u64],
+    first: usize,
+    map: &[u64],
+    stride: usize,
+) -> [__m256i; 8] {
+    let run = c.run_len();
+    let nibbles = _mm256_set1_epi8(0x0f);
+    let table = _mm256_setr_epi8(
+        0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, //
+        0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
+    );
+    let mut sums = [_mm256_setzero_si256(); 8];
+    let mut bytes = [_mm256_setzero_si256(); 8];
+    let mut filled = 0;
+    for (ky, ws) in wb.chunks_exact(run * BLOCK).enumerate() {
+        let xs = &map[ky * stride..][..run];
+        for (xs, ws) in xs.chunks(BYTE_WORDS).zip(ws.chunks(BYTE_WORDS * BLOCK)) {
+            if filled + xs.len() > BYTE_WORDS {
+                widen_avx2(&mut sums, &mut bytes);
+                filled = 0;
+            }
+            filled += xs.len();
+            for (&x, wr) in xs.iter().zip(ws.chunks_exact(BLOCK)) {
+                let x = _mm256_set1_epi64x(x as i64);
+                for (a, chunk) in bytes
+                    .iter_mut()
+                    .zip(wr[first..][..BLOCK / 2].chunks_exact(4))
+                {
+                    // SAFETY: `chunk` holds 4 `u64`, exactly the 32 bytes
+                    // one unaligned load reads.
+                    let v =
+                        _mm256_xor_si256(x, unsafe { _mm256_loadu_si256(chunk.as_ptr().cast()) });
+                    let low = _mm256_shuffle_epi8(table, _mm256_and_si256(v, nibbles));
+                    let high = _mm256_shuffle_epi8(
+                        table,
+                        _mm256_and_si256(_mm256_srli_epi16::<4>(v), nibbles),
+                    );
+                    *a = _mm256_add_epi8(*a, _mm256_add_epi8(low, high));
+                }
+            }
+        }
+    }
+    widen_avx2(&mut sums, &mut bytes);
+    sums
+}
+
+/// Adds each `u64` lane's eight byte counters into its sum (`vpsadbw`
+/// against zero) and clears the counters.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn widen_avx2(sums: &mut [__m256i; 8], bytes: &mut [__m256i; 8]) {
+    for (s, b) in sums.iter_mut().zip(bytes) {
+        *s = _mm256_add_epi64(*s, _mm256_sad_epu8(*b, _mm256_setzero_si256()));
+        *b = _mm256_setzero_si256();
+    }
+}
+
+/// The 32 output bits of 32 rows' sums: per 4 rows two signed `i64`
+/// compares (sums and ranges are below 2⁶³), and `vmovmskpd` gathers
+/// the rows where neither `lo > d` nor `d > hi`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn fired_avx2(d: [__m256i; 8], lo: &[u64], hi: &[u64]) -> u32 {
+    let mut bits = 0;
+    for (v, d) in d.into_iter().enumerate() {
+        // SAFETY: `lo` and `hi` hold 32 rows (`conv_avx2`), so each
+        // 4-lane slice is in bounds, exactly the 32 bytes one unaligned
+        // load reads.
+        let (lo, hi) = unsafe {
+            (
+                _mm256_loadu_si256(lo[4 * v..][..4].as_ptr().cast()),
+                _mm256_loadu_si256(hi[4 * v..][..4].as_ptr().cast()),
+            )
+        };
+        let outside = _mm256_or_si256(_mm256_cmpgt_epi64(lo, d), _mm256_cmpgt_epi64(d, hi));
+        let mask = _mm256_movemask_pd(_mm256_castsi256_pd(outside)) as u32;
+        bits |= (!mask & 0xf) << (4 * v);
+    }
+    bits
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1340,6 +1678,135 @@ mod tests {
                 assert_eq!(&got[1..], &want[..], "{tier:?} rows {rows}");
             }
         }
+    }
+
+    /// Deterministic pseudo-random words.
+    fn bits(len: usize, salt: u64) -> Vec<u64> {
+        (0..len as u64)
+            .map(|i| {
+                (i ^ salt.rotate_left(17))
+                    .wrapping_add(salt)
+                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                    .rotate_left(29)
+                    .wrapping_mul(0xbf58_476d_1ce4_e5b9)
+            })
+            .collect()
+    }
+
+    /// The binary convolution written out: per output pixel and row, the
+    /// popcount sum over the `(ky, kx, j)` patch words and the range test.
+    fn popcount_reference(
+        (rows, words, k): (usize, usize, usize),
+        weights: &[u64],
+        ranges: &[(u32, u32)],
+        map: &[u64],
+        (h, w): (usize, usize),
+    ) -> Vec<u64> {
+        let (oh, ow, blocks) = (h - k + 1, w - k + 1, rows.div_ceil(BLOCK));
+        let plen = k * k * words;
+        let mut out = vec![0; oh * ow * blocks];
+        for oy in 0..oh {
+            for ox in 0..ow {
+                for (r, &(lo, hi)) in ranges.iter().enumerate() {
+                    let mut d = 0;
+                    for ky in 0..k {
+                        for kx in 0..k {
+                            for j in 0..words {
+                                let x = map[((oy + ky) * w + ox + kx) * words + j];
+                                let wr = weights[r * plen + (ky * k + kx) * words + j];
+                                d += (wr ^ x).count_ones();
+                            }
+                        }
+                    }
+                    let fired = lo <= d && d <= hi;
+                    out[(oy * ow + ox) * blocks + r / BLOCK] |= u64::from(fired) << (r % BLOCK);
+                }
+            }
+        }
+        out
+    }
+
+    /// Every supported popcount tier equals the portable build and the
+    /// written-out convolution at block edges (rows 1, 63, 64, 65, 130),
+    /// 1–3 map words per pixel, kernels 1–3 and odd and even output
+    /// widths (the AVX-512 build's two-pixel pass and its tail), and on
+    /// patches longer than the AVX2 build's [`BYTE_WORDS`] (plen 36
+    /// across runs, a 33-word run within one). Ranges cover empty
+    /// `(1, 0)`, full `(0, F)` and one-sided ranges at 0 and
+    /// `F = 64·plen`, and the maps include all-zero and all-one ones, so
+    /// sums reach 0 and `F` on all-zero and all-one weight rows.
+    #[test]
+    fn every_supported_tier_runs_binary_convolutions_exactly() {
+        let mut shapes = vec![(65, 4, 3), (130, 11, 3)];
+        for rows in [1, 63, 64, 65, 130] {
+            for words in 1..=3 {
+                shapes.extend((1..=3).map(|k| (rows, words, k)));
+            }
+        }
+        let mut case = 0u64;
+        for (rows, words, k) in shapes {
+            let plen = k * k * words;
+            let full = (64 * plen) as u32;
+            let mut weights = bits(rows * plen, case);
+            for (r, row) in weights.chunks_exact_mut(plen).enumerate() {
+                match r % 9 {
+                    0 => row.fill(0),
+                    1 => row.fill(u64::MAX),
+                    _ => {}
+                }
+            }
+            let mid = full / 2;
+            let spread = (full as f64).sqrt() as u32;
+            let ranges: Vec<(u32, u32)> = (0..rows)
+                .map(|r| match (r + case as usize) % 8 {
+                    0 => (1, 0),
+                    1 => (0, full),
+                    2 => (0, 0),
+                    3 => (full, full),
+                    4 => (0, mid - spread + r as u32 % spread),
+                    5 => (mid + r as u32 % spread, full),
+                    _ => (mid - spread + r as u32 % spread, mid + r as u32 % spread),
+                })
+                .collect();
+            let conv = PopcountConv::new(rows, (words, k), |r, row| {
+                row.copy_from_slice(&weights[r * plen..][..plen]);
+                ranges[r]
+            })
+            .unwrap();
+            assert_eq!(conv.rows(), rows);
+            for (h, w) in [(k, k), (k + 1, k + 2), (k + 2, k + 3)] {
+                for style in 0..3 {
+                    let mut map = bits(h * w * words, case + 100);
+                    match style {
+                        0 => map.fill(0),
+                        1 => map.fill(u64::MAX),
+                        _ => {}
+                    }
+                    case += 1;
+                    let shape = (rows, words, k);
+                    let want = popcount_reference(shape, &weights, &ranges, &map, (h, w));
+                    let at = format!("rows {rows} words {words} k {k} map {h}×{w}/{style}");
+                    let mut definition = vec![0; want.len()];
+                    conv_portable(&conv, &map, (h, w), &mut definition);
+                    assert_eq!(definition, want, "definition, {at}");
+                    for tier in Tier::supported(Family::Popcount) {
+                        let mut got = vec![u64::MAX; 3];
+                        let dims = conv.run(tier, &map, (h, w), &mut got);
+                        assert_eq!(dims, (h - k + 1, w - k + 1), "{tier:?}, {at}");
+                        assert_eq!(got, want, "{tier:?}, {at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn popcount_conv_rejects_empty_shapes() {
+        let row = |_: usize, _: &mut [u64]| (0, 64);
+        assert!(PopcountConv::new(1, (1, 1), row).is_ok());
+        assert!(PopcountConv::new(0, (1, 1), row).is_err());
+        assert!(PopcountConv::new(1, (0, 1), row).is_err());
+        assert!(PopcountConv::new(1, (1, 0), row).is_err());
     }
 
     #[test]
