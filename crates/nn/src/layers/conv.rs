@@ -1,16 +1,26 @@
+use std::sync::OnceLock;
+
 use mp_tensor::conv::{col2im, im2col, im2col_slice_into, ConvGeometry};
 use mp_tensor::init::TensorRng;
+use mp_tensor::simd::{Family, FloatConv, Tier};
 use mp_tensor::{linalg, Shape, ShapeError, Tensor, Workspace};
 
 use crate::layer::{Layer, Mode};
 use crate::LayerCost;
 
-/// 2-D convolution computed as `im2col` + GEMM.
+/// 2-D convolution.
 ///
-/// Weights are stored as a `[out_channels, in_channels·K·K]` matrix so the
-/// forward pass per image is a single matrix product over the patch
-/// matrix — the same matrix–matrix lowering the FINN engines implement in
-/// hardware (paper §II).
+/// Weights are stored as a `[out_channels, in_channels·K·K]` matrix.
+/// [`Layer::forward`], the reference, computes each image as one matrix
+/// product over its `im2col` patch matrix — the matrix–matrix lowering
+/// of Chellapilla et al. (paper §II). [`Layer::infer`] computes the same
+/// bits two ways, chosen once per layer from the CPU's SIMD tier and the
+/// layer's geometry: where `channel_lanes_pay` holds, the channel-lane
+/// kernel [`FloatConv`] (output channels in SIMD lanes with their weights
+/// packed once and cached in the layer, each patch value broadcast from
+/// where it lies in the image, as FINN's processing elements share one
+/// sliding window); elsewhere, and on CPUs without AVX2, `im2col` +
+/// `linalg::gemm` into the image's slice of the output.
 ///
 /// # Example
 ///
@@ -38,6 +48,36 @@ pub struct Conv2d {
     bias_grad: Tensor,
     cached_cols: Option<Vec<Tensor>>,
     cached_input_shape: Option<Shape>,
+    /// `weight` and `bias` packed for [`FloatConv`] on the detected GEMM
+    /// tier, for the first input size `infer` saw; `None` where that size
+    /// runs `im2col` + GEMM. Built on first use and dropped by
+    /// `set_weight` and `visit_params`, the only `&mut` routes to the
+    /// parameters.
+    lanes: OnceLock<Option<FloatConv>>,
+}
+
+/// Whether [`FloatConv`] on `tier` beats `im2col` + the packed GEMM on
+/// a layer with a `kernel × kernel` window and an output map of
+/// `out_pixels` pixels.
+///
+/// Measured per layer of the paper's Models A and B on one pinned thread
+/// (DESIGN.md §8). On AVX-512 channel lanes win on every layer: most on
+/// the small maps, where the GEMM's 32-pixel panels run part empty
+/// (225 = 7·32 + 1, 49 → 64) and the short row copies of `im2col` cost
+/// as much as a fifth of the layer. On AVX2 they win everywhere but on
+/// 1×1 layers over maps of more than 256 pixels: there `im2col` is one
+/// copy, the GEMM's 24-pixel panels are full, and each 8-lane channel
+/// block broadcasts the whole map again.
+// Off x86-64 only the portable tier exists, and the geometry goes unread.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn channel_lanes_pay(tier: Tier, kernel: usize, out_pixels: usize) -> bool {
+    match tier {
+        Tier::Portable => false,
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 => kernel > 1 || out_pixels <= 256,
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => true,
+    }
 }
 
 impl Conv2d {
@@ -72,6 +112,7 @@ impl Conv2d {
             bias_grad: Tensor::zeros([out_channels]),
             cached_cols: None,
             cached_input_shape: None,
+            lanes: OnceLock::new(),
         })
     }
 
@@ -103,6 +144,7 @@ impl Conv2d {
             ));
         }
         self.weight = weight;
+        self.lanes = OnceLock::new();
         Ok(())
     }
 
@@ -132,6 +174,87 @@ impl Conv2d {
             ));
         }
         Ok((input.dim(0), input.dim(1), oh, ow))
+    }
+
+    /// The channel-lane pack for `(c, h, w)` images, built on first use
+    /// when the geometry pays and the CPU has a channel-lane tier; `None`
+    /// sends the images to `im2col` + GEMM. A pack serves only the input
+    /// size it was built for.
+    fn lanes(&self, input: (usize, usize, usize), out_pixels: usize) -> Option<&FloatConv> {
+        self.lanes
+            .get_or_init(|| {
+                let tier = Tier::detected(Family::Gemm);
+                channel_lanes_pay(tier, self.geom.kernel, out_pixels)
+                    .then(|| {
+                        let (w, b) = (self.weight.as_slice(), self.bias.as_slice());
+                        // `Err` only for an image too large for `u32`
+                        // tap offsets.
+                        FloatConv::new(tier, input, self.geom, w, b).ok()
+                    })
+                    .flatten()
+            })
+            .as_ref()
+            .filter(|lanes| lanes.input() == input)
+    }
+
+    /// [`Layer::infer`] on the channel-lane pack `lanes` (which must be
+    /// this layer's, for `input`'s image size), or on `im2col` + GEMM
+    /// where `None`.
+    fn infer_on(
+        &self,
+        input: &Tensor,
+        lanes: Option<&FloatConv>,
+        ws: &mut Workspace,
+    ) -> Result<Tensor, ShapeError> {
+        let (n, c, oh, ow) = self.check_input(input.shape())?;
+        let (h, w) = (input.shape().dim(2), input.shape().dim(3));
+        let (image_len, pixels) = (c * h * w, oh * ow);
+        let fan_in = c * self.geom.kernel * self.geom.kernel;
+        let mut out = ws.take(n * self.out_channels * pixels);
+        out.clear();
+        out.resize(n * self.out_channels * pixels, 0.0);
+        let images = out.chunks_exact_mut(self.out_channels * pixels).enumerate();
+        if let Some(lanes) = lanes {
+            // Per image: one copy into a reused zero-padded buffer, then
+            // register tiles of pixels × output channels, summed in
+            // `gemm_kernel`'s order and biased, straight into the image's
+            // `[oc, pixels]` slice.
+            let mut padded = ws.take(lanes.padded_len());
+            for (img, dst) in images {
+                lanes.run(
+                    &input.as_slice()[img * image_len..][..image_len],
+                    &mut padded,
+                    dst,
+                );
+            }
+            ws.put(padded);
+            return Tensor::from_vec(Shape::nchw(n, self.out_channels, oh, ow), out);
+        }
+        // Per image: lower into one reused `[fan_in, pixels]` patch buffer
+        // and multiply straight into the image's `[oc, pixels]` slice of
+        // the NCHW output, then add the bias. Each element sums the same
+        // `fan_in` products in the same order as `forward`, then adds the
+        // bias once, so the two are bit-identical.
+        let mut cols = ws.take(fan_in * pixels);
+        for (img, dst) in images {
+            let image = &input.as_slice()[img * image_len..][..image_len];
+            im2col_slice_into(image, c, h, w, self.geom, &mut cols)?;
+            linalg::gemm(
+                self.out_channels,
+                fan_in,
+                pixels,
+                self.weight.as_slice(),
+                &cols,
+                dst,
+            )?;
+            for (row, &b) in dst.chunks_exact_mut(pixels).zip(self.bias.as_slice()) {
+                for v in row {
+                    *v += b;
+                }
+            }
+        }
+        ws.put(cols);
+        Tensor::from_vec(Shape::nchw(n, self.out_channels, oh, ow), out)
     }
 }
 
@@ -173,40 +296,10 @@ impl Layer for Conv2d {
     }
 
     fn infer(&self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor, ShapeError> {
-        let (n, c, oh, ow) = self.check_input(input.shape())?;
+        let (_, c, oh, ow) = self.check_input(input.shape())?;
         let (h, w) = (input.shape().dim(2), input.shape().dim(3));
-        let (image_len, pixels) = (c * h * w, oh * ow);
-        let fan_in = c * self.geom.kernel * self.geom.kernel;
-        let mut out = ws.take(n * self.out_channels * pixels);
-        out.clear();
-        out.resize(n * self.out_channels * pixels, 0.0);
-        // Per image: lower into one reused `[fan_in, pixels]` patch buffer
-        // and multiply straight into the image's `[oc, pixels]` slice of
-        // the NCHW output, then add the bias. Each element sums the same
-        // `fan_in` products in the same order as `forward`, then adds the
-        // bias once, so the two are bit-identical.
-        let mut cols = ws.take(fan_in * pixels);
-        for (img, dst) in out.chunks_exact_mut(self.out_channels * pixels).enumerate() {
-            let image = &input.as_slice()[img * image_len..][..image_len];
-            im2col_slice_into(image, c, h, w, self.geom, &mut cols)?;
-            linalg::gemm(
-                self.out_channels,
-                fan_in,
-                pixels,
-                self.weight.as_slice(),
-                &cols,
-                dst,
-            )?;
-            for (row, &b) in dst.chunks_exact_mut(pixels).zip(self.bias.as_slice()) {
-                for v in row {
-                    *v += b;
-                }
-            }
-        }
-        ws.put(cols);
-        Tensor::from_vec(Shape::nchw(n, self.out_channels, oh, ow), out)
+        self.infer_on(input, self.lanes((c, h, w), oh * ow), ws)
     }
-
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, ShapeError> {
         let cols = self.cached_cols.take().ok_or_else(|| {
             ShapeError::new(
@@ -256,6 +349,7 @@ impl Layer for Conv2d {
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
+        self.lanes = OnceLock::new();
         visitor(&mut self.weight, &mut self.weight_grad);
         visitor(&mut self.bias, &mut self.bias_grad);
     }
@@ -409,6 +503,42 @@ mod tests {
         conv.zero_grads();
         assert!(conv.weight_grad.iter().all(|&g| g == 0.0));
         assert!(conv.bias_grad.iter().all(|&g| g == 0.0));
+    }
+
+    /// Both inference paths, `im2col` + GEMM and (where this CPU has a
+    /// channel-lane tier) [`FloatConv`], equal `forward` bit for bit from
+    /// a workspace of stale NaN buffers, whichever path the layer's rule
+    /// would pick: skipping `out.clear()` or adding the bias twice fails
+    /// this on every CPU.
+    #[test]
+    fn both_inference_paths_match_forward_from_stale_scratch() {
+        let mut r = rng();
+        let tier = Tier::detected(Family::Gemm);
+        for (c, od, k, stride, pad, h, w) in [
+            (3, 8, 5, 1, 2, 9, 7),
+            (2, 40, 3, 2, 1, 8, 8),
+            (4, 33, 1, 1, 0, 6, 5),
+            (1, 1, 2, 1, 0, 3, 3),
+            (5, 17, 4, 2, 3, 5, 6),
+        ] {
+            let mut conv = Conv2d::new(c, od, k, stride, pad, &mut r).unwrap();
+            conv.bias = r.normal([od], 0.0, 0.5);
+            let x = r.normal(Shape::nchw(3, c, h, w), 0.0, 1.0);
+            let want = conv.forward(&x, Mode::Infer).unwrap();
+            let (weight, bias) = (conv.weight.as_slice(), conv.bias.as_slice());
+            let packed = FloatConv::new(tier, (c, h, w), conv.geom, weight, bias).ok();
+            assert_eq!(packed.is_some(), FloatConv::lanes(tier).is_some());
+            for lanes in [None, packed.as_ref()] {
+                let mut ws = Workspace::new();
+                for len in [1, 64, 4096] {
+                    ws.put(vec![f32::NAN; len]);
+                }
+                let got = conv.infer_on(&x, lanes, &mut ws).unwrap();
+                assert_eq!(got.shape(), want.shape());
+                let bits = |t: &Tensor| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "lanes {} k {k}", lanes.is_some());
+            }
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
 use mp_tensor::conv::ConvGeometry;
+use mp_tensor::simd::{self, Family, Tier};
 use mp_tensor::{Shape, ShapeError, Tensor, Workspace};
 
 use crate::layer::{Layer, Mode};
@@ -118,36 +119,22 @@ impl Layer for MaxPool2d {
         Tensor::from_vec(out_shape, out)
     }
 
+    /// [`simd::max_pool`] over every plane: the same taps in the same
+    /// `(ky, kx)` order and the same `v > best` update as `forward`, at
+    /// register width on AVX-512F or AVX2.
     fn infer(&self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor, ShapeError> {
         let out_shape = self.output_shape(input.shape())?;
-        let (n, c, h, w) = check_nchw(input.shape(), "MaxPool2d")?;
-        let (oh, ow) = (out_shape.dim(2), out_shape.dim(3));
-        let k = self.geom.kernel;
-        let s = self.geom.stride;
+        let (_, _, h, w) = check_nchw(input.shape(), "MaxPool2d")?;
         let mut out = ws.take(out_shape.len());
         out.clear();
         out.resize(out_shape.len(), 0.0);
-        let xv = input.as_slice();
-        for img in 0..n {
-            for ch in 0..c {
-                let base = (img * c + ch) * h * w;
-                let obase = (img * c + ch) * oh * ow;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        for ky in 0..k {
-                            for kx in 0..k {
-                                let v = xv[base + (oy * s + ky) * w + (ox * s + kx)];
-                                if v > best {
-                                    best = v;
-                                }
-                            }
-                        }
-                        out[obase + oy * ow + ox] = best;
-                    }
-                }
-            }
-        }
+        simd::max_pool(
+            Tier::detected(Family::Gemm),
+            input.as_slice(),
+            (h, w),
+            (self.geom.kernel, self.geom.stride),
+            &mut out,
+        );
         Tensor::from_vec(out_shape, out)
     }
 

@@ -9,12 +9,16 @@
 //! - [`linalg`]: blocked matrix multiplication and friends,
 //! - [`conv`]: `im2col`/`col2im` lowering used by convolution layers,
 //! - [`init`]: seeded random initialisers (uniform, normal, He, Xavier),
-//! - [`simd`]: run-time SIMD tiers, including the channel-lane integer
-//!   kernels of `mp-int` and of `mp-bnn`'s first engine.
+//! - [`simd`]: run-time SIMD tiers: the GEMM's builds, the channel-lane
+//!   float convolution and max pool of `mp-nn`'s inference, and the
+//!   integer and popcount kernels of `mp-int` and `mp-bnn`.
 //!
-//! The design follows the convolution-lowering approach of Chellapilla et
-//! al. that the paper's FINN substrate also uses: convolutions become
-//! matrix–matrix products over patch matrices.
+//! The reference convolution follows the lowering approach of
+//! Chellapilla et al.: convolutions become matrix–matrix products over
+//! patch matrices. Inference on small maps instead takes the layout of
+//! the paper's FINN engines, one output channel per SIMD lane with its
+//! weights stationary and each patch value broadcast to all of them
+//! ([`simd::FloatConv`]), summed in the same order.
 //!
 //! # `unsafe`
 //!
@@ -24,9 +28,12 @@
 //! features, compiles kernels with `#[target_feature]` and calls them.
 //! Calling a `#[target_feature]` function is `unsafe`, and each such call
 //! sits behind the matching `is_x86_feature_detected!` check. The
-//! integer kernels use `core::arch` intrinsics, whose loads and stores
-//! take raw pointers into slices of checked length; the GEMM and the
-//! popcount bodies are safe Rust (slices and fixed-size arrays).
+//! float convolution, max pool, integer and popcount kernels use
+//! `core::arch` intrinsics, whose loads and stores take raw pointers into
+//! slices of checked length; the convolution's patch reads go through
+//! tap and window offset tables that its constructor checks against the
+//! padded image once. The GEMM body is safe Rust (slices and fixed-size
+//! arrays).
 //!
 //! # Example
 //!

@@ -6,7 +6,7 @@
 //!
 //! | [`Family`] | kernel | [`Tier::Avx512`] | [`Tier::Avx2`] |
 //! |---|---|---|---|
-//! | `Gemm` | the packed `f32` GEMM behind `linalg::gemm` | AVX-512F | AVX2 |
+//! | `Gemm` | the `f32` kernels: the packed GEMM behind `linalg::gemm`, the channel-lane convolution [`FloatConv::run`] and the max pool [`max_pool`] | AVX-512F | AVX2 |
 //! | `Popcount` | the binary convolution [`PopcountConv::run`]: XOR–popcount–threshold over channel-packed maps | AVX-512F + VPOPCNTDQ | AVX2 (a `vpshufb` nibble-table popcount) |
 //! | `Int` | the channel-lane integer product [`LaneWeights::sums`], ladder [`LaneLadder::levels`] and packed-word readout [`LaneLadder::words`] | AVX-512F + VNNI | AVX2 |
 //!
@@ -14,27 +14,35 @@
 //! (level ladders) and `mp-bnn`'s `HardwareBnn` first engine (`i16`
 //! pixel pairs against ±1 weights, one-bound ladders read out as
 //! channel-packed words). The `Popcount` family serves `HardwareBnn`'s
-//! `BinConv` engines.
+//! `BinConv` engines. The `Gemm` family serves the float host network:
+//! `Conv2d` inference runs [`FloatConv`] where its geometry pays and
+//! im2col + `linalg::gemm` elsewhere, and `MaxPool2d` inference runs
+//! [`max_pool`].
 //!
 //! Every other CPU, and every tier whose features the CPU lacks, runs
 //! [`Tier::Portable`]. On x86-64 the portable `i16` pair product is an
 //! SSE2 `pmaddwd` body (SSE2 is part of the baseline, so no check is
-//! needed); elsewhere it is plain Rust. Each tier computes the portable
-//! definition's result bit for bit: the GEMM keeps one summation order,
-//! and the integer and popcount kernels add integers, whose sum does not
-//! depend on order. No flag, environment variable, feature or
-//! configuration field selects a tier;
+//! needed); elsewhere it is plain Rust. [`FloatConv`] has no portable
+//! build: there a convolution stays im2col + the portable GEMM, its
+//! definition. Each tier computes the portable definition's result bit
+//! for bit: the GEMM and the float convolution keep one summation order,
+//! the max pool one comparison order, and the integer and popcount
+//! kernels add integers, whose sum does not depend on order. No flag,
+//! environment variable, feature or configuration field selects a tier;
 //! tests compare every tier of [`Tier::supported`] against the portable
 //! one.
 //!
 //! Calling a `#[target_feature]` function is `unsafe` because the CPU
 //! must support the features. Every such call below sits behind
 //! [`Tier::runs`], which checks them with `is_x86_feature_detected!`.
-//! The integer and popcount kernels also load and store through raw
-//! pointers into slices whose lengths are checked first.
+//! The integer, popcount, float convolution and max pool kernels also
+//! load and store through raw pointers into slices whose lengths (or,
+//! for the convolution's patch reads, whose offset tables) are checked
+//! first.
 
 use std::ops::RangeInclusive;
 
+use crate::conv::ConvGeometry;
 use crate::ShapeError;
 
 #[cfg(target_arch = "x86_64")]
@@ -43,7 +51,9 @@ use std::arch::x86_64::*;
 /// A kernel family: each has its own CPU features per [`Tier`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Family {
-    /// The packed `f32` GEMM of `linalg::gemm`.
+    /// The `f32` kernels: the packed GEMM of `linalg::gemm`, the
+    /// channel-lane convolution ([`FloatConv`]) and the max pool
+    /// ([`max_pool`]).
     Gemm,
     /// The binary convolution kernel ([`PopcountConv`]).
     Popcount,
@@ -158,6 +168,576 @@ fn gemm_avx512(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f3
 #[target_feature(enable = "avx2")]
 fn gemm_avx2(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     crate::linalg::packed::packed_gemm::<24>(m, k, n, a, b, out);
+}
+
+// ---- Gemm: the channel-lane float convolution ----
+
+/// Output pixels of one [`FloatConv`] register tile on AVX-512: two
+/// `zmm` per pixel, so 20 accumulators beside 8 weight registers (8, 9
+/// or 12 pixels ran slower on the paper's models).
+#[cfg(target_arch = "x86_64")]
+const CONV_PIXELS_AVX512: usize = 10;
+
+/// Output pixels of one [`FloatConv`] register tile on AVX2: one `ymm`
+/// per pixel beside 4 weight registers (8 or 10 pixels ran slower).
+#[cfg(target_arch = "x86_64")]
+const CONV_PIXELS_AVX2: usize = 6;
+
+/// 4 KiB of `f32`: a plane pitch [`FloatConv`] never uses.
+const PAGE_FLOATS: usize = 1024;
+
+/// A float convolution packed once, for one image size on one tier, in
+/// the channel-lane layout: FINN's processing elements as SIMD lanes,
+/// one output channel per lane with its weights stationary, and each
+/// patch value broadcast to every lane from where it lies in the image,
+/// so no patch matrix is built.
+///
+/// Weights are `[⌈rows/L⌉ blocks][fan_in][L lanes]`, `fan_in = c·k·k` in
+/// the `(ch, ky, kx)` column order of a `[rows, fan_in]` weight matrix.
+/// `L` is 32 on AVX-512 (two `zmm`) and 8 on AVX2 (one `ymm`); lanes
+/// past `rows` hold zero weights and bias and are never stored.
+/// [`Self::run`] copies an image once into a zero-padded buffer of `c`
+/// planes of `(h + 2p)·(w + 2p)` floats, the plane pitch rounded up
+/// where it would be a multiple of 4 KiB (planes at such a pitch share L1
+/// cache sets, so a window over many channels would evict itself). Tap
+/// `(ch, ky, kx)` then lies at a fixed offset from an output pixel's
+/// window corner: one table of `fan_in` tap offsets and one of window
+/// corners address every patch value in place.
+///
+/// A register tile is `P` output pixels (10 on AVX-512, 6 on AVX2; a
+/// tile may span output rows) × `L` channels, stored transposed into the
+/// NCHW output. Each element is summed in `gemm_kernel`'s order, so it
+/// equals im2col + `linalg::gemm` + bias bit for bit: `+0.0`, then
+/// `acc + (((x0·w0 + x1·w1) + x2·w2) + x3·w3)` for each group of four
+/// taps in order, then `acc + x·w` for each of the `fan_in % 4` tail
+/// taps, then `acc + bias`, with plain multiplies and adds (never a fused
+/// multiply–add).
+// Off x86-64 no tier builds a `FloatConv`, and the packed fields go unread.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+#[derive(Debug, Clone)]
+pub struct FloatConv {
+    tier: Tier,
+    rows: usize,
+    input: (usize, usize, usize),
+    padding: usize,
+    padded_w: usize,
+    pitch: usize,
+    weights: Vec<f32>,
+    bias: Vec<f32>,
+    taps: Vec<u32>,
+    corners: Vec<u32>,
+}
+
+impl FloatConv {
+    /// The lanes of `tier`'s register tile, or `None` where `tier` has
+    /// no channel-lane build (the portable tier) or this CPU lacks its
+    /// features.
+    pub fn lanes(tier: Tier) -> Option<usize> {
+        match tier {
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx512 if tier.runs(Family::Gemm) => Some(32),
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 if tier.runs(Family::Gemm) => Some(8),
+            _ => None,
+        }
+    }
+
+    /// Packs the convolution `geom` of `(c, h, w)` images for `tier`:
+    /// `weights` is the `[rows, c·k·k]` weight matrix (row-major, columns
+    /// in `(ch, ky, kx)` order) and `bias` its `rows` biases.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError`] when [`Self::lanes`] has no build for
+    /// `tier`, `bias` is empty, `weights.len() != bias.len()·c·k·k`, `c`
+    /// is 0, the window does not fit the padded image, or the padded
+    /// image has `u32::MAX` floats or more.
+    pub fn new(
+        tier: Tier,
+        (c, h, w): (usize, usize, usize),
+        geom: ConvGeometry,
+        weights: &[f32],
+        bias: &[f32],
+    ) -> Result<Self, ShapeError> {
+        let fail = |why: String| Err(ShapeError::new("FloatConv::new", why));
+        let Some(lanes) = Self::lanes(tier) else {
+            return fail(format!("{tier:?} has no channel-lane build on this CPU"));
+        };
+        let ConvGeometry {
+            kernel: k,
+            stride,
+            padding,
+        } = geom;
+        let (rows, fan_in) = (bias.len(), c * k * k);
+        let (oh, ow) = (geom.output_dim(h), geom.output_dim(w));
+        if rows == 0 || fan_in == 0 || weights.len() != rows * fan_in || oh == 0 || ow == 0 {
+            return fail(format!(
+                "{} weights and {rows} biases for a {k}×{k} stride {stride} padding {padding} \
+                 convolution of {c}×{h}×{w} images",
+                weights.len()
+            ));
+        }
+        // `output_dim > 0` means `h + 2·padding` did not overflow.
+        let padded_w = w + 2 * padding;
+        let mut pitch = (h + 2 * padding) * padded_w;
+        if pitch.is_multiple_of(PAGE_FLOATS) {
+            pitch += 16;
+        }
+        if c.checked_mul(pitch)
+            .is_none_or(|len| len >= u32::MAX as usize)
+        {
+            return fail(format!("a padded {c}×{pitch} image exceeds u32 offsets"));
+        }
+        let taps: Vec<u32> = (0..c)
+            .flat_map(|ch| {
+                (0..k).flat_map(move |ky| (0..k).map(move |kx| ch * pitch + ky * padded_w + kx))
+            })
+            .map(|t| t as u32)
+            .collect();
+        let corners: Vec<u32> = (0..oh)
+            .flat_map(|oy| (0..ow).map(move |ox| ((oy * padded_w + ox) * stride) as u32))
+            .collect();
+        // The last corner's last tap is the furthest read; the kernels'
+        // unchecked patch reads rely on it lying inside the buffer.
+        let reach = corners[corners.len() - 1] as usize + taps[fan_in - 1] as usize;
+        if reach >= c * pitch {
+            return fail(format!("tap {reach} lies outside a {c}×{pitch} image"));
+        }
+        let blocks = rows.div_ceil(lanes);
+        let mut packed = vec![0.0; blocks * fan_in * lanes];
+        for (r, row) in weights.chunks_exact(fan_in).enumerate() {
+            let block = &mut packed[r / lanes * fan_in * lanes..][..fan_in * lanes];
+            for (dst, &wt) in block[r % lanes..].iter_mut().step_by(lanes).zip(row) {
+                *dst = wt;
+            }
+        }
+        let mut padded_bias = vec![0.0; blocks * lanes];
+        padded_bias[..rows].copy_from_slice(bias);
+        Ok(Self {
+            tier,
+            rows,
+            input: (c, h, w),
+            padding,
+            padded_w,
+            pitch,
+            weights: packed,
+            bias: padded_bias,
+            taps,
+            corners,
+        })
+    }
+
+    /// The `(c, h, w)` image size this convolution was packed for.
+    pub fn input(&self) -> (usize, usize, usize) {
+        self.input
+    }
+
+    /// Floats of the padded image [`Self::run`] builds in its scratch.
+    pub fn padded_len(&self) -> usize {
+        self.input.0 * self.pitch
+    }
+
+    /// Convolves one image: `image` holds its `c·h·w` floats (NCHW) and
+    /// `out` receives its `[rows, oh·ow]` output, overwritten. `padded`
+    /// is scratch: every float of it the taps read is written first (the
+    /// image, and zeros in its border), so a reused buffer may hold
+    /// anything.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `image` or `out` has the wrong length.
+    pub fn run(&self, image: &[f32], padded: &mut Vec<f32>, out: &mut [f32]) {
+        let (c, h, w) = self.input;
+        let pixels = self.corners.len();
+        assert!(
+            image.len() == c * h * w && out.len() == self.rows * pixels,
+            "FloatConv::run: {} floats for a {c}×{h}×{w} image, {} for a {}×{pixels} output",
+            image.len(),
+            out.len(),
+            self.rows
+        );
+        // Each plane: `p` zero rows, `h` rows of `p` zeros, the image row
+        // and `p` zeros, then `p` zero rows. The rest of the pitch is
+        // never read.
+        padded.resize(self.padded_len(), 0.0);
+        let (p, pw) = (self.padding, self.padded_w);
+        for (ch, dst) in padded.chunks_exact_mut(self.pitch).enumerate() {
+            let (top, rows) = dst.split_at_mut(p * pw);
+            top.fill(0.0);
+            let (rows, bottom) = rows.split_at_mut(h * pw);
+            bottom[..p * pw].fill(0.0);
+            for (y, row) in rows.chunks_exact_mut(pw).enumerate() {
+                row[..p].fill(0.0);
+                row[p..p + w].copy_from_slice(&image[(ch * h + y) * w..][..w]);
+                row[p + w..].fill(0.0);
+            }
+        }
+        match self.tier {
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx512 if self.tier.runs(Family::Gemm) => {
+                // SAFETY: `runs` just confirmed that this CPU executes
+                // AVX-512F, the one feature `float_conv_avx512` is
+                // compiled with.
+                unsafe { float_conv_avx512(self, padded, out) }
+            }
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 if self.tier.runs(Family::Gemm) => {
+                // SAFETY: `runs` just confirmed that this CPU executes
+                // AVX2, the one feature `float_conv_avx2` is compiled
+                // with.
+                unsafe { float_conv_avx2(self, padded, out) }
+            }
+            _ => unreachable!("FloatConv::new builds only for a tier this CPU runs"),
+        }
+    }
+}
+
+/// The loop nest of every tier: per block of `L` channels and tile of
+/// `P` output pixels (the last tile repeats the final pixel in its spare
+/// slots), the biased register tile from `tile`, stored transposed into
+/// the `[rows, pixels]` output, real channels and pixels only. `tile`
+/// gets the block's weights and bias and the tile's window corners.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn float_conv_blocks<const L: usize, const P: usize>(
+    c: &FloatConv,
+    padded: &[f32],
+    out: &mut [f32],
+    tile: impl Fn(&[f32], &[f32], [usize; P]) -> [[f32; L]; P],
+) {
+    assert_eq!(padded.len(), c.padded_len(), "padded image size");
+    let (fan_in, pixels) = (c.taps.len(), c.corners.len());
+    let blocks = c
+        .weights
+        .chunks_exact(fan_in * L)
+        .zip(c.bias.chunks_exact(L));
+    for (b, (wb, bias)) in blocks.enumerate() {
+        let rows = (c.rows - b * L).min(L);
+        let dst = &mut out[b * L * pixels..][..rows * pixels];
+        for t0 in (0..pixels).step_by(P) {
+            let corners = std::array::from_fn(|p| c.corners[(t0 + p).min(pixels - 1)] as usize);
+            let acc = tile(wb, bias, corners);
+            let count = (pixels - t0).min(P);
+            for (l, row) in dst.chunks_exact_mut(pixels).enumerate() {
+                for (o, a) in row[t0..t0 + count].iter_mut().zip(&acc) {
+                    *o = a[l];
+                }
+            }
+        }
+    }
+}
+
+/// The channel-lane convolution on AVX-512F: 32 lanes in two `zmm`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn float_conv_avx512(c: &FloatConv, padded: &[f32], out: &mut [f32]) {
+    const P: usize = CONV_PIXELS_AVX512;
+    float_conv_blocks::<32, P>(c, padded, out, |wb, bias, corners| {
+        // SAFETY: `FloatConv::new` checked that the furthest window
+        // corner plus the furthest tap lies below `c·pitch`, the length
+        // `float_conv_blocks` asserted for `padded`.
+        let acc = unsafe { float_tile_avx512::<P>(wb, &c.taps, padded, corners) };
+        let mut tile = [[0.0f32; 32]; P];
+        for (dst, a) in tile.iter_mut().zip(acc) {
+            for ((d, a), b) in dst.chunks_exact_mut(16).zip(a).zip(bias.chunks_exact(16)) {
+                // SAFETY: `d` and `b` hold 16 floats each, exactly the 64
+                // bytes one unaligned load or store moves.
+                unsafe {
+                    let sum = _mm512_add_ps(a, _mm512_loadu_ps(b.as_ptr()));
+                    _mm512_storeu_ps(d.as_mut_ptr(), sum);
+                }
+            }
+        }
+        tile
+    });
+}
+
+/// One AVX-512 register tile: `P` output pixels (window corners
+/// `corners`) × the 32 lanes of one block's weights `wb`, over every tap.
+///
+/// # Safety
+///
+/// Every `corners[p] + taps[t]` must lie below `padded.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn float_tile_avx512<const P: usize>(
+    wb: &[f32],
+    taps: &[u32],
+    padded: &[f32],
+    corners: [usize; P],
+) -> [[__m512; 2]; P] {
+    let at = corners.map(|c| padded.as_ptr().wrapping_add(c));
+    // SAFETY: the caller guarantees that `corner + tap` is in bounds.
+    let x = |p: usize, t: u32| _mm512_set1_ps(unsafe { *at[p].add(t as usize) });
+    let load = |w: &[f32]| {
+        // SAFETY: `w[..32]` is 32 floats (the index panics on a shorter
+        // slice), exactly the 128 bytes two unaligned loads read.
+        unsafe {
+            [
+                _mm512_loadu_ps(w[..32].as_ptr()),
+                _mm512_loadu_ps(w[16..32].as_ptr()),
+            ]
+        }
+    };
+    let mut acc = [[_mm512_setzero_ps(); 2]; P];
+    let mut t4 = taps.chunks_exact(4);
+    let mut w4 = wb.chunks_exact(4 * 32);
+    for (t, w) in (&mut t4).zip(&mut w4) {
+        let wv = [load(w), load(&w[32..]), load(&w[64..]), load(&w[96..])];
+        for (p, a) in acc.iter_mut().enumerate() {
+            let xs = [x(p, t[0]), x(p, t[1]), x(p, t[2]), x(p, t[3])];
+            for (v, a) in a.iter_mut().enumerate() {
+                let m = |j: usize| _mm512_mul_ps(xs[j], wv[j][v]);
+                let group = _mm512_add_ps(_mm512_add_ps(_mm512_add_ps(m(0), m(1)), m(2)), m(3));
+                *a = _mm512_add_ps(*a, group);
+            }
+        }
+    }
+    for (&t, w) in t4.remainder().iter().zip(w4.remainder().chunks_exact(32)) {
+        let wv = load(w);
+        for (p, a) in acc.iter_mut().enumerate() {
+            let xv = x(p, t);
+            for (a, &w) in a.iter_mut().zip(&wv) {
+                *a = _mm512_add_ps(*a, _mm512_mul_ps(xv, w));
+            }
+        }
+    }
+    acc
+}
+
+/// The channel-lane convolution on AVX2: 8 lanes in one `ymm`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn float_conv_avx2(c: &FloatConv, padded: &[f32], out: &mut [f32]) {
+    const P: usize = CONV_PIXELS_AVX2;
+    float_conv_blocks::<8, P>(c, padded, out, |wb, bias, corners| {
+        // SAFETY: as in `float_conv_avx512`.
+        let acc = unsafe { float_tile_avx2::<P>(wb, &c.taps, padded, corners) };
+        let mut tile = [[0.0f32; 8]; P];
+        for (dst, a) in tile.iter_mut().zip(acc) {
+            // SAFETY: `dst` and `bias` hold 8 floats each, exactly the 32
+            // bytes one unaligned load or store moves.
+            unsafe {
+                let sum = _mm256_add_ps(a, _mm256_loadu_ps(bias[..8].as_ptr()));
+                _mm256_storeu_ps(dst.as_mut_ptr(), sum);
+            }
+        }
+        tile
+    });
+}
+
+/// One AVX2 register tile: `P` output pixels × the 8 lanes of one block.
+///
+/// # Safety
+///
+/// Every `corners[p] + taps[t]` must lie below `padded.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn float_tile_avx2<const P: usize>(
+    wb: &[f32],
+    taps: &[u32],
+    padded: &[f32],
+    corners: [usize; P],
+) -> [__m256; P] {
+    let at = corners.map(|c| padded.as_ptr().wrapping_add(c));
+    // SAFETY: the caller guarantees that `corner + tap` is in bounds.
+    let x = |p: usize, t: u32| _mm256_set1_ps(unsafe { *at[p].add(t as usize) });
+    let load = |w: &[f32]| {
+        // SAFETY: `w[..8]` is 8 floats (the index panics on a shorter
+        // slice), exactly the 32 bytes one unaligned load reads.
+        unsafe { _mm256_loadu_ps(w[..8].as_ptr()) }
+    };
+    let mut acc = [_mm256_setzero_ps(); P];
+    let mut t4 = taps.chunks_exact(4);
+    let mut w4 = wb.chunks_exact(4 * 8);
+    for (t, w) in (&mut t4).zip(&mut w4) {
+        let wv = [load(w), load(&w[8..]), load(&w[16..]), load(&w[24..])];
+        for (p, a) in acc.iter_mut().enumerate() {
+            let m = |j: usize| _mm256_mul_ps(x(p, t[j]), wv[j]);
+            let group = _mm256_add_ps(_mm256_add_ps(_mm256_add_ps(m(0), m(1)), m(2)), m(3));
+            *a = _mm256_add_ps(*a, group);
+        }
+    }
+    for (&t, w) in t4.remainder().iter().zip(w4.remainder().chunks_exact(8)) {
+        let wv = load(w);
+        for (p, a) in acc.iter_mut().enumerate() {
+            *a = _mm256_add_ps(*a, _mm256_mul_ps(x(p, t), wv));
+        }
+    }
+    acc
+}
+
+// ---- Gemm: the max pool ----
+
+/// `k×k` max pooling at stride `s` (no padding) of every `(h, w)` plane
+/// of `input` into `out`, planes `(oh, ow) = ((h − k)/s + 1, (w − k)/s + 1)`
+/// apart, on `tier` (the portable build where the CPU lacks the tier's
+/// features).
+///
+/// Each output is `best` after `best = v` for every tap `v > best`, taps
+/// in `(ky, kx)` order from `best = −∞`: a NaN tap is skipped, an all-NaN
+/// window gives −∞, and of equal taps (+0.0 and −0.0 included) the first
+/// is kept. The AVX-512 and AVX2 builds run strides 1 and 2 (a stride-2
+/// tap row is deinterleaved from two loads), one output row at a time in
+/// 16 or 8 lanes, and update with `maxps(v, best)`, which is that step
+/// lane by lane: it returns its second operand unless `v > best`. Other
+/// strides run the portable build, the definition.
+///
+/// # Panics
+///
+/// Panics when `k` or `s` is 0, the window does not fit a plane, or the
+/// lengths of `input` and `out` are not whole planes of one count.
+pub fn max_pool(
+    tier: Tier,
+    input: &[f32],
+    (h, w): (usize, usize),
+    (k, s): (usize, usize),
+    out: &mut [f32],
+) {
+    assert!(
+        k > 0 && s > 0 && h >= k && w >= k,
+        "max_pool: a {k}×{k} window at stride {s} over {h}×{w} planes"
+    );
+    let (oh, ow) = ((h - k) / s + 1, (w - k) / s + 1);
+    assert!(
+        input.len().is_multiple_of(h * w) && out.len() == input.len() / (h * w) * oh * ow,
+        "max_pool: {} input and {} output floats for {h}×{w} → {oh}×{ow} planes",
+        input.len(),
+        out.len()
+    );
+    let dims = ((h, w), (k, s), (oh, ow));
+    match tier {
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 if s <= 2 && tier.runs(Family::Gemm) => {
+            // SAFETY: `runs` just confirmed that this CPU executes
+            // AVX-512F, the one feature `max_pool_avx512` is compiled with.
+            unsafe { max_pool_avx512(input, dims, out) }
+        }
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 if s <= 2 && tier.runs(Family::Gemm) => {
+            // SAFETY: `runs` just confirmed that this CPU executes AVX2,
+            // the one feature `max_pool_avx2` is compiled with.
+            unsafe { max_pool_avx2(input, dims, out) }
+        }
+        _ => max_pool_portable(input, dims, out),
+    }
+}
+
+/// A max pool's `((h, w), (k, s), (oh, ow))`.
+type PoolDims = ((usize, usize), (usize, usize), (usize, usize));
+
+/// The definition every tier matches, and the portable tier: per output
+/// pixel, the window's `k` row slices in `(ky, kx)` order.
+fn max_pool_portable(input: &[f32], ((h, w), (k, s), (oh, ow)): PoolDims, out: &mut [f32]) {
+    for (plane, dst) in input.chunks_exact(h * w).zip(out.chunks_exact_mut(oh * ow)) {
+        for (oy, orow) in dst.chunks_exact_mut(ow).enumerate() {
+            let window = &plane[oy * s * w..];
+            for (ox, o) in orow.iter_mut().enumerate() {
+                let mut best = f32::NEG_INFINITY;
+                for ky in 0..k {
+                    for &v in &window[ky * w + ox * s..][..k] {
+                        if v > best {
+                            best = v;
+                        }
+                    }
+                }
+                *o = best;
+            }
+        }
+    }
+}
+
+/// The max pool on AVX-512F at stride 1 or 2: per output row, 16
+/// outputs at a time under a mask, each tap a masked load (two and a
+/// `vpermt2ps` of the even lanes at stride 2).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn max_pool_avx512(input: &[f32], ((h, w), (k, s), (oh, ow)): PoolDims, out: &mut [f32]) {
+    let even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30);
+    for (plane, dst) in input.chunks_exact(h * w).zip(out.chunks_exact_mut(oh * ow)) {
+        for (oy, orow) in dst.chunks_exact_mut(ow).enumerate() {
+            for (chunk, outs) in orow.chunks_mut(16).enumerate() {
+                let n = outs.len();
+                // A tap reads `span` floats: `n`, or `2n − 1` at stride 2.
+                let span = (n - 1) * s + 1;
+                let lanes = ((1u64 << span) - 1) as u32;
+                let (lo, hi) = (lanes as u16, (lanes >> 16) as u16);
+                let mut best = _mm512_set1_ps(f32::NEG_INFINITY);
+                for ky in 0..k {
+                    let row = &plane[(oy * s + ky) * w..][..w];
+                    for kx in 0..k {
+                        let from = &row[chunk * 16 * s + kx..][..span];
+                        // SAFETY: the masks enable exactly the `span`
+                        // floats of `from`, the first 16 in the first
+                        // load; disabled lanes are not read.
+                        let v = unsafe {
+                            let first = _mm512_maskz_loadu_ps(lo, from.as_ptr());
+                            if s == 1 {
+                                first
+                            } else {
+                                let second =
+                                    _mm512_maskz_loadu_ps(hi, from.as_ptr().wrapping_add(16));
+                                _mm512_permutex2var_ps(first, even, second)
+                            }
+                        };
+                        best = _mm512_max_ps(v, best);
+                    }
+                }
+                // SAFETY: the mask enables exactly the `n` floats of
+                // `outs`.
+                unsafe { _mm512_mask_storeu_ps(outs.as_mut_ptr(), ((1u32 << n) - 1) as u16, best) };
+            }
+        }
+    }
+}
+
+/// The max pool on AVX2 at stride 1 or 2: per output row, 8 outputs at
+/// a time under a lane mask, each tap a masked load (two, a `vshufps` of
+/// the even lanes and a `vpermpd` at stride 2).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn max_pool_avx2(input: &[f32], ((h, w), (k, s), (oh, ow)): PoolDims, out: &mut [f32]) {
+    let index = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    let below = |n: usize| _mm256_cmpgt_epi32(_mm256_set1_epi32(n as i32), index);
+    for (plane, dst) in input.chunks_exact(h * w).zip(out.chunks_exact_mut(oh * ow)) {
+        for (oy, orow) in dst.chunks_exact_mut(ow).enumerate() {
+            for (chunk, outs) in orow.chunks_mut(8).enumerate() {
+                let n = outs.len();
+                let span = (n - 1) * s + 1;
+                let (lo, hi) = (below(span.min(8)), below(span.saturating_sub(8)));
+                let mut best = _mm256_set1_ps(f32::NEG_INFINITY);
+                for ky in 0..k {
+                    let row = &plane[(oy * s + ky) * w..][..w];
+                    for kx in 0..k {
+                        let from = &row[chunk * 8 * s + kx..][..span];
+                        // SAFETY: the masks enable exactly the `span`
+                        // floats of `from`, the first 8 in the first
+                        // load; disabled lanes are not read.
+                        let v = unsafe {
+                            let first = _mm256_maskload_ps(from.as_ptr(), lo);
+                            if s == 1 {
+                                first
+                            } else {
+                                let second = _mm256_maskload_ps(from.as_ptr().wrapping_add(8), hi);
+                                // Even lanes of each 128-bit half, then
+                                // the halves' pairs in order.
+                                let evens = _mm256_shuffle_ps::<0b10_00_10_00>(first, second);
+                                _mm256_castpd_ps(_mm256_permute4x64_pd::<0b11_01_10_00>(
+                                    _mm256_castps_pd(evens),
+                                ))
+                            }
+                        };
+                        best = _mm256_max_ps(v, best);
+                    }
+                }
+                // SAFETY: the mask enables exactly the `n` floats of
+                // `outs`.
+                unsafe { _mm256_maskstore_ps(outs.as_mut_ptr(), below(n), best) };
+            }
+        }
+    }
 }
 
 // ---- Int: the channel-lane integer kernels ----
@@ -1807,6 +2387,245 @@ mod tests {
         assert!(PopcountConv::new(0, (1, 1), row).is_err());
         assert!(PopcountConv::new(1, (0, 1), row).is_err());
         assert!(PopcountConv::new(1, (1, 0), row).is_err());
+    }
+
+    /// Deterministic floats: mostly finite, some −0.0 and subnormals, and
+    /// NaN / ±∞ at a few positions only, so most sums stay finite.
+    fn awkward(len: usize, salt: u64) -> Vec<f32> {
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        (0..len as u64)
+            .map(|i| {
+                let h = (i ^ salt.rotate_left(11))
+                    .wrapping_add(salt)
+                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                    .rotate_left(29);
+                match h % 97 {
+                    0 if h.is_multiple_of(5) => specials[(h / 97 % 3) as usize],
+                    1..=4 => -0.0,
+                    5..=8 => -f32::from_bits((h >> 40) as u32 & 0x007f_ffff),
+                    _ => ((h >> 40) % 2001) as f32 / 250.0 - 4.0,
+                }
+            })
+            .collect()
+    }
+
+    /// Equal bits, or NaN against NaN.
+    fn same_bits(a: &[f32], b: &[f32]) -> bool {
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+    }
+
+    /// The definition a [`FloatConv`] matches: im2col, `gemm_kernel`
+    /// onto a zeroed output, then the bias.
+    fn float_conv_reference(
+        image: &[f32],
+        (c, h, w): (usize, usize, usize),
+        geom: ConvGeometry,
+        weights: &[f32],
+        bias: &[f32],
+    ) -> Vec<f32> {
+        let mut cols = Vec::new();
+        let (fan_in, pixels) =
+            crate::conv::im2col_slice_into(image, c, h, w, geom, &mut cols).unwrap();
+        let mut out = vec![0.0; bias.len() * pixels];
+        crate::linalg::gemm_kernel(bias.len(), fan_in, pixels, weights, &cols, &mut out);
+        for (row, &b) in out.chunks_exact_mut(pixels).zip(bias) {
+            for v in row {
+                *v += b;
+            }
+        }
+        out
+    }
+
+    /// Every tier with a channel-lane build equals im2col, `gemm_kernel`
+    /// and the bias bit for bit (NaN against NaN): output channels across
+    /// the AVX-512 (32) and AVX2 (8) lane blocks up to six blocks, every
+    /// `fan_in % 4` (1–4 input channels), kernels 1–5, strides 1–2,
+    /// padding 0..k, maps from 1×1 to 16×16 (tiles that span rows and a
+    /// last tile that repeats pixels), NaN/±∞/−0.0/subnormals in weights,
+    /// bias and image, and all −0.0 images against positive weights and
+    /// −0.0 biases (+0.0 only from the `+0.0` start). Each run starts
+    /// from a stale scratch buffer and writes into the middle of a larger
+    /// one, whose guard floats must stay untouched.
+    #[test]
+    fn every_supported_tier_runs_float_convolutions_exactly() {
+        const ROWS: [usize; 11] = [1, 7, 15, 16, 17, 31, 32, 33, 64, 65, 192];
+        const MAPS: [(usize, usize); 7] =
+            [(1, 1), (16, 16), (5, 3), (2, 7), (9, 9), (4, 13), (15, 6)];
+        const GUARD: usize = 32;
+        let tiers: Vec<Tier> = Tier::supported(Family::Gemm)
+            .into_iter()
+            .filter(|&t| FloatConv::lanes(t).is_some())
+            .collect();
+        assert_eq!(FloatConv::lanes(Tier::Portable), None);
+        let mut case = 0u64;
+        for k in 1..=5 {
+            for stride in 1..=2 {
+                for pad in 0..k {
+                    for c in 1..=4 {
+                        let geom = ConvGeometry::new(k, stride, pad);
+                        let rows = ROWS[case as usize % ROWS.len()];
+                        // The case's map, grown until the window fits.
+                        let fit = |d: usize| d.max(k.saturating_sub(2 * pad)).max(1);
+                        let (mh, mw) = MAPS[case as usize % MAPS.len()];
+                        let (h, w) = (fit(mh), fit(mw));
+                        let fan_in = c * k * k;
+                        let mut weights = awkward(rows * fan_in, case);
+                        let mut bias = awkward(rows, case + 1000);
+                        let mut image = awkward(c * h * w, case + 2000);
+                        if case.is_multiple_of(5) {
+                            image.fill(-0.0);
+                            for (i, wt) in weights.iter_mut().enumerate() {
+                                *wt = 0.25 + (i % 7) as f32;
+                            }
+                            bias.iter_mut().step_by(2).for_each(|b| *b = -0.0);
+                        }
+                        let want = float_conv_reference(&image, (c, h, w), geom, &weights, &bias);
+                        let at = format!(
+                            "rows {rows} c {c} k {k} stride {stride} pad {pad} map {h}×{w}"
+                        );
+                        for &tier in &tiers {
+                            let conv = FloatConv::new(tier, (c, h, w), geom, &weights, &bias)
+                                .unwrap_or_else(|e| panic!("{tier:?} {at}: {e}"));
+                            assert_eq!(conv.input(), (c, h, w));
+                            let n = want.len();
+                            let mut padded = vec![7.5; 4 * 24 * 24];
+                            let mut out = vec![3.25; GUARD + n + GUARD];
+                            // Twice: the second run reuses the first's scratch.
+                            for round in 0..2 {
+                                conv.run(&image, &mut padded, &mut out[GUARD..GUARD + n]);
+                                assert!(
+                                    same_bits(&out[GUARD..GUARD + n], &want),
+                                    "{tier:?} round {round}, {at}"
+                                );
+                            }
+                            assert!(
+                                out[..GUARD]
+                                    .iter()
+                                    .chain(&out[GUARD + n..])
+                                    .all(|&v| v == 3.25),
+                                "{tier:?} wrote outside its output, {at}"
+                            );
+                        }
+                        case += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn float_conv_rejects_bad_shapes_and_the_portable_tier() {
+        let geom = ConvGeometry::new(3, 1, 0);
+        let ok = |tier| FloatConv::new(tier, (2, 4, 4), geom, &[0.5; 3 * 18], &[0.0; 3]);
+        assert!(ok(Tier::Portable).is_err());
+        let Some(&tier) = Tier::supported(Family::Gemm)
+            .iter()
+            .find(|&&t| FloatConv::lanes(t).is_some())
+        else {
+            return;
+        };
+        assert!(ok(tier).is_ok());
+        assert!(FloatConv::new(tier, (2, 4, 4), geom, &[0.5; 3 * 18], &[]).is_err());
+        assert!(FloatConv::new(tier, (2, 4, 4), geom, &[0.5; 3 * 17], &[0.0; 3]).is_err());
+        assert!(FloatConv::new(tier, (0, 4, 4), geom, &[], &[0.0; 3]).is_err());
+        assert!(FloatConv::new(tier, (2, 2, 4), geom, &[0.5; 3 * 18], &[0.0; 3]).is_err());
+        let huge = ConvGeometry::new(1, 1, 1 << 15);
+        assert!(FloatConv::new(tier, (2, 1, 1), huge, &[0.5; 6], &[0.0; 3]).is_err());
+    }
+
+    /// The max pool written out as the scalar reference loop.
+    fn max_pool_reference(
+        input: &[f32],
+        (h, w): (usize, usize),
+        (k, s): (usize, usize),
+    ) -> Vec<f32> {
+        let (oh, ow) = ((h - k) / s + 1, (w - k) / s + 1);
+        let mut out = Vec::new();
+        for plane in input.chunks_exact(h * w) {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut best = f32::NEG_INFINITY;
+                    for ky in 0..k {
+                        for kx in 0..k {
+                            let v = plane[(oy * s + ky) * w + ox * s + kx];
+                            if v > best {
+                                best = v;
+                            }
+                        }
+                    }
+                    out.push(best);
+                }
+            }
+        }
+        out
+    }
+
+    /// Every supported tier and the portable build pool exactly as the
+    /// scalar loop: windows 1–4 at strides 1–3 (2 and 3 over the paper's
+    /// 3×3/2), rows of 1 to 39 outputs (whole and partial 16- and 8-lane
+    /// chunks), on awkward values, on NaN/±∞/±0 drawn densely (ties of
+    /// +0.0 and −0.0 in both orders, so keeping the last tie fails), and
+    /// on all-NaN planes, which pool to −∞.
+    #[test]
+    fn every_supported_tier_pools_exactly() {
+        let specials = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            1.5,
+            -1.5,
+        ];
+        let shapes = [
+            (32, 32, 3, 2),
+            (15, 15, 3, 2),
+            (4, 4, 2, 2),
+            (5, 34, 3, 2),
+            (7, 40, 2, 1),
+            (9, 35, 3, 1),
+            (3, 70, 1, 2),
+            (8, 8, 4, 3),
+            (6, 66, 2, 2),
+            (1, 1, 1, 1),
+            (2, 17, 2, 1),
+        ];
+        for (case, &(h, w, k, s)) in shapes.iter().enumerate() {
+            for style in 0..3 {
+                let len = 3 * h * w;
+                let input: Vec<f32> = match style {
+                    0 => awkward(len, case as u64),
+                    1 => awkward(len, 50 + case as u64)
+                        .iter()
+                        .map(|v| specials[(v.to_bits() % 7) as usize])
+                        .collect(),
+                    _ => (0..len)
+                        .map(|i| {
+                            if i < h * w {
+                                f32::NAN
+                            } else {
+                                specials[i % 5 + 2]
+                            }
+                        })
+                        .collect(),
+                };
+                let want = max_pool_reference(&input, (h, w), (k, s));
+                let at = format!("{h}×{w} window {k} stride {s} style {style}");
+                let mut definition = vec![7.0; want.len()];
+                let oh_ow = ((h - k) / s + 1, (w - k) / s + 1);
+                max_pool_portable(&input, ((h, w), (k, s), oh_ow), &mut definition);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&definition), bits(&want), "definition, {at}");
+                for tier in Tier::supported(Family::Gemm) {
+                    let mut got = vec![7.0; want.len()];
+                    max_pool(tier, &input, (h, w), (k, s), &mut got);
+                    assert_eq!(bits(&got), bits(&want), "{tier:?}, {at}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Reusable scratch buffers and thread-count configuration for batched
 //! inference.
 //!
-//! Host inference walks one image at a time through every layer. Each
-//! convolution lowers the image with [`crate::conv::im2col_slice_into`]
-//! into a patch buffer and multiplies it with [`crate::linalg::gemm`]
-//! straight into the image's slice of the output. Every layer's output
-//! and every such patch buffer is a `Vec<f32>` drawn from a
+//! Host inference walks one image at a time through every layer. A
+//! convolution on a channel-lane tier copies the image into a zero-padded
+//! buffer and runs [`crate::simd::FloatConv`] straight into the image's
+//! slice of the output; elsewhere it lowers the image with
+//! [`crate::conv::im2col_slice_into`] into a patch buffer and multiplies
+//! it with [`crate::linalg::gemm`]. Every layer's output and every such
+//! padded or patch buffer is a `Vec<f32>` drawn from a
 //! [`Workspace`], which pools them: a layer borrows a buffer, the next
 //! layer hands its input back, and after the first image the pool holds
 //! the whole working set, so steady-state inference allocates no

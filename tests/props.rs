@@ -26,13 +26,14 @@ use multiprec::fpga::folding::{EngineFolding, Folding, FoldingSearch};
 use multiprec::fpga::memory::{allocate_array, best_partition};
 use multiprec::fpga::stream_sim::StreamSim;
 use multiprec::int::{NetworkPrecision, PrecisionSpec, QuantBnn};
+use multiprec::nn::layers::Conv2d;
 use multiprec::nn::train::Model;
-use multiprec::nn::{Mode, Network, NetworkBuilder};
+use multiprec::nn::{Layer, Mode, Network, NetworkBuilder};
 use multiprec::obs::SharedRecorder;
 use multiprec::serve::{BatchServer, BatcherConfig, Request};
 use multiprec::tensor::conv::{col2im, im2col, im2col_batch_into, ConvGeometry};
 use multiprec::tensor::init::TensorRng;
-use multiprec::tensor::{linalg, Parallelism, Shape, Tensor};
+use multiprec::tensor::{linalg, Parallelism, Shape, Tensor, Workspace};
 use multiprec::verify::{verify, Candidate, Oracle, VerifyTarget};
 
 proptest! {
@@ -356,25 +357,35 @@ proptest! {
     }
 
     /// The host shard executor walks one image at a time through every
-    /// layer on one recycled workspace. On random small nets (a conv with
-    /// any kernel, stride and padding; ReLU; optional dropout, max-pool,
-    /// avg-pool, LRN and batch-norm; a second conv, 1×1 or 3×3; flatten
-    /// and linear) with random weights, biases and batch-norm statistics,
-    /// its scores equal per-image `forward` bit for bit at any batch size
-    /// and thread count.
+    /// layer on one recycled workspace. On random small nets (an optional
+    /// leading 3×3/2 max pool; a conv with any kernel, stride and padding
+    /// and 1–40 output channels, so more than one channel-lane block, on
+    /// maps up to 20×20, so 1×1 convs on both sides of the AVX2 tier's
+    /// 256-pixel rule; ReLU; optional dropout, max-pool, avg-pool, LRN and
+    /// batch-norm; a second conv, 1×1 or 3×3; flatten and linear) with
+    /// random weights, biases and batch-norm statistics, its scores equal
+    /// per-image `forward` bit for bit at any batch size and thread
+    /// count. With the leading pool, a seventh of the input is NaN, ±∞ or
+    /// ±0.0, so pooling windows skip NaNs, pool all-NaN windows to −∞ and
+    /// keep the first of +0.0/−0.0 ties. Then every parameter is redrawn
+    /// through `visit_params`, after `infer` has packed the convolutions'
+    /// weights, and the scores must agree again.
     #[test]
     fn per_image_host_path_matches_forward(
-        c in 1usize..3, h in 2usize..10, w in 2usize..10,
+        c in 1usize..3, h in 2usize..21, w in 2usize..21,
         k in 1usize..5, stride in 1usize..3, pad in 0usize..3,
-        od in 1usize..5, layers in 0u32..64,
+        od in 1usize..41, layers in 0u32..128,
         n in 0usize..6, threads in 1usize..4, seed in any::<u64>()
     ) {
-        prop_assume!(ConvGeometry::new(k, stride, pad).output_dim(h.min(w)) > 0);
+        let pool_first = layers & 64 != 0 && h.min(w) >= 3;
+        let pooled = |d: usize| if pool_first { (d - 3) / 2 + 1 } else { d };
+        prop_assume!(ConvGeometry::new(k, stride, pad).output_dim(pooled(h).min(pooled(w))) > 0);
         let mut rng = TensorRng::seed_from(seed);
-        let mut b = Network::builder(Shape::nchw(1, c, h, w))
-            .conv2d(od, k, stride, pad, &mut rng)
-            .unwrap()
-            .relu();
+        let mut b = Network::builder(Shape::nchw(1, c, h, w));
+        if pool_first {
+            b = b.max_pool_stride(3, 2).unwrap();
+        }
+        b = b.conv2d(od, k, stride, pad, &mut rng).unwrap().relu();
         let fits_pool = |b: &NetworkBuilder| {
             let s = b.shape().unwrap();
             s.dim(2).min(s.dim(3)) >= 2
@@ -407,15 +418,59 @@ proptest! {
         // One training step moves the batch-norm running statistics.
         net.forward_mode(&rng.normal(Shape::nchw(2, c, h, w), 0.0, 1.0), Mode::Train)
             .unwrap();
-        let x = rng.normal(Shape::nchw(n, c, h, w), 0.0, 1.0);
-        let batched = net.infer_batch_with(&x, Parallelism::new(threads)).unwrap();
-        prop_assert_eq!(batched.shape().dims(), &[n, 4][..]);
-        for img in 0..n {
-            let one = net.forward(&x.batch_item(img).unwrap()).unwrap();
-            prop_assert!(
-                same_bits(one.as_slice(), &batched.as_slice()[img * 4..][..4]),
-                "image {img} of {n} on {threads} threads, layers {layers:06b}"
-            );
+        let mut x = rng.normal(Shape::nchw(n, c, h, w), 0.0, 1.0);
+        if pool_first {
+            let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0];
+            for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
+                let mix = (i as u64 ^ seed).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40;
+                if mix.is_multiple_of(7) {
+                    *v = specials[(mix / 7 % 5) as usize];
+                }
+            }
+        }
+        for round in ["first parameters", "parameters redrawn after infer"] {
+            let batched = net.infer_batch_with(&x, Parallelism::new(threads)).unwrap();
+            prop_assert_eq!(batched.shape().dims(), &[n, 4][..]);
+            for img in 0..n {
+                let one = net.forward(&x.batch_item(img).unwrap()).unwrap();
+                prop_assert!(
+                    same_bits(one.as_slice(), &batched.as_slice()[img * 4..][..4]),
+                    "{round}: image {img} of {n} on {threads} threads, layers {layers:07b}"
+                );
+            }
+            net.visit_params(&mut |p, _| *p = rng.normal(p.shape().clone(), 0.0, 0.5));
+        }
+    }
+
+    /// `Conv2d::infer` follows its parameters: once an `infer` has packed
+    /// the weights for channel lanes, new weights through `set_weight`,
+    /// then new weights and biases through `visit_params`, reach the next
+    /// `infer`, which equals `forward` bit for bit each time (a stale pack
+    /// fails this).
+    #[test]
+    fn conv_infer_follows_new_parameters(
+        c in 1usize..4, h in 1usize..12, w in 1usize..12,
+        k in 1usize..6, stride in 1usize..3, pad in 0usize..3,
+        od in 1usize..41, seed in any::<u64>()
+    ) {
+        prop_assume!(ConvGeometry::new(k, stride, pad).output_dim(h.min(w)) > 0);
+        let mut rng = TensorRng::seed_from(seed);
+        let mut conv = Conv2d::new(c, od, k, stride, pad, &mut rng).unwrap();
+        conv.visit_params(&mut |p, _| *p = rng.normal(p.shape().clone(), 0.0, 0.5));
+        let x = rng.normal(Shape::nchw(2, c, h, w), 0.0, 1.0);
+        let mut ws = Workspace::new();
+        for round in 0..3 {
+            match round {
+                1 => conv
+                    .set_weight(rng.normal(Shape::matrix(od, c * k * k), 0.0, 0.5))
+                    .unwrap(),
+                2 => conv.visit_params(&mut |p, _| *p = rng.normal(p.shape().clone(), 0.0, 0.5)),
+                _ => {}
+            }
+            let got = conv.infer(&x, &mut ws).unwrap();
+            let want = conv.forward(&x, Mode::Infer).unwrap();
+            prop_assert!(same_bits(got.as_slice(), want.as_slice()), "round {round}");
+            ws.put(got.into_vec());
         }
     }
 }
