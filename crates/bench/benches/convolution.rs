@@ -1,26 +1,32 @@
-//! Micro-benchmark: the im2col + GEMM convolution forward pass at the
-//! host models' layer geometries (Model A's 5×5 stages).
+//! Micro-benchmark: the convolution inference path host batches run
+//! (`Layer::infer` on a reused `Workspace`: the channel-lane kernel, or
+//! im2col + GEMM where that tier or geometry sends it) at Model A's
+//! layer geometries, and the im2col lowering on its own.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use mp_nn::layers::Conv2d;
-use mp_nn::{Layer, Mode};
+use mp_nn::Layer;
 use mp_tensor::init::TensorRng;
-use mp_tensor::{Shape, Tensor};
+use mp_tensor::{Shape, Tensor, Workspace};
 
-fn bench_conv_forward(c: &mut Criterion) {
+fn bench_conv_infer(c: &mut Criterion) {
     let mut rng = TensorRng::seed_from(0);
-    let mut group = c.benchmark_group("conv2d_forward");
+    let mut group = c.benchmark_group("conv2d_infer");
     // (in_ch, out_ch, k, size): Model A's three conv stages.
     for (ic, oc, k, size) in [
         (3usize, 32usize, 5usize, 32usize),
         (32, 32, 5, 15),
         (32, 64, 5, 7),
     ] {
-        let mut conv = Conv2d::new(ic, oc, k, 1, 2, &mut rng).unwrap();
+        let conv = Conv2d::new(ic, oc, k, 1, 2, &mut rng).unwrap();
         let x = rng.normal(Shape::nchw(1, ic, size, size), 0.0, 1.0);
+        let mut ws = Workspace::new();
         group.bench_function(format!("{ic}->{oc}@{size}x{size}"), |b| {
-            b.iter(|| conv.forward(black_box(&x), Mode::Infer).unwrap())
+            b.iter(|| {
+                let y = conv.infer(black_box(&x), &mut ws).unwrap();
+                ws.put(y.into_vec());
+            })
         });
     }
     group.finish();
@@ -34,5 +40,5 @@ fn bench_im2col(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_conv_forward, bench_im2col);
+criterion_group!(benches, bench_conv_infer, bench_im2col);
 criterion_main!(benches);

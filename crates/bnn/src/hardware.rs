@@ -756,7 +756,8 @@ impl HardwareBnn {
     }
 
     /// Optimised batched inference, bit-identical to [`Self::infer_batch`],
-    /// sharding images across `par` scoped worker threads.
+    /// sharding images across `par` threads (see
+    /// [`Parallelism::map_chunks`]).
     ///
     /// Per shard, scratch buffers are reused across images. The first
     /// engine runs `mp_tensor::simd`'s channel-lane pair kernel over
@@ -817,44 +818,15 @@ impl HardwareBnn {
         } else {
             None
         };
-        let chunks = par.chunks(n);
         let tiers = Tiers::detected();
-        if chunks.len() <= 1 {
+        let parts = par.map_chunks(n, |(start, end)| {
             let mut scratch = HwScratch::default();
-            let mut data = Vec::with_capacity(n * classes);
-            self.infer_range_inner(xv, &mut scratch, obs_ref, tiers, &mut data);
-            return Tensor::from_vec(Shape::matrix(n, classes), data);
-        }
-        let parts: Vec<Vec<f32>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .map(|&(start, end)| {
-                    let slice = &xv[start * image_len..end * image_len];
-                    scope.spawn(move || {
-                        let mut scratch = HwScratch::default();
-                        let mut part = Vec::new();
-                        self.infer_range_inner(slice, &mut scratch, obs_ref, tiers, &mut part);
-                        part
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("BNN inference worker panicked"))
-                .collect()
+            let mut part = Vec::new();
+            let images = &xv[start * image_len..end * image_len];
+            self.infer_range_inner(images, &mut scratch, obs_ref, tiers, &mut part);
+            part
         });
         Tensor::from_vec(Shape::matrix(n, classes), parts.concat())
-    }
-
-    /// Creates a reusable single-thread block-inference stream: the
-    /// producer side of the overlapped stage-graph executor. See
-    /// [`BnnBlockStream`].
-    pub fn block_stream(&self) -> BnnBlockStream<'_> {
-        BnnBlockStream {
-            hw: self,
-            scratch: HwScratch::default(),
-            names: self.stage_span_names(),
-        }
     }
 
     /// Stable per-stage span names: `bnn.stage<i>.<kind>`.
@@ -1073,8 +1045,8 @@ impl FirstLanes {
     }
 }
 
-/// Reusable per-thread scratch for [`HardwareBnn::infer_batch_with`] and
-/// [`BnnBlockStream`], so steady-state inference performs no heap
+/// Per-shard scratch for [`HardwareBnn::infer_batch_with`], reused
+/// across every image of the shard, so a warm shard performs no heap
 /// allocation.
 #[derive(Debug)]
 struct HwScratch {
@@ -1108,69 +1080,6 @@ impl Default for HwScratch {
             fc_in: BitVec::zeros(0),
             acc: Vec::new(),
         }
-    }
-}
-
-/// A reusable single-thread block-inference stream: the FPGA side of the
-/// overlapped stage-graph executor (`Concurrency::Threaded`).
-///
-/// Holds the per-stage span names and all scratch buffers across calls,
-/// so inferring block after block of one workload is allocation-free in
-/// steady state. Scores land in a caller-owned buffer and are
-/// bit-identical per image to [`HardwareBnn::infer_batch`] — batching
-/// never changes results.
-pub struct BnnBlockStream<'a> {
-    hw: &'a HardwareBnn,
-    scratch: HwScratch,
-    names: Vec<String>,
-}
-
-impl BnnBlockStream<'_> {
-    /// Runs images `start..end` of a `[N, C, H, W]` batch through the
-    /// accelerator, replacing the contents of `out` with
-    /// `(end - start) * classes` float scores. With `rec` enabled,
-    /// per-stage spans are recorded exactly as
-    /// [`HardwareBnn::infer_batch_obs`] records them.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] when the batch does not match the topology
-    /// or the range falls outside it.
-    pub fn infer_block_into(
-        &mut self,
-        images: &Tensor,
-        start: usize,
-        end: usize,
-        rec: &dyn Recorder,
-        out: &mut Vec<f32>,
-    ) -> Result<(), ShapeError> {
-        let shape = images.shape();
-        let topo = self.hw.topology();
-        let (c, h, w) = (topo.channels(), topo.height(), topo.width());
-        if shape.rank() != 4 || (shape.dim(1), shape.dim(2), shape.dim(3)) != (c, h, w) {
-            return Err(ShapeError::new(
-                "BnnBlockStream::infer_block_into",
-                format!("expected [N,{c},{h},{w}] batch, got {shape}"),
-            ));
-        }
-        let n = shape.dim(0);
-        if start > end || end > n {
-            return Err(ShapeError::new(
-                "BnnBlockStream::infer_block_into",
-                format!("image range {start}..{end} outside batch of {n}"),
-            ));
-        }
-        let image_len = c * h * w;
-        let obs_ref: Option<(&dyn Recorder, &[String])> = if rec.enabled() {
-            Some((rec, self.names.as_slice()))
-        } else {
-            None
-        };
-        out.clear();
-        let slice = &images.as_slice()[start * image_len..end * image_len];
-        self.hw
-            .infer_range_inner(slice, &mut self.scratch, obs_ref, Tiers::detected(), out);
-        Ok(())
     }
 }
 
@@ -1392,45 +1301,6 @@ mod tests {
                 assert_eq!(reference.as_slice(), got.as_slice());
             }
         }
-    }
-
-    #[test]
-    fn block_stream_matches_infer_batch_across_splits() {
-        let bnn = trained_tiny(80);
-        let hw = HardwareBnn::from_classifier(&bnn).unwrap();
-        let mut rng = TensorRng::seed_from(84);
-        let n = 21;
-        let batch = rng.normal(Shape::nchw(n, 3, 8, 8), 0.0, 1.0);
-        let reference = hw.infer_batch(&batch).unwrap();
-        // One stream reused across every split: exercises scratch reuse
-        // across block sizes up to and past n.
-        let mut stream = hw.block_stream();
-        let mut scores = Vec::new();
-        for block in [1usize, 3, 8, 10, n, n + 5] {
-            let mut got = Vec::new();
-            let mut start = 0;
-            while start < n {
-                let end = (start + block).min(n);
-                stream
-                    .infer_block_into(&batch, start, end, &mp_obs::NULL_RECORDER, &mut scores)
-                    .unwrap();
-                got.extend_from_slice(&scores);
-                start = end;
-            }
-            assert_eq!(got.as_slice(), reference.as_slice(), "block={block}");
-        }
-        // Empty range is well-formed and clears the output buffer.
-        stream
-            .infer_block_into(&batch, 5, 5, &mp_obs::NULL_RECORDER, &mut scores)
-            .unwrap();
-        assert!(scores.is_empty());
-        // Out-of-bounds and inverted ranges are rejected.
-        assert!(stream
-            .infer_block_into(&batch, 0, n + 1, &mp_obs::NULL_RECORDER, &mut scores)
-            .is_err());
-        assert!(stream
-            .infer_block_into(&batch, 4, 2, &mp_obs::NULL_RECORDER, &mut scores)
-            .is_err());
     }
 
     #[test]

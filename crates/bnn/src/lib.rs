@@ -53,5 +53,5 @@ pub mod ste;
 mod topology;
 
 pub use classifier::{BnFold, BnnClassifier, LatentKind, LatentStage};
-pub use hardware::{AccRange, BnnBlockStream, HardwareBnn, StageSummary};
+pub use hardware::{AccRange, HardwareBnn, StageSummary};
 pub use topology::{EngineKind, EngineSpec, FinnTopology};

@@ -160,22 +160,13 @@ impl Dmu {
     /// structure: top-1 minus runners-up, exactly the confidence signal
     /// softmax-style estimators extract.
     fn features(&self, scores: &[f32]) -> Vec<f32> {
-        let mut feats = Vec::new();
-        self.features_into(scores, &mut feats);
-        feats
-    }
-
-    /// [`Dmu::features`] into a caller-owned buffer (cleared first), so
-    /// per-image hot loops reuse one allocation. Identical arithmetic
-    /// and sort order, so results are bit-identical.
-    fn features_into(&self, scores: &[f32], feats: &mut Vec<f32>) {
         let n = scores.len().max(1) as f32;
         let mean = scores.iter().sum::<f32>() / n;
         let var = scores.iter().map(|&s| (s - mean) * (s - mean)).sum::<f32>() / n;
         let inv_std = 1.0 / (var.sqrt() + 1e-6);
-        feats.clear();
-        feats.extend(scores.iter().map(|&s| (s - mean) * inv_std));
+        let mut feats: Vec<f32> = scores.iter().map(|&s| (s - mean) * inv_std).collect();
         feats.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
+        feats
     }
 
     /// Probability that the BNN classified correctly, given its scores.
@@ -184,25 +175,12 @@ impl Dmu {
     ///
     /// Panics if `scores.len()` differs from [`Dmu::classes`].
     pub fn predict(&self, scores: &[f32]) -> f32 {
-        self.predict_with_scratch(scores, &mut Vec::new())
-    }
-
-    /// [`Dmu::predict`] with a caller-owned feature scratch buffer: the
-    /// allocation-free form for per-image hot loops (the overlapped
-    /// executor's producer calls this once per image). Bit-identical to
-    /// `predict`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scores.len()` differs from [`Dmu::classes`].
-    pub fn predict_with_scratch(&self, scores: &[f32], feats: &mut Vec<f32>) -> f32 {
         assert_eq!(scores.len(), self.classes(), "score vector length mismatch");
-        self.features_into(scores, feats);
         let z: f32 = self
             .weights
             .iter()
-            .zip(feats.iter())
-            .map(|(&w, &x)| w * x)
+            .zip(self.features(scores))
+            .map(|(&w, x)| w * x)
             .sum::<f32>()
             + self.bias;
         1.0 / (1.0 + (-z).exp())
@@ -384,19 +362,6 @@ mod tests {
         let dmu = Dmu::with_weights(vec![1.0; 10], 0.0);
         let p = dmu.predict(&[5.0, -1.0, 0.5, 0.0, 2.0, -3.0, 1.0, 0.0, 0.0, 0.0]);
         assert!((0.0..=1.0).contains(&p));
-    }
-
-    #[test]
-    fn predict_with_scratch_is_bit_identical_to_predict() {
-        let dmu = Dmu::with_weights(vec![0.3, -0.1, 0.7, 0.05, -0.4], 0.2);
-        let mut rng = TensorRng::seed_from(91);
-        let mut feats = Vec::new();
-        for _ in 0..50 {
-            let scores: Vec<f32> = (0..5).map(|_| rng.next_gaussian(0.0, 4.0)).collect();
-            let a = dmu.predict(&scores);
-            let b = dmu.predict_with_scratch(&scores, &mut feats);
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //! high-precision side misbehaving. This module makes that testable:
 //!
 //! - [`FaultPlan`] describes *what goes wrong* — transient host
-//!   inference errors, per-image latency spikes, host-worker death, and
-//!   FPGA stream faults (via [`mp_fpga::StreamFaults`]) — all keyed on a
-//!   seed so a chaos run replays byte-identically;
+//!   inference errors, per-image latency spikes and host-worker death —
+//!   all keyed on a seed so a chaos run replays byte-identically;
 //! - [`FaultInjector`] turns the plan into per-image, per-attempt
 //!   decisions with a stateless hash (no RNG state to share across the
 //!   pipeline's threads);
@@ -29,8 +28,6 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use mp_fpga::StreamFaults;
-
 use crate::CoreError;
 
 /// A seeded description of the faults to inject into one pipeline run.
@@ -50,9 +47,6 @@ pub struct FaultPlan {
     /// Kill the host worker after it has processed this many flagged
     /// images (an injected panic; the pipeline must degrade, not abort).
     pub host_death_after: Option<usize>,
-    /// FPGA-side stream faults (source stalls / interval jitter) for
-    /// [`mp_fpga::StreamSim`]-based experiments.
-    pub stream: StreamFaults,
 }
 
 impl FaultPlan {
@@ -65,7 +59,6 @@ impl FaultPlan {
             host_spike_rate: 0.0,
             host_spike_latency_s: 1.0,
             host_death_after: None,
-            stream: StreamFaults::none(),
         }
     }
 
@@ -74,7 +67,6 @@ impl FaultPlan {
     pub fn seeded(seed: u64) -> Self {
         Self {
             seed,
-            stream: StreamFaults::seeded(seed),
             ..Self::none()
         }
     }
@@ -98,18 +90,11 @@ impl FaultPlan {
         self
     }
 
-    /// Sets the FPGA-side stream faults.
-    pub fn with_stream(mut self, stream: StreamFaults) -> Self {
-        self.stream = stream;
-        self
-    }
-
     /// Whether the plan injects nothing.
     pub fn is_none(&self) -> bool {
         self.host_error_rate == 0.0
             && self.host_spike_rate == 0.0
             && self.host_death_after.is_none()
-            && self.stream.is_none()
     }
 
     /// Validates rates and durations.

@@ -44,7 +44,7 @@ use mp_bnn::HardwareBnn;
 use mp_dataset::Dataset;
 use mp_nn::Network;
 use mp_obs::{now_ns, schema, ObsEvent, Recorder, NULL_RECORDER};
-use mp_tensor::{nan_aware_argmax, Parallelism, ShapeError, Tensor};
+use mp_tensor::{Parallelism, Tensor};
 
 use crate::cascade::{gate_accepts, CascadePolicy, StageClassifier};
 use crate::dmu::{ConfusionQuadrants, Dmu};
@@ -63,9 +63,11 @@ pub struct PipelineTiming {
     pub t_bnn_img_s: f64,
     /// Seconds per image on the host float network (e.g. `1/29.68`).
     pub t_fp_img_s: f64,
-    /// Images per FPGA batch in the `async`/`wait` loop. Also sizes the
-    /// bounded FPGA→host channel of the parallel executor, so a stalled
-    /// host applies back-pressure instead of growing memory unboundedly.
+    /// Images per FPGA batch in the `async`/`wait` loop. Under
+    /// [`Concurrency::Threaded`] it is also the producer's block: each
+    /// block is scored on one thread, and the channel of flagged image
+    /// indices to the host worker holds at most this many, so a stalled
+    /// host back-pressures the producer instead of growing memory.
     pub batch_size: usize,
 }
 
@@ -200,8 +202,9 @@ impl<'a> MultiPrecisionPipeline<'a> {
         }
     }
 
-    /// Shards host re-inference batches across `parallelism` worker
-    /// threads. Predictions are bit-identical for every setting, and the
+    /// Shards each stage's batches across `parallelism` threads (under
+    /// [`Concurrency::Threaded`], the host reruns; its producer scores
+    /// each block on one thread). Predictions are bit-identical for every setting, and the
     /// fault log stays seed-deterministic: fault decisions depend only on
     /// arrival order, `(image, attempt)` and breaker state, never on how
     /// the deferred inference batch is sharded.
@@ -347,13 +350,7 @@ impl<'a> MultiPrecisionPipeline<'a> {
                     subset = data.select(&active)?;
                     subset.images()
                 };
-                let scores = match &stage.classifier {
-                    StageClassifier::Quantized(q) => q.infer_batch_obs(images, par, rec),
-                    _ => self.hw.infer_batch_obs(images, par, rec),
-                }
-                .map_err(CoreError::fpga)?;
-                let preds = Network::argmax_rows(&scores)?;
-                (preds, self.dmu.predict_batch(&scores)?)
+                self.route(&self.stage_scores(&stage.classifier, images, par, rec)?)?
             };
             if let Some(start) = t0 {
                 let end = now_ns();
@@ -379,8 +376,41 @@ impl<'a> MultiPrecisionPipeline<'a> {
         ))
     }
 
+    /// A non-host stage's `[N, classes]` scores of `images`: its
+    /// quantized net, or else the pipeline's own BNN.
+    fn stage_scores(
+        &self,
+        classifier: &StageClassifier,
+        images: &Tensor,
+        par: Parallelism,
+        rec: &dyn Recorder,
+    ) -> Result<Tensor, CoreError> {
+        match classifier {
+            StageClassifier::Quantized(q) => q.infer_batch_obs(images, par, rec),
+            _ => self.hw.infer_batch_obs(images, par, rec),
+        }
+        .map_err(CoreError::fpga)
+    }
+
+    /// Each score row's prediction and DMU confidence, which the
+    /// stage's gate turns into accept or escalate.
+    fn route(&self, scores: &Tensor) -> Result<(Vec<usize>, Vec<f32>), CoreError> {
+        Ok((
+            Network::argmax_rows(scores)?,
+            self.dmu.predict_batch(scores)?,
+        ))
+    }
+
     /// The [`Concurrency::Threaded`] executor: the dmu-shaped `policy`
-    /// gated at `threshold`.
+    /// gated at `threshold`, its two stages on two threads joined by a
+    /// bounded channel of flagged image indices (paper Fig. 2).
+    ///
+    /// The producer scores each block of [`PipelineTiming::batch_size`]
+    /// images with [`Self::execute_cascade`]'s stage bodies on one thread
+    /// and sends the block's flagged images in index order while the host
+    /// worker re-infers earlier ones: the real-thread mirror of
+    /// [`modeled_batch_time`]'s `async(1)`/`wait(1)` overlap.
+    #[allow(clippy::disallowed_methods)] // the Fig. 2 producer/worker pair
     fn execute_threaded(
         &self,
         host: &Network,
@@ -401,9 +431,9 @@ impl<'a> MultiPrecisionPipeline<'a> {
         }
         let start = std::time::Instant::now();
         let n = data.len();
-        // Satellite fix: bounded channel sized from the FPGA batch, so a
-        // stalled host applies back-pressure instead of growing memory.
-        let (tx, rx) = channel::bounded::<(usize, Tensor)>(timing.batch_size);
+        // Bounded by the block size, so a stalled host back-pressures the
+        // producer instead of queueing flagged images without limit.
+        let (tx, rx) = channel::bounded::<usize>(timing.batch_size);
         let degradation = *degradation;
         let injector_ref = &injector;
         // The crossbeam stub channel exposes no occupancy, so the queue
@@ -415,122 +445,88 @@ impl<'a> MultiPrecisionPipeline<'a> {
         type WorkerJoin = Result<HostWorkerOutput, CoreError>;
         let (bnn_preds, kept, backpressure_events, worker_out) = std::thread::scope(
             |scope| -> Result<(Vec<usize>, Vec<bool>, usize, WorkerJoin), CoreError> {
-                // Host worker: re-infers flagged images as they arrive,
-                // applying the degradation policy per image.
                 let worker = scope.spawn(move || -> Result<HostWorkerOutput, CoreError> {
-                    host_worker_loop(host, rx, injector_ref, &degradation, par, depth_obs)
+                    host_worker_loop(host, data, rx, injector_ref, &degradation, par, depth_obs)
                 });
-                // "FPGA" side: the block-pipelined stage graph. The BNN
-                // runs the batched fast path over one block
-                // of `timing.batch_size` images, publishes that block's
-                // flagged subset to the host worker, then starts on the
-                // next block while the worker re-infers — the real-thread
-                // mirror of `modeled_batch_time`'s `async(1)`/`wait(1)`
-                // overlap. Flagged images are still sent one at a time in
-                // index order, so the worker loop, fault arrival order,
-                // and channel backpressure semantics are unchanged.
                 let mut bnn_preds = Vec::with_capacity(n);
                 let mut kept = Vec::with_capacity(n);
                 let mut backpressure_events = 0usize;
                 let mut worker_gone = false;
-                let classes = self.hw.topology().classes();
-                let block = timing.batch_size;
-                // Steady-state scratch, reused across every block and
-                // image: block scores, DMU features, BNN plan + planes.
-                let mut stream = self.hw.block_stream();
-                let mut scores: Vec<f32> = Vec::new();
-                let mut feats: Vec<f32> = Vec::new();
-                let mut block_start = 0usize;
-                while block_start < n {
-                    let block_end = (block_start + block).min(n);
-                    let b = block_end - block_start;
+                for (images, _) in data.iter_batches(timing.batch_size) {
                     let t_blk = rec.enabled().then(now_ns);
-                    stream
-                        .infer_block_into(data.images(), block_start, block_end, rec, &mut scores)
-                        .map_err(CoreError::fpga)?;
+                    let scores = self.stage_scores(
+                        &StageClassifier::Primary,
+                        &images,
+                        Parallelism::sequential(),
+                        rec,
+                    )?;
                     if let Some(t0) = t_blk {
                         let t1 = now_ns();
-                        // The block span is pure BNN compute: flagged
-                        // sends (and any backpressure stall) happen after
-                        // it closes, so queue waits never inflate it.
+                        // The block span is pure BNN compute: routing,
+                        // flagged sends and any backpressure stall happen
+                        // after it closes, so queue waits never inflate it.
                         rec.record_span(schema::SPAN_PIPELINE_BNN_BLOCK, t0, t1);
+                        let b = scores.shape().dim(0);
                         let per_image_s = t1.saturating_sub(t0) as f64 * 1e-9 / b as f64;
                         for _ in 0..b {
                             rec.observe(schema::HIST_BNN_IMAGE_S, per_image_s);
                         }
                     }
-                    for j in 0..b {
-                        let i = block_start + j;
-                        let row = &scores[j * classes..(j + 1) * classes];
-                        // Satellite fix (kept from the per-image path): a
-                        // local argmax would silently predict class 0 for
-                        // an all-NaN row; the shared NaN-aware helper
-                        // surfaces the failure instead.
-                        let pred = nan_aware_argmax(row).ok_or_else(|| {
-                            CoreError::fpga(ShapeError::new(
-                                "pipeline",
-                                format!("image {i}: BNN scores have no comparable maximum"),
-                            ))
-                        })?;
-                        let p = self.dmu.predict_with_scratch(row, &mut feats);
+                    let (preds, conf) = self.route(&scores)?;
+                    for (pred, p) in preds.into_iter().zip(conf) {
+                        let i = bnn_preds.len();
                         let keep = gate_accepts(p, threshold);
                         bnn_preds.push(pred);
                         kept.push(keep);
-                        if !keep && !worker_gone {
-                            let image = data.images().batch_item(i)?;
-                            // Count the item before it becomes visible to
-                            // the worker; incrementing after delivery races
-                            // the worker's decrement and the mirror goes
-                            // negative.
-                            if let Some((_, depth)) = depth_obs {
-                                depth.fetch_add(1, Ordering::Relaxed);
+                        if keep || worker_gone {
+                            continue;
+                        }
+                        // Counted before the send makes it visible to the
+                        // worker, whose decrement could otherwise come
+                        // first and take the mirror below zero.
+                        if let Some((_, depth)) = depth_obs {
+                            depth.fetch_add(1, Ordering::Relaxed);
+                        }
+                        let delivered = match tx.try_send(i) {
+                            Ok(()) => true,
+                            Err(TrySendError::Full(msg)) => {
+                                backpressure_events += 1;
+                                // The blocking wait is backpressure, not BNN
+                                // time: one histogram entry per event, so
+                                // its count matches the counter.
+                                let t_stall = rec.enabled().then(now_ns);
+                                let sent = tx.send(msg).is_ok();
+                                if let Some(t0) = t_stall {
+                                    rec.observe(
+                                        schema::HIST_BACKPRESSURE_WAIT_S,
+                                        now_ns().saturating_sub(t0) as f64 * 1e-9,
+                                    );
+                                }
+                                // A send error means the worker died; its
+                                // fate is classified at join below.
+                                worker_gone = !sent;
+                                sent
                             }
-                            let delivered = match tx.try_send((i, image)) {
-                                Ok(()) => true,
-                                Err(TrySendError::Full(msg)) => {
-                                    backpressure_events += 1;
-                                    // Satellite fix: the blocking wait on a
-                                    // full host queue is backpressure, not
-                                    // BNN time — record it in its own
-                                    // histogram (one entry per event, so
-                                    // its count matches the counter).
-                                    let t_stall = rec.enabled().then(now_ns);
-                                    let sent = tx.send(msg).is_ok();
-                                    if let Some(t0) = t_stall {
-                                        rec.observe(
-                                            schema::HIST_BACKPRESSURE_WAIT_S,
-                                            now_ns().saturating_sub(t0) as f64 * 1e-9,
-                                        );
-                                    }
-                                    // On a send error the worker died; stop
-                                    // feeding it. Its fate is classified at
-                                    // join below.
-                                    worker_gone = !sent;
-                                    sent
-                                }
-                                Err(TrySendError::Disconnected(_)) => {
-                                    worker_gone = true;
-                                    false
-                                }
-                            };
-                            if let Some((rec, depth)) = depth_obs {
-                                if delivered {
-                                    // The worker may already have consumed
-                                    // the item, so clamp: depth was ≥ 1 at
-                                    // delivery.
-                                    let d = depth.load(Ordering::Relaxed).max(1);
-                                    rec.observe(schema::HIST_QUEUE_DEPTH, d as f64);
-                                } else {
-                                    depth.fetch_sub(1, Ordering::Relaxed);
-                                }
+                            Err(TrySendError::Disconnected(_)) => {
+                                worker_gone = true;
+                                false
+                            }
+                        };
+                        if let Some((rec, depth)) = depth_obs {
+                            if delivered {
+                                // The worker may already have consumed the
+                                // item, so clamp: depth was ≥ 1 at delivery.
+                                let d = depth.load(Ordering::Relaxed).max(1);
+                                rec.observe(schema::HIST_QUEUE_DEPTH, d as f64);
+                            } else {
+                                depth.fetch_sub(1, Ordering::Relaxed);
                             }
                         }
                     }
-                    block_start = block_end;
                 }
                 drop(tx);
-                // Satellite fix: no `expect` — a worker panic becomes a
-                // typed error handled by the degradation path.
+                // A worker panic (injected death included) becomes a typed
+                // error that the degradation path below handles.
                 let joined: WorkerJoin = match worker.join() {
                     Ok(result) => result,
                     Err(payload) => {
@@ -622,20 +618,22 @@ struct HostWorkerOutput {
 /// batches).
 const HOST_BATCH: usize = 32;
 
-/// The host worker: drains the channel, applying fault injection, the
-/// retry/backoff budget, the per-image deadline, and the circuit
-/// breaker. Injected worker death panics (deliberately — the producer
-/// side must survive a genuinely dead thread, not a polite error).
+/// The host worker: drains the channel of flagged image indices,
+/// applying fault injection, the retry/backoff budget, the per-image
+/// deadline, and the circuit breaker. Injected worker death panics
+/// (deliberately — the producer side must survive a genuinely dead
+/// thread, not a polite error).
 ///
 /// Fault decisions depend only on arrival order, `(image, attempt)` and
 /// breaker state — never on inference results — so images that survive
-/// the policy are *deferred* into a pending batch and re-inferred through
-/// the data-parallel engine. The fault log stays byte-identical to the
-/// per-image path for every `par` setting; each prediction is
-/// bit-identical because every layer treats batch rows independently.
+/// the policy are *deferred* and re-inferred [`HOST_BATCH`] at a time
+/// through [`infer_host_subset`]. The fault log is therefore the same
+/// for every `par` setting, and each prediction is bit-identical because
+/// every layer treats batch rows independently.
 fn host_worker_loop(
     host: &Network,
-    rx: channel::Receiver<(usize, Tensor)>,
+    data: &Dataset,
+    rx: channel::Receiver<usize>,
     injector: &FaultInjector,
     policy: &DegradationPolicy,
     par: Parallelism,
@@ -644,10 +642,9 @@ fn host_worker_loop(
     let rec = obs.map_or(&NULL_RECORDER as &dyn Recorder, |(r, _)| r);
     let mut out = HostWorkerOutput::default();
     let mut breaker = CircuitBreaker::new(policy);
-    // Outcome slots awaiting a prediction, and their images.
-    let mut pending_slots: Vec<usize> = Vec::new();
-    let mut pending_images: Vec<Tensor> = Vec::new();
-    for (processed, (index, image)) in rx.into_iter().enumerate() {
+    // Outcome slots whose images await a host prediction.
+    let mut pending: Vec<usize> = Vec::new();
+    for (processed, index) in rx.into_iter().enumerate() {
         if let Some((_, depth)) = obs {
             depth.fetch_sub(1, Ordering::Relaxed);
         }
@@ -719,57 +716,36 @@ fn host_worker_loop(
         }
         match survived {
             None => {
-                pending_slots.push(out.outcomes.len());
+                pending.push(out.outcomes.len());
                 // Placeholder prediction, overwritten by the next flush.
                 out.outcomes.push((index, Ok(usize::MAX)));
-                if pending_images.len() + 1 >= HOST_BATCH {
-                    pending_images.push(image);
-                    flush_pending(
-                        host,
-                        &mut pending_slots,
-                        &mut pending_images,
-                        &mut out.outcomes,
-                        par,
-                        rec,
-                    )?;
-                } else {
-                    pending_images.push(image);
+                if pending.len() >= HOST_BATCH {
+                    flush_pending(host, data, &mut pending, &mut out.outcomes, par, rec)?;
                 }
             }
             Some(kind) => out.outcomes.push((index, Err(kind))),
         }
     }
-    flush_pending(
-        host,
-        &mut pending_slots,
-        &mut pending_images,
-        &mut out.outcomes,
-        par,
-        rec,
-    )?;
+    flush_pending(host, data, &mut pending, &mut out.outcomes, par, rec)?;
     out.breaker_trips = breaker.trips();
     Ok(out)
 }
 
-/// Re-infers the worker's pending images as one sharded batch and writes
-/// each prediction into its reserved outcome slot.
+/// Re-infers the images of the `pending` outcome slots as one host batch
+/// and writes each prediction into its slot.
 fn flush_pending(
     host: &Network,
-    slots: &mut Vec<usize>,
-    images: &mut Vec<Tensor>,
+    data: &Dataset,
+    pending: &mut Vec<usize>,
     outcomes: &mut [(usize, Result<usize, FaultKind>)],
     par: Parallelism,
     rec: &dyn Recorder,
 ) -> Result<(), CoreError> {
-    if images.is_empty() {
-        return Ok(());
-    }
-    let preds = rerun_batch(host, images, par, rec)?;
-    for (&slot, pred) in slots.iter().zip(preds) {
+    let indices: Vec<usize> = pending.iter().map(|&slot| outcomes[slot].0).collect();
+    let preds = infer_host_subset(host, data, &indices, par, rec)?;
+    for (slot, pred) in pending.drain(..).zip(preds) {
         outcomes[slot].1 = Ok(pred);
     }
-    slots.clear();
-    images.clear();
     Ok(())
 }
 
@@ -1081,8 +1057,10 @@ pub fn modeled_cascade_time(entered: &[Vec<bool>], unit_costs: &[f64], batch_siz
     total
 }
 
-/// Re-infers `indices` of `data` on the host network, batched and
-/// sharded across `par` worker threads.
+/// The one host-rerun body of both executors: re-infers `indices` of
+/// `data` [`HOST_BATCH`] images at a time, each chunk one batch sharded
+/// across `par` threads inside a `pipeline.host_rerun` span (also
+/// observed into `pipeline.host_batch_s`), and returns the predictions.
 fn infer_host_subset(
     host: &Network,
     data: &Dataset,
@@ -1092,38 +1070,22 @@ fn infer_host_subset(
 ) -> Result<Vec<usize>, CoreError> {
     let mut preds = Vec::with_capacity(indices.len());
     for chunk in indices.chunks(HOST_BATCH) {
-        let images: Vec<Tensor> = chunk
-            .iter()
-            .map(|&i| data.images().batch_item(i))
-            .collect::<Result<_, _>>()?;
-        preds.extend(rerun_batch(host, &images, par, rec)?);
+        let batch = data.select(chunk)?;
+        let t0 = rec.enabled().then(now_ns);
+        let scores = host
+            .infer_batch_obs(batch.images(), par, rec)
+            .map_err(CoreError::host)?;
+        if let Some(start) = t0 {
+            let end = now_ns();
+            rec.record_span(schema::SPAN_PIPELINE_HOST_RERUN, start, end);
+            rec.observe(
+                schema::HIST_HOST_BATCH_S,
+                end.saturating_sub(start) as f64 * 1e-9,
+            );
+        }
+        preds.extend(Network::argmax_rows(&scores)?);
     }
     Ok(preds)
-}
-
-/// The one host-rerun body of both executors: stacks `images`, re-infers
-/// them as one sharded batch inside a `pipeline.host_rerun` span (also
-/// observed into `pipeline.host_batch_s`), and returns the predictions.
-fn rerun_batch(
-    host: &Network,
-    images: &[Tensor],
-    par: Parallelism,
-    rec: &dyn Recorder,
-) -> Result<Vec<usize>, CoreError> {
-    let batch = Tensor::stack_batch(images)?;
-    let t0 = rec.enabled().then(now_ns);
-    let scores = host
-        .infer_batch_obs(&batch, par, rec)
-        .map_err(CoreError::host)?;
-    if let Some(start) = t0 {
-        let end = now_ns();
-        rec.record_span(schema::SPAN_PIPELINE_HOST_RERUN, start, end);
-        rec.observe(
-            schema::HIST_HOST_BATCH_S,
-            end.saturating_sub(start) as f64 * 1e-9,
-        );
-    }
-    Ok(Network::argmax_rows(&scores)?)
 }
 
 #[cfg(test)]
@@ -1136,7 +1098,7 @@ mod tests {
     use mp_nn::train::Model;
     use mp_nn::Mode;
     use mp_tensor::init::TensorRng;
-    use mp_tensor::Shape;
+    use mp_tensor::{nan_aware_argmax, Shape};
     use std::sync::Arc;
 
     fn tiny_system() -> (HardwareBnn, Dmu, Dataset, Network) {

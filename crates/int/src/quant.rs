@@ -979,10 +979,11 @@ impl QuantBnn {
         self.infer_batch_obs(images, Parallelism::sequential(), &mp_obs::NULL_RECORDER)
     }
 
-    /// [`Self::infer_batch`] sharded across `par` scoped worker threads
-    /// with per-stage wall-time spans (`quant.stage<i>.<kind>`, one per
-    /// image and stage) and the `quant.images` / `quant.plane_macs`
-    /// counters recorded against `rec`. Plane MACs are the modeled
+    /// [`Self::infer_batch`] sharded across `par` threads (see
+    /// [`Parallelism::map_chunks`]) with per-stage wall-time spans
+    /// (`quant.stage<i>.<kind>`, one per image and stage) and the
+    /// `quant.images` / `quant.plane_macs` counters recorded against
+    /// `rec`. Plane MACs are the modeled
     /// bit-serial work, whichever datapath computes the scores.
     /// Recording is passive: scores are bit-identical to the unobserved
     /// path, and to [`Self::infer_image`] divided by
@@ -1026,32 +1027,15 @@ impl QuantBnn {
             None
         };
         let tier = Tier::detected(Family::Int);
-        let infer_range = |range: std::ops::Range<usize>| -> Vec<f32> {
+        let parts = par.map_chunks(n, |(start, end)| {
             let mut scratch = DenseScratch::default();
-            let mut out = Vec::with_capacity(range.len() * classes);
-            for i in range {
-                let image = &xv[i * image_len..(i + 1) * image_len];
+            let mut out = Vec::with_capacity((end - start) * classes);
+            for image in xv[start * image_len..end * image_len].chunks_exact(image_len) {
                 self.infer_dense(tier, image, &mut scratch, obs, &mut out);
             }
             out
-        };
-        let chunks = par.chunks(n);
-        let data = if chunks.len() <= 1 {
-            infer_range(0..n)
-        } else {
-            let parts: Vec<Vec<f32>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = chunks
-                    .iter()
-                    .map(|&(start, end)| scope.spawn(move || infer_range(start..end)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("quantized inference worker panicked"))
-                    .collect()
-            });
-            parts.concat()
-        };
-        Tensor::from_vec(Shape::matrix(n, classes), data)
+        });
+        Tensor::from_vec(Shape::matrix(n, classes), parts.concat())
     }
 
     /// Dense inference of one image (its `C·H·W` pixels) on `tier`,

@@ -202,8 +202,8 @@ impl Network {
         self.infer_batch_with(input, Parallelism::sequential())
     }
 
-    /// Batched inference, sharding rows of `input` across `par` scoped
-    /// worker threads.
+    /// Batched inference, sharding rows of `input` across `par` threads
+    /// (see [`Parallelism::map_chunks`]).
     ///
     /// Each shard walks its rows one image at a time through every layer
     /// on one reused [`Workspace`], so an image's activations and patch
@@ -254,43 +254,20 @@ impl Network {
         let stride = input.len() / n;
         let xv = input.as_slice();
         let dims = input.shape().dims();
-        let chunks = par.chunks(n);
-        let parts: Vec<InferShard> = if chunks.len() <= 1 {
-            vec![self.infer_rows(dims, xv, n, obs, &mut Workspace::new())]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = chunks
-                    .iter()
-                    .map(|&(start, end)| {
-                        let rows = &xv[start * stride..end * stride];
-                        scope.spawn(move || {
-                            self.infer_rows(dims, rows, end - start, obs, &mut Workspace::new())
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("inference worker panicked"))
-                    .collect()
-            })
+        let parts = par.map_chunks(n, |(start, end)| {
+            let rows = &xv[start * stride..end * stride];
+            self.infer_rows(dims, rows, end - start, obs, &mut Workspace::new())
+        });
+        let mut parts = parts.into_iter();
+        let (mut dims, mut data) = match parts.next() {
+            Some(first) => first?,
+            None => return Err(ShapeError::new("Network::infer_batch_with", "no shards")),
         };
-        let mut out: Option<(Vec<usize>, Vec<f32>)> = None;
         for part in parts {
             let (part_dims, part_data) = part?;
-            match &mut out {
-                None => out = Some((part_dims, part_data)),
-                Some((dims, data)) => {
-                    dims[0] += part_dims[0];
-                    data.extend_from_slice(&part_data);
-                }
-            }
+            dims[0] += part_dims[0];
+            data.extend_from_slice(&part_data);
         }
-        let (dims, data) = out.ok_or_else(|| {
-            ShapeError::new(
-                "Network::infer_batch_with",
-                "parallel inference produced no shards",
-            )
-        })?;
         Tensor::from_vec(Shape::new(dims), data)
     }
 

@@ -439,6 +439,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)] // raw threads, to race the clones
     fn clones_share_state_across_threads() {
         let rec = SharedRecorder::new();
         std::thread::scope(|scope| {

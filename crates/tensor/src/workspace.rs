@@ -12,7 +12,8 @@
 //! layer hands its input back, and after the first image the pool holds
 //! the whole working set, so steady-state inference allocates no
 //! activation memory. [`Parallelism`] says how many scoped worker
-//! threads a batched operation may shard its rows across.
+//! threads a batched operation may shard its rows across, and
+//! [`Parallelism::map_chunks`] is the one place that shards them.
 
 use serde::{Deserialize, Error, Serialize, Value};
 
@@ -98,11 +99,12 @@ impl Workspace {
 /// How many threads a batched operation may shard its rows across.
 ///
 /// `Parallelism` is plumbed from the pipeline down to
-/// `Network::infer_batch_with` and `HardwareBnn::infer_batch_with`; both
-/// produce bit-identical results at any thread count because batch rows
-/// are computed independently with the same kernels, so the setting is a
-/// pure throughput knob that never perturbs predictions or
-/// fault-injection accounting.
+/// `Network::infer_batch_with`, `HardwareBnn::infer_batch_with` and
+/// `QuantBnn::infer_batch_obs`, which all shard through
+/// [`Parallelism::map_chunks`]. Each produces bit-identical results at
+/// any thread count because batch rows are computed independently with
+/// the same kernels, so the setting is a pure throughput knob that never
+/// perturbs predictions or fault-injection accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Parallelism {
     threads: usize,
@@ -144,11 +146,6 @@ impl Parallelism {
         self.threads
     }
 
-    /// `true` when work should stay on the calling thread.
-    pub fn is_sequential(&self) -> bool {
-        self.threads == 1
-    }
-
     /// Splits `items` work items into at most `threads` contiguous chunks
     /// of near-equal size, returned as `(start, end)` ranges. Never
     /// returns empty chunks; fewer chunks than threads when items run out.
@@ -167,6 +164,45 @@ impl Parallelism {
             start += len;
         }
         ranges
+    }
+
+    /// Runs `f` on every chunk of [`Self::chunks`]`(items)` and returns
+    /// the results in chunk order: the one scoped-thread shard runner.
+    ///
+    /// The first chunk runs on the calling thread and each other chunk
+    /// on a scoped thread of its own, so a call spawns one thread fewer
+    /// than it has chunks (none for one chunk) and no thread sits idle
+    /// in `join`. A chunk that panics re-raises its own payload on the
+    /// caller once every chunk has finished.
+    #[allow(clippy::disallowed_methods)] // the one shard runner: others call it
+    pub fn map_chunks<T: Send>(
+        &self,
+        items: usize,
+        f: impl Fn((usize, usize)) -> T + Sync,
+    ) -> Vec<T> {
+        let chunks = self.chunks(items);
+        let Some((&first, rest)) = chunks.split_first() else {
+            return Vec::new();
+        };
+        if rest.is_empty() {
+            return vec![f(first)];
+        }
+        let f = &f;
+        std::thread::scope(|scope| {
+            let spawned: Vec<_> = rest
+                .iter()
+                .map(|&chunk| scope.spawn(move || f(chunk)))
+                .collect();
+            let mut out = Vec::with_capacity(chunks.len());
+            out.push(f(first));
+            for handle in spawned {
+                match handle.join() {
+                    Ok(part) => out.push(part),
+                    Err(payload) => std::panic::resume_unwind(payload),
+                }
+            }
+            out
+        })
     }
 }
 
@@ -241,6 +277,48 @@ mod tests {
     }
 
     #[test]
+    fn map_chunks_runs_every_chunk_and_keeps_chunk_order() {
+        for threads in 1..6 {
+            for items in 0..21 {
+                let par = Parallelism::new(threads);
+                let seen = par.map_chunks(items, |chunk| chunk);
+                assert_eq!(seen, par.chunks(items), "threads {threads} items {items}");
+            }
+        }
+    }
+
+    #[test]
+    fn map_chunks_runs_exactly_one_chunk_on_the_caller() {
+        let caller = std::thread::current().id();
+        for threads in 1..6 {
+            let ids = Parallelism::new(threads).map_chunks(12, |_| std::thread::current().id());
+            assert_eq!(ids.len(), threads);
+            assert_eq!(ids.iter().filter(|&&id| id == caller).count(), 1);
+            assert_eq!(ids[0], caller, "the first chunk runs on the caller");
+        }
+    }
+
+    #[test]
+    fn map_chunks_re_raises_a_chunks_own_panic() {
+        /// The payload of `map_chunks` over 3 chunks on 3 threads when
+        /// the chunk starting at `bad` panics.
+        fn payload_when_chunk_panics(bad: usize) -> String {
+            let caught = std::panic::catch_unwind(|| {
+                Parallelism::new(3).map_chunks(9, |(start, _)| {
+                    if start == bad {
+                        std::panic::panic_any(format!("chunk {start}"));
+                    }
+                    start
+                })
+            });
+            let payload = caught.expect_err("the panic reaches the caller");
+            *payload.downcast::<String>().expect("the original payload")
+        }
+        assert_eq!(payload_when_chunk_panics(0), "chunk 0", "caller's chunk");
+        assert_eq!(payload_when_chunk_panics(6), "chunk 6", "spawned chunk");
+    }
+
+    #[test]
     fn deserialize_rejects_zero_workers_and_round_trips() {
         let zero = serde_json::from_str::<Parallelism>(r#"{"threads":0}"#);
         assert!(zero.is_err(), "{zero:?}");
@@ -253,7 +331,7 @@ mod tests {
     #[test]
     fn zero_threads_clamps_to_one() {
         assert_eq!(Parallelism::new(0).threads(), 1);
-        assert!(Parallelism::sequential().is_sequential());
+        assert_eq!(Parallelism::sequential().threads(), 1);
         assert!(Parallelism::available().threads() >= 1);
     }
 }

@@ -690,8 +690,8 @@ proptest! {
         prop_assert_eq!(&legacy.stage_traffic, &cascade.stage_traffic);
     }
 
-    /// ROADMAP item 4's executor contract: the overlapped block-pipelined
-    /// Threaded executor is bit-identical to Modeled — predictions,
+    /// The executor contract (DESIGN.md §16): the overlapped
+    /// block-pipelined Threaded executor is bit-identical to Modeled — predictions,
     /// flags, rerun/degraded partition, stage traffic — for any
     /// threshold and block size (including blocks that do not divide n
     /// and blocks larger than n), and under faults it still degrades
@@ -1497,8 +1497,9 @@ proptest! {
 }
 
 /// Batch scores of `hw` on `batch`, every way the batch path runs (one
-/// `infer_batch_with` over `threads` shards and one reused block stream
-/// fed `split`-image windows), checked against `infer_image` per image.
+/// `infer_batch_with` over `threads` shards, and `split`-image windows
+/// each run on one thread as the Threaded executor's producer runs its
+/// blocks), checked against `infer_image` per image.
 fn assert_bnn_batch_paths_match_reference(
     hw: &HardwareBnn,
     batch: &Tensor,
@@ -1516,22 +1517,17 @@ fn assert_bnn_batch_paths_match_reference(
         .infer_batch_with(batch, Parallelism::new(threads))
         .unwrap();
     prop_assert_eq!(sharded.as_slice(), &reference[..], "threads {}", threads);
-    let mut stream = hw.block_stream();
-    let (mut streamed, mut block) = (Vec::new(), Vec::new());
+    let mut windowed = Vec::new();
     for start in (0..n).step_by(split) {
         let end = (start + split).min(n);
-        stream
-            .infer_block_into(
-                batch,
-                start,
-                end,
-                &multiprec::obs::NULL_RECORDER,
-                &mut block,
-            )
+        let items: Vec<Tensor> = (start..end).map(|i| batch.batch_item(i).unwrap()).collect();
+        let window = Tensor::stack_batch(&items).unwrap();
+        let scores = hw
+            .infer_batch_with(&window, Parallelism::sequential())
             .unwrap();
-        streamed.extend_from_slice(&block);
+        windowed.extend_from_slice(scores.as_slice());
     }
-    prop_assert_eq!(&streamed[..], &reference[..], "split {}", split);
+    prop_assert_eq!(&windowed[..], &reference[..], "split {}", split);
     Ok(())
 }
 
@@ -1541,7 +1537,7 @@ proptest! {
     /// The channel-packed BNN batch path computes `infer_image`'s scores
     /// on maps whose pixels fill part of a word, exactly one, or straddle
     /// two and three (conv widths from {8, 63, 64, 65, 128, 130}), with
-    /// random 2×2 pools, batch sizes, shard counts and block-stream
+    /// random 2×2 pools, batch sizes, shard counts and one-thread window
     /// splits.
     #[test]
     fn bnn_batch_path_matches_reference_on_wide_maps(
