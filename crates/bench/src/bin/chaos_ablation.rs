@@ -109,7 +109,11 @@ fn main() {
         let r = system
             .execute(
                 id,
-                &base_opts.clone().with_faults(plan).with_degradation(policy),
+                &base_opts
+                    .clone()
+                    .threaded()
+                    .with_faults(plan)
+                    .with_degradation(policy),
             )
             .expect("chaos pipeline degrades instead of failing");
         assert_eq!(
@@ -181,7 +185,11 @@ fn main() {
         let r = system
             .execute(
                 id,
-                &base_opts.clone().with_faults(plan).with_degradation(policy),
+                &base_opts
+                    .clone()
+                    .threaded()
+                    .with_faults(plan)
+                    .with_degradation(policy),
             )
             .expect("chaos pipeline degrades instead of failing");
         table.row(&[

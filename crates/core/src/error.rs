@@ -28,11 +28,11 @@ pub enum CoreError {
         /// The deadline that was exceeded, in seconds.
         deadline_s: f64,
     },
-    /// The host worker thread died (panicked or was killed). Recoverable
-    /// faults never surface this to `execute` callers — the
-    /// pipeline degrades to BNN-only mode instead — but it is the typed
-    /// form recorded in the fault log and returned by lower-level
-    /// helpers.
+    /// The host stage died: a planned death, or a panic of the threaded
+    /// executor's worker thread. Recoverable faults never surface this
+    /// to `execute` callers — every image the stage did not deliver
+    /// falls back instead — but it is the typed form recorded in the
+    /// fault log and returned by lower-level helpers.
     HostWorker(String),
 }
 

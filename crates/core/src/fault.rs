@@ -13,19 +13,20 @@
 //!   pipeline's threads);
 //! - [`DegradationPolicy`] describes *what the pipeline does about it* —
 //!   a retry budget with exponential backoff, a per-image host deadline,
-//!   and a circuit breaker that trips to BNN-only mode after `N`
+//!   and a circuit breaker that trips to fallback-only mode after `N`
 //!   consecutive host failures, with periodic recovery probing;
 //! - [`CircuitBreaker`] is the policy's state machine;
 //! - [`FaultEvent`] / [`DegradationStats`] are the audit trail surfaced
 //!   in [`PipelineResult`](crate::PipelineResult).
 //!
-//! Injected latency is *virtual*: the injector reports what the latency
-//! would have been and the policy compares it with the deadline, so
-//! chaos tests stay fast and deterministic while exercising exactly the
-//! timeout/degradation control path.
+//! Injected latency is *virtual*: the injector compares what the latency
+//! would have been with the policy's deadline, so chaos tests stay fast
+//! and deterministic while exercising exactly the timeout/degradation
+//! control path.
 
 use std::fmt;
 
+use mp_tensor::init::unit_hash;
 use serde::{Deserialize, Serialize};
 
 use crate::CoreError;
@@ -44,8 +45,9 @@ pub struct FaultPlan {
     /// [`DegradationPolicy::host_deadline_s`]; a spike above the
     /// deadline is a timeout fault.
     pub host_spike_latency_s: f64,
-    /// Kill the host worker after it has processed this many flagged
-    /// images (an injected panic; the pipeline must degrade, not abort).
+    /// Kill the host stage after it has processed this many images (under
+    /// the threaded executor, a panic of its worker thread); the pipeline
+    /// must degrade, not abort.
     pub host_death_after: Option<usize>,
 }
 
@@ -84,7 +86,7 @@ impl FaultPlan {
         self
     }
 
-    /// Kills the host worker after `processed` flagged images.
+    /// Kills the host stage after `processed` images.
     pub fn with_host_death_after(mut self, processed: usize) -> Self {
         self.host_death_after = Some(processed);
         self
@@ -145,7 +147,7 @@ pub struct DegradationPolicy {
     /// exceeds this is a timeout fault.
     pub host_deadline_s: f64,
     /// Consecutive host failures that trip the circuit breaker into
-    /// BNN-only mode.
+    /// fallback-only mode.
     pub breaker_threshold: u32,
     /// While the breaker is open, probe the host once every this many
     /// flagged images; a successful probe closes the breaker.
@@ -242,14 +244,16 @@ pub enum FaultEvent {
         /// Retries it took.
         retries: u32,
     },
-    /// A flagged image fell back to its BNN prediction.
+    /// An image that reached the host kept the prediction of the stage
+    /// before it.
     Fallback {
         /// Image index.
         image: usize,
         /// The fault that exhausted the policy.
         kind: FaultKind,
     },
-    /// The breaker tripped open: subsequent flagged images go BNN-only.
+    /// The breaker tripped open: subsequent images that reach the host
+    /// fall back without an attempt.
     BreakerOpened {
         /// Image index at which it tripped.
         image: usize,
@@ -261,8 +265,8 @@ pub enum FaultEvent {
         /// Image index of the successful probe.
         image: usize,
     },
-    /// The host worker thread died; every flagged image without a
-    /// delivered prediction falls back to the BNN.
+    /// The host stage died (under the threaded executor, its worker
+    /// thread); every image it did not deliver falls back.
     WorkerDied {
         /// Panic payload or failure description.
         detail: String,
@@ -272,7 +276,8 @@ pub enum FaultEvent {
 /// Degradation accounting for one pipeline run.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct DegradationStats {
-    /// Flagged images that fell back to their BNN prediction.
+    /// Images that reached the host and fell back to the prediction of
+    /// the stage before it.
     pub degraded_count: usize,
     /// Host inference retries performed.
     pub retries: usize,
@@ -280,26 +285,13 @@ pub struct DegradationStats {
     pub breaker_trips: usize,
     /// Host inference attempts (first tries, retries and probes).
     pub host_attempts: usize,
-    /// Producer-side sends that found the bounded channel full (the
-    /// back-pressure the unbounded channel used to hide). Timing
+    /// Producer-side sends that found the bounded channel full. Timing
     /// dependent, hence excluded from determinism comparisons.
     pub backpressure_events: usize,
     /// Virtual seconds spent in retry backoff.
     pub virtual_backoff_s: f64,
     /// The ordered fault log.
     pub fault_log: Vec<FaultEvent>,
-}
-
-/// The fault an injector chose for one host inference attempt.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum HostFault {
-    /// The attempt fails transiently.
-    Transient,
-    /// The attempt completes but takes `latency_s` (virtual) seconds.
-    Spike {
-        /// Injected latency of the attempt.
-        latency_s: f64,
-    },
 }
 
 /// Turns a [`FaultPlan`] into deterministic per-image decisions.
@@ -324,33 +316,27 @@ impl FaultInjector {
         Ok(Self { plan })
     }
 
-    /// The plan behind this injector.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
+    /// The fault (if any) that attempt `attempt` of re-running image
+    /// `image` on the host suffers under a per-image deadline of
+    /// `deadline_s`. Transient errors take precedence over spikes; a
+    /// spike is a [`FaultKind::HostTimeout`] only when its latency
+    /// exceeds the deadline, and completes normally otherwise. Retries
+    /// re-roll both, so an image can recover.
+    pub fn host_fault(&self, image: usize, attempt: u32, deadline_s: f64) -> Option<FaultKind> {
+        let draw = |salt| unit_hash(self.plan.seed, image as u64, u64::from(attempt), salt);
+        if self.plan.host_error_rate > 0.0 && draw(0) < self.plan.host_error_rate {
+            Some(FaultKind::HostTransient)
+        } else if self.plan.host_spike_rate > 0.0
+            && draw(1) < self.plan.host_spike_rate
+            && self.plan.host_spike_latency_s > deadline_s
+        {
+            Some(FaultKind::HostTimeout)
+        } else {
+            None
+        }
     }
 
-    /// The fault (if any) injected into attempt `attempt` of re-running
-    /// image `image` on the host. Transient errors take precedence over
-    /// spikes; retries re-roll both, so an image can recover.
-    pub fn host_fault(&self, image: usize, attempt: u32) -> Option<HostFault> {
-        if self.plan.host_error_rate > 0.0
-            && unit_hash(self.plan.seed, image as u64, u64::from(attempt), 0)
-                < self.plan.host_error_rate
-        {
-            return Some(HostFault::Transient);
-        }
-        if self.plan.host_spike_rate > 0.0
-            && unit_hash(self.plan.seed, image as u64, u64::from(attempt), 1)
-                < self.plan.host_spike_rate
-        {
-            return Some(HostFault::Spike {
-                latency_s: self.plan.host_spike_latency_s,
-            });
-        }
-        None
-    }
-
-    /// After how many processed flagged images the host worker dies.
+    /// After how many processed images the host stage dies.
     pub fn host_death_after(&self) -> Option<usize> {
         self.plan.host_death_after
     }
@@ -383,7 +369,7 @@ impl CircuitBreaker {
         }
     }
 
-    /// Whether the breaker is open (BNN-only mode).
+    /// Whether the breaker is open (fallback-only mode).
     pub fn is_open(&self) -> bool {
         self.open
     }
@@ -651,30 +637,18 @@ pub fn silence_injected_panics() {
     });
 }
 
-/// SplitMix64-style hash of `(seed, image, attempt, salt)` folded into
-/// `[0, 1)`. Mirrors `mp_fpga::stream_sim`'s hash (crates cannot share
-/// a private helper); both must stay stateless and platform-stable.
-fn unit_hash(seed: u64, image: u64, attempt: u64, salt: u64) -> f64 {
-    let mut z = seed
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(image.wrapping_mul(0xBF58_476D_1CE4_E5B9))
-        .wrapping_add(attempt.wrapping_mul(0xD6E8_FEB8_6659_FD93))
-        .wrapping_add(salt.wrapping_mul(0x94D0_49BB_1331_11EB));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The default policy's per-image host deadline.
+    const DEADLINE_S: f64 = 0.25;
 
     #[test]
     fn none_plan_injects_nothing() {
         let inj = FaultInjector::new(FaultPlan::none()).unwrap();
         for image in 0..200 {
-            assert_eq!(inj.host_fault(image, 0), None);
+            assert_eq!(inj.host_fault(image, 0, DEADLINE_S), None);
         }
         assert!(FaultPlan::none().is_none());
         assert!(!FaultPlan::seeded(1).with_host_error_rate(0.1).is_none());
@@ -686,7 +660,9 @@ mod tests {
         let b = FaultInjector::new(FaultPlan::seeded(42).with_host_error_rate(0.3)).unwrap();
         let c = FaultInjector::new(FaultPlan::seeded(43).with_host_error_rate(0.3)).unwrap();
         let faults = |inj: &FaultInjector| -> Vec<bool> {
-            (0..500).map(|i| inj.host_fault(i, 0).is_some()).collect()
+            (0..500)
+                .map(|i| inj.host_fault(i, 0, DEADLINE_S).is_some())
+                .collect()
         };
         assert_eq!(faults(&a), faults(&b));
         assert_ne!(faults(&a), faults(&c));
@@ -696,7 +672,7 @@ mod tests {
     fn error_rate_is_roughly_honoured() {
         let inj = FaultInjector::new(FaultPlan::seeded(7).with_host_error_rate(0.25)).unwrap();
         let hits = (0..4000)
-            .filter(|&i| inj.host_fault(i, 0).is_some())
+            .filter(|&i| inj.host_fault(i, 0, DEADLINE_S).is_some())
             .count();
         let rate = hits as f64 / 4000.0;
         assert!((rate - 0.25).abs() < 0.03, "observed rate {rate}");
@@ -708,18 +684,25 @@ mod tests {
         // Some image that faults on attempt 0 must pass on a later
         // attempt (each attempt is an independent draw).
         let recovered = (0..200).any(|i| {
-            inj.host_fault(i, 0).is_some() && (1..4).any(|a| inj.host_fault(i, a).is_none())
+            inj.host_fault(i, 0, DEADLINE_S).is_some()
+                && (1..4).any(|a| inj.host_fault(i, a, DEADLINE_S).is_none())
         });
         assert!(recovered);
     }
 
     #[test]
-    fn spikes_report_their_latency() {
+    fn spikes_time_out_only_past_the_deadline() {
         let inj = FaultInjector::new(FaultPlan::seeded(5).with_host_spikes(1.0, 2.5)).unwrap();
-        match inj.host_fault(0, 0) {
-            Some(HostFault::Spike { latency_s }) => assert_eq!(latency_s, 2.5),
-            other => panic!("expected spike, got {other:?}"),
-        }
+        assert_eq!(inj.host_fault(0, 0, 2.0), Some(FaultKind::HostTimeout));
+        // A spike at or under the deadline completes normally.
+        assert_eq!(inj.host_fault(0, 0, 2.5), None);
+        assert_eq!(inj.host_fault(0, 0, 3.0), None);
+        // Transient errors take precedence over a spike past the deadline.
+        let both = FaultPlan::seeded(5)
+            .with_host_error_rate(1.0)
+            .with_host_spikes(1.0, 2.5);
+        let inj = FaultInjector::new(both).unwrap();
+        assert_eq!(inj.host_fault(0, 0, 2.0), Some(FaultKind::HostTransient));
     }
 
     #[test]
@@ -879,7 +862,7 @@ mod tests {
                     trajectory.push((image, b.is_open()));
                     continue;
                 }
-                if inj.host_fault(image, 0).is_some() {
+                if inj.host_fault(image, 0, DEADLINE_S).is_some() {
                     b.record_failure();
                 } else {
                     b.record_success();

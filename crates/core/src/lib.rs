@@ -28,10 +28,11 @@
 //! - [`experiment`]: end-to-end orchestration that trains the BNN, the
 //!   host models and the DMU on the synthetic dataset and produces the
 //!   records behind Tables II, IV and V;
-//! - [`fault`]: deterministic fault injection (seeded host errors,
-//!   latency spikes, worker death, FPGA stream faults) and the graceful
-//!   degradation policy — retries, deadlines, and a circuit breaker
-//!   that trips the pipeline into BNN-only mode.
+//! - [`fault`]: deterministic host fault injection (seeded errors,
+//!   latency spikes, host-stage death) under either executor, and the
+//!   graceful degradation policy — retries, deadlines, and a circuit
+//!   breaker that trips the host stage into fallback-only mode, where
+//!   an image keeps the prediction of the stage before the host.
 //!
 //! # Example
 //!

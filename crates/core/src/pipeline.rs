@@ -17,18 +17,19 @@
 //!   channel, demonstrating the concurrent structure of Fig. 2 (its
 //!   wall-clock time reflects this machine, not the ZC702).
 //!
-//! Both executors hand their routing to one result assembly, so every
+//! The executors differ only in *when* stages run: both run one host
+//! stage body and hand their routing to one result assembly, so every
 //! [`PipelineResult`] field means the same thing under either.
 //!
-//! The threaded executor is built for a *misbehaving* host:
+//! That host stage is built for a *misbehaving* host:
 //! [`RunOptions::with_faults`] injects a seeded
 //! [`FaultPlan`](crate::fault::FaultPlan) under a
-//! [`RunOptions::with_degradation`] policy, and the pipeline guarantees
-//! that every image still receives a prediction — recoverable host
-//! faults (errors, latency spikes, even worker death) degrade the
-//! flagged subset to its BNN predictions instead of aborting the run,
-//! with the degradation fully accounted in the extended
-//! [`PipelineResult`].
+//! [`RunOptions::with_degradation`] policy under either executor, and
+//! the pipeline guarantees that every image still receives a
+//! prediction — recoverable host faults (errors, latency spikes, even
+//! the death of the host stage) degrade an image that entered the host
+//! to the prediction of the stage before it instead of aborting the
+//! run, with the degradation fully accounted in the [`PipelineResult`].
 //!
 //! Every run is observable: [`RunOptions::with_recorder`] attaches an
 //! [`mp_obs::Recorder`] that receives spans (whole run, BNN+DMU stage,
@@ -43,14 +44,13 @@ use crossbeam::channel::{self, TrySendError};
 use mp_bnn::HardwareBnn;
 use mp_dataset::Dataset;
 use mp_nn::Network;
-use mp_obs::{now_ns, schema, ObsEvent, Recorder, NULL_RECORDER};
+use mp_obs::{now_ns, schema, ObsEvent, Recorder};
 use mp_tensor::{Parallelism, Tensor};
 
 use crate::cascade::{gate_accepts, CascadePolicy, StageClassifier};
 use crate::dmu::{ConfusionQuadrants, Dmu};
 use crate::fault::{
-    CircuitBreaker, DegradationPolicy, DegradationStats, FaultEvent, FaultInjector, FaultKind,
-    HostFault, INJECTED_DEATH_MSG,
+    CircuitBreaker, DegradationStats, FaultEvent, FaultInjector, FaultKind, INJECTED_DEATH_MSG,
 };
 use crate::model;
 use crate::run::{Concurrency, RunOptions};
@@ -154,12 +154,13 @@ pub struct PipelineResult {
     pub stage_traffic: Vec<StageTraffic>,
     /// Wall-clock seconds when run with [`Concurrency::Threaded`].
     pub wall_seconds: Option<f64>,
-    /// Flagged images that fell back to their BNN prediction because the
-    /// host misbehaved (fault-injected or real).
+    /// Images that entered the host stage but kept the prediction of the
+    /// stage before it because the host misbehaved (fault-injected or
+    /// real).
     pub degraded_count: usize,
     /// Host inference retries performed under the degradation policy.
     pub retries: usize,
-    /// Times the circuit breaker tripped into BNN-only mode.
+    /// Times the circuit breaker tripped into fallback-only mode.
     pub breaker_trips: usize,
     /// Host inference attempts (first tries, retries and recovery probes).
     pub host_attempts: usize,
@@ -226,33 +227,33 @@ impl<'a> MultiPrecisionPipeline<'a> {
     /// [`RunOptions::with_cascade`] policy, or else the constructor's
     /// [`CascadePolicy::dmu`]`(threshold)`. With [`Concurrency::Modeled`]
     /// (the [`RunOptions::new`] default) the cascade runs stage by stage
-    /// single-threaded and the result carries the paper's modelled
-    /// `async(1)`/`wait(1)` batch time. With [`Concurrency::Threaded`]
-    /// the FPGA simulator and the host network run on separate threads
-    /// connected by a channel **bounded** by
-    /// [`PipelineTiming::batch_size`], wall-clock time is reported, and
-    /// an injected [`FaultPlan`](crate::fault::FaultPlan) exercises the
-    /// degradation machinery:
+    /// and the result carries the paper's modelled `async(1)`/`wait(1)`
+    /// batch time. With [`Concurrency::Threaded`] the FPGA simulator and
+    /// the host network run on separate threads connected by a channel
+    /// **bounded** by [`PipelineTiming::batch_size`] (a stalled host
+    /// back-pressures the producer, counted in
+    /// [`PipelineResult::backpressure_events`]), and wall-clock time is
+    /// reported.
     ///
-    /// - a stalled host back-pressures the producer (counted in
-    ///   [`PipelineResult::backpressure_events`]) instead of queueing
-    ///   unboundedly;
+    /// Under either executor an injected
+    /// [`FaultPlan`](crate::fault::FaultPlan) exercises the host stage's
+    /// [`DegradationPolicy`](crate::fault::DegradationPolicy):
+    ///
     /// - a failed host attempt is retried with exponential (virtual)
     ///   backoff within the policy's budget; exhaustion falls the image
-    ///   back to its BNN prediction;
-    /// - an injected latency spike beyond
-    ///   [`DegradationPolicy::host_deadline_s`] is a timeout fault;
-    /// - after [`DegradationPolicy::breaker_threshold`] consecutive
-    ///   failures the circuit breaker trips to BNN-only mode, probing
-    ///   the host every
-    ///   [`DegradationPolicy::breaker_probe_every`] flagged images;
-    /// - host-worker death (injected or a real panic) can never take the
-    ///   pipeline down: it is recorded as the typed
-    ///   [`CoreError::HostWorker`] in the fault log, every undelivered
-    ///   flagged image falls back to the BNN, and the run completes.
+    ///   back to the prediction of the stage before the host;
+    /// - an injected latency spike beyond the policy's
+    ///   `host_deadline_s` is a timeout fault;
+    /// - after `breaker_threshold` consecutive failures the circuit
+    ///   breaker trips to fallback-only mode, probing the host every
+    ///   `breaker_probe_every` images that reach it;
+    /// - host-stage death (injected, or a real panic of the Threaded
+    ///   worker) can never take the pipeline down: it is recorded as the
+    ///   typed [`CoreError::HostWorker`] in the fault log, every
+    ///   undelivered image falls back, and the run completes.
     ///
-    /// Every image therefore always receives a prediction, and without
-    /// faults the two modes are functionally identical.
+    /// Every image therefore always receives a prediction, and the two
+    /// executors are functionally identical, faults included.
     ///
     /// The recorder attached via [`RunOptions::with_recorder`] receives
     /// the whole-run span, the BNN+DMU stage span, per-stage cascade
@@ -265,12 +266,14 @@ impl<'a> MultiPrecisionPipeline<'a> {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`], before any inference, for a
-    /// host accuracy outside `[0, 1]` (NaN included), a fault plan under
-    /// [`Concurrency::Modeled`], and a [`Concurrency::Threaded`] run
-    /// whose policy is not the [`CascadePolicy::dmu`]`(t)` shape;
-    /// otherwise [`CoreError`] on shape inconsistencies, invalid
-    /// plan/policy, or *real* (non-injected) host inference errors —
-    /// never for recoverable injected faults.
+    /// host accuracy outside `[0, 1]` (NaN included), an invalid fault
+    /// plan or degradation policy, a fault plan on a cascade without a
+    /// float host terminal stage and a stage before it to fall back to
+    /// (the host-only and host-less chains), and a
+    /// [`Concurrency::Threaded`] run whose policy is not the
+    /// [`CascadePolicy::dmu`]`(t)` shape; otherwise [`CoreError`] on
+    /// shape inconsistencies or *real* (non-injected) host inference
+    /// errors — never for recoverable injected faults.
     pub fn execute(
         &self,
         host: &Network,
@@ -286,15 +289,21 @@ impl<'a> MultiPrecisionPipeline<'a> {
                 "host accuracy {host_accuracy} outside [0,1]"
             )));
         }
+        opts.fault_plan().validate()?;
+        opts.degradation_policy().validate()?;
+        let host_has_fallback = matches!(
+            policy.stages(),
+            [_, .., last] if matches!(last.classifier, StageClassifier::HostFloat)
+        );
+        if !opts.fault_plan().is_none() && !host_has_fallback {
+            return Err(CoreError::InvalidConfig(format!(
+                "cascade [{}] cannot take host faults: they need a float32 \
+                 terminal stage with a stage before it to fall back to",
+                policy.labels().join(", ")
+            )));
+        }
         let t_exec = rec.enabled().then(now_ns);
         let result = match (opts.concurrency(), policy.dmu_threshold()) {
-            (Concurrency::Modeled, _) if !opts.fault_plan().is_none() => {
-                return Err(CoreError::InvalidConfig(
-                    "fault injection requires the threaded executor \
-                     (RunOptions::threaded or with_faults)"
-                        .into(),
-                ));
-            }
             (Concurrency::Modeled, _) => self.execute_cascade(host, data, opts, policy, par)?,
             (Concurrency::Threaded, None) => {
                 return Err(CoreError::InvalidConfig(format!(
@@ -321,8 +330,9 @@ impl<'a> MultiPrecisionPipeline<'a> {
     /// estimates a confidence from the stage's normalised scores, and
     /// the stage's gate accepts via [`gate_accepts`] (NaN never
     /// passes — a poisoned confidence escalates). The terminal stage
-    /// accepts everything. Stage 0 always sees every image, so it scores
-    /// the dataset in place.
+    /// accepts everything; a float host there runs [`host_stage`] over
+    /// the escalated images. Stage 0 always sees every image, so it
+    /// scores the dataset in place.
     fn execute_cascade(
         &self,
         host: &Network,
@@ -333,15 +343,21 @@ impl<'a> MultiPrecisionPipeline<'a> {
     ) -> Result<PipelineResult, CoreError> {
         let rec = opts.recorder();
         let mut ledger = Ledger::new(data.labels());
+        let mut stats = DegradationStats::default();
         let mut active: Vec<usize> = (0..data.len()).collect();
         for (s, stage) in policy.stages().iter().enumerate() {
-            let is_host = matches!(stage.classifier, StageClassifier::HostFloat);
             let t0 = (rec.enabled() && !active.is_empty()).then(now_ns);
+            if matches!(stage.classifier, StageClassifier::HostFloat) {
+                // The float host is always the terminal stage.
+                let run = host_stage(host, data, active.iter().copied(), opts, par, rec);
+                if let Some(start) = t0 {
+                    rec.record_span(&schema::cascade_stage_span(s), start, now_ns());
+                }
+                stats = settle_host(&mut ledger, &active, run)?;
+                break;
+            }
             let (preds, conf) = if active.is_empty() {
                 (Vec::new(), Vec::new())
-            } else if is_host {
-                let preds = infer_host_subset(host, data, &active, par, rec)?;
-                (preds, Vec::new())
             } else {
                 let subset;
                 let images = if s == 0 {
@@ -354,26 +370,16 @@ impl<'a> MultiPrecisionPipeline<'a> {
             };
             if let Some(start) = t0 {
                 let end = now_ns();
-                if s == 0 && !is_host {
+                if s == 0 {
                     rec.record_span(schema::SPAN_PIPELINE_BNN_STAGE, start, end);
                 }
                 rec.record_span(&schema::cascade_stage_span(s), start, end);
             }
-            let escalated = ledger.gate(&active, &preds, |j| {
+            active = ledger.gate(&active, &preds, |j| {
                 stage.gate.is_none_or(|g| gate_accepts(conf[j], g))
             });
-            if is_host {
-                ledger.reruns.extend(active.iter().copied().zip(preds));
-            }
-            active = escalated;
         }
-        Ok(assemble(
-            opts,
-            policy,
-            ledger,
-            None,
-            DegradationStats::default(),
-        ))
+        Ok(assemble(opts, policy, ledger, None, stats))
     }
 
     /// A non-host stage's `[N, classes]` scores of `images`: its
@@ -408,8 +414,9 @@ impl<'a> MultiPrecisionPipeline<'a> {
     /// The producer scores each block of [`PipelineTiming::batch_size`]
     /// images with [`Self::execute_cascade`]'s stage bodies on one thread
     /// and sends the block's flagged images in index order while the host
-    /// worker re-infers earlier ones: the real-thread mirror of
-    /// [`modeled_batch_time`]'s `async(1)`/`wait(1)` overlap.
+    /// worker runs [`host_stage`] over them as they arrive: the
+    /// real-thread mirror of [`modeled_batch_time`]'s
+    /// `async(1)`/`wait(1)` overlap.
     #[allow(clippy::disallowed_methods)] // the Fig. 2 producer/worker pair
     fn execute_threaded(
         &self,
@@ -421,11 +428,8 @@ impl<'a> MultiPrecisionPipeline<'a> {
         par: Parallelism,
     ) -> Result<PipelineResult, CoreError> {
         let timing = opts.timing();
-        let degradation = opts.degradation_policy();
         let rec = opts.recorder();
-        degradation.validate()?;
-        let injector = FaultInjector::new(opts.fault_plan().clone())?;
-        if injector.host_death_after().is_some() {
+        if opts.fault_plan().host_death_after.is_some() {
             // A planned kill is expected noise, not a crash report.
             crate::fault::silence_injected_panics();
         }
@@ -434,19 +438,25 @@ impl<'a> MultiPrecisionPipeline<'a> {
         // Bounded by the block size, so a stalled host back-pressures the
         // producer instead of queueing flagged images without limit.
         let (tx, rx) = channel::bounded::<usize>(timing.batch_size);
-        let degradation = *degradation;
-        let injector_ref = &injector;
         // The crossbeam stub channel exposes no occupancy, so the queue
         // depth is mirrored in an atomic — maintained only while a
         // recorder is attached (it never influences control flow).
         let queue_depth = AtomicUsize::new(0);
-        let depth_obs: Option<(&dyn Recorder, &AtomicUsize)> =
-            rec.enabled().then_some((rec, &queue_depth));
-        type WorkerJoin = Result<HostWorkerOutput, CoreError>;
-        let (bnn_preds, kept, backpressure_events, worker_out) = std::thread::scope(
-            |scope| -> Result<(Vec<usize>, Vec<bool>, usize, WorkerJoin), CoreError> {
-                let worker = scope.spawn(move || -> Result<HostWorkerOutput, CoreError> {
-                    host_worker_loop(host, data, rx, injector_ref, &degradation, par, depth_obs)
+        let depth_obs = rec.enabled().then_some(&queue_depth);
+        let (bnn_preds, kept, backpressure_events, host_run) = std::thread::scope(
+            |scope| -> Result<(Vec<usize>, Vec<bool>, usize, HostRun), CoreError> {
+                let worker = scope.spawn(move || {
+                    let arrivals = rx.into_iter().inspect(|_| {
+                        if let Some(depth) = depth_obs {
+                            depth.fetch_sub(1, Ordering::Relaxed);
+                        }
+                    });
+                    match host_stage(host, data, arrivals, opts, par, rec) {
+                        // A planned death kills the thread for real, so the
+                        // join below meets a genuinely dead worker.
+                        Err(CoreError::HostWorker(detail)) => std::panic::panic_any(detail),
+                        run => run,
+                    }
                 });
                 let mut bnn_preds = Vec::with_capacity(n);
                 let mut kept = Vec::with_capacity(n);
@@ -484,7 +494,7 @@ impl<'a> MultiPrecisionPipeline<'a> {
                         // Counted before the send makes it visible to the
                         // worker, whose decrement could otherwise come
                         // first and take the mirror below zero.
-                        if let Some((_, depth)) = depth_obs {
+                        if let Some(depth) = depth_obs {
                             depth.fetch_add(1, Ordering::Relaxed);
                         }
                         let delivered = match tx.try_send(i) {
@@ -512,7 +522,7 @@ impl<'a> MultiPrecisionPipeline<'a> {
                                 false
                             }
                         };
-                        if let Some((rec, depth)) = depth_obs {
+                        if let Some(depth) = depth_obs {
                             if delivered {
                                 // The worker may already have consumed the
                                 // item, so clamp: depth was ≥ 1 at delivery.
@@ -525,136 +535,77 @@ impl<'a> MultiPrecisionPipeline<'a> {
                     }
                 }
                 drop(tx);
-                // A worker panic (injected death included) becomes a typed
-                // error that the degradation path below handles.
-                let joined: WorkerJoin = match worker.join() {
-                    Ok(result) => result,
-                    Err(payload) => {
-                        let detail = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| (*s).to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "host worker panicked".into());
-                        Err(CoreError::HostWorker(detail))
-                    }
-                };
-                Ok((bnn_preds, kept, backpressure_events, joined))
+                // A worker panic (injected death included) becomes the
+                // typed error that `settle_host` degrades.
+                let host_run = worker.join().unwrap_or_else(|payload| {
+                    let detail = payload
+                        .downcast_ref::<&str>()
+                        .map(|s| (*s).to_string())
+                        .or_else(|| payload.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "host worker panicked".into());
+                    Err(CoreError::HostWorker(detail))
+                });
+                Ok((bnn_preds, kept, backpressure_events, host_run))
             },
         )?;
-        let mut stats = DegradationStats {
-            backpressure_events,
-            ..DegradationStats::default()
-        };
-        let outcomes = match worker_out {
-            Ok(out) => {
-                stats.retries = out.retries;
-                stats.host_attempts = out.attempts;
-                stats.breaker_trips = out.breaker_trips;
-                stats.virtual_backoff_s = out.virtual_backoff_s;
-                stats.fault_log = out.log;
-                out.outcomes
-            }
-            // Worker death is recoverable: degrade every flagged image.
-            Err(CoreError::HostWorker(detail)) => {
-                stats.fault_log.push(FaultEvent::WorkerDied { detail });
-                Vec::new()
-            }
-            // Real host inference errors keep their zero-fault contract.
-            Err(other) => return Err(other),
-        };
-        // Reconcile: every flagged image entered the host stage (traffic
-        // counts gate decisions). Those with a successful host
-        // prediction are reruns; the rest degrade to their BNN
-        // prediction.
-        let mut delivered: Vec<Option<Result<usize, FaultKind>>> = vec![None; n];
-        for (i, outcome) in outcomes {
-            delivered[i] = Some(outcome);
-        }
         let mut ledger = Ledger::new(data.labels());
         let all: Vec<usize> = (0..n).collect();
         let flagged = ledger.gate(&all, &bnn_preds, |j| kept[j]);
-        let host_preds: Vec<usize> = flagged
-            .iter()
-            .map(|&i| match delivered[i] {
-                Some(Ok(p)) => {
-                    ledger.reruns.push((i, p));
-                    p
-                }
-                Some(Err(_)) => {
-                    stats.degraded_count += 1;
-                    bnn_preds[i]
-                }
-                None => {
-                    stats.degraded_count += 1;
-                    stats.fault_log.push(FaultEvent::Fallback {
-                        image: i,
-                        kind: FaultKind::HostWorkerDeath,
-                    });
-                    bnn_preds[i]
-                }
-            })
-            .collect();
-        ledger.gate(&flagged, &host_preds, |_| true);
+        let stats = DegradationStats {
+            backpressure_events,
+            ..settle_host(&mut ledger, &flagged, host_run)?
+        };
         let wall = start.elapsed().as_secs_f64();
         Ok(assemble(opts, policy, ledger, Some(wall), stats))
     }
 }
 
-/// What the host worker thread hands back at join time.
-#[derive(Debug, Default)]
-struct HostWorkerOutput {
-    /// Per flagged image (in arrival order): the host prediction, or the
-    /// fault that exhausted the degradation policy.
-    outcomes: Vec<(usize, Result<usize, FaultKind>)>,
-    log: Vec<FaultEvent>,
-    retries: usize,
-    attempts: usize,
-    breaker_trips: usize,
-    virtual_backoff_s: f64,
-}
+/// What [`host_stage`] hands back: each arrival's host prediction
+/// (`None` where the degradation policy fell back), and its retries,
+/// attempts, breaker trips, backoff and fault log; or the error that
+/// ended the stage.
+type HostRun = Result<(Vec<Option<usize>>, DegradationStats), CoreError>;
 
-/// Images accumulated by the host worker before a batched flush (and the
-/// chunk size of [`infer_host_subset`], so both executors build identical
-/// batches).
+/// Images the host stage accumulates before a batched flush, so both
+/// executors build identical host batches.
 const HOST_BATCH: usize = 32;
 
-/// The host worker: drains the channel of flagged image indices,
-/// applying fault injection, the retry/backoff budget, the per-image
-/// deadline, and the circuit breaker. Injected worker death panics
-/// (deliberately — the producer side must survive a genuinely dead
-/// thread, not a polite error).
+/// The one host stage of both executors: takes the images that reach
+/// the float host in arrival order and applies the run's fault plan,
+/// retry/backoff budget, per-image deadline and circuit breaker
+/// (`opts`). A planned death returns [`CoreError::HostWorker`] at its
+/// arrival.
 ///
 /// Fault decisions depend only on arrival order, `(image, attempt)` and
 /// breaker state — never on inference results — so images that survive
 /// the policy are *deferred* and re-inferred [`HOST_BATCH`] at a time
-/// through [`infer_host_subset`]. The fault log is therefore the same
-/// for every `par` setting, and each prediction is bit-identical because
-/// every layer treats batch rows independently.
-fn host_worker_loop(
+/// through [`flush`]. The fault log is therefore the same for every
+/// `par` setting, and each prediction is bit-identical because every
+/// layer treats batch rows independently.
+fn host_stage(
     host: &Network,
     data: &Dataset,
-    rx: channel::Receiver<usize>,
-    injector: &FaultInjector,
-    policy: &DegradationPolicy,
+    arrivals: impl IntoIterator<Item = usize>,
+    opts: &RunOptions<'_>,
     par: Parallelism,
-    obs: Option<(&dyn Recorder, &AtomicUsize)>,
-) -> Result<HostWorkerOutput, CoreError> {
-    let rec = obs.map_or(&NULL_RECORDER as &dyn Recorder, |(r, _)| r);
-    let mut out = HostWorkerOutput::default();
+    rec: &dyn Recorder,
+) -> HostRun {
+    let policy = opts.degradation_policy();
+    let injector = FaultInjector::new(opts.fault_plan().clone())?;
     let mut breaker = CircuitBreaker::new(policy);
-    // Outcome slots whose images await a host prediction.
-    let mut pending: Vec<usize> = Vec::new();
-    for (processed, index) in rx.into_iter().enumerate() {
-        if let Some((_, depth)) = obs {
-            depth.fetch_sub(1, Ordering::Relaxed);
+    let mut stats = DegradationStats::default();
+    let mut preds = Vec::new();
+    // `(arrival, image)` of the survivors awaiting the next flush.
+    let mut pending = Vec::new();
+    for (arrival, image) in arrivals.into_iter().enumerate() {
+        if injector.host_death_after() == Some(arrival) {
+            return Err(CoreError::HostWorker(INJECTED_DEATH_MSG.into()));
         }
-        if injector.host_death_after() == Some(processed) {
-            std::panic::panic_any(INJECTED_DEATH_MSG);
-        }
+        preds.push(None);
+        let log = &mut stats.fault_log;
         if !breaker.should_attempt() {
-            out.outcomes.push((index, Err(FaultKind::BreakerOpen)));
-            out.log.push(FaultEvent::Fallback {
-                image: index,
+            log.push(FaultEvent::Fallback {
+                image,
                 kind: FaultKind::BreakerOpen,
             });
             continue;
@@ -662,91 +613,138 @@ fn host_worker_loop(
         let mut attempt: u32 = 0;
         let mut backoff_spent = 0.0f64;
         let survived = loop {
-            out.attempts += 1;
-            let fault = match injector.host_fault(index, attempt) {
-                Some(HostFault::Transient) => Some(FaultKind::HostTransient),
-                Some(HostFault::Spike { latency_s }) if latency_s > policy.host_deadline_s => {
-                    Some(FaultKind::HostTimeout)
-                }
-                // A spike under the deadline completes normally.
-                Some(HostFault::Spike { .. }) | None => None,
-            };
-            match fault {
-                None => {
-                    if attempt > 0 {
-                        out.log.push(FaultEvent::Recovered {
-                            image: index,
-                            retries: attempt,
-                        });
-                    }
-                    if breaker.record_success() {
-                        out.log.push(FaultEvent::BreakerClosed { image: index });
-                    }
-                    break None;
-                }
-                Some(kind) => {
-                    out.log.push(FaultEvent::HostFault {
-                        image: index,
-                        attempt,
-                        kind,
+            stats.host_attempts += 1;
+            let Some(kind) = injector.host_fault(image, attempt, policy.host_deadline_s) else {
+                if attempt > 0 {
+                    log.push(FaultEvent::Recovered {
+                        image,
+                        retries: attempt,
                     });
-                    let next_backoff = policy.backoff_base_s * f64::from(1u32 << attempt.min(20));
-                    if attempt < policy.max_retries
-                        && backoff_spent + next_backoff <= policy.backoff_budget_s
-                    {
-                        backoff_spent += next_backoff;
-                        out.retries += 1;
-                        attempt += 1;
-                        continue;
-                    }
-                    if breaker.record_failure() {
-                        out.log.push(FaultEvent::BreakerOpened {
-                            image: index,
-                            consecutive_failures: breaker.consecutive_failures(),
-                        });
-                    }
-                    out.log.push(FaultEvent::Fallback { image: index, kind });
-                    break Some(kind);
                 }
+                if breaker.record_success() {
+                    log.push(FaultEvent::BreakerClosed { image });
+                }
+                break true;
+            };
+            log.push(FaultEvent::HostFault {
+                image,
+                attempt,
+                kind,
+            });
+            let next_backoff = policy.backoff_base_s * f64::from(1u32 << attempt.min(20));
+            if attempt < policy.max_retries
+                && backoff_spent + next_backoff <= policy.backoff_budget_s
+            {
+                backoff_spent += next_backoff;
+                stats.retries += 1;
+                attempt += 1;
+                continue;
             }
+            if breaker.record_failure() {
+                log.push(FaultEvent::BreakerOpened {
+                    image,
+                    consecutive_failures: breaker.consecutive_failures(),
+                });
+            }
+            log.push(FaultEvent::Fallback { image, kind });
+            break false;
         };
-        out.virtual_backoff_s += backoff_spent;
+        stats.virtual_backoff_s += backoff_spent;
         if backoff_spent > 0.0 {
             rec.observe(schema::HIST_BACKOFF_S, backoff_spent);
         }
-        match survived {
-            None => {
-                pending.push(out.outcomes.len());
-                // Placeholder prediction, overwritten by the next flush.
-                out.outcomes.push((index, Ok(usize::MAX)));
-                if pending.len() >= HOST_BATCH {
-                    flush_pending(host, data, &mut pending, &mut out.outcomes, par, rec)?;
-                }
+        if survived {
+            pending.push((arrival, image));
+            if pending.len() >= HOST_BATCH {
+                flush(host, data, &mut pending, &mut preds, par, rec)?;
             }
-            Some(kind) => out.outcomes.push((index, Err(kind))),
         }
     }
-    flush_pending(host, data, &mut pending, &mut out.outcomes, par, rec)?;
-    out.breaker_trips = breaker.trips();
-    Ok(out)
+    flush(host, data, &mut pending, &mut preds, par, rec)?;
+    stats.breaker_trips = breaker.trips();
+    Ok((preds, stats))
 }
 
-/// Re-infers the images of the `pending` outcome slots as one host batch
-/// and writes each prediction into its slot.
-fn flush_pending(
+/// Re-infers the `pending` `(arrival, image)` pairs as one host batch
+/// sharded across `par` threads inside a `pipeline.host_rerun` span
+/// (also observed into `pipeline.host_batch_s`), and writes each
+/// prediction into its arrival's slot of `preds`.
+fn flush(
     host: &Network,
     data: &Dataset,
-    pending: &mut Vec<usize>,
-    outcomes: &mut [(usize, Result<usize, FaultKind>)],
+    pending: &mut Vec<(usize, usize)>,
+    preds: &mut [Option<usize>],
     par: Parallelism,
     rec: &dyn Recorder,
 ) -> Result<(), CoreError> {
-    let indices: Vec<usize> = pending.iter().map(|&slot| outcomes[slot].0).collect();
-    let preds = infer_host_subset(host, data, &indices, par, rec)?;
-    for (slot, pred) in pending.drain(..).zip(preds) {
-        outcomes[slot].1 = Ok(pred);
+    if pending.is_empty() {
+        return Ok(());
+    }
+    let images: Vec<usize> = pending.iter().map(|&(_, image)| image).collect();
+    let batch = data.select(&images)?;
+    let t0 = rec.enabled().then(now_ns);
+    let scores = host
+        .infer_batch_obs(batch.images(), par, rec)
+        .map_err(CoreError::host)?;
+    if let Some(start) = t0 {
+        let end = now_ns();
+        rec.record_span(schema::SPAN_PIPELINE_HOST_RERUN, start, end);
+        rec.observe(
+            schema::HIST_HOST_BATCH_S,
+            end.saturating_sub(start) as f64 * 1e-9,
+        );
+    }
+    for ((arrival, _), pred) in pending.drain(..).zip(Network::argmax_rows(&scores)?) {
+        preds[arrival] = Some(pred);
     }
     Ok(())
+}
+
+/// Books the host stage into `ledger` for either executor: `flagged`
+/// are the images that entered it, in arrival order, and `run` is what
+/// [`host_stage`] made of them. Host predictions become reruns; an image
+/// the policy fell back on, or that a dead host stage left undelivered
+/// (logged as a [`FaultKind::HostWorkerDeath`] fallback), keeps the
+/// prediction of the stage before the host and counts as degraded. Real
+/// host errors propagate.
+fn settle_host(
+    ledger: &mut Ledger<'_>,
+    flagged: &[usize],
+    run: HostRun,
+) -> Result<DegradationStats, CoreError> {
+    let (delivered, mut stats) = match run {
+        Ok(run) => run,
+        Err(CoreError::HostWorker(detail)) => (
+            Vec::new(),
+            DegradationStats {
+                fault_log: vec![FaultEvent::WorkerDied { detail }],
+                ..DegradationStats::default()
+            },
+        ),
+        Err(other) => return Err(other),
+    };
+    let preds: Vec<usize> = flagged
+        .iter()
+        .enumerate()
+        .map(|(j, &i)| match delivered.get(j) {
+            Some(&Some(pred)) => {
+                ledger.reruns.push((i, pred));
+                pred
+            }
+            slot => {
+                stats.degraded_count += 1;
+                if slot.is_none() {
+                    stats.fault_log.push(FaultEvent::Fallback {
+                        image: i,
+                        kind: FaultKind::HostWorkerDeath,
+                    });
+                }
+                ledger.final_preds[i]
+            }
+        })
+        .collect();
+    ledger.gate(flagged, &preds, |_| true);
+    Ok(stats)
 }
 
 /// Writes a finished run's outcome counters and typed event log into
@@ -804,7 +802,8 @@ struct Ledger<'d> {
     stage0_preds: Vec<usize>,
     /// Whether stage 0's gate kept each image.
     kept0: Vec<bool>,
-    /// Prediction of the stage that accepted each image.
+    /// Prediction of the last stage each image entered: the stage that
+    /// accepted it, or the stage before a host that failed it.
     final_preds: Vec<usize>,
     /// `entered[s][i]`: image `i` reached stage `s`.
     entered: Vec<Vec<bool>>,
@@ -840,8 +839,9 @@ impl<'d> Ledger<'d> {
     }
 
     /// Records the next stage's gate decisions: `preds[j]` is its
-    /// prediction for image `active[j]` and `accepts(j)` its gate.
-    /// Returns the escalated images, in order.
+    /// prediction for image `active[j]` and `accepts(j)` its gate. Every
+    /// entering image's prediction becomes its final one until a later
+    /// stage overwrites it. Returns the escalated images, in order.
     fn gate(
         &mut self,
         active: &[usize],
@@ -857,6 +857,7 @@ impl<'d> Ledger<'d> {
         let mut escalated = Vec::new();
         for (j, (&i, &pred)) in active.iter().zip(preds).enumerate() {
             mask[i] = true;
+            self.final_preds[i] = pred;
             let right = pred == self.labels[i];
             let accept = accepts(j);
             if first {
@@ -866,7 +867,6 @@ impl<'d> Ledger<'d> {
             tally.correct += usize::from(right);
             if accept {
                 tally.accepted += 1;
-                self.final_preds[i] = pred;
             } else {
                 if right {
                     tally.escalated_right += 1;
@@ -1057,42 +1057,11 @@ pub fn modeled_cascade_time(entered: &[Vec<bool>], unit_costs: &[f64], batch_siz
     total
 }
 
-/// The one host-rerun body of both executors: re-infers `indices` of
-/// `data` [`HOST_BATCH`] images at a time, each chunk one batch sharded
-/// across `par` threads inside a `pipeline.host_rerun` span (also
-/// observed into `pipeline.host_batch_s`), and returns the predictions.
-fn infer_host_subset(
-    host: &Network,
-    data: &Dataset,
-    indices: &[usize],
-    par: Parallelism,
-    rec: &dyn Recorder,
-) -> Result<Vec<usize>, CoreError> {
-    let mut preds = Vec::with_capacity(indices.len());
-    for chunk in indices.chunks(HOST_BATCH) {
-        let batch = data.select(chunk)?;
-        let t0 = rec.enabled().then(now_ns);
-        let scores = host
-            .infer_batch_obs(batch.images(), par, rec)
-            .map_err(CoreError::host)?;
-        if let Some(start) = t0 {
-            let end = now_ns();
-            rec.record_span(schema::SPAN_PIPELINE_HOST_RERUN, start, end);
-            rec.observe(
-                schema::HIST_HOST_BATCH_S,
-                end.saturating_sub(start) as f64 * 1e-9,
-            );
-        }
-        preds.extend(Network::argmax_rows(&scores)?);
-    }
-    Ok(preds)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cascade::CascadeStage;
-    use crate::fault::{silence_injected_panics, FaultPlan};
+    use crate::fault::{silence_injected_panics, DegradationPolicy, FaultPlan};
     use mp_bnn::{BnnClassifier, FinnTopology};
     use mp_int::{CostLut, NetworkPrecision, QuantBnn};
     use mp_nn::train::Model;
@@ -1149,7 +1118,7 @@ mod tests {
     }
 
     fn chaos_opts(plan: &FaultPlan, policy: &DegradationPolicy) -> RunOptions<'static> {
-        modeled_opts()
+        threaded_opts()
             .with_faults(plan.clone())
             .with_degradation(*policy)
     }
@@ -1618,15 +1587,74 @@ mod tests {
         assert!((total - 0.06).abs() < 1e-12);
     }
 
+    /// A host fault falls an image back to the stage before the host, so
+    /// a faulted run needs one: both executors reject the host-only and
+    /// the host-less chains before any inference.
     #[test]
-    fn modeled_with_faults_is_invalid_config() {
-        let (hw, dmu, data, host) = tiny_system();
+    fn faults_need_a_stage_before_the_host() {
+        let (bnn, hw, dmu, data, host) = tiny_system_full();
+        let layers = bnn.export_latent().len();
+        let quant = quantized(&bnn, NetworkPrecision::uniform(layers, 4, 4).unwrap());
+        let host_less = CascadePolicy::try_new(vec![
+            CascadeStage::gated(StageClassifier::Primary, 0.5),
+            CascadeStage::terminal(StageClassifier::Quantized(quant)),
+        ])
+        .unwrap();
         let pipeline = MultiPrecisionPipeline::new(&hw, &dmu, 0.5);
-        let opts = modeled_opts()
-            .with_faults(FaultPlan::seeded(1).with_host_error_rate(0.5))
-            .modeled();
-        let err = pipeline.execute(&host, &data, &opts).unwrap_err();
-        assert!(matches!(err, CoreError::InvalidConfig(_)));
+        let plan = FaultPlan::seeded(1).with_host_error_rate(0.5);
+        for policy in [host_only_policy(), host_less] {
+            for opts in [modeled_opts(), threaded_opts()] {
+                let rec = mp_obs::SharedRecorder::new();
+                let opts = opts
+                    .with_faults(plan.clone())
+                    .with_cascade(policy.clone())
+                    .with_recorder(&rec);
+                let err = pipeline.execute(&host, &data, &opts).unwrap_err();
+                assert!(matches!(err, CoreError::InvalidConfig(_)), "{err:?}");
+                assert!(err.to_string().contains("fall back"), "{err}");
+                assert!(rec.report().spans.is_empty(), "rejected up front");
+            }
+        }
+    }
+
+    /// Under faults a cascade's host stage keeps the prediction of the
+    /// stage before it: with every host attempt failing, the 3-stage
+    /// cascade predicts what the same chain ending at int4 predicts.
+    #[test]
+    fn failed_host_falls_back_to_the_previous_stage() {
+        let (bnn, hw, dmu, data, host) = tiny_system_full();
+        let layers = bnn.export_latent().len();
+        let quant = quantized(&bnn, NetworkPrecision::uniform(layers, 4, 4).unwrap());
+        let with_host = CascadePolicy::try_new(vec![
+            CascadeStage::gated(StageClassifier::Primary, 0.9),
+            CascadeStage::gated(StageClassifier::Quantized(Arc::clone(&quant)), 0.9),
+            CascadeStage::terminal(StageClassifier::HostFloat),
+        ])
+        .unwrap();
+        let int4_last = CascadePolicy::try_new(vec![
+            CascadeStage::gated(StageClassifier::Primary, 0.9),
+            CascadeStage::terminal(StageClassifier::Quantized(quant)),
+        ])
+        .unwrap();
+        let pipeline = MultiPrecisionPipeline::new(&hw, &dmu, 0.5);
+        let failed = pipeline
+            .execute(
+                &host,
+                &data,
+                &modeled_opts()
+                    .with_cascade(with_host)
+                    .with_faults(FaultPlan::seeded(3).with_host_error_rate(1.0)),
+            )
+            .unwrap();
+        let reference = pipeline
+            .execute(&host, &data, &modeled_opts().with_cascade(int4_last))
+            .unwrap();
+        assert_eq!(failed.predictions, reference.predictions);
+        assert_eq!(failed.flagged, reference.flagged);
+        assert_eq!(failed.rerun_count, 0);
+        assert!(failed.stage_traffic[2].entered > 0, "the host sees images");
+        assert_eq!(failed.degraded_count, failed.stage_traffic[2].entered);
+        assert_eq!(failed.accuracy, reference.accuracy);
     }
 
     #[test]
@@ -1766,21 +1794,12 @@ mod tests {
     }
 
     #[test]
-    fn multi_stage_cascade_rejects_threaded_and_faulted_runs() {
+    fn multi_stage_cascade_rejects_threaded_runs() {
         let (bnn, hw, dmu, data, host) = tiny_system_full();
         let pipeline = MultiPrecisionPipeline::new(&hw, &dmu, 0.5);
-        let policy = three_stage_policy(&bnn, 0.5, 0.5);
-        for opts in [
-            threaded_opts().with_cascade(policy.clone()),
-            chaos_opts(
-                &FaultPlan::seeded(1).with_host_error_rate(0.5),
-                &DegradationPolicy::default(),
-            )
-            .with_cascade(policy.clone()),
-        ] {
-            let err = pipeline.execute(&host, &data, &opts).unwrap_err();
-            assert!(matches!(err, CoreError::InvalidConfig(_)), "{err:?}");
-        }
+        let opts = threaded_opts().with_cascade(three_stage_policy(&bnn, 0.5, 0.5));
+        let err = pipeline.execute(&host, &data, &opts).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidConfig(_)), "{err:?}");
     }
 
     #[test]

@@ -37,18 +37,20 @@ use crate::cascade::CascadePolicy;
 use crate::fault::{DegradationPolicy, FaultPlan};
 use crate::pipeline::PipelineTiming;
 
-/// How [`execute`](crate::pipeline::MultiPrecisionPipeline::execute)
-/// drives the two processors.
+/// When [`execute`](crate::pipeline::MultiPrecisionPipeline::execute)
+/// runs the cascade's stages. Both executors run the same stage bodies,
+/// host faults included, so they differ only in scheduling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Concurrency {
-    /// Single-threaded functional run with **modelled** timing: the
+    /// The stages run one after another with **modelled** timing: the
     /// paper's `async(1)`/`wait(1)` batch overlap is replayed
-    /// arithmetically. Fault injection is not available in this mode.
+    /// arithmetically. Runs every cascade policy.
     #[default]
     Modeled,
     /// The FPGA simulator and the host network run on separate threads
-    /// connected by a bounded channel (Fig. 2's concurrent structure);
-    /// wall-clock time is reported and fault injection is available.
+    /// connected by a bounded channel (Fig. 2's concurrent structure),
+    /// and wall-clock time is reported. Runs the
+    /// [`CascadePolicy::dmu`]`(t)` shape only.
     Threaded,
 }
 
@@ -110,9 +112,10 @@ impl<'r> RunOptions<'r> {
     /// Installs an N-stage confidence cascade as this run's decision
     /// policy, in place of the pipeline's constructor threshold. The
     /// canonical 2-stage instance [`CascadePolicy::dmu`]`(t)` is that
-    /// threshold and runs under both executors, faults included; other
-    /// shapes run under [`Concurrency::Modeled`]. The precision corners
-    /// are policies too: a quantized first stage is
+    /// threshold and runs under both executors; other shapes run under
+    /// [`Concurrency::Modeled`]. Faults need the float host to end the
+    /// chain after another stage. The precision corners are policies
+    /// too: a quantized first stage is
     /// `[gated(Quantized(q), t), terminal(HostFloat)]`, and the float32
     /// corner is the host-only chain `[terminal(HostFloat)]`.
     #[must_use]
@@ -149,13 +152,13 @@ impl<'r> RunOptions<'r> {
         self
     }
 
-    /// Injects `plan` into the run. Fault injection requires the
-    /// threaded executor, so this also selects
-    /// [`Concurrency::Threaded`].
+    /// Injects `plan` into the run's host stage under either executor;
+    /// the executor stays as selected. A non-empty plan needs a cascade
+    /// that ends in the float host after at least one other stage, whose
+    /// prediction a failed image keeps.
     #[must_use]
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.plan = plan;
-        self.concurrency = Concurrency::Threaded;
         self
     }
 
@@ -252,11 +255,13 @@ mod tests {
     }
 
     #[test]
-    fn with_faults_implies_threaded() {
-        let opts = RunOptions::new(PipelineTiming::new(1e-3, 1e-2, 10))
-            .with_faults(FaultPlan::seeded(1).with_host_error_rate(0.5));
-        assert_eq!(opts.concurrency(), Concurrency::Threaded);
+    fn with_faults_keeps_the_executor() {
+        let plan = FaultPlan::seeded(1).with_host_error_rate(0.5);
+        let opts = RunOptions::new(PipelineTiming::new(1e-3, 1e-2, 10)).with_faults(plan.clone());
+        assert_eq!(opts.concurrency(), Concurrency::Modeled);
         assert!(!opts.fault_plan().is_none());
+        let opts = opts.threaded().with_faults(plan);
+        assert_eq!(opts.concurrency(), Concurrency::Threaded);
     }
 
     #[test]

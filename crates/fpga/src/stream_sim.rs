@@ -14,6 +14,7 @@
 use std::fmt;
 
 use mp_obs::{schema, ObsEvent, Recorder};
+use mp_tensor::init::unit_hash;
 use serde::{Deserialize, Error, Serialize, Value};
 
 /// An invalid streaming-pipeline or stream-fault configuration.
@@ -178,7 +179,7 @@ impl StreamFaults {
 
     /// The injected stall before image `index`, in seconds (0 if none).
     pub fn stall_before(&self, index: usize) -> f64 {
-        if self.stall_rate > 0.0 && unit_hash(self.seed, index as u64, 0) < self.stall_rate {
+        if self.stall_rate > 0.0 && unit_hash(self.seed, index as u64, 0, 0) < self.stall_rate {
             self.stall_s
         } else {
             0.0
@@ -190,7 +191,7 @@ impl StreamFaults {
         if self.jitter_frac == 0.0 {
             1.0
         } else {
-            1.0 + self.jitter_frac * (2.0 * unit_hash(self.seed, index as u64, 1) - 1.0)
+            1.0 + self.jitter_frac * (2.0 * unit_hash(self.seed, index as u64, 0, 1) - 1.0)
         }
     }
 }
@@ -213,19 +214,6 @@ impl<'de> Deserialize<'de> for StreamFaults {
         let jitter_frac = f64::from_value(value.get_field("jitter_frac")?)?;
         StreamFaults::try_new(seed, stall_rate, stall_s, jitter_frac).map_err(Error::custom)
     }
-}
-
-/// SplitMix64-style hash of `(seed, index, salt)` folded into `[0, 1)`.
-/// Deterministic across platforms; no RNG state to thread around.
-fn unit_hash(seed: u64, index: u64, salt: u64) -> f64 {
-    let mut z = seed
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(index.wrapping_mul(0xBF58_476D_1CE4_E5B9))
-        .wrapping_add(salt.wrapping_mul(0x94D0_49BB_1331_11EB));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// Result of simulating one batch through the pipeline.

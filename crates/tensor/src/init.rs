@@ -110,6 +110,22 @@ impl TensorRng {
     }
 }
 
+/// SplitMix64-style hash of `(seed, a, b, salt)` folded into `[0, 1)`:
+/// a stateless seeded draw for decisions that must not depend on thread
+/// interleaving or on how many draws came before (fault injection,
+/// stream stalls). Deterministic across platforms.
+pub fn unit_hash(seed: u64, a: u64, b: u64, salt: u64) -> f64 {
+    let mut z = seed
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(a.wrapping_mul(0xBF58_476D_1CE4_E5B9))
+        .wrapping_add(b.wrapping_mul(0xD6E8_FEB8_6659_FD93))
+        .wrapping_add(salt.wrapping_mul(0x94D0_49BB_1331_11EB));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    (z >> 11) as f64 / (1u64 << 53) as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

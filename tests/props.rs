@@ -541,6 +541,7 @@ fn chaos_timing() -> PipelineTiming {
 fn chaos_opts(plan: FaultPlan, policy: DegradationPolicy) -> RunOptions<'static> {
     RunOptions::new(chaos_timing())
         .with_host_accuracy(0.5)
+        .threaded()
         .with_faults(plan)
         .with_degradation(policy)
 }
@@ -571,6 +572,7 @@ fn overlapped_executor_handles_empty_and_sub_block_datasets() {
                 &subset,
                 &RunOptions::new(chaos_timing())
                     .with_host_accuracy(0.5)
+                    .threaded()
                     .with_faults(FaultPlan::none())
                     .with_degradation(policy),
             )
@@ -694,8 +696,9 @@ proptest! {
     /// block-pipelined Threaded executor is bit-identical to Modeled — predictions,
     /// flags, rerun/degraded partition, stage traffic — for any
     /// threshold and block size (including blocks that do not divide n
-    /// and blocks larger than n), and under faults it still degrades
-    /// only flagged images while keeping a deterministic fault log.
+    /// and blocks larger than n), and under the same fault plan (worker
+    /// death included) the two run one host stage: identical
+    /// degradation accounting and fault log.
     #[test]
     fn chaos_overlapped_threaded_bit_identical_to_modeled(
         threshold in 0.0f32..1.0,
@@ -725,6 +728,7 @@ proptest! {
                 data,
                 &RunOptions::new(timing)
                     .with_host_accuracy(0.5)
+                    .threaded()
                     .with_faults(FaultPlan::none())
                     .with_degradation(policy),
             )
@@ -738,6 +742,7 @@ proptest! {
         prop_assert_eq!(clean.host_subset_accuracy, modeled.host_subset_accuracy);
         prop_assert_eq!(clean.quadrants, modeled.quadrants);
         prop_assert_eq!(&clean.stage_traffic, &modeled.stage_traffic);
+        prop_assert_eq!(clean.host_attempts, modeled.host_attempts);
         prop_assert!(clean.fault_log.is_empty());
         // Faulted overlapped run: the flags are BNN+DMU state computed
         // before any host fault can act, so they never change; the
@@ -750,10 +755,30 @@ proptest! {
         }
         let faulted_opts = || RunOptions::new(timing)
             .with_host_accuracy(0.5)
+            .threaded()
             .with_faults(plan.clone())
             .with_degradation(policy);
         let host = chaos_host();
         let faulty = pipeline.execute(&host, data, &faulted_opts()).unwrap();
+        // The same plan under Modeled: one host stage, so everything but
+        // backpressure and wall time matches.
+        let host = chaos_host();
+        let faulty_modeled = pipeline
+            .execute(&host, data, &faulted_opts().modeled())
+            .unwrap();
+        prop_assert_eq!(&faulty_modeled.predictions, &faulty.predictions);
+        prop_assert_eq!(&faulty_modeled.flagged, &faulty.flagged);
+        prop_assert_eq!(faulty_modeled.rerun_count, faulty.rerun_count);
+        prop_assert_eq!(faulty_modeled.degraded_count, faulty.degraded_count);
+        prop_assert_eq!(faulty_modeled.retries, faulty.retries);
+        prop_assert_eq!(faulty_modeled.host_attempts, faulty.host_attempts);
+        prop_assert_eq!(faulty_modeled.breaker_trips, faulty.breaker_trips);
+        prop_assert_eq!(faulty_modeled.virtual_backoff_s, faulty.virtual_backoff_s);
+        prop_assert_eq!(&faulty_modeled.stage_traffic, &faulty.stage_traffic);
+        prop_assert_eq!(
+            serde_json::to_string(&faulty_modeled.fault_log).unwrap(),
+            serde_json::to_string(&faulty.fault_log).unwrap()
+        );
         prop_assert_eq!(&faulty.flagged, &modeled.flagged);
         let flagged_count = faulty.flagged.iter().filter(|&&f| f).count();
         prop_assert_eq!(faulty.rerun_count + faulty.degraded_count, flagged_count);
