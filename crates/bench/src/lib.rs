@@ -236,8 +236,11 @@ pub fn poisson_trace(
         .collect()
 }
 
-/// SplitMix64-style hash of `(seed, index)` to a unit float — the same
-/// construction `StreamFaults` uses for its deterministic draws.
+/// Hash of `(seed, index)` to a unit float in `[0, 1)`: SplitMix64's
+/// finalizer over `seed + 0x9E37_79B9_7F4A_7C15 +
+/// index·0xA24B_AED4_963E_E407`, top 53 bits. Unlike
+/// `mp_tensor::init::unit_hash`, which multiplies the seed, it adds it;
+/// the committed loadgen records depend on these constants.
 fn unit_hash(seed: u64, index: u64) -> f64 {
     let mut z = seed
         .wrapping_add(0x9E37_79B9_7F4A_7C15)

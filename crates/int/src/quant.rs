@@ -64,7 +64,7 @@ use mp_bnn::{
     BnFold, BnnClassifier, EngineKind, EngineSpec, FinnTopology, HardwareBnn, LatentKind,
 };
 use mp_obs::{now_ns, Recorder};
-use mp_tensor::simd::{Family, LaneAct, LaneLadder, LaneWeights, Tier};
+use mp_tensor::simd::{Family, LaneLadder, LaneWeights, Tier};
 use mp_tensor::{Parallelism, Shape, ShapeError, Tensor};
 
 use crate::cost::CostLut;
@@ -267,8 +267,8 @@ impl DenseStage {
         };
         let LaneScratch { quads, pairs, sums } = scratch;
         match &self.lanes {
-            Lanes::Quads(w) => lane_conv(w, ladder, tier, map, dims, k, quads, sums, next),
-            Lanes::Pairs(w) => lane_conv(w, ladder, tier, map, dims, k, pairs, sums, next),
+            Lanes::Quads(w) => w.conv_levels(tier, ladder, map, dims, k, quads, sums, next),
+            Lanes::Pairs(w) => w.conv_rows(tier, ladder, map, dims, k, pairs, sums, next),
         }
     }
 
@@ -286,7 +286,7 @@ impl DenseStage {
             unreachable!("checked construction gives the pixel stage pairs and a ladder")
         };
         let LaneScratch { pairs, sums, .. } = scratch;
-        lane_conv(w, ladder, tier, pixels, dims, k, pairs, sums, next)
+        w.conv_rows(tier, ladder, pixels, dims, k, pairs, sums, next)
     }
 }
 
@@ -303,36 +303,13 @@ struct DenseScratch {
     lanes: LaneScratch,
 }
 
-/// Patch rows and lane sums of one output row.
+/// Patch rows and lane sums: one output row's, or one band of tile sums
+/// (`LaneWeights::conv_levels` on AMX).
 #[derive(Debug, Default)]
 struct LaneScratch {
     quads: Vec<u8>,
     pairs: Vec<i16>,
     sums: Vec<i32>,
-}
-
-/// A valid `k×k` convolution over an `(h, w, c)` map, row by row: lane
-/// sums, then `ladder`'s levels appended to `out` as the `(oh, ow, od)`
-/// map.
-#[allow(clippy::too_many_arguments)]
-fn lane_conv<S: Copy, A: LaneAct + From<S>>(
-    w: &LaneWeights<A>,
-    ladder: &LaneLadder,
-    tier: Tier,
-    map: &[S],
-    (c, h, wd): (usize, usize, usize),
-    k: usize,
-    patches: &mut Vec<A>,
-    sums: &mut Vec<i32>,
-    out: &mut Vec<u8>,
-) -> (usize, usize, usize) {
-    let (oh, ow) = (h - k + 1, wd - k + 1);
-    out.clear();
-    for oy in 0..oh {
-        w.row_sums(tier, map, (c, wd, k), oy, patches, sums);
-        ladder.levels(tier, sums, w.lanes(), out);
-    }
-    (w.rows(), oh, ow)
 }
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -77,6 +77,10 @@ fn channel_lanes_pay(tier: Tier, kernel: usize, out_pixels: usize) -> bool {
         Tier::Avx2 => kernel > 1 || out_pixels <= 256,
         #[cfg(target_arch = "x86_64")]
         Tier::Avx512 => true,
+        // The `Gemm` family has no tile build, so `Tier::detected` never
+        // hands this tier to a float convolution.
+        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+        Tier::Amx => false,
     }
 }
 

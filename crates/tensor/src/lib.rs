@@ -25,9 +25,11 @@
 //! Every other crate of the workspace is `#![forbid(unsafe_code)]`. This
 //! one is `#![deny(unsafe_code)]` with a single exception, the
 //! [`simd`] module: the one place in the workspace that detects CPU
-//! features, compiles kernels with `#[target_feature]` and calls them.
+//! features, compiles kernels with `#[target_feature]` and calls them,
+//! and writes inline `asm!` (the AMX tile kernel, which Rust has no
+//! stable intrinsics for, and its CPUID, XCR0 and OS-permission check).
 //! Calling a `#[target_feature]` function is `unsafe`, and each such call
-//! sits behind the matching `is_x86_feature_detected!` check. The
+//! sits behind the matching feature check. The
 //! float convolution, max pool, integer and popcount kernels use
 //! `core::arch` intrinsics, whose loads and stores take raw pointers into
 //! slices of checked length; the convolution's patch reads go through

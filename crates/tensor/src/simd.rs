@@ -4,11 +4,11 @@
 //! Three kernel families run a wider build on x86-64 CPUs that support
 //! it, each picked per call by [`Tier::detected`]:
 //!
-//! | [`Family`] | kernel | [`Tier::Avx512`] | [`Tier::Avx2`] |
-//! |---|---|---|---|
-//! | `Gemm` | the `f32` kernels: the packed GEMM behind `linalg::gemm`, the channel-lane convolution [`FloatConv::run`] and the max pool [`max_pool`] | AVX-512F | AVX2 |
-//! | `Popcount` | the binary convolution [`PopcountConv::run`]: XOR–popcount–threshold over channel-packed maps | AVX-512F + VPOPCNTDQ | AVX2 (a `vpshufb` nibble-table popcount) |
-//! | `Int` | the channel-lane integer product [`LaneWeights::sums`], ladder [`LaneLadder::levels`] and packed-word readout [`LaneLadder::words`] | AVX-512F + VNNI | AVX2 |
+//! | [`Family`] | kernel | `Tier::Amx` | [`Tier::Avx512`] | [`Tier::Avx2`] |
+//! |---|---|---|---|---|
+//! | `Gemm` | the `f32` kernels: the packed GEMM behind `linalg::gemm`, the channel-lane convolution [`FloatConv::run`] and the max pool [`max_pool`] | — | AVX-512F | AVX2 |
+//! | `Popcount` | the binary convolution [`PopcountConv::run`]: XOR–popcount–threshold over channel-packed maps | — | AVX-512F + VPOPCNTDQ | AVX2 (a `vpshufb` nibble-table popcount) |
+//! | `Int` | the channel-lane integer product [`LaneWeights::sums`], ladder [`LaneLadder::levels`], packed-word readout [`LaneLadder::words`] and the `u8` convolution [`LaneWeights::conv_levels`] | AMX-TILE + AMX-INT8 and Linux's tile-data permission, plus AVX-512F + VNNI: the `u8` convolution on tiles where [`LaneWeights::conv_levels`] says they pay, every other kernel its AVX-512 build | AVX-512F + VNNI | AVX2 |
 //!
 //! The `Int` family serves two engines: `mp-int`'s `QuantBnn` dense path
 //! (level ladders) and `mp-bnn`'s `HardwareBnn` first engine (`i16`
@@ -39,6 +39,19 @@
 //! load and store through raw pointers into slices whose lengths (or,
 //! for the convolution's patch reads, whose offset tables) are checked
 //! first.
+//!
+//! `Tier::Amx` exists on x86-64 Linux only. Rust's AMX intrinsics and
+//! its `amx-int8` feature detection are unstable, so the tile kernel is
+//! `asm!` (`ldtilecfg`, `tilezero`, `tileloadd`, `tdpbusd`, `tilestored`,
+//! and `tilerelease` before every return), and [`Tier::runs`] checks the
+//! tier by hand, once per process: AVX-512F + VNNI, CPUID leaf 7 EDX
+//! bits 24–25 (AMX-TILE, AMX-INT8), XCR0 bits 17–18 (the OS saves tile
+//! state), and `arch_prctl(ARCH_REQ_XCOMP_PERM, XFEATURE_XTILEDATA)`
+//! returning 0, through a raw `syscall`; Linux faults the first tile
+//! instruction of a process without that permission. Each `tileloadd`
+//! reads rows of 64 bytes at a stride from the start of a checked slice
+//! that holds all of them, and each `tilestored` writes inside a checked
+//! 4 KiB slice.
 
 use std::ops::RangeInclusive;
 
@@ -73,6 +86,12 @@ pub enum Tier {
     /// 512-bit build (see [`Tier::runs`] for each family's features).
     #[cfg(target_arch = "x86_64")]
     Avx512,
+    /// AMX-INT8 tile build of the `Int` family's `u8` convolution
+    /// ([`LaneWeights::conv_levels`]); its other `Int` kernels run their
+    /// AVX-512 build. Linux only: the process must ask the kernel for
+    /// tile state. No other family has a tile build.
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    Amx,
 }
 
 // Off x86-64 only the portable tier exists, and `family` goes unread.
@@ -81,7 +100,12 @@ impl Tier {
     /// The widest tier of `family` the running CPU supports.
     pub fn detected(family: Family) -> Self {
         #[cfg(target_arch = "x86_64")]
-        for tier in [Self::Avx512, Self::Avx2] {
+        for tier in [
+            #[cfg(target_os = "linux")]
+            Self::Amx,
+            Self::Avx512,
+            Self::Avx2,
+        ] {
             if tier.runs(family) {
                 return tier;
             }
@@ -96,16 +120,23 @@ impl Tier {
         let mut tiers = vec![Self::Portable];
         #[cfg(target_arch = "x86_64")]
         tiers.extend(
-            [Self::Avx2, Self::Avx512]
-                .into_iter()
-                .filter(|t| t.runs(family)),
+            [
+                Self::Avx2,
+                Self::Avx512,
+                #[cfg(target_os = "linux")]
+                Self::Amx,
+            ]
+            .into_iter()
+            .filter(|t| t.runs(family)),
         );
         tiers
     }
 
     /// Whether the running CPU executes every feature `family`'s build
     /// on this tier is compiled with. Each feature list here matches the
-    /// `#[target_feature]` list of that build.
+    /// `#[target_feature]` list of that build; the tile tier also needs
+    /// the AMX features its `asm!` runs and the OS's permission to use
+    /// them, and only the `Int` family has it.
     pub fn runs(self, family: Family) -> bool {
         match self {
             Self::Portable => true,
@@ -122,8 +153,78 @@ impl Tier {
                     is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vnni")
                 }
             },
+            #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+            Self::Amx => family == Family::Int && amx_int8(),
         }
     }
+
+    /// The tier whose vector build an `Int` kernel without a tile build
+    /// runs: [`Tier::Avx512`] under [`Tier::Amx`] (whose features include
+    /// AVX-512F + VNNI), `self` elsewhere.
+    fn vector(self) -> Self {
+        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+        if self == Self::Amx {
+            return Self::Avx512;
+        }
+        self
+    }
+}
+
+/// Whether this CPU and OS run the AMX tile build: AVX-512F + VNNI (the
+/// build of the other `Int` kernels), AMX-TILE and AMX-INT8 (CPUID leaf 7,
+/// EDX bits 24–25), tile state enabled in XCR0 (bits 17–18), and Linux's
+/// permission to use tile data, `arch_prctl(ARCH_REQ_XCOMP_PERM,
+/// XFEATURE_XTILEDATA)`. The permission is process-wide; it is requested
+/// once, on the first call, and the answer is kept.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+fn amx_int8() -> bool {
+    static AMX: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *AMX.get_or_init(|| {
+        const AMX_TILE_INT8: u32 = 0b11 << 24;
+        const XTILECFG_XTILEDATA: u64 = 0b11 << 17;
+        const SYS_ARCH_PRCTL: usize = 158;
+        const ARCH_REQ_XCOMP_PERM: usize = 0x1023;
+        const XFEATURE_XTILEDATA: usize = 18;
+        // AVX-512F support implies CPUID leaf 7 and OSXSAVE, which
+        // `xgetbv` needs.
+        if !(is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vnni"))
+            || __cpuid_count(7, 0).edx & AMX_TILE_INT8 != AMX_TILE_INT8
+        {
+            return false;
+        }
+        let (lo, hi): (u32, u32);
+        // SAFETY: `xgetbv` with ECX = 0 reads XCR0 into EDX:EAX and
+        // touches nothing else; OSXSAVE is set (see above), so it executes.
+        unsafe {
+            std::arch::asm!(
+                "xgetbv",
+                in("ecx") 0,
+                out("eax") lo,
+                out("edx") hi,
+                options(nomem, nostack, preserves_flags),
+            );
+        }
+        if (u64::from(hi) << 32 | u64::from(lo)) & XTILECFG_XTILEDATA != XTILECFG_XTILEDATA {
+            return false;
+        }
+        let ret: isize;
+        // SAFETY: the x86-64 Linux `syscall` convention: number in RAX,
+        // arguments in RDI and RSI, the result in RAX, RCX and R11
+        // clobbered. `arch_prctl(ARCH_REQ_XCOMP_PERM, 18)` reads no
+        // memory; it only grants this process tile state.
+        unsafe {
+            std::arch::asm!(
+                "syscall",
+                inlateout("rax") SYS_ARCH_PRCTL as isize => ret,
+                in("rdi") ARCH_REQ_XCOMP_PERM,
+                in("rsi") XFEATURE_XTILEDATA,
+                lateout("rcx") _,
+                lateout("r11") _,
+                options(nostack),
+            );
+        }
+        ret == 0
+    })
 }
 
 // ---- GEMM ----
@@ -855,11 +956,28 @@ impl LaneAct for i16 {
 /// `steps = ⌈cols/A::STEP⌉`, so one step of one block is four 64-byte
 /// vectors, one per 16-lane channel group. Rows and columns past the
 /// matrix are zero.
-#[derive(Debug, Clone)]
+///
+/// The packed weights start on a 64-byte boundary, so every vector is
+/// one aligned line; sixteen steps of a 16-lane group are the `u8` tile
+/// convolution's B tile, read in place at a 256-byte stride.
+#[derive(Debug)]
 pub struct LaneWeights<A: LaneAct> {
     rows: usize,
     steps: usize,
+    /// The packed weights from `start`, over-allocated by 64 bytes so
+    /// that `start` can sit on a 64-byte boundary.
     data: Vec<A::Weight>,
+    start: usize,
+}
+
+/// A clone packs into a fresh aligned allocation (a derived clone would
+/// keep `start` but not the alignment).
+impl<A: LaneAct> Clone for LaneWeights<A> {
+    fn clone(&self) -> Self {
+        let mut w = Self::zeroed(self.rows, self.steps);
+        w.packed_mut().copy_from_slice(self.packed());
+        w
+    }
 }
 
 impl<A: LaneAct> LaneWeights<A> {
@@ -888,7 +1006,7 @@ impl<A: LaneAct> LaneWeights<A> {
         }
         let steps = cols.div_ceil(A::STEP);
         let (stride, block_len) = (steps * A::STEP, steps * BLOCK * A::STEP);
-        let mut data = vec![A::Weight::default(); rows.div_ceil(BLOCK) * block_len];
+        let mut lanes = Self::zeroed(rows, steps);
         // Per 64-row block: each row in packed column order (source
         // column `ch·taps + tap` is packed column `tap·c + ch`), then the
         // block in destination order, `[step][lane][STEP]`, copied from
@@ -897,7 +1015,7 @@ impl<A: LaneAct> LaneWeights<A> {
         let mut exact = true;
         for (block, dst) in weights
             .chunks(BLOCK * cols)
-            .zip(data.chunks_exact_mut(block_len))
+            .zip(lanes.packed_mut().chunks_exact_mut(block_len))
         {
             let packed = &mut packed[..block.len() / cols * stride];
             for (row, out) in block
@@ -935,7 +1053,38 @@ impl<A: LaneAct> LaneWeights<A> {
                 ),
             ));
         }
-        Ok(Self { rows, steps, data })
+        Ok(lanes)
+    }
+
+    /// Zero weights for `rows` rows of `steps` steps, 64-byte aligned.
+    fn zeroed(rows: usize, steps: usize) -> Self {
+        let slack = 64 / std::mem::size_of::<A::Weight>();
+        let data = vec![A::Weight::default(); Self::packed_len(rows, steps) + slack];
+        // `align_offset` may answer `usize::MAX` where it cannot tell; the
+        // weights then start unaligned, which only costs speed.
+        let start = data.as_ptr().align_offset(64).min(slack);
+        Self {
+            rows,
+            steps,
+            data,
+            start,
+        }
+    }
+
+    /// Packed weights of `rows` rows of `steps` steps: whole blocks.
+    fn packed_len(rows: usize, steps: usize) -> usize {
+        rows.div_ceil(BLOCK) * steps * BLOCK * A::STEP
+    }
+
+    /// Every block's packed weights.
+    fn packed(&self) -> &[A::Weight] {
+        &self.data[self.start..][..Self::packed_len(self.rows, self.steps)]
+    }
+
+    /// [`Self::packed`], mutably.
+    fn packed_mut(&mut self) -> &mut [A::Weight] {
+        let len = Self::packed_len(self.rows, self.steps);
+        &mut self.data[self.start..][..len]
     }
 
     /// Output rows.
@@ -973,7 +1122,7 @@ impl<A: LaneAct> LaneWeights<A> {
         );
         out.clear();
         out.resize(patches.len() / stride * self.lanes(), 0);
-        A::sums(tier, self, patches, out);
+        A::sums(tier.vector(), self, patches, out);
     }
 
     /// The lane sums of output row `oy` of a valid `k×k` convolution
@@ -1007,10 +1156,105 @@ impl<A: LaneAct> LaneWeights<A> {
         self.sums(tier, patches, out);
     }
 
+    /// The levels of a valid `k×k` convolution over an `(h, w, c)` map,
+    /// row by row: [`Self::row_sums`] into `patches` and `sums`, then
+    /// [`LaneLadder::levels`] appended to the cleared `out`, which ends
+    /// as the `(oh, ow, rows)` map of levels; `(rows, oh, ow)` is
+    /// returned. The `i16` pair weights run here, over `u8` levels or
+    /// `i16` pixels; `u8` weights enter through
+    /// [`LaneWeights::conv_levels`], which tries tiles first.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the ladder's rows differ from the weights', the map is
+    /// smaller than `k×k` or holds fewer than `c·h·w` elements.
+    #[allow(clippy::too_many_arguments)]
+    pub fn conv_rows<S: Copy>(
+        &self,
+        tier: Tier,
+        ladder: &LaneLadder,
+        map: &[S],
+        (c, h, w): (usize, usize, usize),
+        k: usize,
+        patches: &mut Vec<A>,
+        sums: &mut Vec<i32>,
+        out: &mut Vec<u8>,
+    ) -> (usize, usize, usize)
+    where
+        A: From<S>,
+    {
+        assert!(
+            ladder.rows == self.rows && h >= k && w >= k && map.len() >= c * h * w,
+            "a {}-row ladder on {} rows over a {h}×{w}×{c} map of {} elements, k {k}",
+            ladder.rows,
+            self.rows,
+            map.len()
+        );
+        out.clear();
+        for oy in 0..=h - k {
+            self.row_sums(tier, map, (c, w, k), oy, patches, sums);
+            ladder.levels(tier, sums, self.lanes(), out);
+        }
+        (self.rows, h - k + 1, w - k + 1)
+    }
+
     /// The packed weights of one 64-row block.
     fn block(&self, b: usize) -> &[A::Weight] {
         let len = self.steps * BLOCK * A::STEP;
-        &self.data[b * len..(b + 1) * len]
+        &self.packed()[b * len..(b + 1) * len]
+    }
+}
+
+impl LaneWeights<u8> {
+    /// A valid `k×k` convolution over an `(h, w, c)` map of `u8` levels,
+    /// read out through `ladder` (one ladder per row): `out` is cleared
+    /// and filled with the `(oh, ow, rows)` map of levels,
+    /// `oh = h − k + 1` and `ow = w − k + 1`, and `(rows, oh, ow)` is
+    /// returned. A dense layer is `k = 1` over a one-pixel map of every
+    /// input.
+    ///
+    /// On [`Tier::Amx`] it runs on AMX tiles, reading the map in place
+    /// and holding one band of 32 positions' sums in `sums`, where `k·c`
+    /// is a multiple of 64 and the output has more than one pixel;
+    /// elsewhere it runs [`Self::conv_rows`], which uses `patches` and
+    /// `sums`. Both give the same levels.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the ladder's rows differ from the weights', the map is
+    /// smaller than `k×k` or holds fewer than `c·h·w` levels.
+    #[allow(clippy::too_many_arguments)]
+    pub fn conv_levels(
+        &self,
+        tier: Tier,
+        ladder: &LaneLadder,
+        map: &[u8],
+        (c, h, w): (usize, usize, usize),
+        k: usize,
+        patches: &mut Vec<u8>,
+        sums: &mut Vec<i32>,
+        out: &mut Vec<u8>,
+    ) -> (usize, usize, usize) {
+        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+        if tier == Tier::Amx
+            && tier.runs(Family::Int)
+            && tiles_pay((c, h, w), k)
+            && self.stride() == k * k * c
+            && ladder.rows == self.rows
+            && map.len() >= c * h * w
+        {
+            let (oh, ow) = (h - k + 1, w - k + 1);
+            out.clear();
+            out.resize(oh * ow * self.rows, 0);
+            // SAFETY: `runs` just confirmed that this CPU executes
+            // AVX-512F, AVX-512 VNNI and AMX-INT8 and that Linux granted
+            // this process tile state; `conv_amx` is compiled with the
+            // first two and runs the third through `asm!`. `tiles_pay`
+            // and the stride check give the geometry `conv_amx` needs.
+            unsafe { conv_amx(self, ladder, map, (c, h, w), k, sums, out) };
+            return (self.rows, oh, ow);
+        }
+        self.conv_rows(tier, ladder, map, (c, h, w), k, patches, sums, out)
     }
 }
 
@@ -1340,6 +1584,7 @@ impl LaneLadder {
         let start = out.len();
         out.resize(start + sums.len() / lanes * self.rows, 0);
         let out = &mut out[start..];
+        let tier = tier.vector();
         match tier {
             #[cfg(target_arch = "x86_64")]
             Tier::Avx512 if tier.runs(Family::Int) => {
@@ -1376,6 +1621,7 @@ impl LaneLadder {
         let start = out.len();
         out.resize(start + sums.len() / lanes * self.rows.div_ceil(BLOCK), 0);
         let out = &mut out[start..];
+        let tier = tier.vector();
         match tier {
             #[cfg(target_arch = "x86_64")]
             Tier::Avx512 if tier.runs(Family::Int) => {
@@ -1429,36 +1675,85 @@ fn levels_portable(l: &LaneLadder, sums: &[i32], lanes: usize, out: &mut [u8]) {
     }
 }
 
-/// The ladder on AVX-512: one `vpcmpgtd` into a mask and one masked
-/// `vpaddd` per bound and 16 rows; `vpmovdb` narrows the levels.
+/// The ladder on AVX-512, one 16-row group at a time over every sum row
+/// ([`group_levels_avx512`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vnni")]
 fn levels_avx512(l: &LaneLadder, sums: &[i32], lanes: usize, out: &mut [u8]) {
-    for (s, o) in sums.chunks_exact(lanes).zip(out.chunks_exact_mut(l.rows)) {
-        for (g, dst) in o.chunks_mut(LANES).enumerate() {
-            let (keys, signs) = l.group(g);
-            let at = g * LANES;
-            // SAFETY: `lanes` covers every group of 16 rows (checked by
-            // `levels`), so `s[at..at + 16]` and `base[at..at + 16]`
-            // are in bounds, 64 bytes each.
-            let (sv, mut count) = unsafe {
-                (
-                    _mm512_loadu_si512(s[at..at + LANES].as_ptr().cast()),
-                    _mm512_loadu_si512(l.base[at..at + LANES].as_ptr().cast()),
-                )
-            };
-            for (k, sg) in keys.chunks_exact(LANES).zip(signs.chunks_exact(LANES)) {
-                // SAFETY: `k` and `sg` hold 16 `i32` each, 64 bytes.
-                let (kv, sgv) = unsafe {
-                    (
-                        _mm512_loadu_si512(k.as_ptr().cast()),
-                        _mm512_loadu_si512(sg.as_ptr().cast()),
-                    )
-                };
-                count = _mm512_mask_add_epi32(count, _mm512_cmpgt_epi32_mask(sv, kv), count, sgv);
-            }
-            store_levels(dst, _mm512_cvtepi32_epi8(count));
+    let n = sums.len() / lanes;
+    for g in 0..l.rows.div_ceil(LANES) {
+        let at = g * LANES;
+        group_levels_avx512(l, g, sums, out, n, |p| (p * lanes + at, p * l.rows + at));
+    }
+}
+
+/// Group `g`'s levels of the 16 sums at `(sum, level)` index pair
+/// `at(i)` for each `i < n`, written as the group's `min(16, rows − 16g)`
+/// bytes at the level index: one `vpcmpgtd` into a mask and one masked
+/// `vpaddd` per bound, `vpmovdb` to narrow. A 15-bound ladder (4-bit
+/// activations, the width the per-stage timing measured) holds its keys
+/// and signs in 30 registers across the pixels; other ladders load them
+/// per pixel. `at` is a closure, not an iterator, so that it inlines
+/// into this AVX-512 body (an iterator adapter's `next`, built without
+/// the target features, stays a call and spills the keys).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vnni")]
+#[inline]
+fn group_levels_avx512(
+    l: &LaneLadder,
+    g: usize,
+    sums: &[i32],
+    out: &mut [u8],
+    n: usize,
+    at: impl Fn(usize) -> (usize, usize),
+) {
+    match l.bounds {
+        15 => resident_levels_avx512::<15>(l, g, sums, out, n, at),
+        _ => resident_levels_avx512::<0>(l, g, sums, out, n, at),
+    }
+}
+
+/// [`group_levels_avx512`] with the first `R ≤ bounds` bounds' keys and
+/// signs in `2·R` registers and bounds `R..` loaded per pixel.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vnni")]
+#[inline]
+fn resident_levels_avx512<const R: usize>(
+    l: &LaneLadder,
+    g: usize,
+    sums: &[i32],
+    out: &mut [u8],
+    n: usize,
+    at: impl Fn(usize) -> (usize, usize),
+) {
+    let load = |v: &[i32]| {
+        // SAFETY: `v[..LANES]` is 16 `i32` (the index panics on a shorter
+        // slice), exactly the 64 bytes one unaligned load reads.
+        unsafe { _mm512_loadu_si512(v[..LANES].as_ptr().cast()) }
+    };
+    let (keys, signs) = l.group(g);
+    let (keys, _) = keys.as_chunks::<LANES>();
+    let (signs, _) = signs.as_chunks::<LANES>();
+    let (rest_keys, rest_signs) = (&keys[R..], &signs[R..]);
+    let mut kv = [_mm512_setzero_si512(); R];
+    let mut sv = [_mm512_setzero_si512(); R];
+    for ((kv, sv), (k, sg)) in kv.iter_mut().zip(&mut sv).zip(keys.iter().zip(signs)) {
+        (*kv, *sv) = (load(k), load(sg));
+    }
+    let base = load(&l.base[g * LANES..]);
+    let width = LANES.min(l.rows - g * LANES);
+    for i in 0..n {
+        let (s, o) = at(i);
+        let x = load(&sums[s..]);
+        let mut count = base;
+        for (&kv, &sv) in kv.iter().zip(&sv) {
+            count = _mm512_mask_add_epi32(count, _mm512_cmpgt_epi32_mask(x, kv), count, sv);
         }
+        for (k, sg) in rest_keys.iter().zip(rest_signs) {
+            count =
+                _mm512_mask_add_epi32(count, _mm512_cmpgt_epi32_mask(x, load(k)), count, load(sg));
+        }
+        store_levels(&mut out[o..o + width], _mm512_cvtepi32_epi8(count));
     }
 }
 
@@ -1591,6 +1886,213 @@ fn words_avx2(l: &LaneLadder, sums: &[i32], lanes: usize, out: &mut [u64]) {
             *word = bits;
         }
     }
+}
+
+// ---- Int: the AMX tile convolution ----
+
+/// Rows of an AMX tile: output positions of an A or accumulator tile,
+/// weight steps of a B tile.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+const TILE_ROWS: usize = 16;
+
+/// Output channels of a band: two B tiles of 16 lanes.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+const PAIR: usize = 2 * LANES;
+
+/// Whether `LaneWeights::<u8>::conv_levels` runs a `k×k` convolution
+/// over `(h, w, c)` maps on tiles. Each 64-byte tile row must lie inside
+/// one kernel row's run of `k·c` contiguous map bytes, so `k·c` must be
+/// a multiple of 64, and the output must have more than one pixel: on
+/// the paper's one-pixel stage (256 channels at 3×3) the tiles ran 0.93×
+/// the vector kernel on one busy core and 0.33× with both cores busy,
+/// and they win on every larger map of the paper's stages.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+fn tiles_pay((c, h, w): (usize, usize, usize), k: usize) -> bool {
+    (k * c).is_multiple_of(64) && h >= k && w >= k && (h - k + 1) * (w - k + 1) > 1
+}
+
+/// An AMX tile configuration (palette 1): `tmm0`–`tmm3` accumulate a band's
+/// 2 × 2 sum tiles, `tmm4`–`tmm5` hold its two position tiles (A) and
+/// `tmm6`–`tmm7` its two weight tiles (B); every row is 64 bytes.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+#[repr(C, align(64))]
+struct TileConfig {
+    palette: u8,
+    start_row: u8,
+    reserved: [u8; 14],
+    colsb: [u16; 16],
+    rows: [u8; 16],
+}
+
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+impl TileConfig {
+    /// Accumulator and A tiles of `tile ≤ 16` positions, B tiles of 16
+    /// steps.
+    fn new(tile: usize) -> Self {
+        let mut cfg = Self {
+            palette: 1,
+            start_row: 0,
+            reserved: [0; 14],
+            colsb: [0; 16],
+            rows: [0; 16],
+        };
+        cfg.colsb[..8].fill(64);
+        cfg.rows[..6].fill(tile as u8);
+        cfg.rows[6..8].fill(TILE_ROWS as u8);
+        cfg
+    }
+}
+
+/// The sums of one band of a pair of B tiles: two tiles of positions ×
+/// two tiles of 16 channels, `[32 positions][32 channels]`, 4 KiB.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+const BAND: usize = 2 * TILE_ROWS * PAIR;
+
+/// The `u8` convolution on AMX-INT8 tiles, no patch gathered.
+///
+/// Output position `q = oy·w + ox` of tap row `ky` reads the `k·c` map
+/// bytes from pixel `q + ky·w`, so 16 consecutive positions are 16 map
+/// rows `c` bytes apart: one `tileloadd` per 64-byte chunk of the run.
+/// Every `q < (oh − 1)·w + ow` is computed and the `ox ≥ ow` ones (which
+/// wrap into the next row) are skipped at readout, so maps narrower than
+/// 16 need no special case. One B tile is 16 steps of one 16-lane group
+/// of [`LaneWeights`]' packing, read in place at its 256-byte stride;
+/// `tdpbusd` multiplies `u8` by `i8` in quads, as `vpdpbusd` does.
+///
+/// Per band of two A tiles (32 positions, fewer on small maps: every
+/// tile holds `min(16, ⌈positions/2⌉)`), each pair of B tiles (32
+/// channels) accumulates all 8 tile registers over the whole fan-in and
+/// stores them to its 4 KiB of `sums`; then the band is read out through
+/// the ladder, every channel at once, while its sums are in L1. The last
+/// band's tiles are moved back to end at the last position (recomputing
+/// a few), so no read passes the map's last position.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+#[target_feature(enable = "avx512f,avx512vnni")]
+fn conv_amx(
+    w: &LaneWeights<u8>,
+    l: &LaneLadder,
+    map: &[u8],
+    (c, h, wd): (usize, usize, usize),
+    k: usize,
+    sums: &mut Vec<i32>,
+    out: &mut [u8],
+) {
+    use std::arch::asm;
+    const LINE: usize = 64;
+    const STEP_BYTES: usize = BLOCK * 4;
+    let (oh, ow) = (h - k + 1, wd - k + 1);
+    let positions = (oh - 1) * wd + ow;
+    let tile = positions.div_ceil(2).min(TILE_ROWS);
+    // Every tile read is checked against the map itself, not the
+    // buffer that holds it.
+    let map = &map[..c * h * wd];
+    let (run, chunks) = (k * c, k * k * c / LINE);
+    let cfg = TileConfig::new(tile);
+    let pairs = l.rows.div_ceil(PAIR);
+    // One band per pair, from a 64-byte boundary (`align_offset` may
+    // answer `usize::MAX`; the stores then run unaligned). Stale sums
+    // may stay: the readout reads only rows the tiles store.
+    sums.resize(pairs * BAND + LANES, 0);
+    let start = sums.as_ptr().align_offset(64).min(LANES);
+    let bands = &mut sums[start..][..pairs * BAND];
+    // (band slot offset, level offset) of each new position of a band.
+    let mut spots = [(0, 0); 2 * TILE_ROWS];
+    // SAFETY: `ldtilecfg` reads the 64-byte configuration `cfg` points to.
+    unsafe { asm!("ldtilecfg [{}]", in(reg) &cfg, options(nostack, readonly, preserves_flags)) };
+    let mut done = 0;
+    while done < positions {
+        let t = [
+            done.min(positions - tile),
+            (done + tile).min(positions - tile),
+        ];
+        // New positions `done..end`: those of tile 1, and those of tile 0
+        // before tile 1 starts.
+        let end = t[1] + tile;
+        let mut n = 0;
+        for q in done..end {
+            let (oy, ox) = (q / wd, q % wd);
+            if ox < ow {
+                let slot = if q >= t[1] {
+                    TILE_ROWS + q - t[1]
+                } else {
+                    q - t[0]
+                };
+                spots[n] = (slot * PAIR, (oy * ow + ox) * l.rows);
+                n += 1;
+            }
+        }
+        for (pair, band) in bands.chunks_exact_mut(BAND).enumerate() {
+            let blk = w.block(pair * PAIR / BLOCK);
+            let lane_byte = pair * PAIR % BLOCK * 4;
+            // SAFETY: `tilezero` writes only tile registers.
+            unsafe {
+                asm!(
+                    "tilezero tmm0",
+                    "tilezero tmm1",
+                    "tilezero tmm2",
+                    "tilezero tmm3",
+                    options(nostack, preserves_flags)
+                )
+            };
+            for j in 0..chunks {
+                let (ky, off) = (j * LINE / run, j * LINE % run);
+                let a = |t: usize| &map[(t + ky * wd) * c + off..][..(tile - 1) * c + LINE];
+                let (a0, a1) = (a(t[0]), a(t[1]));
+                let b = &blk[j * TILE_ROWS * STEP_BYTES + lane_byte..]
+                    [..(TILE_ROWS - 1) * STEP_BYTES + 2 * LINE];
+                // SAFETY: each `tileloadd` reads its tile's rows of 64
+                // bytes at the given stride from inside the slice whose
+                // start it is given: `tile` rows `c` apart from `a0` and
+                // `a1`, whose length is `(tile − 1)·c + 64`; 16 rows 256
+                // apart from `b` and from `b + 64`, whose length is
+                // `15·256 + 128`. `tdpbusd` touches only tile registers.
+                unsafe {
+                    asm!(
+                        "tileloadd tmm4, [{a0} + {c}*1]",
+                        "tileloadd tmm6, [{b} + {s}*1]",
+                        "tdpbusd tmm0, tmm4, tmm6",
+                        "tileloadd tmm7, [{b} + {s}*1 + 64]",
+                        "tdpbusd tmm1, tmm4, tmm7",
+                        "tileloadd tmm5, [{a1} + {c}*1]",
+                        "tdpbusd tmm2, tmm5, tmm6",
+                        "tdpbusd tmm3, tmm5, tmm7",
+                        a0 = in(reg) a0.as_ptr(),
+                        a1 = in(reg) a1.as_ptr(),
+                        c = in(reg) c,
+                        b = in(reg) b.as_ptr(),
+                        s = in(reg) STEP_BYTES,
+                        options(nostack, readonly, preserves_flags)
+                    )
+                };
+            }
+            // SAFETY: each `tilestored` writes `tile ≤ 16` rows of 64
+            // bytes, 128 apart, from byte 0, 64, 2048 or 2112 of the
+            // 4096-byte band: the last row ends at most at
+            // 2112 + 15·128 + 64 = 4096.
+            unsafe {
+                asm!(
+                    "tilestored [{p} + {s}*1], tmm0",
+                    "tilestored [{p} + {s}*1 + 64], tmm1",
+                    "tilestored [{p} + {s}*1 + 2048], tmm2",
+                    "tilestored [{p} + {s}*1 + 2112], tmm3",
+                    p = in(reg) band.as_mut_ptr(),
+                    s = in(reg) PAIR * 4,
+                    options(nostack, preserves_flags)
+                )
+            };
+        }
+        for g in 0..l.rows.div_ceil(LANES) {
+            let band = &bands[g / 2 * BAND..][..BAND];
+            group_levels_avx512(l, g, band, out, n, |i| {
+                let (s, o) = spots[i];
+                (s + g % 2 * LANES, o + g * LANES)
+            });
+        }
+        done = end;
+    }
+    // SAFETY: `tilerelease` returns the tile registers to their initial
+    // state; it touches no memory.
+    unsafe { asm!("tilerelease", options(nostack, preserves_flags)) };
 }
 
 // ---- Popcount: the binary convolution kernel ----
@@ -2163,6 +2665,7 @@ mod tests {
             (17, 7, 3),
             (64, 255, 2),
             (130, 15, 3),
+            (64, 15, 37),
         ] {
             let salt = (rows * 1000 + bounds) as u64;
             let keys = draw(rows * bounds, -9, 9, salt);
@@ -2203,6 +2706,108 @@ mod tests {
                 ladder.levels(tier, &sums, lanes, &mut got);
                 assert_eq!(got[0], 9, "levels append");
                 assert_eq!(&got[1..], &want[..], "{tier:?} rows {rows} bounds {bounds}");
+            }
+        }
+    }
+
+    /// The `u8` convolution read out through ladders on every tier (on
+    /// AMX: tiles wherever `k·c` is a multiple of 64 and the output has
+    /// more than one pixel) equals the portable lane product plus ladder,
+    /// at the tile edges: every output map 1, 2 or 7 tall and 1, 2, 15,
+    /// 16, 17, 30 or 33 wide (so positions end inside one narrow tile
+    /// pair, mid-pair and on a pair's end) on one 64-byte chunk per tap
+    /// (`c = 64` at `k = 3`), those of at most 66 pixels on two and three
+    /// (`c` 128 and 192), and a spread of them on 64 at `k = 1`, 32 at
+    /// `k = 2`, 16 at `k = 4` and 24 at `k = 3` (which stays on rows);
+    /// output rows filling part of a 16-lane
+    /// group, a 32-channel tile pair and a 64-row block, levels at 0 and
+    /// 255, weights at ±64, and ladders of 1 to 255 bounds (15 held in
+    /// registers, the others loaded per pixel) with keys at the `i32`
+    /// edges and at sums the map reaches.
+    #[test]
+    fn every_supported_tier_convolves_u8_levels_exactly() {
+        let all: Vec<(usize, usize)> = [1, 2, 15, 16, 17, 30, 33]
+            .into_iter()
+            .flat_map(|ow| [1, 2, 7].map(|oh| (oh, ow)))
+            .collect();
+        let small: Vec<_> = all
+            .iter()
+            .copied()
+            .filter(|&(oh, ow)| oh * ow <= 66)
+            .collect();
+        let spread: Vec<_> = all.iter().copied().step_by(4).collect();
+        let mut cases = Vec::new();
+        for (c, k, shapes) in [
+            (64, 3, &all),
+            (128, 3, &small),
+            (192, 3, &small),
+            (64, 1, &spread),
+            (32, 2, &spread),
+            (16, 4, &spread),
+            (24, 3, &spread),
+        ] {
+            cases.extend(shapes.iter().map(|&(oh, ow)| (c, k, oh, ow)));
+        }
+        for (case, &(c, k, oh, ow)) in cases.iter().enumerate() {
+            let rows = [40, 70, 16, 130, 33][case % 5];
+            let bounds = [15, 3, 1, 7, 255, 12][case % 6];
+            let salt = case as u64 * 131;
+            let (h, w) = (oh + k - 1, ow + k - 1);
+            let weights: Vec<i64> = draw(rows * c * k * k, -64, 64, salt)
+                .into_iter()
+                .map(i64::from)
+                .collect();
+            let map: Vec<u8> = draw(h * w * c, 0, 255, salt + 1)
+                .into_iter()
+                .map(|u| u as u8)
+                .collect();
+            let lw = LaneWeights::<u8>::new(rows, (c, k * k), &weights).unwrap();
+            let (mut patches, mut sums) = (Vec::new(), Vec::new());
+            lw.row_sums(Tier::Portable, &map, (c, w, k), 0, &mut patches, &mut sums);
+            let keys = draw(rows * bounds, -150_000, 150_000, salt + 2);
+            let flips = draw(rows * bounds, 0, 1, salt + 3);
+            let ladder: Vec<(i32, bool)> = (0..rows * bounds)
+                .map(|i| {
+                    let (r, j) = (i / bounds, i % bounds);
+                    let key = match i % 7 {
+                        0 => sums[(j % ow) * lw.lanes() + r],
+                        1 => [i32::MIN, i32::MAX][j % 2],
+                        _ => keys[i],
+                    };
+                    (key, flips[i] == 1)
+                })
+                .collect();
+            let ladder = LaneLadder::new(rows, bounds, &ladder).unwrap();
+            let mut want = vec![1; 3];
+            let dims = lw.conv_rows(
+                Tier::Portable,
+                &ladder,
+                &map,
+                (c, h, w),
+                k,
+                &mut patches,
+                &mut sums,
+                &mut want,
+            );
+            assert_eq!(dims, (rows, oh, ow));
+            assert_eq!(want.len(), oh * ow * rows);
+            for tier in Tier::supported(Family::Int).into_iter().skip(1) {
+                let mut got = vec![1; 5];
+                let dims = lw.conv_levels(
+                    tier,
+                    &ladder,
+                    &map,
+                    (c, h, w),
+                    k,
+                    &mut patches,
+                    &mut sums,
+                    &mut got,
+                );
+                assert_eq!(dims, (rows, oh, ow));
+                assert!(
+                    got == want,
+                    "{tier:?} c {c} k {k} rows {rows} bounds {bounds} oh {oh} ow {ow}"
+                );
             }
         }
     }

@@ -1521,6 +1521,49 @@ proptest! {
     }
 }
 
+/// The dense batch path computes the bit-plane reference's exact
+/// integers where its `u8` convolutions run on AMX tiles (on a CPU that
+/// has them; elsewhere on its vector tier). The output positions
+/// `(oh − 1)·w + ow` of the 64- and 128-channel stages end inside a
+/// tile pair, so the last pair overlaps the one before (61 and 33 on
+/// the 11×11 input), on a pair's end (64 on the 7×24 input) and on the
+/// end of one pair of 9-row tiles (18), at every activation width the
+/// quad form reads (1, 2, 4 and 8 bits, so ladders of 1, 3, 15 and 255
+/// bounds).
+#[test]
+fn quant_dense_batch_matches_reference_where_positions_end_in_a_tile() {
+    for (h, w) in [(11, 11), (7, 24)] {
+        let topo = FinnTopology::try_new(3, h, w, vec![64, 128, 64], vec![false; 3], vec![16], 10)
+            .unwrap();
+        let layers = topo.engines().len();
+        let mut rng = TensorRng::seed_from((h * w) as u64);
+        let mut bnn = BnnClassifier::new(topo, &mut rng).unwrap();
+        bnn.forward_mode(&rng.normal(Shape::nchw(4, 3, h, w), 0.0, 1.0), Mode::Train)
+            .unwrap();
+        let batch = rng.normal(Shape::nchw(3, 3, h, w), 0.0, 1.5);
+        for (a_bits, w_bits) in [(1, 4), (2, 1), (4, 2), (8, 4)] {
+            let precision = NetworkPrecision::uniform(layers, a_bits, w_bits).unwrap();
+            let quant = QuantBnn::from_classifier(&bnn, precision).unwrap();
+            let got = quant
+                .infer_batch_obs(&batch, Parallelism::new(2), &multiprec::obs::NULL_RECORDER)
+                .unwrap();
+            for i in 0..3 {
+                let reference: Vec<f32> = quant
+                    .infer_image(&batch.batch_item(i).unwrap())
+                    .unwrap()
+                    .iter()
+                    .map(|&s| s as f32 / quant.scores_scale())
+                    .collect();
+                assert_eq!(
+                    &got.as_slice()[i * 10..(i + 1) * 10],
+                    &reference[..],
+                    "{h}×{w} a{a_bits}w{w_bits} image {i}"
+                );
+            }
+        }
+    }
+}
+
 /// Batch scores of `hw` on `batch`, every way the batch path runs (one
 /// `infer_batch_with` over `threads` shards, and `split`-image windows
 /// each run on one thread as the Threaded executor's producer runs its
