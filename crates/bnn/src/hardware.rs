@@ -122,12 +122,6 @@ impl AccRange {
         self.min = self.min.min(acc);
         self.max = self.max.max(acc);
     }
-
-    /// Merges another observed range into this one.
-    pub fn merge(&mut self, other: AccRange) {
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// Structural facts about one synthesised engine, exposed for static
@@ -737,27 +731,19 @@ impl HardwareBnn {
         Ok(best)
     }
 
-    /// Runs a `[N, C, H, W]` batch, returning `[N, classes]` scores as
-    /// floats (for the DMU, which consumes BNN class scores).
+    /// Runs a `[N, C, H, W]` batch on one thread, returning `[N, classes]`
+    /// scores as floats (for the DMU, which consumes BNN class scores).
     ///
     /// # Errors
     ///
     /// Returns [`ShapeError`] when the batch does not match the topology.
     pub fn infer_batch(&self, images: &Tensor) -> Result<Tensor, ShapeError> {
-        let n = images.shape().dim(0);
-        let classes = self.topology.classes();
-        let mut data = Vec::with_capacity(n * classes);
-        for i in 0..n {
-            let img = images.batch_item(i)?;
-            let scores = self.infer_image(&img)?;
-            data.extend(scores.into_iter().map(|s| s as f32));
-        }
-        Tensor::from_vec(Shape::matrix(n, classes), data)
+        self.infer_batch_with(images, Parallelism::sequential())
     }
 
-    /// Optimised batched inference, bit-identical to [`Self::infer_batch`],
-    /// sharding images across `par` threads (see
-    /// [`Parallelism::map_chunks`]).
+    /// Optimised batched inference, bit-identical to [`Self::infer_image`]
+    /// on each image, sharding images across `par` threads (see
+    /// [`Parallelism::map_images`]).
     ///
     /// Per shard, scratch buffers are reused across images. The first
     /// engine runs `mp_tensor::simd`'s channel-lane pair kernel over
@@ -807,26 +793,20 @@ impl HardwareBnn {
                 format!("expected [N,{c},{h},{w}] batch, got {shape}"),
             ));
         }
-        let n = shape.dim(0);
-        let classes = self.topology.classes();
-        let image_len = c * h * w;
-        let xv = images.as_slice();
+        let (n, classes) = (shape.dim(0), self.topology.classes());
         let names;
-        let obs_ref: Option<(&dyn Recorder, &[String])> = if rec.enabled() {
+        let obs: Option<(&dyn Recorder, &[String])> = if rec.enabled() {
             names = self.stage_span_names();
             Some((rec, names.as_slice()))
         } else {
             None
         };
         let tiers = Tiers::detected();
-        let parts = par.map_chunks(n, |(start, end)| {
-            let mut scratch = HwScratch::default();
-            let mut part = Vec::new();
-            let images = &xv[start * image_len..end * image_len];
-            self.infer_range_inner(images, &mut scratch, obs_ref, tiers, &mut part);
-            part
-        });
-        Tensor::from_vec(Shape::matrix(n, classes), parts.concat())
+        let scores = par.map_images(images.as_slice(), n, classes, |image, scratch, out| {
+            self.infer_packed(image, scratch, out, obs, tiers);
+            Ok(())
+        })?;
+        Tensor::from_vec(Shape::matrix(n, classes), scores)
     }
 
     /// Stable per-stage span names: `bnn.stage<i>.<kind>`.
@@ -838,31 +818,14 @@ impl HardwareBnn {
             .collect()
     }
 
-    /// Runs a contiguous run of images (raw `C·H·W` planes) through the
-    /// accelerator, appending `classes` float scores per image to `out`.
-    /// All scratch state (pixel lanes, activation maps) lives in
-    /// `scratch`, so repeated calls on one scratch are allocation-free in
-    /// steady state. With `obs` present, every stage's wall time is
-    /// recorded as one span per image (the names indexed by stage
-    /// position).
-    fn infer_range_inner(
-        &self,
-        images: &[f32],
-        scratch: &mut HwScratch,
-        obs: Option<(&dyn Recorder, &[String])>,
-        tiers: Tiers,
-        out: &mut Vec<f32>,
-    ) {
-        let image_len = self.topology.channels() * self.topology.height() * self.topology.width();
-        out.reserve(images.len() / image_len * self.topology.classes());
-        for image in images.chunks_exact(image_len) {
-            self.infer_packed(image, scratch, out, obs, tiers);
-        }
-    }
-
     /// Runs one image (its `C·H·W` pixels) through every engine,
     /// computing every accumulation [`Self::infer_image`] computes, so
-    /// results are bit-identical.
+    /// the `classes` float scores written to `scores_out` are
+    /// bit-identical. All scratch state (pixel lanes, activation maps)
+    /// lives in `scratch`, so repeated calls on one scratch are
+    /// allocation-free in steady state. With `obs` present, every
+    /// stage's wall time is recorded as one span (the names indexed by
+    /// stage position).
     ///
     /// Binary activations stay a channel-packed map until the FC
     /// engines: channel `ch` of pixel `(y, x)` is bit `ch % 64` of word
@@ -889,7 +852,7 @@ impl HardwareBnn {
         &self,
         image: &[f32],
         scratch: &mut HwScratch,
-        scores_out: &mut Vec<f32>,
+        scores_out: &mut [f32],
         obs: Option<(&dyn Recorder, &[String])>,
         tiers: Tiers,
     ) {
@@ -964,7 +927,9 @@ impl HardwareBnn {
                         unpack_map(map, dims, fc_in);
                     }
                     weights.xnor_matvec_into(fc_in, acc);
-                    scores_out.extend(acc.iter().take(self.topology.classes()).map(|&s| s as f32));
+                    for (score, &s) in scores_out.iter_mut().zip(acc.iter()) {
+                        *score = s as f32;
+                    }
                 }
             }
             if let (Some((rec, names)), Some(start)) = (obs, t0) {
@@ -1285,6 +1250,15 @@ mod tests {
         assert_eq!(t.shape().dims(), &[3, 10]);
     }
 
+    /// [`HardwareBnn::infer_image`]'s scores of every image of `batch`,
+    /// as floats: the reference the batch path must match.
+    fn reference_scores(hw: &HardwareBnn, batch: &Tensor) -> Vec<f32> {
+        (0..batch.shape().dim(0))
+            .flat_map(|i| hw.infer_image(&batch.batch_item(i).unwrap()).unwrap())
+            .map(|s| s as f32)
+            .collect()
+    }
+
     #[test]
     fn batched_path_is_bit_identical_to_reference_across_threads() {
         let bnn = trained_tiny(80);
@@ -1292,13 +1266,13 @@ mod tests {
         let mut rng = TensorRng::seed_from(81);
         for n in [1usize, 4, 7] {
             let batch = rng.normal(Shape::nchw(n, 3, 8, 8), 0.0, 1.0);
-            let reference = hw.infer_batch(&batch).unwrap();
+            let reference = reference_scores(&hw, &batch);
             for threads in [1usize, 2, 5] {
                 let got = hw
                     .infer_batch_with(&batch, mp_tensor::Parallelism::new(threads))
                     .unwrap();
-                assert_eq!(reference.shape(), got.shape());
-                assert_eq!(reference.as_slice(), got.as_slice());
+                assert_eq!(got.shape().dims(), &[n, 10]);
+                assert_eq!(got.as_slice(), reference);
             }
         }
     }
@@ -1310,16 +1284,16 @@ mod tests {
         let mut rng = TensorRng::seed_from(86);
         let n = 19;
         let batch = rng.normal(Shape::nchw(n, 3, 8, 8), 0.0, 1.0);
-        let reference = hw.infer_batch(&batch).unwrap();
+        let reference = reference_scores(&hw, &batch);
         for threads in [1usize, 3] {
             let par = mp_tensor::Parallelism::new(threads);
             let rec = mp_obs::SharedRecorder::new();
             let got = hw.infer_batch_obs(&batch, par, &rec).unwrap();
-            assert_eq!(got.as_slice(), reference.as_slice());
+            assert_eq!(got.as_slice(), reference);
             let untraced = hw
                 .infer_batch_obs(&batch, par, &mp_obs::NULL_RECORDER)
                 .unwrap();
-            assert_eq!(untraced.as_slice(), reference.as_slice());
+            assert_eq!(untraced.as_slice(), reference);
             let recorded: Vec<(String, u64)> = rec
                 .report()
                 .spans
@@ -1442,11 +1416,16 @@ mod tests {
         HardwareBnn::checked(hw.topology.clone(), stages).unwrap()
     }
 
-    /// Batch-path scores of `images` on `tiers`.
+    /// Batch-path scores of `images` on `tiers`, one image at a time on
+    /// one scratch.
     fn batch_scores_on(hw: &HardwareBnn, images: &Tensor, tiers: Tiers) -> Vec<f32> {
-        let mut scores = Vec::new();
+        let (n, classes) = (images.shape().dim(0), hw.topology.classes());
+        let mut scores = vec![0.0; n * classes];
         let mut scratch = HwScratch::default();
-        hw.infer_range_inner(images.as_slice(), &mut scratch, None, tiers, &mut scores);
+        let pixels = images.as_slice().chunks_exact(images.len() / n);
+        for (image, out) in pixels.zip(scores.chunks_exact_mut(classes)) {
+            hw.infer_packed(image, &mut scratch, out, None, tiers);
+        }
         scores
     }
 
@@ -1471,11 +1450,7 @@ mod tests {
             let hw = HardwareBnn::from_classifier(&bnn).unwrap();
             let hw = with_random_conv_thresholds(&hw, &mut rng);
             let images = rng.normal(Shape::nchw(n, 3, topo.height(), topo.width()), 0.0, 1.0);
-            let mut reference = Vec::new();
-            for i in 0..n {
-                let scores = hw.infer_image(&images.batch_item(i).unwrap()).unwrap();
-                reference.extend(scores.iter().map(|&s| s as f32));
-            }
+            let reference = reference_scores(&hw, &images);
             let portable = Tiers {
                 int: Tier::Portable,
                 popcount: Tier::Portable,

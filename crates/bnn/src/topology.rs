@@ -64,12 +64,6 @@ impl EngineSpec {
         (self.weight_rows() * self.weight_cols()) as u64
     }
 
-    /// Total threshold storage bits: one `threshold_bits`-wide word per
-    /// output channel.
-    pub fn total_threshold_bits(&self) -> u64 {
-        (self.out_channels * self.threshold_bits) as u64
-    }
-
     /// Output pixels per image (`OH·OW`; 1 for FC engines).
     pub fn output_pixels(&self) -> usize {
         self.out_height * self.out_width

@@ -337,11 +337,6 @@ impl StreamSim {
         self
     }
 
-    /// Number of pipeline stages.
-    pub fn num_stages(&self) -> usize {
-        self.service_s.len()
-    }
-
     /// The pipeline's steady-state initiation interval: the slowest of
     /// the source and any stage.
     pub fn bottleneck_interval_s(&self) -> f64 {

@@ -957,7 +957,7 @@ impl QuantBnn {
     }
 
     /// [`Self::infer_batch`] sharded across `par` threads (see
-    /// [`Parallelism::map_chunks`]) with per-stage wall-time spans
+    /// [`Parallelism::map_images`]) with per-stage wall-time spans
     /// (`quant.stage<i>.<kind>`, one per image and stage) and the
     /// `quant.images` / `quant.plane_macs` counters recorded against
     /// `rec`. Plane MACs are the modeled
@@ -987,10 +987,7 @@ impl QuantBnn {
                 format!("expected [N,{c},{h},{w}] batch, got {shape}"),
             ));
         }
-        let n = shape.dim(0);
-        let classes = self.topology.classes();
-        let image_len = c * h * w;
-        let xv = images.as_slice();
+        let (n, classes) = (shape.dim(0), self.topology.classes());
         let names;
         let obs: Option<(&dyn Recorder, &[String])> = if rec.enabled() {
             names = self.stage_span_names();
@@ -1004,20 +1001,16 @@ impl QuantBnn {
             None
         };
         let tier = Tier::detected(Family::Int);
-        let parts = par.map_chunks(n, |(start, end)| {
-            let mut scratch = DenseScratch::default();
-            let mut out = Vec::with_capacity((end - start) * classes);
-            for image in xv[start * image_len..end * image_len].chunks_exact(image_len) {
-                self.infer_dense(tier, image, &mut scratch, obs, &mut out);
-            }
-            out
-        });
-        Tensor::from_vec(Shape::matrix(n, classes), parts.concat())
+        let scores = par.map_images(images.as_slice(), n, classes, |image, scratch, out| {
+            self.infer_dense(tier, image, scratch, obs, out);
+            Ok(())
+        })?;
+        Tensor::from_vec(Shape::matrix(n, classes), scores)
     }
 
     /// Dense inference of one image (its `C·H·W` pixels) on `tier`,
-    /// appending the `classes` scores divided by [`Self::scores_scale`]
-    /// to `out`. With `obs` present every stage records one span. The
+    /// writing the `classes` scores divided by [`Self::scores_scale`]
+    /// into `out`. With `obs` present every stage records one span. The
     /// checked constructor guarantees stage 0 is the first convolution
     /// and the last stage the output engine.
     fn infer_dense(
@@ -1026,7 +1019,7 @@ impl QuantBnn {
         image: &[f32],
         scratch: &mut DenseScratch,
         obs: Option<(&dyn Recorder, &[String])>,
-        out: &mut Vec<f32>,
+        out: &mut [f32],
     ) {
         let DenseScratch {
             pixels,
@@ -1075,12 +1068,9 @@ impl QuantBnn {
                         Lanes::Quads(w) => w.row_sums(tier, map, flat, 0, quads, sums),
                         Lanes::Pairs(w) => w.row_sums(tier, map, flat, 0, pairs, sums),
                     }
-                    out.extend(
-                        sums.iter()
-                            .zip(offsets)
-                            .take(self.topology.classes())
-                            .map(|(&s, &off)| (2 * i64::from(s) - off) as f32 / scale),
-                    );
+                    for ((score, &s), &off) in out.iter_mut().zip(sums.iter()).zip(offsets) {
+                        *score = (2 * i64::from(s) - off) as f32 / scale;
+                    }
                 }
             }
             if let (Some((rec, names)), Some(start)) = (obs, t0) {
@@ -1251,10 +1241,13 @@ mod tests {
         assert_eq!(q.scores_scale(), 1.0);
         let mut rng = TensorRng::seed_from(91);
         let batch = rng.normal(Shape::nchw(5, 3, 8, 8), 0.0, 1.0);
-        let hw_scores = hw.infer_batch(&batch).unwrap();
+        let hw_scores: Vec<f32> = (0..5)
+            .flat_map(|i| hw.infer_image(&batch.batch_item(i).unwrap()).unwrap())
+            .map(|s| s as f32)
+            .collect();
         let q_scores = q.infer_batch(&batch).unwrap();
-        assert_eq!(hw_scores.shape(), q_scores.shape());
-        assert_eq!(hw_scores.as_slice(), q_scores.as_slice());
+        assert_eq!(q_scores.shape().dims(), &[5, 10]);
+        assert_eq!(q_scores.as_slice(), hw_scores);
     }
 
     #[test]
@@ -1379,11 +1372,12 @@ mod tests {
             let precision = NetworkPrecision::uniform(layer_count(&bnn), bits, bits).unwrap();
             let q = QuantBnn::from_classifier(&bnn, precision).unwrap();
             let scores_on = |tier: Tier| {
-                let (mut scratch, mut out) = (DenseScratch::default(), Vec::new());
-                for image in images.as_slice().chunks_exact(3 * 32 * 32) {
-                    q.infer_dense(tier, image, &mut scratch, None, &mut out);
+                let (mut scratch, mut scores) = (DenseScratch::default(), vec![0.0; 2 * 10]);
+                let pixels = images.as_slice().chunks_exact(3 * 32 * 32);
+                for (image, out) in pixels.zip(scores.chunks_exact_mut(10)) {
+                    q.infer_dense(tier, image, &mut scratch, None, out);
                 }
-                out
+                scores
             };
             let portable = scores_on(Tier::Portable);
             for tier in Tier::supported(Family::Int) {

@@ -11,9 +11,6 @@ use crate::layers::{
 };
 use crate::LayerCost;
 
-/// One worker's share of a batched inference: output dims + row data.
-type InferShard = Result<(Vec<usize>, Vec<f32>), ShapeError>;
-
 /// A sequential network of [`Layer`]s.
 ///
 /// Built with [`Network::builder`], which tracks the activation shape so
@@ -106,67 +103,38 @@ impl Network {
         Ok(x)
     }
 
-    /// Read-only inference over a shared `&self`.
-    ///
-    /// Bit-identical to [`Network::forward`] but never mutates the
-    /// network, so one network can serve several threads at once.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] when `input` does not fit the first layer.
-    pub fn infer(&self, input: &Tensor) -> Result<Tensor, ShapeError> {
-        let mut ws = Workspace::new();
-        self.infer_with(input, &mut ws)
-    }
-
-    /// Read-only inference using caller-provided scratch space.
-    ///
-    /// Every layer draws its output and scratch from `ws`, and each
-    /// layer's input goes back to `ws` once the next layer has run, so
-    /// repeated calls that also return the result to `ws` run without
-    /// allocating activation memory in the steady state.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] when `input` does not fit the first layer.
-    pub fn infer_with(&self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor, ShapeError> {
-        let mut layers = self.layers.iter();
-        let Some(first) = layers.next() else {
-            return Ok(input.clone());
-        };
-        let mut x = first.infer(input, ws)?;
-        for layer in layers {
-            let y = layer.infer(&x, ws)?;
-            ws.put(std::mem::replace(&mut x, y).into_vec());
-        }
-        Ok(x)
-    }
-
-    /// [`Network::infer_with`] with an optional per-layer span recorder
-    /// already resolved to `(recorder, span names)`.
-    fn infer_with_obs(
+    /// Runs one image (a `[1, …]` tensor of `dims`) through every layer
+    /// on `ws` and writes its output into `out`, recording one span per
+    /// layer into `obs` when present. Every layer draws its output and
+    /// scratch from `ws` and hands its input back once the next layer
+    /// has run, so a warm `ws` serves further images without allocating.
+    fn infer_image(
         &self,
-        input: &Tensor,
+        image: &[f32],
+        dims: &[usize],
         ws: &mut Workspace,
         obs: Option<(&dyn Recorder, &[String])>,
-    ) -> Result<Tensor, ShapeError> {
-        let Some((rec, names)) = obs else {
-            return self.infer_with(input, ws);
-        };
-        let mut layers = self.layers.iter().enumerate();
-        let Some((i0, first)) = layers.next() else {
-            return Ok(input.clone());
-        };
-        let t0 = now_ns();
-        let mut x = first.infer(input, ws)?;
-        rec.record_span(&names[i0], t0, now_ns());
-        for (i, layer) in layers {
-            let t = now_ns();
+        out: &mut [f32],
+    ) -> Result<(), ShapeError> {
+        let mut buf = ws.take(image.len());
+        buf.clear();
+        buf.extend_from_slice(image);
+        let mut x = Tensor::from_vec(Shape::new(dims), buf)?;
+        for (i, layer) in self.layers.iter().enumerate() {
+            let t0 = obs.map(|_| now_ns());
             let y = layer.infer(&x, ws)?;
-            rec.record_span(&names[i], t, now_ns());
+            if let (Some((rec, names)), Some(start)) = (obs, t0) {
+                rec.record_span(&names[i], start, now_ns());
+            }
             ws.put(std::mem::replace(&mut x, y).into_vec());
         }
-        Ok(x)
+        if x.len() != out.len() {
+            let detail = format!("{} outputs, output_shape says {}", x.len(), out.len());
+            return Err(ShapeError::new("Network::infer_batch_with", detail));
+        }
+        out.copy_from_slice(x.as_slice());
+        ws.put(x.into_vec());
+        Ok(())
     }
 
     /// Stable span names for per-layer host timing:
@@ -193,7 +161,7 @@ impl Network {
             .collect()
     }
 
-    /// Batched inference with a throwaway workspace.
+    /// Batched inference on one thread.
     ///
     /// # Errors
     ///
@@ -202,11 +170,11 @@ impl Network {
         self.infer_batch_with(input, Parallelism::sequential())
     }
 
-    /// Batched inference, sharding rows of `input` across `par` threads
-    /// (see [`Parallelism::map_chunks`]).
+    /// Batched inference, sharding the images of `input` across `par`
+    /// threads (see [`Parallelism::map_images`]).
     ///
-    /// Each shard walks its rows one image at a time through every layer
-    /// on one reused [`Workspace`], so an image's activations and patch
+    /// Each shard walks its images one at a time through every layer on
+    /// one reused [`Workspace`], so an image's activations and patch
     /// buffers (at most a few MB on the paper's models) stay cache-resident
     /// and the shard's scratch does not grow with the batch. Every layer
     /// computes each image with the same kernels as [`Network::forward`],
@@ -242,66 +210,19 @@ impl Network {
         } else {
             None
         };
-        let n = if input.shape().rank() == 0 {
-            0
-        } else {
-            input.shape().dim(0)
+        let Some((&n, rest)) = input.shape().dims().split_first() else {
+            return Err(ShapeError::new(
+                "Network::infer_batch_with",
+                "expected a batch",
+            ));
         };
-        if n == 0 {
-            let mut ws = Workspace::new();
-            return self.infer_with_obs(input, &mut ws, obs);
-        }
-        let stride = input.len() / n;
-        let xv = input.as_slice();
-        let dims = input.shape().dims();
-        let parts = par.map_chunks(n, |(start, end)| {
-            let rows = &xv[start * stride..end * stride];
-            self.infer_rows(dims, rows, end - start, obs, &mut Workspace::new())
-        });
-        let mut parts = parts.into_iter();
-        let (mut dims, mut data) = match parts.next() {
-            Some(first) => first?,
-            None => return Err(ShapeError::new("Network::infer_batch_with", "no shards")),
-        };
-        for part in parts {
-            let (part_dims, part_data) = part?;
-            dims[0] += part_dims[0];
-            data.extend_from_slice(&part_data);
-        }
-        Tensor::from_vec(Shape::new(dims), data)
-    }
-
-    /// Runs `count` contiguous batch rows through the network one image
-    /// at a time on `ws`, appending each image's output to the shard's.
-    fn infer_rows(
-        &self,
-        dims: &[usize],
-        rows: &[f32],
-        count: usize,
-        obs: Option<(&dyn Recorder, &[String])>,
-        ws: &mut Workspace,
-    ) -> InferShard {
-        let stride = rows.len() / count.max(1);
-        let mut image_dims = dims.to_vec();
-        image_dims[0] = 1;
-        let mut out: Option<(Vec<usize>, Vec<f32>)> = None;
-        for i in 0..count {
-            let mut buf = ws.take(stride);
-            buf.clear();
-            buf.extend_from_slice(&rows[i * stride..][..stride]);
-            let image = Tensor::from_vec(Shape::new(image_dims.clone()), buf)?;
-            let y = self.infer_with_obs(&image, ws, obs)?;
-            ws.put(image.into_vec());
-            let (out_dims, data) = out.get_or_insert_with(|| {
-                let mut out_dims = y.shape().dims().to_vec();
-                out_dims[0] = 0;
-                (out_dims, Vec::with_capacity(y.len() * count))
-            });
-            out_dims[0] += y.shape().dim(0);
-            data.extend_from_slice(y.as_slice());
-            ws.put(y.into_vec());
-        }
-        out.ok_or_else(|| ShapeError::new("Network::infer_batch_with", "empty shard"))
+        let image = [&[1], rest].concat();
+        let out_shape = self.output_shape(input.shape())?;
+        let out_len = out_shape.dims().iter().skip(1).product();
+        let data = par.map_images(input.as_slice(), n, out_len, |x, ws, out| {
+            self.infer_image(x, &image, ws, obs, out)
+        })?;
+        Tensor::from_vec(out_shape, data)
     }
 
     /// Backpropagates a loss gradient through all layers.
@@ -764,34 +685,16 @@ mod tests {
     }
 
     #[test]
-    fn infer_is_bit_identical_to_forward() {
+    fn infer_batch_is_bit_identical_to_forward() {
         let mut r = rng();
         let mut net = sample_net(&mut r);
-        let x = r.normal(Shape::nchw(5, 2, 8, 8), 0.0, 1.0);
-        let expected = net.forward(&x).unwrap();
-        let got = net.infer(&x).unwrap();
-        assert_eq!(expected.shape(), got.shape());
-        assert_eq!(expected.as_slice(), got.as_slice());
-    }
-
-    #[test]
-    fn infer_with_reuses_workspace_buffers() {
-        let mut r = rng();
-        let net = sample_net(&mut r);
-        let x = r.normal(Shape::nchw(2, 2, 8, 8), 0.0, 1.0);
-        let mut ws = Workspace::new();
-        let first = net.infer_with(&x, &mut ws).unwrap();
-        assert!(ws.pooled() > 0, "inference should recycle buffers");
-        let second = net.infer_with(&x, &mut ws).unwrap();
-        assert_eq!(first.as_slice(), second.as_slice());
-        // With the result handed back, the pool holds the whole working
-        // set: a further call allocates nothing.
-        ws.put(second.into_vec());
-        let warm: Vec<usize> = ws.capacities().collect();
-        let third = net.infer_with(&x, &mut ws).unwrap();
-        assert_eq!(first.as_slice(), third.as_slice());
-        ws.put(third.into_vec());
-        assert_eq!(ws.capacities().collect::<Vec<_>>(), warm);
+        for n in [0, 5] {
+            let x = r.normal(Shape::nchw(n, 2, 8, 8), 0.0, 1.0);
+            let expected = net.forward(&x).unwrap();
+            let got = net.infer_batch(&x).unwrap();
+            assert_eq!(expected.shape(), got.shape());
+            assert_eq!(expected.as_slice(), got.as_slice());
+        }
     }
 
     /// Model A's layer list (`mp_host::zoo`) at a quarter of its
@@ -829,10 +732,15 @@ mod tests {
         let net = model_a_shaped(&mut r);
         let one = r.normal(Shape::nchw(1, 3, 32, 32), 0.0, 1.0);
         let eight = r.normal(Shape::nchw(8, 3, 32, 32), 0.0, 1.0);
+        // One shard: the per-image walk over every image on one `ws`.
         let shard = |x: &Tensor, ws: &mut Workspace| {
-            let n = x.shape().dim(0);
-            net.infer_rows(x.shape().dims(), x.as_slice(), n, None, ws)
-                .unwrap()
+            let mut scores = vec![0.0; x.shape().dim(0) * 10];
+            let images = x.as_slice().chunks_exact(3 * 32 * 32);
+            for (image, out) in images.zip(scores.chunks_exact_mut(10)) {
+                net.infer_image(image, &[1, 3, 32, 32], ws, None, out)
+                    .unwrap();
+            }
+            scores
         };
         let mut ws_one = Workspace::new();
         shard(&one, &mut ws_one);
@@ -886,6 +794,10 @@ mod tests {
         let report = rec.report();
         assert_eq!(report.spans.len(), net.num_layers());
         assert!(report.span("host.layer0.3x3-conv-4").is_some());
+        // One span per image and layer.
+        for name in net.layer_span_names() {
+            assert_eq!(report.span(&name).map(|s| s.count), Some(5), "{name}");
+        }
         mp_obs::schema::validate_report(&report).unwrap();
     }
 

@@ -90,13 +90,6 @@ impl ServeReport {
         total as f64 / self.batches.len().max(1) as f64
     }
 
-    /// End-to-end latencies of all served requests, sorted ascending.
-    pub fn sorted_latencies_s(&self) -> Vec<f64> {
-        let mut v: Vec<f64> = self.completions.iter().map(|c| c.latency_s()).collect();
-        v.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        v
-    }
-
     /// Nearest-rank latency percentile (`p` in `(0, 100]`), or `None`
     /// when nothing was served or `p` is out of range. Shared
     /// implementation: [`mp_core::stats::nearest_rank_percentile`].

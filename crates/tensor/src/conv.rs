@@ -115,14 +115,33 @@ pub fn im2col_into(
 /// [`im2col`] over a raw `C·H·W` plane slice, writing into a reusable
 /// buffer.
 ///
-/// The one-image case of [`im2col_batch_into`]: one image of an NCHW
-/// batch can be lowered directly from its slice of the batch tensor,
-/// without first materialising a `[1, C, H, W]` copy.
+/// One image of an NCHW batch can be lowered directly from its slice of
+/// the batch tensor, without first materialising a `[1, C, H, W]` copy.
+/// Row `(ch·K + ky)·K + kx` of the `[C·K·K, OH·OW]` patch matrix holds
+/// tap `(ch, ky, kx)` of every output pixel, zero where it lands in the
+/// padding. `out` is cleared and resized, reusing its capacity; returns
+/// the `(rows, cols)` of the patch matrix.
 ///
 /// # Errors
 ///
 /// Returns [`ShapeError`] if `image` is not exactly `c·h·w` elements or
 /// the window does not fit the padded input.
+///
+/// # Example
+///
+/// ```
+/// use mp_tensor::conv::{im2col_slice_into, ConvGeometry};
+///
+/// # fn main() -> Result<(), mp_tensor::ShapeError> {
+/// // One 2×2×2 image, 1×1 kernel: each row is one channel's pixels.
+/// let image = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0];
+/// let mut out = Vec::new();
+/// let dims = im2col_slice_into(&image, 2, 2, 2, ConvGeometry::new(1, 1, 0), &mut out)?;
+/// assert_eq!(dims, (2, 4));
+/// assert_eq!(out, image);
+/// # Ok(())
+/// # }
+/// ```
 pub fn im2col_slice_into(
     image: &[f32],
     c: usize,
@@ -131,52 +150,11 @@ pub fn im2col_slice_into(
     geom: ConvGeometry,
     out: &mut Vec<f32>,
 ) -> Result<(usize, usize), ShapeError> {
-    im2col_batch_into(image, 1, c, h, w, geom, out)
-}
-
-/// Lowers `n` NCHW images into one `[C·K·K, N·OH·OW]` patch matrix,
-/// writing into a reusable buffer.
-///
-/// Column `img·OH·OW + o` holds image `img`'s patch for output pixel
-/// `o`, so a `[OD, C·K·K]` weight matrix times this matrix convolves the
-/// whole batch in one GEMM, image-major within each output channel row.
-/// `out` is cleared and resized, reusing its capacity; returns the
-/// `(rows, cols)` of the patch matrix.
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if `images` is not exactly `n·c·h·w` elements
-/// or the window does not fit the padded input.
-///
-/// # Example
-///
-/// ```
-/// use mp_tensor::conv::{im2col_batch_into, ConvGeometry};
-///
-/// # fn main() -> Result<(), mp_tensor::ShapeError> {
-/// // Two 1×2×2 images, 1×1 kernel: each row is the batch's pixels.
-/// let images = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0];
-/// let mut out = Vec::new();
-/// let dims = im2col_batch_into(&images, 2, 1, 2, 2, ConvGeometry::new(1, 1, 0), &mut out)?;
-/// assert_eq!(dims, (1, 8));
-/// assert_eq!(out, images);
-/// # Ok(())
-/// # }
-/// ```
-pub fn im2col_batch_into(
-    images: &[f32],
-    n: usize,
-    c: usize,
-    h: usize,
-    w: usize,
-    geom: ConvGeometry,
-    out: &mut Vec<f32>,
-) -> Result<(usize, usize), ShapeError> {
-    let want = [c, h, w].iter().try_fold(n, |len, &d| len.checked_mul(d));
-    if want != Some(images.len()) {
+    let want = [h, w].iter().try_fold(c, |len, &d| len.checked_mul(d));
+    if want != Some(image.len()) {
         return Err(ShapeError::new(
             "im2col",
-            format!("expected {n}×{c}×{h}×{w} elements, got {}", images.len()),
+            format!("expected {c}×{h}×{w} elements, got {}", image.len()),
         ));
     }
     let oh = geom.output_dim(h);
@@ -194,12 +172,8 @@ pub fn im2col_batch_into(
     let pixels = oh * ow;
     let rows = c * k * k;
     out.clear();
-    out.resize(rows * n * pixels, 0.0);
-    if n == 0 {
-        return Ok((rows, 0));
-    }
-    let plane_len = h * w;
-    for (row, dst_row) in out.chunks_exact_mut(n * pixels).enumerate() {
+    out.resize(rows * pixels, 0.0);
+    for (row, dst_row) in out.chunks_exact_mut(pixels).enumerate() {
         let (ch, ky, kx) = (row / (k * k), row / k % k, row % k);
         let (oy_lo, oy_hi) = in_bounds(ky, geom, h, oh);
         let (ox_lo, ox_hi) = in_bounds(kx, geom, w, ow);
@@ -208,22 +182,20 @@ pub fn im2col_batch_into(
         }
         // First source column of the in-bounds run; zeros stay around it.
         let x0 = ox_lo * stride + kx - pad;
-        for (img, dst_img) in dst_row.chunks_exact_mut(pixels).enumerate() {
-            let plane = &images[(img * c + ch) * plane_len..][..plane_len];
-            for oy in oy_lo..oy_hi {
-                let src = &plane[(oy * stride + ky - pad) * w..][..w];
-                let dst = &mut dst_img[oy * ow + ox_lo..oy * ow + ox_hi];
-                if stride == 1 {
-                    dst.copy_from_slice(&src[x0..x0 + dst.len()]);
-                } else {
-                    for (d, &v) in dst.iter_mut().zip(src[x0..].iter().step_by(stride)) {
-                        *d = v;
-                    }
+        let plane = &image[ch * h * w..][..h * w];
+        for oy in oy_lo..oy_hi {
+            let src = &plane[(oy * stride + ky - pad) * w..][..w];
+            let dst = &mut dst_row[oy * ow + ox_lo..oy * ow + ox_hi];
+            if stride == 1 {
+                dst.copy_from_slice(&src[x0..x0 + dst.len()]);
+            } else {
+                for (d, &v) in dst.iter_mut().zip(src[x0..].iter().step_by(stride)) {
+                    *d = v;
                 }
             }
         }
     }
-    Ok((rows, n * pixels))
+    Ok((rows, pixels))
 }
 
 /// The outputs `o` in `0..out_len` whose tap `o·stride + offset − padding`
@@ -347,23 +319,21 @@ mod tests {
     }
 
     #[test]
-    fn batch_lowering_checks_its_input_and_accepts_an_empty_batch() {
+    fn slice_lowering_checks_its_input() {
         // The layout itself is pinned by the tier-1 property
         // `batch_lowering_matches_its_definition` in tests/props.rs.
         let geom = ConvGeometry::new(3, 1, 0);
         let mut out = vec![1.0];
+        let image = vec![0.5; 2 * 4 * 4];
         assert_eq!(
-            im2col_batch_into(&[], 0, 2, 4, 4, geom, &mut out).unwrap(),
-            (18, 0)
+            im2col_slice_into(&image, 2, 4, 4, geom, &mut out).unwrap(),
+            (18, 4)
         );
-        assert!(out.is_empty());
-        let images = vec![0.5; 3 * 2 * 4 * 4];
-        assert!(im2col_batch_into(&images, 3, 2, 4, 4, geom, &mut out).is_ok());
-        assert!(im2col_batch_into(&images[1..], 3, 2, 4, 4, geom, &mut out).is_err());
-        assert!(im2col_batch_into(&images, 2, 2, 4, 4, geom, &mut out).is_err());
-        assert!(im2col_batch_into(&images, usize::MAX, 2, 4, 4, geom, &mut out).is_err());
+        assert!(im2col_slice_into(&image[1..], 2, 4, 4, geom, &mut out).is_err());
+        assert!(im2col_slice_into(&image, 1, 4, 4, geom, &mut out).is_err());
+        assert!(im2col_slice_into(&image, usize::MAX, 4, 4, geom, &mut out).is_err());
         let too_big = ConvGeometry::new(5, 1, 0);
-        assert!(im2col_batch_into(&images, 3, 2, 4, 4, too_big, &mut out).is_err());
+        assert!(im2col_slice_into(&image, 2, 4, 4, too_big, &mut out).is_err());
     }
 
     #[test]

@@ -12,10 +12,12 @@
 //! layer hands its input back, and after the first image the pool holds
 //! the whole working set, so steady-state inference allocates no
 //! activation memory. [`Parallelism`] says how many scoped worker
-//! threads a batched operation may shard its rows across, and
-//! [`Parallelism::map_chunks`] is the one place that shards them.
+//! threads a batched operation may shard its images across, and
+//! [`Parallelism::map_images`] is the one place that shards them.
 
 use serde::{Deserialize, Error, Serialize, Value};
+
+use crate::ShapeError;
 
 /// A pool of reusable `f32` scratch buffers.
 ///
@@ -96,14 +98,14 @@ impl Workspace {
     }
 }
 
-/// How many threads a batched operation may shard its rows across.
+/// How many threads a batched operation may shard its images across.
 ///
 /// `Parallelism` is plumbed from the pipeline down to
 /// `Network::infer_batch_with`, `HardwareBnn::infer_batch_with` and
 /// `QuantBnn::infer_batch_obs`, which all shard through
-/// [`Parallelism::map_chunks`]. Each produces bit-identical results at
-/// any thread count because batch rows are computed independently with
-/// the same kernels, so the setting is a pure throughput knob that never
+/// [`Parallelism::map_images`]. Each produces bit-identical results at
+/// any thread count because images are computed independently with the
+/// same kernels, so the setting is a pure throughput knob that never
 /// perturbs predictions or fault-injection accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Parallelism {
@@ -166,43 +168,69 @@ impl Parallelism {
         ranges
     }
 
-    /// Runs `f` on every chunk of [`Self::chunks`]`(items)` and returns
-    /// the results in chunk order: the one scoped-thread shard runner.
+    /// Runs `image` on each of the `n` images of `batch` (`n` equal runs
+    /// of `f32`s) and returns their outputs, `out_len` per image, in
+    /// image order: the one scoped-thread shard runner.
     ///
-    /// The first chunk runs on the calling thread and each other chunk
-    /// on a scoped thread of its own, so a call spawns one thread fewer
-    /// than it has chunks (none for one chunk) and no thread sits idle
-    /// in `join`. A chunk that panics re-raises its own payload on the
-    /// caller once every chunk has finished.
-    #[allow(clippy::disallowed_methods)] // the one shard runner: others call it
-    pub fn map_chunks<T: Send>(
+    /// The images are split into [`Self::chunks`]`(n)`. Each chunk gets
+    /// one `S::default()` scratch, reused across its images, and each
+    /// image writes into its own `out_len` slice of one output
+    /// allocated up front. The first chunk runs on the calling thread
+    /// and each other chunk on a scoped thread of its own, so a call
+    /// spawns one thread fewer than it has chunks (none for one chunk)
+    /// and no thread sits idle in `join`. A chunk stops at its first
+    /// error; the first error in chunk order is returned once every
+    /// chunk has finished. A chunk that panics re-raises its own payload
+    /// on the caller. With `n = 0` the output is empty and `image` is
+    /// never called.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error `image` returns, in chunk order.
+    #[allow(clippy::disallowed_methods)] // the one shard runner: every engine calls it
+    pub fn map_images<S: Default>(
         &self,
-        items: usize,
-        f: impl Fn((usize, usize)) -> T + Sync,
-    ) -> Vec<T> {
-        let chunks = self.chunks(items);
+        batch: &[f32],
+        n: usize,
+        out_len: usize,
+        image: impl Fn(&[f32], &mut S, &mut [f32]) -> Result<(), ShapeError> + Sync,
+    ) -> Result<Vec<f32>, ShapeError> {
+        let chunks = self.chunks(n);
         let Some((&first, rest)) = chunks.split_first() else {
-            return Vec::new();
+            return Ok(Vec::new());
         };
-        if rest.is_empty() {
-            return vec![f(first)];
-        }
-        let f = &f;
+        let in_len = batch.len() / n;
+        let shard = |(start, end): (usize, usize), out: &mut [f32]| {
+            let mut scratch = S::default();
+            for (at, i) in (start..end).enumerate() {
+                let out = &mut out[at * out_len..][..out_len];
+                image(&batch[i * in_len..][..in_len], &mut scratch, out)?;
+            }
+            Ok(())
+        };
+        let shard = &shard;
+        let mut data = vec![0.0; n * out_len];
+        let (out, mut tail) = data.split_at_mut((first.1 - first.0) * out_len);
         std::thread::scope(|scope| {
             let spawned: Vec<_> = rest
                 .iter()
-                .map(|&chunk| scope.spawn(move || f(chunk)))
+                .map(|&(start, end)| {
+                    let (out, more) =
+                        std::mem::take(&mut tail).split_at_mut((end - start) * out_len);
+                    tail = more;
+                    scope.spawn(move || shard((start, end), out))
+                })
                 .collect();
-            let mut out = Vec::with_capacity(chunks.len());
-            out.push(f(first));
-            for handle in spawned {
-                match handle.join() {
-                    Ok(part) => out.push(part),
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-            out
-        })
+            spawned
+                .into_iter()
+                .fold(shard(first, out), |result, handle| {
+                    let part = handle
+                        .join()
+                        .unwrap_or_else(|p| std::panic::resume_unwind(p));
+                    result.and(part)
+                })
+        })?;
+        Ok(data)
     }
 }
 
@@ -276,46 +304,131 @@ mod tests {
         }
     }
 
+    /// `n` one-float images holding their own index.
+    fn indexed(n: usize) -> Vec<f32> {
+        (0..n).map(|i| i as f32).collect()
+    }
+
     #[test]
-    fn map_chunks_runs_every_chunk_and_keeps_chunk_order() {
+    fn map_images_fills_each_images_slice_in_image_order() {
         for threads in 1..6 {
-            for items in 0..21 {
-                let par = Parallelism::new(threads);
-                let seen = par.map_chunks(items, |chunk| chunk);
-                assert_eq!(seen, par.chunks(items), "threads {threads} items {items}");
+            let par = Parallelism::new(threads);
+            for n in 0..14 {
+                // Three floats per image in, two out: `[first, last]`.
+                let batch: Vec<f32> = (0..n * 3).map(|i| i as f32).collect();
+                let got = par
+                    .map_images(&batch, n, 2, |x, _: &mut (), out| {
+                        out.copy_from_slice(&[x[0], x[2]]);
+                        Ok(())
+                    })
+                    .unwrap();
+                let want: Vec<f32> = (0..n)
+                    .flat_map(|i| [3 * i, 3 * i + 2])
+                    .map(|v| v as f32)
+                    .collect();
+                assert_eq!(got, want, "threads {threads} images {n}");
+            }
+        }
+        let empty = Parallelism::new(3).map_images(&[], 0, 4, |_, _: &mut (), _| unreachable!());
+        assert_eq!(empty.unwrap(), Vec::<f32>::new());
+    }
+
+    #[test]
+    fn map_images_makes_one_scratch_per_shard_and_reuses_it() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static MADE: AtomicUsize = AtomicUsize::new(0);
+        /// Scratch that numbers itself and counts the images it served.
+        struct Counted {
+            id: usize,
+            served: usize,
+        }
+        impl Default for Counted {
+            fn default() -> Self {
+                let id = MADE.fetch_add(1, Ordering::SeqCst);
+                Self { id, served: 0 }
+            }
+        }
+        for threads in 1..6 {
+            let par = Parallelism::new(threads);
+            for n in 0..14 {
+                let before = MADE.load(Ordering::SeqCst);
+                let got = par
+                    .map_images(&indexed(n), n, 2, |_, s: &mut Counted, out| {
+                        out.copy_from_slice(&[s.id as f32, s.served as f32]);
+                        s.served += 1;
+                        Ok(())
+                    })
+                    .unwrap();
+                let chunks = par.chunks(n);
+                assert_eq!(MADE.load(Ordering::SeqCst) - before, chunks.len());
+                let mut ids: Vec<f32> = Vec::new();
+                for (start, end) in chunks {
+                    let id = got[2 * start];
+                    for (k, i) in (start..end).enumerate() {
+                        assert_eq!(got[2 * i..2 * i + 2], [id, k as f32], "image {i}");
+                    }
+                    assert!(!ids.contains(&id), "a scratch served two shards");
+                    ids.push(id);
+                }
             }
         }
     }
 
     #[test]
-    fn map_chunks_runs_exactly_one_chunk_on_the_caller() {
+    fn map_images_runs_exactly_one_chunk_on_the_caller() {
         let caller = std::thread::current().id();
         for threads in 1..6 {
-            let ids = Parallelism::new(threads).map_chunks(12, |_| std::thread::current().id());
-            assert_eq!(ids.len(), threads);
-            assert_eq!(ids.iter().filter(|&&id| id == caller).count(), 1);
-            assert_eq!(ids[0], caller, "the first chunk runs on the caller");
+            let par = Parallelism::new(threads);
+            let on_caller = par
+                .map_images(&indexed(12), 12, 1, |_, _: &mut (), out| {
+                    out[0] = f32::from(u8::from(std::thread::current().id() == caller));
+                    Ok(())
+                })
+                .unwrap();
+            let first = par.chunks(12)[0].1;
+            let want: Vec<f32> = (0..12).map(|i| f32::from(u8::from(i < first))).collect();
+            assert_eq!(on_caller, want, "threads {threads}");
         }
     }
 
     #[test]
-    fn map_chunks_re_raises_a_chunks_own_panic() {
-        /// The payload of `map_chunks` over 3 chunks on 3 threads when
-        /// the chunk starting at `bad` panics.
-        fn payload_when_chunk_panics(bad: usize) -> String {
-            let caught = std::panic::catch_unwind(|| {
-                Parallelism::new(3).map_chunks(9, |(start, _)| {
-                    if start == bad {
-                        std::panic::panic_any(format!("chunk {start}"));
+    fn map_images_returns_the_first_error_in_chunk_order() {
+        // 9 images on 3 threads: chunks 0..3 (the caller's), 3..6, 6..9.
+        let first_error = |bad: &[usize]| {
+            let err = Parallelism::new(3)
+                .map_images(&indexed(9), 9, 1, |x, _: &mut (), _| {
+                    let i = x[0] as usize;
+                    if bad.contains(&i) {
+                        return Err(ShapeError::new("image", format!("{i}")));
                     }
-                    start
+                    Ok(())
+                })
+                .unwrap_err();
+            err.to_string()
+        };
+        assert!(first_error(&[7, 4]).ends_with('4'), "spawned chunks");
+        assert!(first_error(&[8, 1]).ends_with('1'), "the caller's chunk");
+        assert!(first_error(&[5, 3]).ends_with('3'), "the first in a chunk");
+    }
+
+    #[test]
+    fn map_images_re_raises_a_shards_own_panic() {
+        /// The payload of `map_images` over 9 images on 3 threads when
+        /// image `bad` panics.
+        fn payload_when_image_panics(bad: usize) -> String {
+            let caught = std::panic::catch_unwind(|| {
+                Parallelism::new(3).map_images(&indexed(9), 9, 1, |x, _: &mut (), _| {
+                    if x[0] as usize == bad {
+                        std::panic::panic_any(format!("image {bad}"));
+                    }
+                    Ok(())
                 })
             });
             let payload = caught.expect_err("the panic reaches the caller");
             *payload.downcast::<String>().expect("the original payload")
         }
-        assert_eq!(payload_when_chunk_panics(0), "chunk 0", "caller's chunk");
-        assert_eq!(payload_when_chunk_panics(6), "chunk 6", "spawned chunk");
+        assert_eq!(payload_when_image_panics(1), "image 1", "caller's shard");
+        assert_eq!(payload_when_image_panics(7), "image 7", "spawned shard");
     }
 
     #[test]

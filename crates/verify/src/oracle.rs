@@ -229,7 +229,6 @@ pub struct Oracle {
     device: Device,
     memory: MemoryModel,
     require_fit: bool,
-    lut: CostLut,
     /// Precision/folding-independent verdict of the chain.
     structure_block: Option<Block>,
     /// Binary-interval verdict of the *base* chain, applied to
@@ -281,8 +280,7 @@ impl Oracle {
             }
         }
 
-        let lut = CostLut::mpic();
-        let entries = build_width_entries(&target.engines, &lut);
+        let entries = build_width_entries(&target.engines, &CostLut::mpic());
         Self {
             name: target.name.clone(),
             engines: target.engines.clone(),
@@ -291,7 +289,6 @@ impl Oracle {
             device: target.device.clone(),
             memory: target.memory,
             require_fit: target.require_fit,
-            lut,
             structure_block,
             base_width_block,
             entries,
@@ -304,11 +301,6 @@ impl Oracle {
     /// The chain the oracle answers for.
     pub fn engines(&self) -> &[EngineSpec] {
         &self.engines
-    }
-
-    /// The MPIC cost table pricing quantized candidates.
-    pub fn cost_lut(&self) -> &CostLut {
-        &self.lut
     }
 
     /// Cache/throughput counters.

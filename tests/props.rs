@@ -31,7 +31,7 @@ use multiprec::nn::train::Model;
 use multiprec::nn::{Layer, Mode, Network, NetworkBuilder};
 use multiprec::obs::SharedRecorder;
 use multiprec::serve::{BatchServer, BatcherConfig, Request};
-use multiprec::tensor::conv::{col2im, im2col, im2col_batch_into, ConvGeometry};
+use multiprec::tensor::conv::{col2im, im2col, im2col_slice_into, ConvGeometry};
 use multiprec::tensor::init::TensorRng;
 use multiprec::tensor::{linalg, Parallelism, Shape, Tensor, Workspace};
 use multiprec::verify::{verify, Candidate, Oracle, VerifyTarget};
@@ -290,9 +290,10 @@ proptest! {
         );
     }
 
-    /// `im2col_batch_into` writes exactly the im2col definition, padding
-    /// zeros included, and a one-conv network's batched path equals its
-    /// per-image `forward` at any thread count.
+    /// `im2col_slice_into` writes exactly the im2col definition of every
+    /// image of a batch, padding zeros included, into one reused buffer,
+    /// and a one-conv network's batched path equals its per-image
+    /// `forward` at any thread count.
     #[test]
     fn batch_lowering_matches_its_definition(
         c in 1usize..3, h in 1usize..9, w in 1usize..9,
@@ -305,15 +306,16 @@ proptest! {
         // Nonzero pixels, so a zero in the patch matrix is padding.
         let images: Vec<f32> = (0..n * c * h * w).map(|i| i as f32 + 1.0).collect();
         let mut cols = vec![f32::NAN; 3];
-        let dims = im2col_batch_into(&images, n, c, h, w, geom, &mut cols).unwrap();
         let pixels = oh * ow;
-        prop_assert_eq!(dims, (c * k * k, n * pixels));
-        prop_assert_eq!(cols.len(), c * k * k * n * pixels);
-        for ch in 0..c {
-            for ky in 0..k {
-                for kx in 0..k {
-                    let row = (ch * k + ky) * k + kx;
-                    for img in 0..n {
+        for img in 0..n {
+            let image = &images[img * c * h * w..][..c * h * w];
+            let dims = im2col_slice_into(image, c, h, w, geom, &mut cols).unwrap();
+            prop_assert_eq!(dims, (c * k * k, pixels));
+            prop_assert_eq!(cols.len(), c * k * k * pixels);
+            for ch in 0..c {
+                for ky in 0..k {
+                    for kx in 0..k {
+                        let row = (ch * k + ky) * k + kx;
                         for oy in 0..oh {
                             for ox in 0..ow {
                                 let iy = (oy * stride + ky) as isize - pad as isize;
@@ -325,7 +327,7 @@ proptest! {
                                 } else {
                                     0.0
                                 };
-                                let got = cols[row * n * pixels + img * pixels + oy * ow + ox];
+                                let got = cols[row * pixels + oy * ow + ox];
                                 prop_assert_eq!(
                                     got.to_bits(), want.to_bits(),
                                     "row {} img {} ({}, {})", row, img, oy, ox
@@ -892,16 +894,14 @@ proptest! {
         threads in 1usize..5,
         seed in any::<u64>()
     ) {
-        let host = chaos_host();
+        let mut host = chaos_host();
         let mut rng = TensorRng::seed_from(seed);
         let batch = rng.normal(Shape::nchw(n, 3, 8, 8), 0.0, 1.0);
-        // Reference: one image at a time through the workspace engine
-        // (itself bit-identical to `forward` in Infer mode, tested in
-        // mp-nn).
+        // Reference: one image at a time through `forward` in Infer mode.
         let mut reference: Vec<f32> = Vec::new();
         for i in 0..n {
             let img = batch.batch_item(i).unwrap();
-            reference.extend(host.infer(&img).unwrap().iter());
+            reference.extend(host.forward(&img).unwrap().iter());
         }
         let sharded = host
             .infer_batch_with(&batch, Parallelism::new(threads))
